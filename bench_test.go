@@ -224,27 +224,6 @@ func BenchmarkPipelineSimWAN(b *testing.B) {
 	}
 }
 
-// BenchmarkAsyncCryptoSim measures XPaxos common-case throughput on
-// the deterministic simulator with the asynchronous crypto pipeline
-// disabled (every signature operation stalls the Step loop) versus
-// enabled (the default), under the modern cost model (full per-op
-// constants, 4-way verification pool, batch-verification discount)
-// with co-located replicas so crypto is the bottleneck. Virtual-time
-// metrics are reproducible across hosts; CI gates async-kops/s ÷
-// sync-kops/s ≥ 1.5 (the PR-4 acceptance criterion).
-func BenchmarkAsyncCryptoSim(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		var buf bytes.Buffer
-		syncPoint, asyncPoint := bench.AsyncCryptoComparison(&buf, quick)
-		b.Log("\n" + buf.String())
-		b.ReportMetric(syncPoint.ThroughputKops, "sync-kops/s")
-		b.ReportMetric(asyncPoint.ThroughputKops, "async-kops/s")
-		if syncPoint.ThroughputKops > 0 {
-			b.ReportMetric(asyncPoint.ThroughputKops/syncPoint.ThroughputKops, "async-speedup-x")
-		}
-	}
-}
-
 // BenchmarkArenaSim runs the cross-protocol benchmark arena: all five
 // protocols on identical co-located netsim topologies with signed
 // client requests and the modern cost model, reporting each protocol's

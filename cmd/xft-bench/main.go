@@ -9,7 +9,7 @@
 //
 // Experiments: fig2 fig6 fig7a fig7b fig7c fig8 fig9 fig10
 //
-//	table1 table2 table3 table5678 batchverify asynccrypto tlsoverhead
+//	table1 table2 table3 table5678 batchverify tlsoverhead
 //	arena sharded
 //
 // By default experiments run at "quick" scale (seconds); -full runs
@@ -68,8 +68,6 @@ func main() {
 			bench.Tables5to8(os.Stdout)
 		case "batchverify":
 			bench.BatchVerifyReport(os.Stdout, sc)
-		case "asynccrypto":
-			bench.AsyncCryptoComparison(os.Stdout, sc)
 		case "tlsoverhead":
 			bench.TLSOverhead(os.Stdout, sc)
 		case "arena":
@@ -88,5 +86,5 @@ func main() {
 func usage() {
 	fmt.Fprintln(os.Stderr, `usage: xft-bench [-full] <experiment>...
        xft-bench campaign [flags]   (see: xft-bench campaign -h)
-experiments: all fig2 fig6 fig7a fig7b fig7c fig8 fig9 fig10 table1 table2 table3 table5678 batchverify asynccrypto tlsoverhead arena sharded`)
+experiments: all fig2 fig6 fig7a fig7b fig7c fig8 fig9 fig10 table1 table2 table3 table5678 batchverify tlsoverhead arena sharded`)
 }

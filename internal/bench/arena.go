@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"github.com/xft-consensus/xft/internal/crypto"
+	"github.com/xft-consensus/xft/internal/protocols"
 )
 
 // ArenaPoint is one protocol's measurement in the cross-protocol
@@ -22,16 +23,24 @@ type ArenaPoint struct {
 	BatchedVerifies uint64
 }
 
-// arenaProtocols is the arena line-up: XPaxos plus all four ported
-// baselines.
-var arenaProtocols = []Protocol{XPaxos, Paxos, PBFT, Zyzzyva, Zab}
+// asyncVerifyWorkers is the verification-pool width the arena models.
+const asyncVerifyWorkers = 4
+
+// arenaProtocols is the arena line-up: every row of the protocol
+// table, XPaxos first.
+var arenaProtocols = func() (ps []Protocol) {
+	for _, p := range protocols.All {
+		ps = append(ps, Protocol(p.Name))
+	}
+	return ps
+}()
 
 // ArenaSpec returns the deployment spec the arena runs protocol p
 // under: identical co-located topology, modern crypto priced for a
-// 4-way verify pool, signed client requests on the baselines so every
-// protocol pays for request authentication, and the async crypto
-// pipeline on. Only the replica count differs, and only because the
-// protocols' fault thresholds demand it (2t+1 vs 3t+1).
+// 4-way verify pool, and signed client requests on the baselines so
+// every protocol pays for request authentication. Only the replica
+// count differs, and only because the protocols' fault thresholds
+// demand it (2t+1 vs 3t+1).
 func ArenaSpec(p Protocol, clients int, seed int64) Spec {
 	cm := crypto.CostModelModern(asyncVerifyWorkers)
 	n := p.Replicas(1)

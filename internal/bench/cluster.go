@@ -8,15 +8,12 @@ import (
 	"github.com/xft-consensus/xft/internal/apps/zk"
 	"github.com/xft-consensus/xft/internal/crypto"
 	"github.com/xft-consensus/xft/internal/netsim"
-	"github.com/xft-consensus/xft/internal/paxos"
-	"github.com/xft-consensus/xft/internal/pbft"
+	"github.com/xft-consensus/xft/internal/protocols"
 	"github.com/xft-consensus/xft/internal/smr"
-	"github.com/xft-consensus/xft/internal/xpaxos"
-	"github.com/xft-consensus/xft/internal/zab"
-	"github.com/xft-consensus/xft/internal/zyzzyva"
 )
 
-// Protocol names a replication protocol under test.
+// Protocol names a replication protocol under test: a row of the
+// internal/protocols table.
 type Protocol string
 
 // The five protocols of the evaluation.
@@ -33,14 +30,7 @@ var AllProtocols = []Protocol{XPaxos, Paxos, PBFT, Zyzzyva}
 
 // Replicas returns the number of replicas protocol p needs for fault
 // threshold t.
-func (p Protocol) Replicas(t int) int {
-	switch p {
-	case PBFT, Zyzzyva:
-		return 3*t + 1
-	default:
-		return 2*t + 1
-	}
-}
+func (p Protocol) Replicas(t int) int { return protocols.ByName(string(p)).Replicas(t) }
 
 // AppKind selects the replicated application.
 type AppKind int
@@ -75,11 +65,6 @@ type Spec struct {
 	Delta time.Duration
 	// EnableFD turns on XPaxos fault detection.
 	EnableFD bool
-	// SyncCrypto disables the async crypto pipeline on XPaxos
-	// replicas: every signature operation runs inside the Step loop
-	// (the pre-pipeline behavior), the baseline of the async-vs-sync
-	// experiment.
-	SyncCrypto bool
 	// CostModel overrides the per-core paper cost model (used by the
 	// modern-crypto experiments; nil keeps the default).
 	CostModel *crypto.CostModel
@@ -93,23 +78,14 @@ type Spec struct {
 	VerifyWorkers int
 }
 
-// Table4Regions returns the paper's replica placement (Table 4, t=1;
-// Section 5.2's list for t=2).
+// Table4Regions returns the paper's replica placement: Table 4 for
+// t=1 (primary CA, follower VA, then JP and — for the 3t+1 protocols —
+// EU), Section 5.2's list for t=2.
 func Table4Regions(p Protocol, t int) []int {
-	if t == 1 {
-		switch p {
-		case PBFT:
-			return []int{CA, VA, JP, EU}
-		case Zyzzyva:
-			return []int{CA, VA, JP, EU}
-		case Zab:
-			return []int{CA, VA, JP}
-		default: // XPaxos, Paxos: primary CA, follower VA, passive JP
-			return []int{CA, VA, JP}
-		}
-	}
-	// t=2 (Section 5.2): CA, OR, VA, JP, EU, AU, SG.
 	order := []int{CA, OR, VA, JP, EU, AU, SG}
+	if t == 1 {
+		order = []int{CA, VA, JP, EU}
+	}
 	return order[:p.Replicas(t)]
 }
 
@@ -124,21 +100,20 @@ type Cluster struct {
 	clients []*clientHandle
 }
 
-// clientHandle abstracts the per-protocol client types behind a common
-// closed-loop interface.
+// clientHandle is one closed-loop client and the commit callback the
+// experiment driver installs on it.
 type clientHandle struct {
-	id       smr.NodeID
-	invoke   func(op []byte)
-	onCommit *func(op, rep []byte, lat time.Duration)
+	protocols.Client
+	onCommit protocols.OnCommit
 }
 
 // Invoke submits an operation on client ci (must be called from event
 // context or before the run starts).
-func (c *Cluster) Invoke(ci int, op []byte) { c.clients[ci].invoke(op) }
+func (c *Cluster) Invoke(ci int, op []byte) { c.clients[ci].Invoke(op) }
 
 // SetOnCommit installs the commit callback for client ci.
 func (c *Cluster) SetOnCommit(ci int, fn func(op, rep []byte, lat time.Duration)) {
-	*c.clients[ci].onCommit = fn
+	c.clients[ci].onCommit = fn
 }
 
 // NumClients returns the number of clients.
@@ -168,7 +143,8 @@ func Build(spec Spec) *Cluster {
 	if spec.Delta == 0 {
 		spec.Delta = DeltaFromTable3()
 	}
-	n := spec.Protocol.Replicas(spec.T)
+	proto := protocols.ByName(string(spec.Protocol))
+	n := proto.Replicas(spec.T)
 	regions := spec.ReplicaRegions
 	if regions == nil {
 		regions = Table4Regions(spec.Protocol, spec.T)
@@ -209,147 +185,29 @@ func Build(spec Spec) *Cluster {
 	// transfer), so 4Δ comfortably covers the 2Δ collection window
 	// plus state transfer while bounding time wasted on views whose
 	// group contains a crashed replica.
-	timeouts := struct{ req, vc time.Duration }{2 * spec.Delta, 4 * spec.Delta}
-
-	addReplica := func(i int, node smr.Node, meter *crypto.Meter) {
-		c.Meters = append(c.Meters, meter)
-		net.AddNode(smr.NodeID(i), node, netsim.WithMeter(meter))
+	params := protocols.Params{
+		T: spec.T, Delta: spec.Delta, BatchSize: spec.BatchSize,
+		RequestTimeout: 2 * spec.Delta, ViewChangeTimeout: 4 * spec.Delta,
+		SignedRequests: spec.SignedRequests, VerifyWorkers: spec.VerifyWorkers,
+		PipelineWindow: spec.PipelineWindow, CheckpointInterval: 32, EnableFD: spec.EnableFD,
 	}
-
-	switch spec.Protocol {
-	case XPaxos:
-		for i := 0; i < n; i++ {
-			meter := crypto.NewMeter(suite)
-			cfg := xpaxos.Config{
-				N: n, T: spec.T, Suite: meter, Delta: spec.Delta,
-				BatchSize: spec.BatchSize, PipelineWindow: spec.PipelineWindow,
-				RequestTimeout:    timeouts.req,
-				ViewChangeTimeout: timeouts.vc, CheckpointInterval: 32,
-				EnableFD:           spec.EnableFD,
-				DisableAsyncCrypto: spec.SyncCrypto,
+	for i := 0; i < n; i++ {
+		meter := crypto.NewMeter(suite)
+		params.Suite = meter
+		c.Meters = append(c.Meters, meter)
+		net.AddNode(smr.NodeID(i), proto.NewReplica(smr.NodeID(i), params, spec.newApp()), netsim.WithMeter(meter))
+	}
+	for i := 0; i < spec.Clients; i++ {
+		id := smr.ClientIDBase + smr.NodeID(i)
+		params.Suite = crypto.NewMeter(suite)
+		h := &clientHandle{}
+		h.Client = proto.NewClient(id, params, func(op, rep []byte, lat time.Duration) {
+			if h.onCommit != nil {
+				h.onCommit(op, rep, lat)
 			}
-			addReplica(i, xpaxos.NewReplica(smr.NodeID(i), cfg, spec.newApp()), meter)
-		}
-		for i := 0; i < spec.Clients; i++ {
-			id := smr.ClientIDBase + smr.NodeID(i)
-			cb := new(func(op, rep []byte, lat time.Duration))
-			cl, err := xpaxos.NewClient(id, xpaxos.ClientConfig{
-				N: n, T: spec.T, Suite: crypto.NewMeter(suite),
-				RequestTimeout: timeouts.req,
-				OnCommit: func(op, rep []byte, lat time.Duration) {
-					if *cb != nil {
-						(*cb)(op, rep, lat)
-					}
-				},
-			})
-			if err != nil {
-				panic(err)
-			}
-			net.AddNode(id, cl)
-			c.clients = append(c.clients, &clientHandle{id: id, invoke: cl.Invoke, onCommit: cb})
-		}
-	case Paxos:
-		for i := 0; i < n; i++ {
-			meter := crypto.NewMeter(suite)
-			cfg := paxos.Config{
-				N: n, T: spec.T, Suite: meter, BatchSize: spec.BatchSize, RequestTimeout: timeouts.req,
-				SignedRequests: spec.SignedRequests, VerifyWorkers: spec.VerifyWorkers,
-				DisableAsyncCrypto: spec.SyncCrypto,
-			}
-			addReplica(i, paxos.NewReplica(smr.NodeID(i), cfg, spec.newApp()), meter)
-		}
-		for i := 0; i < spec.Clients; i++ {
-			id := smr.ClientIDBase + smr.NodeID(i)
-			cl := paxos.NewClient(id, paxos.Config{
-				N: n, T: spec.T, Suite: crypto.NewMeter(suite), RequestTimeout: timeouts.req,
-				SignedRequests: spec.SignedRequests,
-			})
-			cb := new(func(op, rep []byte, lat time.Duration))
-			cl.OnCommit = func(op, rep []byte, lat time.Duration) {
-				if *cb != nil {
-					(*cb)(op, rep, lat)
-				}
-			}
-			net.AddNode(id, cl)
-			c.clients = append(c.clients, &clientHandle{id: id, invoke: cl.Invoke, onCommit: cb})
-		}
-	case PBFT:
-		for i := 0; i < n; i++ {
-			meter := crypto.NewMeter(suite)
-			cfg := pbft.Config{
-				N: n, T: spec.T, Suite: meter, BatchSize: spec.BatchSize, RequestTimeout: timeouts.req,
-				SignedRequests: spec.SignedRequests, VerifyWorkers: spec.VerifyWorkers,
-				DisableAsyncCrypto: spec.SyncCrypto,
-			}
-			addReplica(i, pbft.NewReplica(smr.NodeID(i), cfg, spec.newApp()), meter)
-		}
-		for i := 0; i < spec.Clients; i++ {
-			id := smr.ClientIDBase + smr.NodeID(i)
-			cl := pbft.NewClient(id, pbft.Config{
-				N: n, T: spec.T, Suite: crypto.NewMeter(suite), RequestTimeout: timeouts.req,
-				SignedRequests: spec.SignedRequests,
-			})
-			cb := new(func(op, rep []byte, lat time.Duration))
-			cl.OnCommit = func(op, rep []byte, lat time.Duration) {
-				if *cb != nil {
-					(*cb)(op, rep, lat)
-				}
-			}
-			net.AddNode(id, cl)
-			c.clients = append(c.clients, &clientHandle{id: id, invoke: cl.Invoke, onCommit: cb})
-		}
-	case Zyzzyva:
-		for i := 0; i < n; i++ {
-			meter := crypto.NewMeter(suite)
-			cfg := zyzzyva.Config{
-				N: n, T: spec.T, Suite: meter, BatchSize: spec.BatchSize, RequestTimeout: timeouts.req,
-				SignedRequests: spec.SignedRequests, VerifyWorkers: spec.VerifyWorkers,
-				DisableAsyncCrypto: spec.SyncCrypto,
-			}
-			addReplica(i, zyzzyva.NewReplica(smr.NodeID(i), cfg, spec.newApp()), meter)
-		}
-		for i := 0; i < spec.Clients; i++ {
-			id := smr.ClientIDBase + smr.NodeID(i)
-			cl := zyzzyva.NewClient(id, zyzzyva.Config{
-				N: n, T: spec.T, Suite: crypto.NewMeter(suite), RequestTimeout: timeouts.req, CommitTimeout: spec.Delta,
-				SignedRequests: spec.SignedRequests,
-			})
-			cb := new(func(op, rep []byte, lat time.Duration))
-			cl.OnCommit = func(op, rep []byte, lat time.Duration) {
-				if *cb != nil {
-					(*cb)(op, rep, lat)
-				}
-			}
-			net.AddNode(id, cl)
-			c.clients = append(c.clients, &clientHandle{id: id, invoke: cl.Invoke, onCommit: cb})
-		}
-	case Zab:
-		for i := 0; i < n; i++ {
-			meter := crypto.NewMeter(suite)
-			cfg := zab.Config{
-				N: n, T: spec.T, Suite: meter, BatchSize: spec.BatchSize, RequestTimeout: timeouts.req,
-				SignedRequests: spec.SignedRequests, VerifyWorkers: spec.VerifyWorkers,
-				DisableAsyncCrypto: spec.SyncCrypto,
-			}
-			addReplica(i, zab.NewReplica(smr.NodeID(i), cfg, spec.newApp()), meter)
-		}
-		for i := 0; i < spec.Clients; i++ {
-			id := smr.ClientIDBase + smr.NodeID(i)
-			cl := zab.NewClient(id, zab.Config{
-				N: n, T: spec.T, Suite: crypto.NewMeter(suite), RequestTimeout: timeouts.req,
-				SignedRequests: spec.SignedRequests,
-			})
-			cb := new(func(op, rep []byte, lat time.Duration))
-			cl.OnCommit = func(op, rep []byte, lat time.Duration) {
-				if *cb != nil {
-					(*cb)(op, rep, lat)
-				}
-			}
-			net.AddNode(id, cl)
-			c.clients = append(c.clients, &clientHandle{id: id, invoke: cl.Invoke, onCommit: cb})
-		}
-	default:
-		panic("bench: unknown protocol " + string(spec.Protocol))
+		})
+		net.AddNode(id, h.Client)
+		c.clients = append(c.clients, h)
 	}
 	return c
 }

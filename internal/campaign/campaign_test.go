@@ -158,31 +158,6 @@ func TestCampaignForkDetected(t *testing.T) {
 	}
 }
 
-// TestCampaignByzantineMixAtScale is the acceptance-scale run: the
-// byzantine-mix profile at its full defaults — n = 13 replicas
-// (t = 6), 1000 open-loop clients — with every safety invariant
-// asserted. Virtual time keeps it CI-sized.
-func TestCampaignByzantineMixAtScale(t *testing.T) {
-	if testing.Short() {
-		t.Skip("scale campaign skipped in -short mode")
-	}
-	res := Run(Config{Profile: ByzantineMix, Seed: 20260808})
-	if n := 2*res.Config.T + 1; n < 12 {
-		t.Fatalf("scale run has only %d replicas", n)
-	}
-	if res.Config.Clients < 1000 {
-		t.Fatalf("scale run has only %d clients", res.Config.Clients)
-	}
-	if !res.OK() {
-		t.Fatalf("byzantine-mix at scale violated invariants: %v\nrepro: %s", res.Violations, res.Repro)
-	}
-	if res.Acked == 0 {
-		t.Fatalf("no request acknowledged at scale")
-	}
-	t.Logf("scale run: acked=%d commits=%d view-changes=%d detections=%d measured-avail=%.3f",
-		res.Acked, res.Commits, res.ViewChanges, len(res.Detections), res.MeasuredAvail)
-}
-
 // TestCampaignZKSessionOrder runs unpipelined ZooKeeper clients
 // (window 1) through the kitchen-sink storm: with one op in flight at a
 // time the strict session guarantee applies — every client's sequential

@@ -1,18 +1,11 @@
 package paxos
 
-// Wire codec for Paxos messages, registered with the protocol-agnostic
-// codec registry (internal/wire) so the TCP transport can carry Paxos
-// without importing this package. Same construction as the XPaxos
-// codec: a one-byte message-type tag followed by explicit fixed-order
-// field encodings, no reflection, canonical (every valid byte string
-// decodes to exactly one message, which re-encodes to the same bytes —
-// the fuzz target asserts this). Decoded byte-slice fields alias the
-// input buffer.
+// Wire codec for Paxos messages: each message's body in explicit
+// fixed field order, and the tag table that internal/baseline turns
+// into the registered codec.
 
 import (
-	"errors"
-	"fmt"
-
+	"github.com/xft-consensus/xft/internal/baseline"
 	"github.com/xft-consensus/xft/internal/crypto"
 	"github.com/xft-consensus/xft/internal/smr"
 	"github.com/xft-consensus/xft/internal/wire"
@@ -31,215 +24,97 @@ const (
 	tagPromise
 )
 
-// ErrBadMessage reports an encoding that is truncated, malformed, or
-// carries trailing bytes.
-var ErrBadMessage = errors.New("paxos: malformed message encoding")
-
 // CodecName is the registry name of the Paxos wire codec.
 const CodecName = "paxos"
 
-func init() {
-	wire.Register(wire.Codec{Name: CodecName, Append: AppendMessage, Decode: DecodeMessage})
-}
+var codec = baseline.NewCodec(CodecName, map[byte]baseline.Body{
+	tagRequest:  (*MsgRequest)(nil),
+	tagAccept:   (*MsgAccept)(nil),
+	tagAccepted: (*MsgAccepted)(nil),
+	tagCommit:   (*MsgCommit)(nil),
+	tagLearn:    (*MsgLearn)(nil),
+	tagReply:    (*MsgReply)(nil),
+	tagPrepare:  (*MsgPrepare)(nil),
+	tagPromise:  (*MsgPromise)(nil),
+})
 
-// Minimum encoded sizes per element, used to bound slice counts before
-// allocating: a hostile count fails fast instead of provoking a huge
-// allocation.
-const (
-	reqMinWire   = 4 + 8 + 8 + 4 // Op len, TS, Client, Sig len
-	accEntryWire = 8 + 8 + 4     // View, SN, batch count
+// MarshalMessage and DecodeMessage encode and decode one message (see
+// baseline.Codec); the transport reaches the same codec by name.
+var (
+	MarshalMessage = codec.Marshal
+	DecodeMessage  = codec.Decode
 )
 
-// readCount reads a u32 element count and bounds it by the remaining
-// input given each element's minimum encoded size.
-func readCount(rd *wire.Reader, minElem int) (int, bool) {
-	n, ok := rd.U32()
-	if !ok || int64(n)*int64(minElem) > int64(rd.Remaining()) {
-		return 0, false
-	}
-	return int(n), true
-}
-
-// readDigest reads a fixed-size digest.
-func readDigest(rd *wire.Reader, d *crypto.Digest) bool {
-	p, ok := rd.Raw(crypto.DigestSize)
-	if ok {
-		copy(d[:], p)
-	}
-	return ok
-}
-
-func (r *Request) marshalWire(w *wire.Buf) {
-	w.Bytes(r.Op).U64(r.TS).I64(int64(r.Client)).Bytes(r.Sig)
-}
-
-func (r *Request) unmarshalWire(rd *wire.Reader) bool {
-	op, ok1 := rd.Bytes()
-	ts, ok2 := rd.U64()
-	cl, ok3 := rd.I64()
-	sig, ok4 := rd.Bytes()
-	if !(ok1 && ok2 && ok3 && ok4) {
-		return false
-	}
-	r.Op, r.TS, r.Client, r.Sig = op, ts, smr.NodeID(cl), crypto.Signature(sig)
-	return true
-}
-
-func (b *Batch) marshalWire(w *wire.Buf) {
-	w.U32(uint32(len(b.Reqs)))
-	for i := range b.Reqs {
-		b.Reqs[i].marshalWire(w)
-	}
-}
-
-func (b *Batch) unmarshalWire(rd *wire.Reader) bool {
-	n, ok := readCount(rd, reqMinWire)
-	if !ok {
-		return false
-	}
-	if n > 0 {
-		b.Reqs = make([]Request, n)
-	}
-	for i := range b.Reqs {
-		if !b.Reqs[i].unmarshalWire(rd) {
-			return false
-		}
-	}
-	return true
-}
-
-func (e *acceptedEntry) marshalWire(w *wire.Buf) {
-	w.U64(uint64(e.View)).U64(uint64(e.SN))
-	e.Batch.marshalWire(w)
-}
-
-func (e *acceptedEntry) unmarshalWire(rd *wire.Reader) bool {
-	view, ok1 := rd.U64()
-	sn, ok2 := rd.U64()
-	if !(ok1 && ok2) || !e.Batch.unmarshalWire(rd) {
-		return false
-	}
-	e.View, e.SN = smr.View(view), smr.SeqNum(sn)
-	return true
-}
-
-func (m *MsgAccept) marshalBody(w *wire.Buf) {
-	w.U64(uint64(m.View)).U64(uint64(m.SN))
-	m.Batch.marshalWire(w)
-	w.Bytes(m.MAC)
-}
-
-func (m *MsgAccept) unmarshalBody(rd *wire.Reader) bool {
-	view, ok1 := rd.U64()
-	sn, ok2 := rd.U64()
-	if !(ok1 && ok2) || !m.Batch.unmarshalWire(rd) {
-		return false
-	}
-	mac, ok3 := rd.Bytes()
-	if !ok3 {
-		return false
-	}
-	m.View, m.SN, m.MAC = smr.View(view), smr.SeqNum(sn), crypto.MAC(mac)
-	return true
-}
-
-func (m *MsgAccepted) marshalBody(w *wire.Buf) {
+// MarshalBody implements baseline.Body.
+func (m *MsgAccepted) MarshalBody(w *wire.Buf) {
 	w.U64(uint64(m.View)).U64(uint64(m.SN)).Raw(m.D[:]).I64(int64(m.From)).Bytes(m.MAC)
 }
 
-func (m *MsgAccepted) unmarshalBody(rd *wire.Reader) bool {
-	view, ok1 := rd.U64()
-	sn, ok2 := rd.U64()
-	if !(ok1 && ok2) || !readDigest(rd, &m.D) {
+// UnmarshalBody implements baseline.Body.
+func (m *MsgAccepted) UnmarshalBody(rd *wire.Reader) bool {
+	var ok bool
+	if m.View, m.SN, ok = baseline.ReadSlot(rd); !ok || !baseline.ReadDigest(rd, &m.D) {
 		return false
 	}
-	from, ok3 := rd.I64()
-	mac, ok4 := rd.Bytes()
-	if !(ok3 && ok4) {
-		return false
-	}
-	m.View, m.SN, m.From, m.MAC = smr.View(view), smr.SeqNum(sn), smr.NodeID(from), crypto.MAC(mac)
-	return true
+	from, ok1 := rd.I64()
+	mac, ok2 := rd.Bytes()
+	m.From, m.MAC = smr.NodeID(from), crypto.MAC(mac)
+	return ok1 && ok2
 }
 
-func (m *MsgCommit) marshalBody(w *wire.Buf) {
+// MarshalBody implements baseline.Body.
+func (m *MsgCommit) MarshalBody(w *wire.Buf) {
 	w.U64(uint64(m.View)).U64(uint64(m.SN)).Raw(m.D[:]).Bytes(m.MAC)
 }
 
-func (m *MsgCommit) unmarshalBody(rd *wire.Reader) bool {
-	view, ok1 := rd.U64()
-	sn, ok2 := rd.U64()
-	if !(ok1 && ok2) || !readDigest(rd, &m.D) {
+// UnmarshalBody implements baseline.Body.
+func (m *MsgCommit) UnmarshalBody(rd *wire.Reader) bool {
+	var ok bool
+	if m.View, m.SN, ok = baseline.ReadSlot(rd); !ok || !baseline.ReadDigest(rd, &m.D) {
 		return false
 	}
-	mac, ok3 := rd.Bytes()
-	if !ok3 {
-		return false
-	}
-	m.View, m.SN, m.MAC = smr.View(view), smr.SeqNum(sn), crypto.MAC(mac)
-	return true
+	mac, ok := rd.Bytes()
+	m.MAC = crypto.MAC(mac)
+	return ok
 }
 
-func (m *MsgLearn) marshalBody(w *wire.Buf) {
-	w.U64(uint64(m.View)).U64(uint64(m.SN))
-	m.Batch.marshalWire(w)
-	w.Bytes(m.MAC)
-}
-
-func (m *MsgLearn) unmarshalBody(rd *wire.Reader) bool {
-	view, ok1 := rd.U64()
-	sn, ok2 := rd.U64()
-	if !(ok1 && ok2) || !m.Batch.unmarshalWire(rd) {
-		return false
-	}
-	mac, ok3 := rd.Bytes()
-	if !ok3 {
-		return false
-	}
-	m.View, m.SN, m.MAC = smr.View(view), smr.SeqNum(sn), crypto.MAC(mac)
-	return true
-}
-
-func (m *MsgReply) marshalBody(w *wire.Buf) {
+// MarshalBody implements baseline.Body.
+func (m *MsgReply) MarshalBody(w *wire.Buf) {
 	w.I64(int64(m.From)).U64(uint64(m.View)).U64(m.TS).Bytes(m.Rep).Bytes(m.MAC)
 }
 
-func (m *MsgReply) unmarshalBody(rd *wire.Reader) bool {
+// UnmarshalBody implements baseline.Body.
+func (m *MsgReply) UnmarshalBody(rd *wire.Reader) bool {
 	from, ok1 := rd.I64()
 	view, ok2 := rd.U64()
 	ts, ok3 := rd.U64()
 	rep, ok4 := rd.Bytes()
 	mac, ok5 := rd.Bytes()
-	if !(ok1 && ok2 && ok3 && ok4 && ok5) {
-		return false
-	}
 	m.From, m.View, m.TS, m.Rep, m.MAC = smr.NodeID(from), smr.View(view), ts, rep, crypto.MAC(mac)
-	return true
+	return ok1 && ok2 && ok3 && ok4 && ok5
 }
 
-func (m *MsgPrepare) marshalBody(w *wire.Buf) {
+// MarshalBody implements baseline.Body.
+func (m *MsgPrepare) MarshalBody(w *wire.Buf) {
 	w.U64(uint64(m.View)).I64(int64(m.From))
 }
 
-func (m *MsgPrepare) unmarshalBody(rd *wire.Reader) bool {
+// UnmarshalBody implements baseline.Body.
+func (m *MsgPrepare) UnmarshalBody(rd *wire.Reader) bool {
 	view, ok1 := rd.U64()
 	from, ok2 := rd.I64()
-	if !(ok1 && ok2) {
-		return false
-	}
 	m.View, m.From = smr.View(view), smr.NodeID(from)
-	return true
+	return ok1 && ok2
 }
 
-func (m *MsgPromise) marshalBody(w *wire.Buf) {
+// MarshalBody implements baseline.Body.
+func (m *MsgPromise) MarshalBody(w *wire.Buf) {
 	w.U64(uint64(m.View)).I64(int64(m.From)).U64(uint64(m.Executed))
-	w.U32(uint32(len(m.Accepted)))
-	for i := range m.Accepted {
-		m.Accepted[i].marshalWire(w)
-	}
+	baseline.AppendEntries(w, m.Accepted)
 }
 
-func (m *MsgPromise) unmarshalBody(rd *wire.Reader) bool {
+// UnmarshalBody implements baseline.Body.
+func (m *MsgPromise) UnmarshalBody(rd *wire.Reader) bool {
 	view, ok1 := rd.U64()
 	from, ok2 := rd.I64()
 	ex, ok3 := rd.U64()
@@ -247,112 +122,7 @@ func (m *MsgPromise) unmarshalBody(rd *wire.Reader) bool {
 		return false
 	}
 	m.View, m.From, m.Executed = smr.View(view), smr.NodeID(from), smr.SeqNum(ex)
-	n, ok := readCount(rd, accEntryWire)
-	if !ok {
-		return false
-	}
-	if n > 0 {
-		m.Accepted = make([]acceptedEntry, n)
-	}
-	for i := range m.Accepted {
-		if !m.Accepted[i].unmarshalWire(rd) {
-			return false
-		}
-	}
-	return true
-}
-
-// AppendMessage appends m's wire encoding (tag byte + body) to w. It
-// errors on message types without a codec.
-func AppendMessage(w *wire.Buf, m smr.Message) error {
-	switch m := m.(type) {
-	case *MsgRequest:
-		w.U8(tagRequest)
-		m.Req.marshalWire(w)
-	case *MsgAccept:
-		w.U8(tagAccept)
-		m.marshalBody(w)
-	case *MsgAccepted:
-		w.U8(tagAccepted)
-		m.marshalBody(w)
-	case *MsgCommit:
-		w.U8(tagCommit)
-		m.marshalBody(w)
-	case *MsgLearn:
-		w.U8(tagLearn)
-		m.marshalBody(w)
-	case *MsgReply:
-		w.U8(tagReply)
-		m.marshalBody(w)
-	case *MsgPrepare:
-		w.U8(tagPrepare)
-		m.marshalBody(w)
-	case *MsgPromise:
-		w.U8(tagPromise)
-		m.marshalBody(w)
-	default:
-		return fmt.Errorf("paxos: no wire codec for %T", m)
-	}
-	return nil
-}
-
-// MarshalMessage encodes m into a fresh buffer.
-func MarshalMessage(m smr.Message) ([]byte, error) {
-	w := wire.New(m.WireSize())
-	if err := AppendMessage(w, m); err != nil {
-		return nil, err
-	}
-	return w.Done(), nil
-}
-
-// DecodeMessage parses one encoded message. Byte-slice fields of the
-// result alias b; the caller must not reuse the buffer. Trailing bytes
-// are rejected so the encoding stays canonical.
-func DecodeMessage(b []byte) (smr.Message, error) {
-	rd := wire.NewReader(b)
-	tag, ok := rd.U8()
-	if !ok {
-		return nil, ErrBadMessage
-	}
-	var m smr.Message
-	switch tag {
-	case tagRequest:
-		x := new(MsgRequest)
-		ok = x.Req.unmarshalWire(rd)
-		m = x
-	case tagAccept:
-		x := new(MsgAccept)
-		ok = x.unmarshalBody(rd)
-		m = x
-	case tagAccepted:
-		x := new(MsgAccepted)
-		ok = x.unmarshalBody(rd)
-		m = x
-	case tagCommit:
-		x := new(MsgCommit)
-		ok = x.unmarshalBody(rd)
-		m = x
-	case tagLearn:
-		x := new(MsgLearn)
-		ok = x.unmarshalBody(rd)
-		m = x
-	case tagReply:
-		x := new(MsgReply)
-		ok = x.unmarshalBody(rd)
-		m = x
-	case tagPrepare:
-		x := new(MsgPrepare)
-		ok = x.unmarshalBody(rd)
-		m = x
-	case tagPromise:
-		x := new(MsgPromise)
-		ok = x.unmarshalBody(rd)
-		m = x
-	default:
-		return nil, fmt.Errorf("paxos: unknown message tag %d: %w", tag, ErrBadMessage)
-	}
-	if !ok || rd.Remaining() != 0 {
-		return nil, ErrBadMessage
-	}
-	return m, nil
+	var ok bool
+	m.Accepted, ok = baseline.ReadEntries(rd)
+	return ok
 }

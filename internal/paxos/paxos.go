@@ -13,101 +13,42 @@
 // classic view change: the new leader collects PROMISE messages from a
 // majority, adopts the highest-numbered accepted values, and
 // re-proposes them.
+//
+// Request intake, execution, the client and the codec plumbing come
+// from internal/baseline; this package is the agreement logic.
 package paxos
 
 import (
-	"sort"
-	"time"
-
+	"github.com/xft-consensus/xft/internal/baseline"
 	"github.com/xft-consensus/xft/internal/crypto"
 	"github.com/xft-consensus/xft/internal/smr"
 	"github.com/xft-consensus/xft/internal/wire"
 )
 
-const msgHeader = 24
+const msgHeader = baseline.MsgHeader
 
-// Leader maps a view to its leader (round-robin).
-func Leader(n int, v smr.View) smr.NodeID { return smr.NodeID(int(v) % n) }
+// domain tags every Paxos signature, digest and MAC payload.
+var domain = baseline.NewDomain("px-")
 
-// quorumMembers returns the t accept-quorum followers of view v: the
-// t replicas after the leader in ring order.
-func quorumMembers(n, t int, v smr.View) []smr.NodeID {
-	out := make([]smr.NodeID, 0, t)
-	l := int(Leader(n, v))
-	for i := 1; i <= t; i++ {
-		out = append(out, smr.NodeID((l+i)%n))
-	}
-	return out
-}
+// The shared request, batch, log-entry, configuration and client types.
+type (
+	Request    = baseline.Request
+	Batch      = baseline.Batch
+	Entry      = baseline.Entry
+	MsgRequest = baseline.MsgRequest
+	Config     = baseline.Config
+	Client     = baseline.Client
+)
 
 // ---------------------------------------------------------------------------
 // Messages
 // ---------------------------------------------------------------------------
 
-// Request is a client request. In the paper-fidelity configuration it
-// is MAC-authenticated only (the CFT baseline trusts clients); with
-// Config.SignedRequests the client signs it, so the cross-protocol
-// arena measures every protocol with the same client-authentication
-// cost as XPaxos.
-type Request struct {
-	Op     []byte
-	TS     uint64
-	Client smr.NodeID
-	// Sig authenticates the request under the client's key when the
-	// deployment enables SignedRequests; empty otherwise.
-	Sig crypto.Signature
-}
-
-func (r *Request) wireSize() int { return len(r.Op) + 16 + 8 + 4 + len(r.Sig) }
-
-// appendSigPayload writes the byte string a client signs over the
-// request.
-func (r *Request) appendSigPayload(w *wire.Buf) {
-	w.Str("px-req").Bytes(r.Op).U64(r.TS).I64(int64(r.Client))
-}
-
-// Batch groups requests under one sequence number.
-type Batch struct{ Reqs []Request }
-
-func (b *Batch) wireSize() int {
-	s := 4
-	for i := range b.Reqs {
-		s += b.Reqs[i].wireSize()
-	}
-	return s
-}
-
-func (b *Batch) digest() crypto.Digest {
-	w := wire.New(64 * len(b.Reqs)).Str("px-batch")
-	for i := range b.Reqs {
-		r := &b.Reqs[i]
-		w.Bytes(r.Op).U64(r.TS).I64(int64(r.Client))
-	}
-	return crypto.Hash(w.Done())
-}
-
-// MsgRequest carries a client request to the leader.
-type MsgRequest struct{ Req Request }
-
-// Type implements smr.Message.
-func (m *MsgRequest) Type() string { return "request" }
-
-// WireSize implements smr.Message.
-func (m *MsgRequest) WireSize() int { return msgHeader + m.Req.wireSize() }
-
 // MsgAccept is phase 2a: the leader's proposal.
-type MsgAccept struct {
-	View  smr.View
-	SN    smr.SeqNum
-	Batch Batch
-	MAC   crypto.MAC
-}
+type MsgAccept struct{ baseline.Proposal }
 
 // Type implements smr.Message.
 func (m *MsgAccept) Type() string { return "accept" }
-
-// WireSize implements smr.Message.
-func (m *MsgAccept) WireSize() int { return msgHeader + 16 + m.Batch.wireSize() + len(m.MAC) }
 
 // MsgAccepted is phase 2b: a follower's acknowledgment.
 type MsgAccepted struct {
@@ -123,6 +64,10 @@ func (m *MsgAccepted) Type() string { return "accepted" }
 
 // WireSize implements smr.Message.
 func (m *MsgAccepted) WireSize() int { return msgHeader + 24 + 32 + len(m.MAC) }
+
+func (m *MsgAccepted) macPayload() []byte {
+	return wire.New(64).Str("px-acd").U64(uint64(m.View)).U64(uint64(m.SN)).Raw(m.D[:]).I64(int64(m.From)).Done()
+}
 
 // MsgCommit tells quorum members an entry is chosen. It is digest-only:
 // the members already hold the batch from the accept phase, so the
@@ -141,21 +86,17 @@ func (m *MsgCommit) Type() string { return "px-commit" }
 // WireSize implements smr.Message.
 func (m *MsgCommit) WireSize() int { return msgHeader + 16 + 32 + len(m.MAC) }
 
+func (m *MsgCommit) macPayload() []byte {
+	return wire.New(64).Str("px-cmt").U64(uint64(m.View)).U64(uint64(m.SN)).Raw(m.D[:]).Done()
+}
+
 // MsgLearn lazily replicates a chosen batch to the replicas outside
 // the accept quorum (the analogue of XPaxos lazy replication, sent by
 // the first quorum member rather than the leader).
-type MsgLearn struct {
-	View  smr.View
-	SN    smr.SeqNum
-	Batch Batch
-	MAC   crypto.MAC
-}
+type MsgLearn struct{ baseline.Proposal }
 
 // Type implements smr.Message.
 func (m *MsgLearn) Type() string { return "px-learn" }
-
-// WireSize implements smr.Message.
-func (m *MsgLearn) WireSize() int { return msgHeader + 16 + m.Batch.wireSize() + len(m.MAC) }
 
 // Bulk implements smr.BulkMessage: lazy replication is background
 // traffic — the accept quorum already holds the batch, so a transport
@@ -178,6 +119,10 @@ func (m *MsgReply) Type() string { return "reply" }
 // WireSize implements smr.Message.
 func (m *MsgReply) WireSize() int { return msgHeader + 16 + len(m.Rep) + len(m.MAC) }
 
+func (m *MsgReply) macPayload() []byte {
+	return wire.New(48 + len(m.Rep)).Str("px-rep").I64(int64(m.From)).U64(uint64(m.View)).U64(m.TS).Bytes(m.Rep).Done()
+}
+
 // MsgPrepare is phase 1a for view v.
 type MsgPrepare struct {
 	View smr.View
@@ -190,32 +135,19 @@ func (m *MsgPrepare) Type() string { return "px-prepare" }
 // WireSize implements smr.Message.
 func (m *MsgPrepare) WireSize() int { return msgHeader + 16 }
 
-// accepted records one accepted entry for promise transfer.
-type acceptedEntry struct {
-	View  smr.View
-	SN    smr.SeqNum
-	Batch Batch
-}
-
 // MsgPromise is phase 1b: accepted values above the checkpoint.
 type MsgPromise struct {
 	View     smr.View
 	From     smr.NodeID
 	Executed smr.SeqNum
-	Accepted []acceptedEntry
+	Accepted []Entry
 }
 
 // Type implements smr.Message.
 func (m *MsgPromise) Type() string { return "px-promise" }
 
 // WireSize implements smr.Message.
-func (m *MsgPromise) WireSize() int {
-	s := msgHeader + 24
-	for i := range m.Accepted {
-		s += 16 + m.Accepted[i].Batch.wireSize()
-	}
-	return s
-}
+func (m *MsgPromise) WireSize() int { return msgHeader + 24 + baseline.EntriesWireSize(m.Accepted) }
 
 // Bulk implements smr.BulkMessage: a promise carries the follower's
 // whole accepted log (state transfer). Shedding one under queue
@@ -227,151 +159,45 @@ func (m *MsgPromise) Bulk() bool { return true }
 // Replica
 // ---------------------------------------------------------------------------
 
-// Config parameterizes a Paxos replica or client.
-type Config struct {
-	N, T           int
-	Suite          crypto.Suite
-	BatchSize      int
-	BatchTimeout   time.Duration
-	RequestTimeout time.Duration // progress timer before electing a new leader
-	Observer       smr.CommitObserver
-
-	// SignedRequests makes clients sign their requests and the leader
-	// verify them (batched, on the verification pool) before ordering.
-	// Off by default: the paper's CFT baseline authenticates requests
-	// with MACs only. The cross-protocol arena turns it on so all five
-	// protocols carry the same client-authentication cost.
-	SignedRequests bool
-	// VerifyWorkers sizes the request-verification pool: 0 selects the
-	// shared process-wide pool, 1 verifies serially, larger values get
-	// a dedicated pool (crypto.PoolFor).
-	VerifyWorkers int
-	// DisableAsyncCrypto runs request verification inside the Step
-	// loop instead of through Env.Defer (the pre-pipeline behavior;
-	// baseline of the async-vs-sync comparison).
-	DisableAsyncCrypto bool
-}
-
-func (c Config) withDefaults() Config {
-	if c.N == 0 {
-		c.N = 2*c.T + 1
-	}
-	if c.T == 0 {
-		c.T = (c.N - 1) / 2
-	}
-	if c.BatchSize == 0 {
-		c.BatchSize = 20
-	}
-	if c.BatchTimeout == 0 {
-		c.BatchTimeout = 5 * time.Millisecond
-	}
-	if c.RequestTimeout == 0 {
-		c.RequestTimeout = 2 * time.Second
-	}
-	return c
-}
-
 // Replica is a Paxos replica (smr.Node).
 type Replica struct {
-	env   smr.Env
-	cfg   Config
-	id    smr.NodeID
-	n, t  int
-	suite crypto.Suite
-	app   smr.Application
+	*baseline.Core
 
-	view     smr.View
-	sn, ex   smr.SeqNum
-	log      map[smr.SeqNum]*acceptedEntry // accepted values
-	chosen   map[smr.SeqNum]bool
-	acks     map[smr.SeqNum]map[smr.NodeID]bool
-	lastExec map[smr.NodeID]uint64
-	replies  map[smr.NodeID][]byte
+	sn, ex smr.SeqNum
+	log    map[smr.SeqNum]*Entry // accepted values
+	chosen map[smr.SeqNum]bool
+	acks   map[smr.SeqNum]map[smr.NodeID]bool
 
-	pendingReqs   []Request
-	batchTimer    smr.TimerID
-	batchTimerSet bool
-
-	// Request-verification pipeline (SignedRequests only): incoming
-	// requests queue here until a single-flight batch verification on
-	// the pool admits them.
-	verifyPool *crypto.Pool
-	asyncVer   bool
-	vqPending  []Request
-	verifying  bool
-
-	// Leader election.
-	electing  bool
-	promises  map[smr.NodeID]*MsgPromise
-	progress  smr.TimerID
-	watching  bool
-	suspected map[smr.View]bool
+	promises map[smr.NodeID]*MsgPromise // leader election
 }
 
 // NewReplica builds a Paxos replica.
 func NewReplica(id smr.NodeID, cfg Config, app smr.Application) *Replica {
-	cfg = cfg.withDefaults()
-	return &Replica{
-		cfg: cfg, id: id, n: cfg.N, t: cfg.T, suite: cfg.Suite, app: app,
-		log:        make(map[smr.SeqNum]*acceptedEntry),
-		chosen:     make(map[smr.SeqNum]bool),
-		acks:       make(map[smr.SeqNum]map[smr.NodeID]bool),
-		lastExec:   make(map[smr.NodeID]uint64),
-		replies:    make(map[smr.NodeID][]byte),
-		promises:   make(map[smr.NodeID]*MsgPromise),
-		suspected:  make(map[smr.View]bool),
-		verifyPool: crypto.PoolFor(cfg.VerifyWorkers),
-		asyncVer:   !cfg.DisableAsyncCrypto,
+	r := &Replica{
+		log:      make(map[smr.SeqNum]*Entry),
+		chosen:   make(map[smr.SeqNum]bool),
+		acks:     make(map[smr.SeqNum]map[smr.NodeID]bool),
+		promises: make(map[smr.NodeID]*MsgPromise),
 	}
+	r.Core = baseline.NewCore(id, cfg.WithDefaults(2), domain, app, baseline.Hooks{
+		Recv: r.onRecv, Propose: r.propose, Resend: r.reply,
+		Suspect: func() { r.elect(r.View + 1) },
+	})
+	return r
 }
 
-// View returns the current view (for tests).
-func (r *Replica) View() smr.View { return r.view }
-
-// Executed returns the last executed sequence number.
-func (r *Replica) Executed() smr.SeqNum { return r.ex }
-
-// Init implements smr.Node.
-func (r *Replica) Init(env smr.Env) { r.env = env }
-
-// Step implements smr.Node.
-func (r *Replica) Step(ev smr.Event) {
-	switch e := ev.(type) {
-	case smr.Start:
-	case smr.TimerFired:
-		r.onTimer(e)
-	case smr.Recv:
-		r.onRecv(e.From, e.Msg)
-	case smr.Async:
-		e.Apply()
+// quorum returns the t accept-quorum followers of the current view:
+// the t replicas after the leader in ring order.
+func (r *Replica) quorum() []smr.NodeID {
+	out := make([]smr.NodeID, 0, r.T)
+	for i := 1; i <= r.T; i++ {
+		out = append(out, smr.NodeID((int(r.Leader())+i)%r.N))
 	}
-}
-
-func (r *Replica) isLeader() bool { return Leader(r.n, r.view) == r.id }
-
-func (r *Replica) mac(to smr.NodeID, payload []byte) crypto.MAC {
-	return r.suite.MAC(crypto.NodeID(r.id), crypto.NodeID(to), payload)
-}
-
-func (r *Replica) onTimer(e smr.TimerFired) {
-	switch e.Kind {
-	case "batch":
-		if e.ID == r.batchTimer {
-			r.batchTimerSet = false
-			r.flush(true)
-		}
-	case "progress":
-		if e.ID == r.progress && r.watching {
-			r.watching = false
-			r.elect(r.view + 1)
-		}
-	}
+	return out
 }
 
 func (r *Replica) onRecv(from smr.NodeID, msg smr.Message) {
 	switch m := msg.(type) {
-	case *MsgRequest:
-		r.onRequest(from, m.Req)
 	case *MsgAccept:
 		r.onAccept(from, m)
 	case *MsgAccepted:
@@ -387,179 +213,50 @@ func (r *Replica) onRecv(from smr.NodeID, msg smr.Message) {
 	}
 }
 
-func (r *Replica) onRequest(from smr.NodeID, req Request) {
-	if req.TS <= r.lastExec[req.Client] {
-		if rep, ok := r.replies[req.Client]; ok && r.isLeader() {
-			r.reply(req.Client, req.TS, rep)
-		}
-		return
-	}
-	if !r.isLeader() {
-		// Forward and watch for progress: if the leader is dead the
-		// progress timer elects a new one.
-		r.env.Send(Leader(r.n, r.view), &MsgRequest{Req: req})
-		if !r.watching {
-			r.watching = true
-			r.progress = r.env.SetTimer(r.cfg.RequestTimeout, "progress")
-		}
-		return
-	}
-	if r.cfg.SignedRequests {
-		r.vqPending = append(r.vqPending, req)
-		r.kickVerify()
-		return
-	}
-	if r.electing {
-		r.pendingReqs = append(r.pendingReqs, req)
-		return
-	}
-	r.pendingReqs = append(r.pendingReqs, req)
-	if len(r.pendingReqs) >= r.cfg.BatchSize {
-		r.flush(false)
-	} else if !r.batchTimerSet {
-		r.batchTimer = r.env.SetTimer(r.cfg.BatchTimeout, "batch")
-		r.batchTimerSet = true
-	}
-}
-
-// kickVerify starts one request-verification round if none is in
-// flight: every queued request's client signature is checked in a
-// single batch on the verification pool off the Step loop (so the
-// batch verifier engages), and the survivors are admitted by the apply
-// half. Single-flight keeps at most one round outstanding; requests
-// arriving meanwhile queue for the next round. The apply half carries
-// no view guard — client signatures are view-independent — and instead
-// re-validates leadership per request, so a concurrent election can
-// neither wedge the pipeline nor strand verified requests.
-func (r *Replica) kickVerify() {
-	if r.verifying || len(r.vqPending) == 0 {
-		return
-	}
-	reqs := r.vqPending
-	r.vqPending = nil
-	r.verifying = true
-	batch := crypto.NewSigBatch(len(reqs))
-	for i := range reqs {
-		batch.Add(crypto.NodeID(reqs[i].Client), reqs[i].Sig, reqs[i].appendSigPayload)
-	}
-	var verdicts []bool
-	work := func() {
-		verdicts = r.verifyPool.VerifyEach(r.suite, batch.Jobs())
-		batch.Release()
-	}
-	apply := func() {
-		r.verifying = false
-		ok := reqs[:0]
-		for i, v := range verdicts {
-			if v {
-				ok = append(ok, reqs[i])
-			}
-		}
-		r.admit(ok)
-		r.kickVerify()
-	}
-	if r.asyncVer {
-		r.env.Defer("verify-req", work, apply)
-	} else {
-		work()
-		apply()
-	}
-}
-
-// admit takes verified requests. If leadership moved while the batch
-// was in flight, requests are re-routed to the current leader instead
-// of being dropped.
-func (r *Replica) admit(reqs []Request) {
-	for _, req := range reqs {
-		if req.TS <= r.lastExec[req.Client] {
-			if rep, ok := r.replies[req.Client]; ok && r.isLeader() {
-				r.reply(req.Client, req.TS, rep)
-			}
-			continue
-		}
-		if !r.isLeader() {
-			r.env.Send(Leader(r.n, r.view), &MsgRequest{Req: req})
-			continue
-		}
-		r.pendingReqs = append(r.pendingReqs, req)
-	}
-	if !r.isLeader() || r.electing || len(r.pendingReqs) == 0 {
-		return
-	}
-	if len(r.pendingReqs) >= r.cfg.BatchSize {
-		r.flush(false)
-	} else if !r.batchTimerSet {
-		r.batchTimer = r.env.SetTimer(r.cfg.BatchTimeout, "batch")
-		r.batchTimerSet = true
-	}
-}
-
-func (r *Replica) flush(force bool) {
-	if !r.isLeader() || r.electing {
-		return
-	}
-	for len(r.pendingReqs) >= r.cfg.BatchSize || (force && len(r.pendingReqs) > 0) {
-		nreq := min(len(r.pendingReqs), r.cfg.BatchSize)
-		batch := Batch{Reqs: append([]Request(nil), r.pendingReqs[:nreq]...)}
-		r.pendingReqs = r.pendingReqs[nreq:]
-		r.propose(batch)
-		force = false
-	}
-}
-
 func (r *Replica) propose(batch Batch) {
 	r.sn++
-	sn := r.sn
-	r.log[sn] = &acceptedEntry{View: r.view, SN: sn, Batch: batch}
-	r.acks[sn] = map[smr.NodeID]bool{r.id: true}
-	for _, f := range quorumMembers(r.n, r.t, r.view) {
-		m := &MsgAccept{View: r.view, SN: sn, Batch: batch}
-		m.MAC = r.mac(f, r.acceptPayload(m))
-		r.env.Send(f, m)
-	}
-	r.checkChosen(sn)
+	e := &Entry{View: r.View, SN: r.sn, Batch: batch}
+	r.log[e.SN] = e
+	r.sendAccepts(e)
+	r.checkChosen(e.SN)
 }
 
-func (r *Replica) acceptPayload(m *MsgAccept) []byte {
-	d := m.Batch.digest()
-	return wire.New(64).Str("px-acc").U64(uint64(m.View)).U64(uint64(m.SN)).Raw(d[:]).Done()
+// sendAccepts opens phase 2 for e with the leader's own vote.
+func (r *Replica) sendAccepts(e *Entry) {
+	r.acks[e.SN] = map[smr.NodeID]bool{r.ID: true}
+	for _, f := range r.quorum() {
+		m := &MsgAccept{baseline.Proposal{View: r.View, SN: e.SN, Batch: e.Batch}}
+		m.MAC = r.MAC(f, m.MACPayload("px-acc", domain))
+		r.Env.Send(f, m)
+	}
+}
+
+// accept records e unless the slot already holds a value from a later
+// view.
+func (r *Replica) accept(e *Entry) {
+	if cur, ok := r.log[e.SN]; !ok || cur.View <= e.View {
+		r.log[e.SN] = e
+	}
+	r.sn = max(r.sn, e.SN)
 }
 
 func (r *Replica) onAccept(from smr.NodeID, m *MsgAccept) {
-	if m.View < r.view || from != Leader(r.n, m.View) {
+	if m.View < r.View || from != r.LeaderOf(m.View) || !r.VerifyMAC(from, m.MACPayload("px-acc", domain), m.MAC) {
 		return
 	}
-	if !r.suite.VerifyMAC(crypto.NodeID(from), crypto.NodeID(r.id), r.acceptPayload(m), m.MAC) {
-		return
-	}
-	if m.View > r.view {
-		r.view = m.View
-		r.electing = false
-	}
-	if e, ok := r.log[m.SN]; !ok || e.View <= m.View {
-		r.log[m.SN] = &acceptedEntry{View: m.View, SN: m.SN, Batch: m.Batch}
-	}
-	if r.sn < m.SN {
-		r.sn = m.SN
-	}
-	ack := &MsgAccepted{View: m.View, SN: m.SN, D: m.Batch.digest(), From: r.id}
-	ack.MAC = r.mac(from, r.acceptedPayload(ack))
-	r.env.Send(from, ack)
-}
-
-func (r *Replica) acceptedPayload(m *MsgAccepted) []byte {
-	return wire.New(64).Str("px-acd").U64(uint64(m.View)).U64(uint64(m.SN)).Raw(m.D[:]).I64(int64(m.From)).Done()
+	r.Adopt(m.View)
+	r.accept(&Entry{View: m.View, SN: m.SN, Batch: m.Batch})
+	ack := &MsgAccepted{View: m.View, SN: m.SN, D: domain.Digest(&m.Batch), From: r.ID}
+	ack.MAC = r.MAC(from, ack.macPayload())
+	r.Env.Send(from, ack)
 }
 
 func (r *Replica) onAccepted(from smr.NodeID, m *MsgAccepted) {
-	if !r.isLeader() || m.View != r.view || m.From != from {
-		return
-	}
-	if !r.suite.VerifyMAC(crypto.NodeID(from), crypto.NodeID(r.id), r.acceptedPayload(m), m.MAC) {
+	if !r.IsLeader() || m.View != r.View || m.From != from || !r.VerifyMAC(from, m.macPayload(), m.MAC) {
 		return
 	}
 	e, ok := r.log[m.SN]
-	if !ok || e.Batch.digest() != m.D {
+	if !ok || domain.Digest(&e.Batch) != m.D {
 		return
 	}
 	acks := r.acks[m.SN]
@@ -571,8 +268,10 @@ func (r *Replica) onAccepted(from smr.NodeID, m *MsgAccepted) {
 	r.checkChosen(m.SN)
 }
 
+// checkChosen is the quorum rule: an entry is chosen once t+1 replicas
+// (the leader included) accepted it.
 func (r *Replica) checkChosen(sn smr.SeqNum) {
-	if r.chosen[sn] || len(r.acks[sn]) < r.t+1 {
+	if r.chosen[sn] || len(r.acks[sn]) < r.T+1 {
 		return
 	}
 	r.chosen[sn] = true
@@ -580,120 +279,75 @@ func (r *Replica) checkChosen(sn smr.SeqNum) {
 	r.execute()
 	// Digest-only commit to the quorum members.
 	e := r.log[sn]
-	for _, id := range quorumMembers(r.n, r.t, r.view) {
-		m := &MsgCommit{View: e.View, SN: sn, D: e.Batch.digest()}
-		m.MAC = r.mac(id, r.commitPayload(m))
-		r.env.Send(id, m)
+	for _, id := range r.quorum() {
+		m := &MsgCommit{View: e.View, SN: sn, D: domain.Digest(&e.Batch)}
+		m.MAC = r.MAC(id, m.macPayload())
+		r.Env.Send(id, m)
 	}
-}
-
-func (r *Replica) commitPayload(m *MsgCommit) []byte {
-	return wire.New(64).Str("px-cmt").U64(uint64(m.View)).U64(uint64(m.SN)).Raw(m.D[:]).Done()
 }
 
 func (r *Replica) onCommit(from smr.NodeID, m *MsgCommit) {
-	if !r.suite.VerifyMAC(crypto.NodeID(from), crypto.NodeID(r.id), r.commitPayload(m), m.MAC) {
-		return
-	}
-	if from != Leader(r.n, m.View) {
+	if !r.VerifyMAC(from, m.macPayload(), m.MAC) || from != r.LeaderOf(m.View) {
 		return
 	}
 	e, ok := r.log[m.SN]
-	if !ok || e.Batch.digest() != m.D {
+	if !ok || domain.Digest(&e.Batch) != m.D {
 		return
 	}
-	if m.View > r.view {
-		r.view = m.View
-		r.electing = false
-	}
+	r.Adopt(m.View)
 	if r.chosen[m.SN] {
 		return
 	}
 	r.chosen[m.SN] = true
-	if r.sn < m.SN {
-		r.sn = m.SN
-	}
-	r.watching = false
+	r.sn = max(r.sn, m.SN)
+	r.Unwatch()
 	r.execute()
 	// The first quorum member lazily replicates the full batch to the
 	// replicas outside the quorum.
-	members := quorumMembers(r.n, r.t, r.view)
-	if len(members) > 0 && members[0] == r.id {
-		in := map[smr.NodeID]bool{r.id: true, Leader(r.n, r.view): true}
-		for _, qm := range members {
-			in[qm] = true
-		}
-		for i := 0; i < r.n; i++ {
-			id := smr.NodeID(i)
-			if in[id] {
-				continue
-			}
-			lm := &MsgLearn{View: m.View, SN: m.SN, Batch: e.Batch}
-			lm.MAC = r.mac(id, r.learnPayload(lm))
-			r.env.Send(id, lm)
-		}
+	members := r.quorum()
+	if len(members) == 0 || members[0] != r.ID {
+		return
 	}
-}
-
-func (r *Replica) learnPayload(m *MsgLearn) []byte {
-	d := m.Batch.digest()
-	return wire.New(64).Str("px-lrn").U64(uint64(m.View)).U64(uint64(m.SN)).Raw(d[:]).Done()
+	in := map[smr.NodeID]bool{r.Leader(): true}
+	for _, qm := range members {
+		in[qm] = true
+	}
+	for _, id := range r.Others {
+		if in[id] {
+			continue
+		}
+		lm := &MsgLearn{baseline.Proposal{View: m.View, SN: m.SN, Batch: e.Batch}}
+		lm.MAC = r.MAC(id, lm.MACPayload("px-lrn", domain))
+		r.Env.Send(id, lm)
+	}
 }
 
 func (r *Replica) onLearn(from smr.NodeID, m *MsgLearn) {
-	if !r.suite.VerifyMAC(crypto.NodeID(from), crypto.NodeID(r.id), r.learnPayload(m), m.MAC) {
+	if !r.VerifyMAC(from, m.MACPayload("px-lrn", domain), m.MAC) {
 		return
 	}
-	if m.View > r.view {
-		r.view = m.View
-		r.electing = false
-	}
-	if cur, ok := r.log[m.SN]; !ok || cur.View <= m.View {
-		r.log[m.SN] = &acceptedEntry{View: m.View, SN: m.SN, Batch: m.Batch}
-	}
+	r.Adopt(m.View)
+	r.accept(&Entry{View: m.View, SN: m.SN, Batch: m.Batch})
 	r.chosen[m.SN] = true
-	if r.sn < m.SN {
-		r.sn = m.SN
-	}
 	r.execute()
 }
 
-// execute applies contiguously chosen entries; the leader replies.
+// execute applies contiguously chosen entries.
 func (r *Replica) execute() {
 	for r.chosen[r.ex+1] {
-		e := r.log[r.ex+1]
 		r.ex++
-		for i := range e.Batch.Reqs {
-			req := &e.Batch.Reqs[i]
-			var rep []byte
-			if req.TS <= r.lastExec[req.Client] {
-				rep = r.replies[req.Client]
-			} else {
-				rep = r.app.Execute(req.Op)
-				r.lastExec[req.Client] = req.TS
-				r.replies[req.Client] = rep
-			}
-			if r.cfg.Observer != nil {
-				r.cfg.Observer(smr.Committed{
-					Replica: r.id, View: e.View, Seq: e.SN,
-					Client: req.Client, ClientTS: req.TS,
-				})
-			}
-			if r.isLeader() {
-				r.reply(req.Client, req.TS, rep)
-			}
-		}
+		r.Execute(r.log[r.ex], r.reply)
 	}
 }
 
+// reply answers a client; only the leader does.
 func (r *Replica) reply(client smr.NodeID, ts uint64, rep []byte) {
-	m := &MsgReply{From: r.id, View: r.view, TS: ts, Rep: rep}
-	m.MAC = r.mac(client, r.replyPayload(m))
-	r.env.Send(client, m)
-}
-
-func (r *Replica) replyPayload(m *MsgReply) []byte {
-	return wire.New(48 + len(m.Rep)).Str("px-rep").I64(int64(m.From)).U64(uint64(m.View)).U64(m.TS).Bytes(m.Rep).Done()
+	if !r.IsLeader() {
+		return
+	}
+	m := &MsgReply{From: r.ID, View: r.View, TS: ts, Rep: rep}
+	m.MAC = r.MAC(client, m.macPayload())
+	r.Env.Send(client, m)
 }
 
 // ---------------------------------------------------------------------------
@@ -701,196 +355,93 @@ func (r *Replica) replyPayload(m *MsgReply) []byte {
 // ---------------------------------------------------------------------------
 
 func (r *Replica) elect(v smr.View) {
-	if v <= r.view && r.electing {
+	if v < r.View || (v == r.View && r.Electing) {
 		return
 	}
-	if v < r.view {
-		return
-	}
-	r.view = v
-	r.electing = true
+	r.View = v
+	r.Electing = true
 	r.promises = make(map[smr.NodeID]*MsgPromise)
-	if !r.isLeader() {
-		// Notify the would-be leader so it runs phase 1.
-		r.env.Send(Leader(r.n, v), &MsgPrepare{View: v, From: r.id})
-		// Watch for the election to finish.
-		r.watching = true
-		r.progress = r.env.SetTimer(r.cfg.RequestTimeout, "progress")
+	if !r.IsLeader() {
+		// Notify the would-be leader so it runs phase 1, and watch for
+		// the election to finish.
+		r.Env.Send(r.Leader(), &MsgPrepare{View: v, From: r.ID})
+		r.Rewatch()
 		return
 	}
-	for i := 0; i < r.n; i++ {
-		if smr.NodeID(i) != r.id {
-			r.env.Send(smr.NodeID(i), &MsgPrepare{View: v, From: r.id})
-		}
+	for _, id := range r.Others {
+		r.Env.Send(id, &MsgPrepare{View: v, From: r.ID})
 	}
 	r.addPromise(r.makePromise(v))
 }
 
 func (r *Replica) makePromise(v smr.View) *MsgPromise {
-	accepted := make([]acceptedEntry, 0, len(r.log))
-	for _, e := range r.log {
-		accepted = append(accepted, *e)
-	}
-	sort.Slice(accepted, func(i, j int) bool { return accepted[i].SN < accepted[j].SN })
-	return &MsgPromise{View: v, From: r.id, Executed: r.ex, Accepted: accepted}
+	return &MsgPromise{View: v, From: r.ID, Executed: r.ex, Accepted: baseline.SortedEntries(r.log)}
 }
 
 func (r *Replica) onPrepare(from smr.NodeID, m *MsgPrepare) {
-	if m.View < r.view {
+	if m.View < r.View {
 		return
 	}
-	if Leader(r.n, m.View) == r.id {
+	if r.LeaderOf(m.View) == r.ID {
 		// A majority nudges us into leading the view.
-		if m.View > r.view || !r.electing {
+		if m.View > r.View || !r.Electing {
 			r.elect(m.View)
 		}
 		return
 	}
-	if m.View > r.view || from == Leader(r.n, m.View) {
-		r.view = m.View
-		r.electing = true
-		r.env.Send(Leader(r.n, m.View), r.makePromise(m.View))
+	if m.View > r.View || from == r.LeaderOf(m.View) {
+		r.View = m.View
+		r.Electing = true
+		r.Env.Send(r.Leader(), r.makePromise(m.View))
 	}
 }
 
 func (r *Replica) onPromise(from smr.NodeID, m *MsgPromise) {
-	if !r.electing || m.View != r.view || !r.isLeader() {
-		return
+	if r.Electing && m.View == r.View && r.IsLeader() {
+		r.addPromise(m)
 	}
-	r.addPromise(m)
 }
 
+// addPromise completes the election at t+1 promises: adopt the
+// highest-view accepted value per slot and re-propose whatever is not
+// already chosen.
 func (r *Replica) addPromise(m *MsgPromise) {
 	r.promises[m.From] = m
-	if len(r.promises) < r.t+1 {
+	if len(r.promises) < r.T+1 {
 		return
 	}
-	// Adopt the highest-view accepted value per slot and re-propose.
-	best := make(map[smr.SeqNum]*acceptedEntry)
-	var maxSN smr.SeqNum
+	logs := make([][]Entry, 0, len(r.promises))
 	for _, p := range r.promises {
-		for i := range p.Accepted {
-			e := p.Accepted[i]
-			if cur, ok := best[e.SN]; !ok || e.View > cur.View {
-				best[e.SN] = &e
-			}
-			if e.SN > maxSN {
-				maxSN = e.SN
-			}
-		}
+		logs = append(logs, p.Accepted)
 	}
-	r.electing = false
+	merged := baseline.MergeEntries(r.View, logs)
+	r.Electing = false
 	r.promises = make(map[smr.NodeID]*MsgPromise)
-	r.sn = maxSN
-	for sn := smr.SeqNum(1); sn <= maxSN; sn++ {
-		if r.chosen[sn] {
-			continue
-		}
-		e, ok := best[sn]
-		if !ok {
-			e = &acceptedEntry{View: r.view, SN: sn, Batch: Batch{}}
-		}
-		e.View = r.view
-		r.log[sn] = e
-		r.acks[sn] = map[smr.NodeID]bool{r.id: true}
-		for _, f := range quorumMembers(r.n, r.t, r.view) {
-			m := &MsgAccept{View: r.view, SN: sn, Batch: e.Batch}
-			m.MAC = r.mac(f, r.acceptPayload(m))
-			r.env.Send(f, m)
+	r.sn = smr.SeqNum(len(merged))
+	for i := range merged {
+		if e := &merged[i]; !r.chosen[e.SN] {
+			r.log[e.SN] = e
+			r.sendAccepts(e)
 		}
 	}
-	r.flush(true)
+	r.Flush()
 }
 
 // ---------------------------------------------------------------------------
 // Client
 // ---------------------------------------------------------------------------
 
-// Client is a closed-loop Paxos client.
-type Client struct {
-	env   smr.Env
-	cfg   Config
-	id    smr.NodeID
-	n, t  int
-	suite crypto.Suite
-
-	ts      uint64
-	view    smr.View
-	pending *struct {
-		req    Request
-		sentAt time.Duration
-		timer  smr.TimerID
-	}
-
-	// OnCommit receives (op, reply, latency).
-	OnCommit func(op, rep []byte, latency time.Duration)
-	// Committed counts completed requests.
-	Committed uint64
-}
-
-// NewClient builds a client.
+// NewClient builds a closed-loop Paxos client: the leader's reply
+// alone completes a request.
 func NewClient(id smr.NodeID, cfg Config) *Client {
-	cfg = cfg.withDefaults()
-	return &Client{cfg: cfg, id: id, n: cfg.N, t: cfg.T, suite: cfg.Suite}
-}
-
-// Init implements smr.Node.
-func (c *Client) Init(env smr.Env) { c.env = env }
-
-// Invoke submits an operation (one outstanding request at a time).
-func (c *Client) Invoke(op []byte) {
-	if c.pending != nil {
-		panic("paxos: client invoked with request outstanding")
-	}
-	c.ts++
-	req := Request{Op: op, TS: c.ts, Client: c.id}
-	if c.cfg.SignedRequests {
-		w := wire.Get()
-		req.appendSigPayload(w)
-		req.Sig = c.suite.Sign(crypto.NodeID(c.id), w.Done())
-		wire.Put(w)
-	}
-	c.pending = &struct {
-		req    Request
-		sentAt time.Duration
-		timer  smr.TimerID
-	}{req: req, sentAt: c.env.Now()}
-	c.env.Send(Leader(c.n, c.view), &MsgRequest{Req: req})
-	c.pending.timer = c.env.SetTimer(c.cfg.RequestTimeout, "req")
-}
-
-// Step implements smr.Node.
-func (c *Client) Step(ev smr.Event) {
-	switch e := ev.(type) {
-	case smr.Start:
-	case smr.Invoke:
-		c.Invoke(e.Op)
-	case smr.TimerFired:
-		if c.pending != nil && e.ID == c.pending.timer {
-			// Broadcast so any replica can forward / elect.
-			for i := 0; i < c.n; i++ {
-				c.env.Send(smr.NodeID(i), &MsgRequest{Req: c.pending.req})
-			}
-			c.pending.timer = c.env.SetTimer(c.cfg.RequestTimeout, "req")
+	var c *Client
+	c = baseline.NewClient(id, cfg.WithDefaults(2), domain, func(from smr.NodeID, msg smr.Message) ([]byte, bool) {
+		m, ok := msg.(*MsgReply)
+		if !ok || m.TS != c.TS() || m.From != from || !c.VerifyMAC(from, m.macPayload(), m.MAC) {
+			return nil, false
 		}
-	case smr.Recv:
-		m, ok := e.Msg.(*MsgReply)
-		if !ok || c.pending == nil || m.TS != c.pending.req.TS || m.From != e.From {
-			return
-		}
-		payload := wire.New(48 + len(m.Rep)).Str("px-rep").I64(int64(m.From)).U64(uint64(m.View)).U64(m.TS).Bytes(m.Rep).Done()
-		if !c.suite.VerifyMAC(crypto.NodeID(e.From), crypto.NodeID(c.id), payload, m.MAC) {
-			return
-		}
-		if m.View > c.view {
-			c.view = m.View
-		}
-		p := c.pending
-		c.env.CancelTimer(p.timer)
-		c.pending = nil
-		c.Committed++
-		if c.OnCommit != nil {
-			c.OnCommit(p.req.Op, m.Rep, c.env.Now()-p.sentAt)
-		}
-	}
+		c.SawView(m.View)
+		return m.Rep, true
+	})
+	return c
 }

@@ -71,7 +71,7 @@ func TestPaxosCommonCase(t *testing.T) {
 func TestPaxosFigure6cPattern(t *testing.T) {
 	// Figure 6c (t=1): client→leader, leader→s1, s1→leader, leader→client.
 	c := newCluster(t, 1, 1)
-	c.replicas[0].cfg.BatchSize = 1
+	c.replicas[0].Cfg.BatchSize = 1
 	c.net.At(0, func() { c.clients[0].Invoke(kv.GetOp("x")) })
 	c.net.RunFor(time.Second)
 	counts := c.net.MessageCounts()
@@ -102,7 +102,7 @@ func TestPaxosLeaderCrashElectsNewLeader(t *testing.T) {
 	c.net.Crash(0)
 	c.net.RunFor(8 * time.Second)
 	if n <= before {
-		t.Fatalf("no commits after leader crash (views: %d %d)", c.replicas[1].View(), c.replicas[2].View())
+		t.Fatalf("no commits after leader crash (views: %d %d)", c.replicas[1].View, c.replicas[2].View)
 	}
 	// Committed data must survive into the new view.
 	for i := 0; i < before; i++ {
@@ -136,7 +136,7 @@ func TestPaxosDuplicateSuppression(t *testing.T) {
 	c.net.RunFor(time.Second)
 	// Replay the same request; append must not run twice.
 	c.net.At(c.net.Now(), func() {
-		cl.env.Send(0, &MsgRequest{Req: Request{Op: kv.AppendOp("x", []byte("a")), TS: 1, Client: cl.id}})
+		cl.Env.Send(0, &MsgRequest{Req: Request{Op: kv.AppendOp("x", []byte("a")), TS: 1, Client: cl.ID}})
 	})
 	c.net.RunFor(time.Second)
 	if v, _ := c.stores[0].Get("x"); string(v) != "a" {

@@ -1,18 +1,11 @@
 package pbft
 
-// Wire codec for PBFT messages, registered with the protocol-agnostic
-// codec registry (internal/wire) so the TCP transport can carry PBFT
-// without importing this package. Same construction as the XPaxos
-// codec: a one-byte message-type tag followed by explicit fixed-order
-// field encodings, no reflection, canonical (every valid byte string
-// decodes to exactly one message, which re-encodes to the same bytes —
-// the fuzz target asserts this). Decoded byte-slice fields alias the
-// input buffer.
+// Wire codec for PBFT messages: each message's body in explicit fixed
+// field order, and the tag table that internal/baseline turns into the
+// registered codec.
 
 import (
-	"errors"
-	"fmt"
-
+	"github.com/xft-consensus/xft/internal/baseline"
 	"github.com/xft-consensus/xft/internal/crypto"
 	"github.com/xft-consensus/xft/internal/smr"
 	"github.com/xft-consensus/xft/internal/wire"
@@ -29,309 +22,107 @@ const (
 	tagNewView
 )
 
-// ErrBadMessage reports an encoding that is truncated, malformed, or
-// carries trailing bytes.
-var ErrBadMessage = errors.New("pbft: malformed message encoding")
-
 // CodecName is the registry name of the PBFT wire codec.
 const CodecName = "pbft"
 
-func init() {
-	wire.Register(wire.Codec{Name: CodecName, Append: AppendMessage, Decode: DecodeMessage})
-}
+var codec = baseline.NewCodec(CodecName, map[byte]baseline.Body{
+	tagRequest:    (*MsgRequest)(nil),
+	tagPrePrepare: (*MsgPrePrepare)(nil),
+	tagCommit:     (*MsgCommit)(nil),
+	tagReply:      (*MsgReply)(nil),
+	tagViewChange: (*MsgViewChange)(nil),
+	tagNewView:    (*MsgNewView)(nil),
+})
 
-// Minimum encoded sizes per element, used to bound slice counts before
-// allocating.
-const (
-	reqMinWire      = 4 + 8 + 8 + 4 // Op len, TS, Client, Sig len
-	logEntryMinWire = 8 + 8 + 4     // View, SN, batch count
+// MarshalMessage and DecodeMessage encode and decode one message (see
+// baseline.Codec); the transport reaches the same codec by name.
+var (
+	MarshalMessage = codec.Marshal
+	DecodeMessage  = codec.Decode
 )
 
-// readCount reads a u32 element count and bounds it by the remaining
-// input given each element's minimum encoded size.
-func readCount(rd *wire.Reader, minElem int) (int, bool) {
-	n, ok := rd.U32()
-	if !ok || int64(n)*int64(minElem) > int64(rd.Remaining()) {
-		return 0, false
-	}
-	return int(n), true
-}
-
-// readDigest reads a fixed-size digest.
-func readDigest(rd *wire.Reader, d *crypto.Digest) bool {
-	p, ok := rd.Raw(crypto.DigestSize)
-	if ok {
-		copy(d[:], p)
-	}
-	return ok
-}
-
-func (r *Request) marshalWire(w *wire.Buf) {
-	w.Bytes(r.Op).U64(r.TS).I64(int64(r.Client)).Bytes(r.Sig)
-}
-
-func (r *Request) unmarshalWire(rd *wire.Reader) bool {
-	op, ok1 := rd.Bytes()
-	ts, ok2 := rd.U64()
-	cl, ok3 := rd.I64()
-	sig, ok4 := rd.Bytes()
-	if !(ok1 && ok2 && ok3 && ok4) {
-		return false
-	}
-	r.Op, r.TS, r.Client, r.Sig = op, ts, smr.NodeID(cl), crypto.Signature(sig)
-	return true
-}
-
-func (b *Batch) marshalWire(w *wire.Buf) {
-	w.U32(uint32(len(b.Reqs)))
-	for i := range b.Reqs {
-		b.Reqs[i].marshalWire(w)
-	}
-}
-
-func (b *Batch) unmarshalWire(rd *wire.Reader) bool {
-	n, ok := readCount(rd, reqMinWire)
-	if !ok {
-		return false
-	}
-	if n > 0 {
-		b.Reqs = make([]Request, n)
-	}
-	for i := range b.Reqs {
-		if !b.Reqs[i].unmarshalWire(rd) {
-			return false
-		}
-	}
-	return true
-}
-
-func (e *logEntry) marshalWire(w *wire.Buf) {
-	w.U64(uint64(e.View)).U64(uint64(e.SN))
-	e.Batch.marshalWire(w)
-}
-
-func (e *logEntry) unmarshalWire(rd *wire.Reader) bool {
-	view, ok1 := rd.U64()
-	sn, ok2 := rd.U64()
-	if !(ok1 && ok2) || !e.Batch.unmarshalWire(rd) {
-		return false
-	}
-	e.View, e.SN = smr.View(view), smr.SeqNum(sn)
-	return true
-}
-
-func marshalEntries(w *wire.Buf, es []logEntry) {
-	w.U32(uint32(len(es)))
-	for i := range es {
-		es[i].marshalWire(w)
-	}
-}
-
-func unmarshalEntries(rd *wire.Reader) ([]logEntry, bool) {
-	n, ok := readCount(rd, logEntryMinWire)
-	if !ok {
-		return nil, false
-	}
-	var es []logEntry
-	if n > 0 {
-		es = make([]logEntry, n)
-	}
-	for i := range es {
-		if !es[i].unmarshalWire(rd) {
-			return nil, false
-		}
-	}
-	return es, true
-}
-
-func (m *MsgPrePrepare) marshalBody(w *wire.Buf) {
-	w.U64(uint64(m.View)).U64(uint64(m.SN))
-	m.Batch.marshalWire(w)
-	w.Bytes(m.MAC)
-}
-
-func (m *MsgPrePrepare) unmarshalBody(rd *wire.Reader) bool {
-	view, ok1 := rd.U64()
-	sn, ok2 := rd.U64()
-	if !(ok1 && ok2) || !m.Batch.unmarshalWire(rd) {
-		return false
-	}
-	mac, ok3 := rd.Bytes()
-	if !ok3 {
-		return false
-	}
-	m.View, m.SN, m.MAC = smr.View(view), smr.SeqNum(sn), crypto.MAC(mac)
-	return true
-}
-
-func (m *MsgCommit) marshalBody(w *wire.Buf) {
+// MarshalBody implements baseline.Body.
+func (m *MsgCommit) MarshalBody(w *wire.Buf) {
 	w.U64(uint64(m.View)).U64(uint64(m.SN)).Raw(m.D[:]).I64(int64(m.From)).Bytes(m.MAC)
 }
 
-func (m *MsgCommit) unmarshalBody(rd *wire.Reader) bool {
-	view, ok1 := rd.U64()
-	sn, ok2 := rd.U64()
-	if !(ok1 && ok2) || !readDigest(rd, &m.D) {
+// UnmarshalBody implements baseline.Body.
+func (m *MsgCommit) UnmarshalBody(rd *wire.Reader) bool {
+	var ok bool
+	if m.View, m.SN, ok = baseline.ReadSlot(rd); !ok || !baseline.ReadDigest(rd, &m.D) {
 		return false
 	}
-	from, ok3 := rd.I64()
-	mac, ok4 := rd.Bytes()
-	if !(ok3 && ok4) {
-		return false
-	}
-	m.View, m.SN, m.From, m.MAC = smr.View(view), smr.SeqNum(sn), smr.NodeID(from), crypto.MAC(mac)
-	return true
+	from, ok1 := rd.I64()
+	mac, ok2 := rd.Bytes()
+	m.From, m.MAC = smr.NodeID(from), crypto.MAC(mac)
+	return ok1 && ok2
 }
 
-func (m *MsgReply) marshalBody(w *wire.Buf) {
+// MarshalBody implements baseline.Body.
+func (m *MsgReply) MarshalBody(w *wire.Buf) {
 	w.I64(int64(m.From)).U64(uint64(m.View)).U64(m.TS).Bytes(m.Rep).Raw(m.RepD[:]).Bytes(m.MAC)
 }
 
-func (m *MsgReply) unmarshalBody(rd *wire.Reader) bool {
+// UnmarshalBody implements baseline.Body.
+func (m *MsgReply) UnmarshalBody(rd *wire.Reader) bool {
 	from, ok1 := rd.I64()
 	view, ok2 := rd.U64()
 	ts, ok3 := rd.U64()
 	rep, ok4 := rd.Bytes()
-	if !(ok1 && ok2 && ok3 && ok4) || !readDigest(rd, &m.RepD) {
+	if !(ok1 && ok2 && ok3 && ok4) || !baseline.ReadDigest(rd, &m.RepD) {
 		return false
 	}
 	mac, ok5 := rd.Bytes()
-	if !ok5 {
-		return false
-	}
 	// A nil Rep (digest-only reply) and an empty Rep encode identically;
 	// normalize to nil so the encoding stays canonical.
 	if len(rep) == 0 {
 		rep = nil
 	}
 	m.From, m.View, m.TS, m.Rep, m.MAC = smr.NodeID(from), smr.View(view), ts, rep, crypto.MAC(mac)
-	return true
+	return ok5
 }
 
-func (m *MsgViewChange) marshalBody(w *wire.Buf) {
+// MarshalBody implements baseline.Body.
+func (m *MsgViewChange) MarshalBody(w *wire.Buf) {
 	w.U64(uint64(m.View)).I64(int64(m.From))
-	marshalEntries(w, m.Entries)
+	baseline.AppendEntries(w, m.Entries)
 	w.Bytes(m.Sig)
 }
 
-func (m *MsgViewChange) unmarshalBody(rd *wire.Reader) bool {
+// UnmarshalBody implements baseline.Body.
+func (m *MsgViewChange) UnmarshalBody(rd *wire.Reader) bool {
 	view, ok1 := rd.U64()
 	from, ok2 := rd.I64()
 	if !(ok1 && ok2) {
 		return false
 	}
-	entries, ok := unmarshalEntries(rd)
+	entries, ok := baseline.ReadEntries(rd)
 	if !ok {
 		return false
 	}
-	sig, ok3 := rd.Bytes()
-	if !ok3 {
-		return false
-	}
+	sig, ok := rd.Bytes()
 	m.View, m.From, m.Entries, m.Sig = smr.View(view), smr.NodeID(from), entries, crypto.Signature(sig)
-	return true
+	return ok
 }
 
-func (m *MsgNewView) marshalBody(w *wire.Buf) {
+// MarshalBody implements baseline.Body.
+func (m *MsgNewView) MarshalBody(w *wire.Buf) {
 	w.U64(uint64(m.View))
-	marshalEntries(w, m.Entries)
+	baseline.AppendEntries(w, m.Entries)
 	w.Bytes(m.Sig)
 }
 
-func (m *MsgNewView) unmarshalBody(rd *wire.Reader) bool {
-	view, ok1 := rd.U64()
-	if !ok1 {
-		return false
-	}
-	entries, ok := unmarshalEntries(rd)
+// UnmarshalBody implements baseline.Body.
+func (m *MsgNewView) UnmarshalBody(rd *wire.Reader) bool {
+	view, ok := rd.U64()
 	if !ok {
 		return false
 	}
-	sig, ok2 := rd.Bytes()
-	if !ok2 {
+	entries, ok := baseline.ReadEntries(rd)
+	if !ok {
 		return false
 	}
+	sig, ok := rd.Bytes()
 	m.View, m.Entries, m.Sig = smr.View(view), entries, crypto.Signature(sig)
-	return true
-}
-
-// AppendMessage appends m's wire encoding (tag byte + body) to w. It
-// errors on message types without a codec.
-func AppendMessage(w *wire.Buf, m smr.Message) error {
-	switch m := m.(type) {
-	case *MsgRequest:
-		w.U8(tagRequest)
-		m.Req.marshalWire(w)
-	case *MsgPrePrepare:
-		w.U8(tagPrePrepare)
-		m.marshalBody(w)
-	case *MsgCommit:
-		w.U8(tagCommit)
-		m.marshalBody(w)
-	case *MsgReply:
-		w.U8(tagReply)
-		m.marshalBody(w)
-	case *MsgViewChange:
-		w.U8(tagViewChange)
-		m.marshalBody(w)
-	case *MsgNewView:
-		w.U8(tagNewView)
-		m.marshalBody(w)
-	default:
-		return fmt.Errorf("pbft: no wire codec for %T", m)
-	}
-	return nil
-}
-
-// MarshalMessage encodes m into a fresh buffer.
-func MarshalMessage(m smr.Message) ([]byte, error) {
-	w := wire.New(m.WireSize())
-	if err := AppendMessage(w, m); err != nil {
-		return nil, err
-	}
-	return w.Done(), nil
-}
-
-// DecodeMessage parses one encoded message. Byte-slice fields of the
-// result alias b; the caller must not reuse the buffer. Trailing bytes
-// are rejected so the encoding stays canonical.
-func DecodeMessage(b []byte) (smr.Message, error) {
-	rd := wire.NewReader(b)
-	tag, ok := rd.U8()
-	if !ok {
-		return nil, ErrBadMessage
-	}
-	var m smr.Message
-	switch tag {
-	case tagRequest:
-		x := new(MsgRequest)
-		ok = x.Req.unmarshalWire(rd)
-		m = x
-	case tagPrePrepare:
-		x := new(MsgPrePrepare)
-		ok = x.unmarshalBody(rd)
-		m = x
-	case tagCommit:
-		x := new(MsgCommit)
-		ok = x.unmarshalBody(rd)
-		m = x
-	case tagReply:
-		x := new(MsgReply)
-		ok = x.unmarshalBody(rd)
-		m = x
-	case tagViewChange:
-		x := new(MsgViewChange)
-		ok = x.unmarshalBody(rd)
-		m = x
-	case tagNewView:
-		x := new(MsgNewView)
-		ok = x.unmarshalBody(rd)
-		m = x
-	default:
-		return nil, fmt.Errorf("pbft: unknown message tag %d: %w", tag, ErrBadMessage)
-	}
-	if !ok || rd.Remaining() != 0 {
-		return nil, ErrBadMessage
-	}
-	return m, nil
+	return ok
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"testing"
 
+	"github.com/xft-consensus/xft/internal/baseline"
 	"github.com/xft-consensus/xft/internal/crypto"
 	"github.com/xft-consensus/xft/internal/smr"
 	"github.com/xft-consensus/xft/internal/wire"
@@ -15,19 +16,19 @@ func sampleMessages() []smr.Message {
 	suite := crypto.NewSimSuite(7)
 	req := Request{Op: []byte("put k v"), TS: 9, Client: smr.ClientIDBase + 2}
 	w := wire.New(64)
-	req.appendSigPayload(w)
+	domain.AppendSigPayload(w, &req)
 	req.Sig = suite.Sign(crypto.NodeID(req.Client), w.Done())
 	batch := Batch{Reqs: []Request{req, {Op: []byte("get k"), TS: 10, Client: smr.ClientIDBase}}}
-	d := batch.digest()
+	d := domain.Digest(&batch)
 	mac := crypto.MAC([]byte("mac-bytes-0123456789"))
 	sig := crypto.Signature([]byte("sig-bytes-0123456789"))
-	entries := []logEntry{
+	entries := []Entry{
 		{View: 3, SN: 17, Batch: batch},
 		{View: 2, SN: 18, Batch: Batch{}},
 	}
 	return []smr.Message{
 		&MsgRequest{Req: req},
-		&MsgPrePrepare{View: 3, SN: 17, Batch: batch, MAC: mac},
+		&MsgPrePrepare{baseline.Proposal{View: 3, SN: 17, Batch: batch, MAC: mac}},
 		&MsgCommit{View: 3, SN: 17, D: d, From: 1, MAC: mac},
 		&MsgReply{From: 0, View: 3, TS: 9, Rep: []byte("ok"), RepD: d, MAC: mac},
 		&MsgReply{From: 2, View: 3, TS: 9, RepD: d, MAC: mac}, // digest-only reply
@@ -83,23 +84,6 @@ func TestCodecRejectsHostileCounts(t *testing.T) {
 	b := wire.New(64).U8(tagViewChange).U64(4).I64(2).U32(1 << 31).Done()
 	if _, err := DecodeMessage(b); err == nil {
 		t.Fatal("hostile entry count accepted")
-	}
-	// A pre-prepare whose batch claims 2^30 requests.
-	b = wire.New(64).U8(tagPrePrepare).U64(3).U64(17).U32(1 << 30).Done()
-	if _, err := DecodeMessage(b); err == nil {
-		t.Fatal("hostile batch count accepted")
-	}
-}
-
-func TestCodecUnknownType(t *testing.T) {
-	if err := AppendMessage(wire.New(8), smr.Message(nil)); err == nil {
-		t.Fatal("nil message encoded")
-	}
-	if _, err := DecodeMessage([]byte{0xEE}); err == nil {
-		t.Fatal("unknown tag decoded")
-	}
-	if _, err := DecodeMessage(nil); err == nil {
-		t.Fatal("empty input decoded")
 	}
 }
 

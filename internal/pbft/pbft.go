@@ -14,105 +14,41 @@
 // evaluation exercises only the BFT baselines' common case, and this
 // repository's Byzantine experiments target XPaxos. This simplification
 // is documented in DESIGN.md.
+//
+// Request intake, execution, the client core and the codec plumbing
+// come from internal/baseline; this package is the agreement logic.
 package pbft
 
 import (
-	"sort"
-	"time"
-
+	"github.com/xft-consensus/xft/internal/baseline"
 	"github.com/xft-consensus/xft/internal/crypto"
 	"github.com/xft-consensus/xft/internal/smr"
 	"github.com/xft-consensus/xft/internal/wire"
 )
 
-const msgHeader = 24
+const msgHeader = baseline.MsgHeader
 
-// Primary returns the primary of view v.
-func Primary(n int, v smr.View) smr.NodeID { return smr.NodeID(int(v) % n) }
+// domain tags every PBFT signature, digest and MAC payload.
+var domain = baseline.NewDomain("pb-")
 
-// Actives returns the 2t+1 active replicas of view v: the primary and
-// the 2t replicas after it in ring order.
-func Actives(n, t int, v smr.View) []smr.NodeID {
-	out := make([]smr.NodeID, 0, 2*t+1)
-	p := int(Primary(n, v))
-	for i := 0; i <= 2*t; i++ {
-		out = append(out, smr.NodeID((p+i)%n))
-	}
-	return out
-}
+// The shared request, batch, log-entry and configuration types.
+type (
+	Request    = baseline.Request
+	Batch      = baseline.Batch
+	Entry      = baseline.Entry
+	MsgRequest = baseline.MsgRequest
+	Config     = baseline.Config
+)
 
-func isActive(n, t int, v smr.View, id smr.NodeID) bool {
-	for _, a := range Actives(n, t, v) {
-		if a == id {
-			return true
-		}
-	}
-	return false
-}
-
-// Request is a client request. With Config.SignedRequests the client
-// signs it and replicas verify the signature (batched, off the Step
-// loop) before ordering; otherwise it is authenticated by transport
-// MACs only, the paper-fidelity configuration.
-type Request struct {
-	Op     []byte
-	TS     uint64
-	Client smr.NodeID
-	// Sig authenticates the request under the client's key when the
-	// deployment enables SignedRequests; empty otherwise.
-	Sig crypto.Signature
-}
-
-func (r *Request) wireSize() int { return len(r.Op) + 24 + 4 + len(r.Sig) }
-
-// appendSigPayload writes the byte string a client signs over the
-// request.
-func (r *Request) appendSigPayload(w *wire.Buf) {
-	w.Str("pb-req").Bytes(r.Op).U64(r.TS).I64(int64(r.Client))
-}
-
-// Batch groups requests.
-type Batch struct{ Reqs []Request }
-
-func (b *Batch) wireSize() int {
-	s := 4
-	for i := range b.Reqs {
-		s += b.Reqs[i].wireSize()
-	}
-	return s
-}
-
-func (b *Batch) digest() crypto.Digest {
-	w := wire.New(64 * len(b.Reqs)).Str("pb-batch")
-	for i := range b.Reqs {
-		r := &b.Reqs[i]
-		w.Bytes(r.Op).U64(r.TS).I64(int64(r.Client))
-	}
-	return crypto.Hash(w.Done())
-}
-
-// MsgRequest carries a client request.
-type MsgRequest struct{ Req Request }
-
-// Type implements smr.Message.
-func (m *MsgRequest) Type() string { return "request" }
-
-// WireSize implements smr.Message.
-func (m *MsgRequest) WireSize() int { return msgHeader + m.Req.wireSize() }
+// ---------------------------------------------------------------------------
+// Messages
+// ---------------------------------------------------------------------------
 
 // MsgPrePrepare is the primary's ordering proposal.
-type MsgPrePrepare struct {
-	View  smr.View
-	SN    smr.SeqNum
-	Batch Batch
-	MAC   crypto.MAC
-}
+type MsgPrePrepare struct{ baseline.Proposal }
 
 // Type implements smr.Message.
 func (m *MsgPrePrepare) Type() string { return "pre-prepare" }
-
-// WireSize implements smr.Message.
-func (m *MsgPrePrepare) WireSize() int { return msgHeader + 16 + m.Batch.wireSize() + len(m.MAC) }
 
 // MsgCommit is exchanged among actives.
 type MsgCommit struct {
@@ -128,6 +64,10 @@ func (m *MsgCommit) Type() string { return "commit" }
 
 // WireSize implements smr.Message.
 func (m *MsgCommit) WireSize() int { return msgHeader + 24 + 32 + len(m.MAC) }
+
+func (m *MsgCommit) macPayload() []byte {
+	return wire.New(64).Str("pb-cm").U64(uint64(m.View)).U64(uint64(m.SN)).Raw(m.D[:]).I64(int64(m.From)).Done()
+}
 
 // MsgReply answers the client (full payload from the primary, digest
 // from other actives).
@@ -146,11 +86,15 @@ func (m *MsgReply) Type() string { return "reply" }
 // WireSize implements smr.Message.
 func (m *MsgReply) WireSize() int { return msgHeader + 24 + len(m.Rep) + 32 + len(m.MAC) }
 
+func (m *MsgReply) macPayload() []byte {
+	return wire.New(64 + len(m.Rep)).Str("pb-rep").I64(int64(m.From)).U64(uint64(m.View)).U64(m.TS).Raw(m.RepD[:]).Bytes(m.Rep).Done()
+}
+
 // MsgViewChange transfers a replica's log to a new view's primary.
 type MsgViewChange struct {
 	View    smr.View
 	From    smr.NodeID
-	Entries []logEntry
+	Entries []Entry
 	Sig     crypto.Signature
 }
 
@@ -159,11 +103,7 @@ func (m *MsgViewChange) Type() string { return "view-change" }
 
 // WireSize implements smr.Message.
 func (m *MsgViewChange) WireSize() int {
-	s := msgHeader + 16 + len(m.Sig)
-	for i := range m.Entries {
-		s += 16 + m.Entries[i].Batch.wireSize()
-	}
-	return s
+	return msgHeader + 16 + len(m.Sig) + baseline.EntriesWireSize(m.Entries)
 }
 
 // Bulk implements smr.BulkMessage: a view change carries the
@@ -176,7 +116,7 @@ func (m *MsgViewChange) sigPayload() []byte {
 	w := wire.New(64).Str("pb-vc").U64(uint64(m.View)).I64(int64(m.From))
 	for i := range m.Entries {
 		e := &m.Entries[i]
-		d := e.Batch.digest()
+		d := domain.Digest(&e.Batch)
 		w.U64(uint64(e.SN)).U64(uint64(e.View)).Raw(d[:])
 	}
 	return w.Done()
@@ -185,7 +125,7 @@ func (m *MsgViewChange) sigPayload() []byte {
 // MsgNewView installs the new view's log.
 type MsgNewView struct {
 	View    smr.View
-	Entries []logEntry
+	Entries []Entry
 	Sig     crypto.Signature
 }
 
@@ -194,11 +134,7 @@ func (m *MsgNewView) Type() string { return "new-view" }
 
 // WireSize implements smr.Message.
 func (m *MsgNewView) WireSize() int {
-	s := msgHeader + 8 + len(m.Sig)
-	for i := range m.Entries {
-		s += 16 + m.Entries[i].Batch.wireSize()
-	}
-	return s
+	return msgHeader + 8 + len(m.Sig) + baseline.EntriesWireSize(m.Entries)
 }
 
 // Bulk implements smr.BulkMessage: the new-view installs the merged
@@ -211,160 +147,72 @@ func (m *MsgNewView) sigPayload() []byte {
 	w := wire.New(64).Str("pb-nv").U64(uint64(m.View))
 	for i := range m.Entries {
 		e := &m.Entries[i]
-		d := e.Batch.digest()
+		d := domain.Digest(&e.Batch)
 		w.U64(uint64(e.SN)).Raw(d[:])
 	}
 	return w.Done()
 }
 
-type logEntry struct {
-	View  smr.View
-	SN    smr.SeqNum
-	Batch Batch
-}
+// ---------------------------------------------------------------------------
+// Replica
+// ---------------------------------------------------------------------------
 
-// Config parameterizes replicas and clients.
-type Config struct {
-	N, T           int
-	Suite          crypto.Suite
-	BatchSize      int
-	BatchTimeout   time.Duration
-	RequestTimeout time.Duration
-	Observer       smr.CommitObserver
-
-	// SignedRequests makes clients sign their requests and replicas
-	// verify them (batched, on the verification pool) before ordering:
-	// the primary at admission, backups on each pre-prepare. Off by
-	// default — the paper's evaluation exercises the MAC-based common
-	// case; the cross-protocol arena turns it on so all five protocols
-	// carry the same client-authentication cost.
-	SignedRequests bool
-	// VerifyWorkers sizes the verification pool: 0 selects the shared
-	// process-wide pool, 1 verifies serially, larger values get a
-	// dedicated pool (crypto.PoolFor).
-	VerifyWorkers int
-	// DisableAsyncCrypto runs signature verification inside the Step
-	// loop instead of through Env.Defer.
-	DisableAsyncCrypto bool
-}
-
-func (c Config) withDefaults() Config {
-	if c.N == 0 {
-		c.N = 3*c.T + 1
-	}
-	if c.T == 0 {
-		c.T = (c.N - 1) / 3
-	}
-	if c.BatchSize == 0 {
-		c.BatchSize = 20
-	}
-	if c.BatchTimeout == 0 {
-		c.BatchTimeout = 5 * time.Millisecond
-	}
-	if c.RequestTimeout == 0 {
-		c.RequestTimeout = 2 * time.Second
-	}
-	return c
-}
-
-// Replica is a speculative-PBFT replica.
+// Replica is a speculative-PBFT replica (smr.Node).
 type Replica struct {
-	env   smr.Env
-	cfg   Config
-	id    smr.NodeID
-	n, t  int
-	suite crypto.Suite
-	app   smr.Application
+	*baseline.Core
 
-	view     smr.View
-	sn, ex   smr.SeqNum
-	log      map[smr.SeqNum]*logEntry
-	votes    map[smr.SeqNum]map[smr.NodeID]crypto.Digest
-	chosen   map[smr.SeqNum]bool
-	lastExec map[smr.NodeID]uint64
-	replies  map[smr.NodeID][]byte
-
-	pendingReqs   []Request
-	batchTimer    smr.TimerID
-	batchTimerSet bool
-
-	// Request-verification pipeline (SignedRequests only). The primary
-	// queues incoming requests in vqPending until a single-flight batch
-	// verification admits them; backups track per-SN in-flight
-	// pre-prepare verifications in ppInFlight.
-	verifyPool *crypto.Pool
-	asyncVer   bool
-	vqPending  []Request
-	verifying  bool
+	sn, ex smr.SeqNum
+	log    map[smr.SeqNum]*Entry
+	votes  map[smr.SeqNum]map[smr.NodeID]crypto.Digest
+	chosen map[smr.SeqNum]bool
+	// ppInFlight marks pre-prepares whose client signatures a backup is
+	// still verifying (SignedRequests only).
 	ppInFlight map[smr.SeqNum]bool
 
-	electing bool
-	vcs      map[smr.NodeID]*MsgViewChange
-	progress smr.TimerID
-	watching bool
+	vcs map[smr.NodeID]*MsgViewChange
 }
 
 // NewReplica builds a replica.
 func NewReplica(id smr.NodeID, cfg Config, app smr.Application) *Replica {
-	cfg = cfg.withDefaults()
-	return &Replica{
-		cfg: cfg, id: id, n: cfg.N, t: cfg.T, suite: cfg.Suite, app: app,
-		log:        make(map[smr.SeqNum]*logEntry),
+	r := &Replica{
+		log:        make(map[smr.SeqNum]*Entry),
 		votes:      make(map[smr.SeqNum]map[smr.NodeID]crypto.Digest),
 		chosen:     make(map[smr.SeqNum]bool),
-		lastExec:   make(map[smr.NodeID]uint64),
-		replies:    make(map[smr.NodeID][]byte),
-		vcs:        make(map[smr.NodeID]*MsgViewChange),
-		verifyPool: crypto.PoolFor(cfg.VerifyWorkers),
-		asyncVer:   !cfg.DisableAsyncCrypto,
 		ppInFlight: make(map[smr.SeqNum]bool),
+		vcs:        make(map[smr.NodeID]*MsgViewChange),
 	}
+	r.Core = baseline.NewCore(id, cfg.WithDefaults(3), domain, app, baseline.Hooks{
+		Recv: r.onRecv, Propose: r.propose,
+		Resend: func(client smr.NodeID, ts uint64, rep []byte) {
+			if r.IsLeader() {
+				r.reply(client, ts, rep)
+			}
+		},
+		Suspect: func() { r.startViewChange(r.View + 1) },
+	})
+	return r
 }
 
-// View returns the current view.
-func (r *Replica) View() smr.View { return r.view }
-
-// Init implements smr.Node.
-func (r *Replica) Init(env smr.Env) { r.env = env }
-
-// Step implements smr.Node.
-func (r *Replica) Step(ev smr.Event) {
-	switch e := ev.(type) {
-	case smr.Start:
-	case smr.TimerFired:
-		r.onTimer(e)
-	case smr.Recv:
-		r.onRecv(e.From, e.Msg)
-	case smr.Async:
-		e.Apply()
-	}
+// isActive reports whether this replica is one of the current view's
+// 2t+1 actives: the primary and the 2t replicas after it in ring order.
+func (r *Replica) isActive() bool {
+	return (int(r.ID)-int(r.Leader())+r.N)%r.N <= 2*r.T
 }
 
-func (r *Replica) isPrimary() bool { return Primary(r.n, r.view) == r.id }
-
-func (r *Replica) mac(to smr.NodeID, p []byte) crypto.MAC {
-	return r.suite.MAC(crypto.NodeID(r.id), crypto.NodeID(to), p)
-}
-
-func (r *Replica) onTimer(e smr.TimerFired) {
-	switch e.Kind {
-	case "batch":
-		if e.ID == r.batchTimer {
-			r.batchTimerSet = false
-			r.flush(true)
-		}
-	case "progress":
-		if e.ID == r.progress && r.watching {
-			r.watching = false
-			r.startViewChange(r.view + 1)
+// otherActives lists the current view's actives except this replica,
+// in ring order from the primary.
+func (r *Replica) otherActives() []smr.NodeID {
+	out := make([]smr.NodeID, 0, 2*r.T)
+	for i := 0; i <= 2*r.T; i++ {
+		if id := smr.NodeID((int(r.Leader()) + i) % r.N); id != r.ID {
+			out = append(out, id)
 		}
 	}
+	return out
 }
 
 func (r *Replica) onRecv(from smr.NodeID, msg smr.Message) {
 	switch m := msg.(type) {
-	case *MsgRequest:
-		r.onRequest(from, m.Req)
 	case *MsgPrePrepare:
 		r.onPrePrepare(from, m)
 	case *MsgCommit:
@@ -376,217 +224,64 @@ func (r *Replica) onRecv(from smr.NodeID, msg smr.Message) {
 	}
 }
 
-func (r *Replica) onRequest(from smr.NodeID, req Request) {
-	if req.TS <= r.lastExec[req.Client] {
-		if rep, ok := r.replies[req.Client]; ok && r.isPrimary() {
-			r.reply(req.Client, req.TS, rep, true)
-		}
-		return
+func (r *Replica) propose(batch Batch) {
+	r.sn++
+	sn := r.sn
+	r.log[sn] = &Entry{View: r.View, SN: sn, Batch: batch}
+	r.vote(sn, r.ID, domain.Digest(&batch))
+	for _, a := range r.otherActives() {
+		m := &MsgPrePrepare{baseline.Proposal{View: r.View, SN: sn, Batch: batch}}
+		m.MAC = r.MAC(a, m.MACPayload("pb-pp", domain))
+		r.Env.Send(a, m)
 	}
-	if !r.isPrimary() {
-		r.env.Send(Primary(r.n, r.view), &MsgRequest{Req: req})
-		if !r.watching {
-			r.watching = true
-			r.progress = r.env.SetTimer(r.cfg.RequestTimeout, "progress")
-		}
-		return
-	}
-	if r.cfg.SignedRequests {
-		r.vqPending = append(r.vqPending, req)
-		r.kickVerify()
-		return
-	}
-	r.pendingReqs = append(r.pendingReqs, req)
-	if len(r.pendingReqs) >= r.cfg.BatchSize {
-		r.flush(false)
-	} else if !r.batchTimerSet {
-		r.batchTimer = r.env.SetTimer(r.cfg.BatchTimeout, "batch")
-		r.batchTimerSet = true
-	}
-}
-
-// kickVerify starts one request-verification round if none is in
-// flight: every queued request's client signature is checked in a
-// single batch on the verification pool off the Step loop (so the
-// batch verifier engages), and the survivors are admitted by the apply
-// half. Single-flight keeps at most one round outstanding; requests
-// arriving meanwhile queue for the next round. The apply half carries
-// no view guard — client signatures are view-independent — and instead
-// re-validates primaryship per request, so a concurrent view change
-// can neither wedge the pipeline nor strand verified requests.
-func (r *Replica) kickVerify() {
-	if r.verifying || len(r.vqPending) == 0 {
-		return
-	}
-	reqs := r.vqPending
-	r.vqPending = nil
-	r.verifying = true
-	batch := crypto.NewSigBatch(len(reqs))
-	for i := range reqs {
-		batch.Add(crypto.NodeID(reqs[i].Client), reqs[i].Sig, reqs[i].appendSigPayload)
-	}
-	var verdicts []bool
-	work := func() {
-		verdicts = r.verifyPool.VerifyEach(r.suite, batch.Jobs())
-		batch.Release()
-	}
-	apply := func() {
-		r.verifying = false
-		ok := reqs[:0]
-		for i, v := range verdicts {
-			if v {
-				ok = append(ok, reqs[i])
-			}
-		}
-		r.admit(ok)
-		r.kickVerify()
-	}
-	if r.asyncVer {
-		r.env.Defer("verify-req", work, apply)
-	} else {
-		work()
-		apply()
-	}
-}
-
-// admit takes verified requests. If primaryship moved while the batch
-// was in flight, requests are re-routed instead of dropped.
-func (r *Replica) admit(reqs []Request) {
-	for _, req := range reqs {
-		if req.TS <= r.lastExec[req.Client] {
-			if rep, ok := r.replies[req.Client]; ok && r.isPrimary() {
-				r.reply(req.Client, req.TS, rep, true)
-			}
-			continue
-		}
-		if !r.isPrimary() {
-			r.env.Send(Primary(r.n, r.view), &MsgRequest{Req: req})
-			continue
-		}
-		r.pendingReqs = append(r.pendingReqs, req)
-	}
-	if !r.isPrimary() || r.electing || len(r.pendingReqs) == 0 {
-		return
-	}
-	if len(r.pendingReqs) >= r.cfg.BatchSize {
-		r.flush(false)
-	} else if !r.batchTimerSet {
-		r.batchTimer = r.env.SetTimer(r.cfg.BatchTimeout, "batch")
-		r.batchTimerSet = true
-	}
-}
-
-func (r *Replica) flush(force bool) {
-	if !r.isPrimary() || r.electing {
-		return
-	}
-	for len(r.pendingReqs) >= r.cfg.BatchSize || (force && len(r.pendingReqs) > 0) {
-		nreq := min(len(r.pendingReqs), r.cfg.BatchSize)
-		batch := Batch{Reqs: append([]Request(nil), r.pendingReqs[:nreq]...)}
-		r.pendingReqs = r.pendingReqs[nreq:]
-		r.sn++
-		sn := r.sn
-		r.log[sn] = &logEntry{View: r.view, SN: sn, Batch: batch}
-		d := batch.digest()
-		r.vote(sn, r.id, d)
-		for _, a := range Actives(r.n, r.t, r.view) {
-			if a == r.id {
-				continue
-			}
-			m := &MsgPrePrepare{View: r.view, SN: sn, Batch: batch}
-			m.MAC = r.mac(a, r.ppPayload(m))
-			r.env.Send(a, m)
-		}
-		force = false
-	}
-}
-
-func (r *Replica) ppPayload(m *MsgPrePrepare) []byte {
-	d := m.Batch.digest()
-	return wire.New(64).Str("pb-pp").U64(uint64(m.View)).U64(uint64(m.SN)).Raw(d[:]).Done()
 }
 
 func (r *Replica) onPrePrepare(from smr.NodeID, m *MsgPrePrepare) {
-	if m.View != r.view || from != Primary(r.n, m.View) || !isActive(r.n, r.t, r.view, r.id) {
-		return
-	}
-	if !r.suite.VerifyMAC(crypto.NodeID(from), crypto.NodeID(r.id), r.ppPayload(m), m.MAC) {
+	if m.View != r.View || from != r.Leader() || !r.isActive() ||
+		!r.VerifyMAC(from, m.MACPayload("pb-pp", domain), m.MAC) {
 		return
 	}
 	if _, ok := r.log[m.SN]; ok {
 		return
 	}
-	if !r.cfg.SignedRequests || len(m.Batch.Reqs) == 0 {
+	if !r.Cfg.SignedRequests || len(m.Batch.Reqs) == 0 {
 		r.acceptPrePrepare(from, m)
 		return
 	}
-	// Dispatch half: a backup does not take the primary's word for the
-	// clients' signatures — verify the whole batch on the pool before
-	// voting. The apply half re-validates the view and the log slot,
-	// since other events (including a view change) may interleave.
+	// A backup verifies the whole batch before voting. The completion
+	// re-validates the view and the log slot, since other events
+	// (including a view change) may interleave.
 	if r.ppInFlight[m.SN] {
 		return
 	}
 	r.ppInFlight[m.SN] = true
-	view := r.view
-	batch := crypto.NewSigBatch(len(m.Batch.Reqs))
-	for i := range m.Batch.Reqs {
-		batch.Add(crypto.NodeID(m.Batch.Reqs[i].Client), m.Batch.Reqs[i].Sig, m.Batch.Reqs[i].appendSigPayload)
-	}
-	var ok bool
-	work := func() {
-		ok = r.verifyPool.VerifyAll(r.suite, batch.Jobs())
-		batch.Release()
-	}
-	apply := func() {
+	view := r.View
+	r.VerifyBatch(&m.Batch, func(ok bool) {
 		delete(r.ppInFlight, m.SN)
-		if !ok || r.view != view {
-			return
+		if _, dup := r.log[m.SN]; ok && r.View == view && !dup {
+			r.acceptPrePrepare(from, m)
 		}
-		if _, dup := r.log[m.SN]; dup {
-			return
-		}
-		r.acceptPrePrepare(from, m)
-	}
-	if r.asyncVer {
-		r.env.Defer("verify-batch", work, apply)
-	} else {
-		work()
-		apply()
-	}
+	})
 }
 
 // acceptPrePrepare is the complete half of pre-prepare handling: the
 // batch is authentic, so log it and vote.
 func (r *Replica) acceptPrePrepare(from smr.NodeID, m *MsgPrePrepare) {
-	r.log[m.SN] = &logEntry{View: m.View, SN: m.SN, Batch: m.Batch}
-	if r.sn < m.SN {
-		r.sn = m.SN
-	}
-	d := m.Batch.digest()
-	r.vote(m.SN, r.id, d)
+	r.log[m.SN] = &Entry{View: m.View, SN: m.SN, Batch: m.Batch}
+	r.sn = max(r.sn, m.SN)
+	d := domain.Digest(&m.Batch)
+	r.vote(m.SN, r.ID, d)
 	r.vote(m.SN, from, d) // the pre-prepare stands for the primary's commit
-	c := &MsgCommit{View: r.view, SN: m.SN, D: d, From: r.id}
-	for _, a := range Actives(r.n, r.t, r.view) {
-		if a == r.id {
-			continue
-		}
-		cc := *c
-		cc.MAC = r.mac(a, r.commitPayload(&cc))
-		r.env.Send(a, &cc)
+	for _, a := range r.otherActives() {
+		c := &MsgCommit{View: r.View, SN: m.SN, D: d, From: r.ID}
+		c.MAC = r.MAC(a, c.macPayload())
+		r.Env.Send(a, c)
 	}
 	r.checkCommitted(m.SN, d)
 }
 
-func (r *Replica) commitPayload(m *MsgCommit) []byte {
-	return wire.New(64).Str("pb-cm").U64(uint64(m.View)).U64(uint64(m.SN)).Raw(m.D[:]).I64(int64(m.From)).Done()
-}
-
 func (r *Replica) onCommit(from smr.NodeID, m *MsgCommit) {
-	if m.View != r.view || m.From != from || !isActive(r.n, r.t, r.view, r.id) {
-		return
-	}
-	if !r.suite.VerifyMAC(crypto.NodeID(from), crypto.NodeID(r.id), r.commitPayload(m), m.MAC) {
+	if m.View != r.View || m.From != from || !r.isActive() || !r.VerifyMAC(from, m.macPayload(), m.MAC) {
 		return
 	}
 	r.vote(m.SN, from, m.D)
@@ -602,12 +297,14 @@ func (r *Replica) vote(sn smr.SeqNum, from smr.NodeID, d crypto.Digest) {
 	v[from] = d
 }
 
+// checkCommitted is the quorum rule: an entry commits once all 2t+1
+// actives voted for its digest.
 func (r *Replica) checkCommitted(sn smr.SeqNum, d crypto.Digest) {
 	if r.chosen[sn] {
 		return
 	}
 	e, ok := r.log[sn]
-	if !ok || e.Batch.digest() != d {
+	if !ok || domain.Digest(&e.Batch) != d {
 		return
 	}
 	count := 0
@@ -616,48 +313,31 @@ func (r *Replica) checkCommitted(sn smr.SeqNum, d crypto.Digest) {
 			count++
 		}
 	}
-	if count < 2*r.t+1 {
+	if count < 2*r.T+1 {
 		return
 	}
 	r.chosen[sn] = true
 	delete(r.votes, sn)
-	r.watching = false
+	r.Unwatch()
 	r.execute()
 }
 
 func (r *Replica) execute() {
 	for r.chosen[r.ex+1] {
-		e := r.log[r.ex+1]
 		r.ex++
-		for i := range e.Batch.Reqs {
-			req := &e.Batch.Reqs[i]
-			var rep []byte
-			if req.TS <= r.lastExec[req.Client] {
-				rep = r.replies[req.Client]
-			} else {
-				rep = r.app.Execute(req.Op)
-				r.lastExec[req.Client] = req.TS
-				r.replies[req.Client] = rep
-			}
-			if r.cfg.Observer != nil {
-				r.cfg.Observer(smr.Committed{Replica: r.id, View: e.View, Seq: e.SN, Client: req.Client, ClientTS: req.TS})
-			}
-			r.reply(req.Client, req.TS, rep, r.isPrimary())
-		}
+		r.Execute(r.log[r.ex], r.reply)
 	}
 }
 
-func (r *Replica) reply(client smr.NodeID, ts uint64, rep []byte, full bool) {
-	m := &MsgReply{From: r.id, View: r.view, TS: ts, RepD: crypto.Hash(rep)}
-	if full {
+// reply answers a client: the full payload from the primary, its
+// digest from every other replica.
+func (r *Replica) reply(client smr.NodeID, ts uint64, rep []byte) {
+	m := &MsgReply{From: r.ID, View: r.View, TS: ts, RepD: crypto.Hash(rep)}
+	if r.IsLeader() {
 		m.Rep = rep
 	}
-	m.MAC = r.mac(client, r.replyPayload(m))
-	r.env.Send(client, m)
-}
-
-func (r *Replica) replyPayload(m *MsgReply) []byte {
-	return wire.New(64 + len(m.Rep)).Str("pb-rep").I64(int64(m.From)).U64(uint64(m.View)).U64(m.TS).Raw(m.RepD[:]).Bytes(m.Rep).Done()
+	m.MAC = r.MAC(client, m.macPayload())
+	r.Env.Send(client, m)
 }
 
 // ---------------------------------------------------------------------------
@@ -665,121 +345,81 @@ func (r *Replica) replyPayload(m *MsgReply) []byte {
 // ---------------------------------------------------------------------------
 
 func (r *Replica) startViewChange(v smr.View) {
-	if v <= r.view && r.electing {
+	if v < r.View || (v == r.View && r.Electing) {
 		return
 	}
-	if v < r.view {
-		return
-	}
-	r.view = v
-	r.electing = true
+	r.View = v
+	r.Electing = true
 	r.vcs = make(map[smr.NodeID]*MsgViewChange)
-	entries := make([]logEntry, 0, len(r.log))
-	for _, e := range r.log {
-		entries = append(entries, *e)
-	}
-	sort.Slice(entries, func(i, j int) bool { return entries[i].SN < entries[j].SN })
-	m := &MsgViewChange{View: v, From: r.id, Entries: entries}
-	m.Sig = r.suite.Sign(crypto.NodeID(r.id), m.sigPayload())
-	if r.isPrimary() {
+	m := &MsgViewChange{View: v, From: r.ID, Entries: baseline.SortedEntries(r.log)}
+	m.Sig = r.Suite.Sign(crypto.NodeID(r.ID), m.sigPayload())
+	if r.IsLeader() {
 		r.addVC(m)
 		return
 	}
-	r.env.Send(Primary(r.n, v), m)
-	// Push the rest of the group into the view change as well.
-	for i := 0; i < r.n; i++ {
-		if smr.NodeID(i) != r.id && smr.NodeID(i) != Primary(r.n, v) {
-			r.env.Send(smr.NodeID(i), m)
+	// To the new primary first, then push the rest of the group into
+	// the view change as well.
+	r.Env.Send(r.Leader(), m)
+	for _, id := range r.Others {
+		if id != r.Leader() {
+			r.Env.Send(id, m)
 		}
 	}
-	r.watching = true
-	r.progress = r.env.SetTimer(r.cfg.RequestTimeout, "progress")
+	r.Rewatch()
 }
 
 func (r *Replica) onViewChange(from smr.NodeID, m *MsgViewChange) {
-	if m.From != from || m.View < r.view {
+	if m.From != from || m.View < r.View || !r.Suite.Verify(crypto.NodeID(m.From), m.sigPayload(), m.Sig) {
 		return
 	}
-	if !r.suite.Verify(crypto.NodeID(m.From), m.sigPayload(), m.Sig) {
-		return
-	}
-	if m.View > r.view || !r.electing {
+	if m.View > r.View || !r.Electing {
 		r.startViewChange(m.View)
 	}
-	if Primary(r.n, r.view) == r.id && m.View == r.view {
+	if r.IsLeader() && m.View == r.View {
 		r.addVC(m)
 	}
 }
 
+// addVC completes the view change at 2t+1 view-change messages: merge
+// the transferred logs and install them everywhere.
 func (r *Replica) addVC(m *MsgViewChange) {
 	r.vcs[m.From] = m
-	if len(r.vcs) < 2*r.t+1 {
+	if len(r.vcs) < 2*r.T+1 {
 		return
 	}
-	best := make(map[smr.SeqNum]*logEntry)
-	var maxSN smr.SeqNum
+	logs := make([][]Entry, 0, len(r.vcs))
 	for _, vc := range r.vcs {
-		for i := range vc.Entries {
-			e := vc.Entries[i]
-			if cur, ok := best[e.SN]; !ok || e.View > cur.View {
-				best[e.SN] = &e
-			}
-			if e.SN > maxSN {
-				maxSN = e.SN
-			}
-		}
+		logs = append(logs, vc.Entries)
 	}
-	entries := make([]logEntry, 0, len(best))
-	for sn := smr.SeqNum(1); sn <= maxSN; sn++ {
-		e, ok := best[sn]
-		if !ok {
-			e = &logEntry{View: r.view, SN: sn, Batch: Batch{}}
-		}
-		e.View = r.view
-		entries = append(entries, *e)
-	}
-	nv := &MsgNewView{View: r.view, Entries: entries}
-	nv.Sig = r.suite.Sign(crypto.NodeID(r.id), nv.sigPayload())
-	for i := 0; i < r.n; i++ {
-		if smr.NodeID(i) != r.id {
-			r.env.Send(smr.NodeID(i), nv)
-		}
+	nv := &MsgNewView{View: r.View, Entries: baseline.MergeEntries(r.View, logs)}
+	nv.Sig = r.Suite.Sign(crypto.NodeID(r.ID), nv.sigPayload())
+	for _, id := range r.Others {
+		r.Env.Send(id, nv)
 	}
 	r.installNewView(nv)
 }
 
 func (r *Replica) onNewView(from smr.NodeID, m *MsgNewView) {
-	if from != Primary(r.n, m.View) || m.View < r.view {
+	if from != r.LeaderOf(m.View) || m.View < r.View || !r.Suite.Verify(crypto.NodeID(from), m.sigPayload(), m.Sig) {
 		return
 	}
-	if !r.suite.Verify(crypto.NodeID(from), m.sigPayload(), m.Sig) {
-		return
-	}
-	r.view = m.View
+	r.View = m.View
 	r.installNewView(m)
 }
 
 func (r *Replica) installNewView(m *MsgNewView) {
-	r.electing = false
-	r.watching = false
+	r.Electing = false
+	r.Unwatch()
 	r.vcs = make(map[smr.NodeID]*MsgViewChange)
-	var maxSN smr.SeqNum
 	for i := range m.Entries {
-		e := m.Entries[i]
-		r.log[e.SN] = &e
+		e := &m.Entries[i]
+		r.log[e.SN] = e
 		r.chosen[e.SN] = true
-		if e.SN > maxSN {
-			maxSN = e.SN
-		}
-	}
-	if r.sn < maxSN {
-		r.sn = maxSN
+		r.sn = max(r.sn, e.SN)
 	}
 	r.votes = make(map[smr.SeqNum]map[smr.NodeID]crypto.Digest)
 	r.execute()
-	if r.isPrimary() {
-		r.flush(true)
-	}
+	r.Flush()
 }
 
 // ---------------------------------------------------------------------------
@@ -789,26 +429,8 @@ func (r *Replica) installNewView(m *MsgNewView) {
 // Client is a closed-loop PBFT client: it commits on t+1 matching
 // replies (one of which carries the payload).
 type Client struct {
-	env   smr.Env
-	cfg   Config
-	id    smr.NodeID
-	n, t  int
-	suite crypto.Suite
+	*baseline.Client
 
-	ts      uint64
-	view    smr.View
-	pending *pendingReq
-
-	// OnCommit receives (op, reply, latency).
-	OnCommit func(op, rep []byte, latency time.Duration)
-	// Committed counts completed requests.
-	Committed uint64
-}
-
-type pendingReq struct {
-	req    Request
-	sentAt time.Duration
-	timer  smr.TimerID
 	votes  map[smr.NodeID]crypto.Digest
 	rep    []byte
 	repD   crypto.Digest
@@ -817,78 +439,30 @@ type pendingReq struct {
 
 // NewClient builds a client.
 func NewClient(id smr.NodeID, cfg Config) *Client {
-	cfg = cfg.withDefaults()
-	return &Client{cfg: cfg, id: id, n: cfg.N, t: cfg.T, suite: cfg.Suite}
+	c := &Client{}
+	c.Client = baseline.NewClient(id, cfg.WithDefaults(3), domain, c.accept)
+	c.Begin = func() { c.votes, c.hasRep = make(map[smr.NodeID]crypto.Digest), false }
+	return c
 }
 
-// Init implements smr.Node.
-func (c *Client) Init(env smr.Env) { c.env = env }
-
-// Invoke submits an operation.
-func (c *Client) Invoke(op []byte) {
-	if c.pending != nil {
-		panic("pbft: client invoked with request outstanding")
+func (c *Client) accept(from smr.NodeID, msg smr.Message) ([]byte, bool) {
+	m, ok := msg.(*MsgReply)
+	if !ok || m.TS != c.TS() || m.From != from || !c.VerifyMAC(from, m.macPayload(), m.MAC) {
+		return nil, false
 	}
-	c.ts++
-	req := Request{Op: op, TS: c.ts, Client: c.id}
-	if c.cfg.SignedRequests {
-		w := wire.Get()
-		req.appendSigPayload(w)
-		req.Sig = c.suite.Sign(crypto.NodeID(c.id), w.Done())
-		wire.Put(w)
+	c.SawView(m.View)
+	c.votes[m.From] = m.RepD
+	if m.Rep != nil && crypto.Hash(m.Rep) == m.RepD {
+		c.rep, c.repD, c.hasRep = m.Rep, m.RepD, true
 	}
-	c.pending = &pendingReq{req: req, sentAt: c.env.Now(), votes: make(map[smr.NodeID]crypto.Digest)}
-	c.env.Send(Primary(c.n, c.view), &MsgRequest{Req: req})
-	c.pending.timer = c.env.SetTimer(c.cfg.RequestTimeout, "req")
-}
-
-// Step implements smr.Node.
-func (c *Client) Step(ev smr.Event) {
-	switch e := ev.(type) {
-	case smr.Start:
-	case smr.Invoke:
-		c.Invoke(e.Op)
-	case smr.TimerFired:
-		if c.pending != nil && e.ID == c.pending.timer {
-			for i := 0; i < c.n; i++ {
-				c.env.Send(smr.NodeID(i), &MsgRequest{Req: c.pending.req})
-			}
-			c.pending.timer = c.env.SetTimer(c.cfg.RequestTimeout, "req")
-		}
-	case smr.Recv:
-		m, ok := e.Msg.(*MsgReply)
-		if !ok || c.pending == nil || m.TS != c.pending.req.TS || m.From != e.From {
-			return
-		}
-		payload := wire.New(64 + len(m.Rep)).Str("pb-rep").I64(int64(m.From)).U64(uint64(m.View)).U64(m.TS).Raw(m.RepD[:]).Bytes(m.Rep).Done()
-		if !c.suite.VerifyMAC(crypto.NodeID(e.From), crypto.NodeID(c.id), payload, m.MAC) {
-			return
-		}
-		if m.View > c.view {
-			c.view = m.View
-		}
-		p := c.pending
-		p.votes[m.From] = m.RepD
-		if m.Rep != nil && crypto.Hash(m.Rep) == m.RepD {
-			p.rep, p.repD, p.hasRep = m.Rep, m.RepD, true
-		}
-		if !p.hasRep {
-			return
-		}
-		count := 0
-		for _, d := range p.votes {
-			if d == p.repD {
-				count++
-			}
-		}
-		if count < c.t+1 {
-			return
-		}
-		c.env.CancelTimer(p.timer)
-		c.pending = nil
-		c.Committed++
-		if c.OnCommit != nil {
-			c.OnCommit(p.req.Op, p.rep, c.env.Now()-p.sentAt)
+	if !c.hasRep {
+		return nil, false
+	}
+	count := 0
+	for _, d := range c.votes {
+		if d == c.repD {
+			count++
 		}
 	}
+	return c.rep, count >= c.T+1
 }

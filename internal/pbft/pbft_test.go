@@ -74,7 +74,7 @@ func TestPBFTFigure6aPattern(t *testing.T) {
 	// commits to the 2 other actives (4 messages), 3 replies; the 4th
 	// replica idles.
 	c := newCluster(t, 1, 1)
-	c.replicas[0].cfg.BatchSize = 1
+	c.replicas[0].Cfg.BatchSize = 1
 	c.net.At(0, func() { c.clients[0].Invoke(kv.GetOp("x")) })
 	c.net.RunFor(time.Second)
 	counts := c.net.MessageCounts()
@@ -105,7 +105,7 @@ func TestPBFTPrimaryCrash(t *testing.T) {
 	c.net.Crash(0)
 	c.net.RunFor(8 * time.Second)
 	if n <= before {
-		t.Fatalf("no commits after primary crash (view %d)", c.replicas[1].View())
+		t.Fatalf("no commits after primary crash (view %d)", c.replicas[1].View)
 	}
 	for i := 0; i < before; i++ {
 		if _, ok := c.stores[1].Get(fmt.Sprintf("k%d", i)); !ok {

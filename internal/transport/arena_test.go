@@ -4,23 +4,21 @@ package transport
 // benchmark arena — XPaxos and the four ported baselines — commits a
 // request over live loopback TCP with the transport resolving its
 // codec by name. The transport imports none of the protocol packages;
-// this test links them, their init functions register the codecs, and
-// WithCodec selects the right one per cluster. The baselines run with
+// this test links the protocol table (internal/protocols), whose
+// packages register their codecs on import, and WithCodec selects the
+// right one per cluster. The baselines run with
 // SignedRequests so the client-signature verify pipeline (Env.Defer on
 // a real goroutine, not netsim) is exercised over the wire too.
 
 import (
+	"strings"
 	"testing"
 	"time"
 
 	"github.com/xft-consensus/xft/internal/apps/kv"
-	"github.com/xft-consensus/xft/internal/paxos"
-	"github.com/xft-consensus/xft/internal/pbft"
+	"github.com/xft-consensus/xft/internal/protocols"
 	"github.com/xft-consensus/xft/internal/smr"
 	"github.com/xft-consensus/xft/internal/wire"
-	"github.com/xft-consensus/xft/internal/xpaxos"
-	"github.com/xft-consensus/xft/internal/zab"
-	"github.com/xft-consensus/xft/internal/zyzzyva"
 )
 
 // arenaCluster is one protocol's replica set plus a closed-loop client
@@ -81,100 +79,23 @@ func runOne(t *testing.T, proto string, ac *arenaCluster) {
 }
 
 func TestArenaAllProtocolsCommitOverTCP(t *testing.T) {
-	suite := testSuite(t)
-	const tf = 1
-
-	t.Run("xpaxos", func(t *testing.T) {
-		cfg := xpaxos.Config{
-			N: 3, T: tf, Suite: suite,
-			Delta:          200 * time.Millisecond,
-			BatchTimeout:   2 * time.Millisecond,
-			RequestTimeout: 2 * time.Second,
-		}
-		ac := startCluster(t, xpaxos.CodecName, 3,
-			func(i int) smr.Node { return xpaxos.NewReplica(smr.NodeID(i), cfg, kv.NewStore()) },
-			func(done chan struct{}) smr.Node {
-				cl, err := xpaxos.NewClient(smr.NodeID(smr.ClientIDBase), xpaxos.ClientConfig{
-					N: 3, T: tf, Suite: suite,
-					RequestTimeout: 2 * time.Second,
-					OnCommit:       func(op, rep []byte, lat time.Duration) { done <- struct{}{} },
+	params := protocols.Params{
+		T: 1, Suite: testSuite(t),
+		Delta:          200 * time.Millisecond,
+		BatchTimeout:   2 * time.Millisecond,
+		RequestTimeout: 2 * time.Second,
+		SignedRequests: true,
+	}
+	for _, p := range protocols.All {
+		t.Run(strings.ToLower(p.Name), func(t *testing.T) {
+			ac := startCluster(t, p.Codec, p.Replicas(params.T),
+				func(i int) smr.Node { return p.NewReplica(smr.NodeID(i), params, kv.NewStore()) },
+				func(done chan struct{}) smr.Node {
+					return p.NewClient(smr.ClientIDBase, params, func(op, rep []byte, lat time.Duration) { done <- struct{}{} })
 				})
-				if err != nil {
-					t.Fatal(err)
-				}
-				return cl
-			})
-		runOne(t, "xpaxos", ac)
-	})
-
-	t.Run("paxos", func(t *testing.T) {
-		cfg := paxos.Config{
-			N: 3, T: tf, Suite: suite,
-			BatchTimeout:   2 * time.Millisecond,
-			RequestTimeout: 2 * time.Second,
-			SignedRequests: true,
-		}
-		ac := startCluster(t, paxos.CodecName, 3,
-			func(i int) smr.Node { return paxos.NewReplica(smr.NodeID(i), cfg, kv.NewStore()) },
-			func(done chan struct{}) smr.Node {
-				cl := paxos.NewClient(smr.NodeID(smr.ClientIDBase), cfg)
-				cl.OnCommit = func(op, rep []byte, lat time.Duration) { done <- struct{}{} }
-				return cl
-			})
-		runOne(t, "paxos", ac)
-	})
-
-	t.Run("pbft", func(t *testing.T) {
-		cfg := pbft.Config{
-			N: 4, T: tf, Suite: suite,
-			BatchTimeout:   2 * time.Millisecond,
-			RequestTimeout: 2 * time.Second,
-			SignedRequests: true,
-		}
-		ac := startCluster(t, pbft.CodecName, 4,
-			func(i int) smr.Node { return pbft.NewReplica(smr.NodeID(i), cfg, kv.NewStore()) },
-			func(done chan struct{}) smr.Node {
-				cl := pbft.NewClient(smr.NodeID(smr.ClientIDBase), cfg)
-				cl.OnCommit = func(op, rep []byte, lat time.Duration) { done <- struct{}{} }
-				return cl
-			})
-		runOne(t, "pbft", ac)
-	})
-
-	t.Run("zab", func(t *testing.T) {
-		cfg := zab.Config{
-			N: 3, T: tf, Suite: suite,
-			BatchTimeout:   2 * time.Millisecond,
-			RequestTimeout: 2 * time.Second,
-			SignedRequests: true,
-		}
-		ac := startCluster(t, zab.CodecName, 3,
-			func(i int) smr.Node { return zab.NewReplica(smr.NodeID(i), cfg, kv.NewStore()) },
-			func(done chan struct{}) smr.Node {
-				cl := zab.NewClient(smr.NodeID(smr.ClientIDBase), cfg)
-				cl.OnCommit = func(op, rep []byte, lat time.Duration) { done <- struct{}{} }
-				return cl
-			})
-		runOne(t, "zab", ac)
-	})
-
-	t.Run("zyzzyva", func(t *testing.T) {
-		cfg := zyzzyva.Config{
-			N: 4, T: tf, Suite: suite,
-			BatchTimeout:   2 * time.Millisecond,
-			RequestTimeout: 2 * time.Second,
-			CommitTimeout:  100 * time.Millisecond,
-			SignedRequests: true,
-		}
-		ac := startCluster(t, zyzzyva.CodecName, 4,
-			func(i int) smr.Node { return zyzzyva.NewReplica(smr.NodeID(i), cfg, kv.NewStore()) },
-			func(done chan struct{}) smr.Node {
-				cl := zyzzyva.NewClient(smr.NodeID(smr.ClientIDBase), cfg)
-				cl.OnCommit = func(op, rep []byte, lat time.Duration) { done <- struct{}{} }
-				return cl
-			})
-		runOne(t, "zyzzyva", ac)
-	})
+			runOne(t, p.Name, ac)
+		})
+	}
 }
 
 // TestWithCodecUnknownName pins NewNode's failure mode when the codec
@@ -186,14 +107,12 @@ func TestWithCodecUnknownName(t *testing.T) {
 	}
 }
 
-// TestCodecRegistryHasAllProtocols pins that linking the five protocol
-// packages registers all five codecs.
+// TestCodecRegistryHasAllProtocols pins that linking the protocol table
+// registers every row's codec.
 func TestCodecRegistryHasAllProtocols(t *testing.T) {
-	for _, name := range []string{
-		xpaxos.CodecName, paxos.CodecName, pbft.CodecName, zab.CodecName, zyzzyva.CodecName,
-	} {
-		if _, ok := wire.Lookup(name); !ok {
-			t.Errorf("codec %q not registered", name)
+	for _, p := range protocols.All {
+		if _, ok := wire.Lookup(p.Codec); !ok {
+			t.Errorf("codec %q not registered", p.Codec)
 		}
 	}
 }

@@ -1,34 +1,16 @@
 package xpaxos
 
-// Micro-benchmarks comparing the hand-rolled wire codec against the
-// gob envelope the TCP transport used to ship per frame (a fresh
-// encoder per message, so gob re-sends its type descriptors every
-// time — exactly the deployed configuration this codec replaced).
+// Micro-benchmark of the hand-rolled wire codec on the frames the TCP
+// transport ships.
 // Run with: go test ./internal/xpaxos -bench=BenchmarkCodec -benchmem
 
 import (
 	"bytes"
-	"encoding/gob"
-	"fmt"
 	"testing"
 
 	"github.com/xft-consensus/xft/internal/smr"
 	"github.com/xft-consensus/xft/internal/wire"
 )
-
-// gobEnvelope mirrors the old transport envelope.
-type gobEnvelope struct {
-	From smr.NodeID
-	Msg  smr.Message
-}
-
-func init() {
-	// Test-only gob registration, kept to benchmark against the old
-	// wire format; the production transport no longer uses gob.
-	gob.Register(&MsgCommit{})
-	gob.Register(&MsgCommitReq{})
-	gob.Register(&MsgViewChange{})
-}
 
 // benchPayloads returns representative hot-path and worst-case
 // messages: a lone commit vote, a full batch of 20 1 kB requests, and
@@ -72,52 +54,5 @@ func BenchmarkCodecWire(b *testing.B) {
 				}
 			}
 		})
-	}
-}
-
-func BenchmarkCodecGob(b *testing.B) {
-	for name, m := range benchPayloads() {
-		b.Run(name, func(b *testing.B) {
-			var probe bytes.Buffer
-			if err := gob.NewEncoder(&probe).Encode(gobEnvelope{From: 0, Msg: m}); err != nil {
-				b.Fatal(err)
-			}
-			b.ReportMetric(float64(probe.Len()), "bytes/msg")
-			b.ResetTimer()
-			var buf bytes.Buffer
-			for i := 0; i < b.N; i++ {
-				buf.Reset()
-				// One encoder/decoder per message: each frame on the old
-				// transport was a self-contained gob stream.
-				if err := gob.NewEncoder(&buf).Encode(gobEnvelope{From: 0, Msg: m}); err != nil {
-					b.Fatal(err)
-				}
-				var env gobEnvelope
-				if err := gob.NewDecoder(bytes.NewReader(buf.Bytes())).Decode(&env); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// TestCodecSmallerThanGob pins the size win: the wire encoding of every
-// benchmark payload must be strictly smaller than its gob envelope.
-func TestCodecSmallerThanGob(t *testing.T) {
-	for name, m := range benchPayloads() {
-		enc, err := MarshalMessage(m)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var gb bytes.Buffer
-		if err := gob.NewEncoder(&gb).Encode(gobEnvelope{From: 0, Msg: m}); err != nil {
-			t.Fatal(err)
-		}
-		wireLen := len(enc) + 8 // + sender id header
-		if wireLen >= gb.Len() {
-			t.Errorf("%s: wire %d bytes >= gob %d bytes", name, wireLen, gb.Len())
-		}
-		t.Log(fmt.Sprintf("%s: wire=%dB gob=%dB (%.1f%% of gob)",
-			name, wireLen, gb.Len(), 100*float64(wireLen)/float64(gb.Len())))
 	}
 }

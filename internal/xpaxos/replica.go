@@ -108,14 +108,12 @@ type Replica struct {
 	// so churny view changes re-verify the same entries many times.
 	ceCache map[crypto.Digest]bool
 
-	// Async crypto pipeline (on unless cfg.DisableAsyncCrypto). The
-	// hot-path handlers split into a dispatch half that submits
-	// signature work through goCrypto and a complete half that applies
-	// the results when the smr.Async completion re-enters Step; the
-	// fields below track work in flight. All of them are reset by
-	// enterView: completions submitted under an older (view, status)
-	// epoch are discarded by goCrypto's guard.
-	asyncCrypto bool
+	// Async crypto pipeline. The hot-path handlers split into a
+	// dispatch half that submits signature work through goCrypto and a
+	// complete half that applies the results when the smr.Async
+	// completion re-enters Step; the fields below track work in flight.
+	// All of them are reset by enterView: completions submitted under
+	// an older (view, status) epoch are discarded by goCrypto's guard.
 	// intakeQ holds the primary's in-flight intake verifications,
 	// retired strictly in dispatch order (see retireIntake) so a
 	// client's pipelined requests keep their arrival order even when
@@ -281,7 +279,6 @@ func NewReplica(id smr.NodeID, cfg Config, app smr.Application) *Replica {
 		replySignVerifying: make(map[replySigID]bool),
 		downPeers:          make(map[smr.NodeID]bool),
 	}
-	r.asyncCrypto = !cfg.DisableAsyncCrypto
 	r.intake.init(cfg.IntakeQueueCap, cfg.IntakePerClient)
 	switch {
 	case cfg.VerifyWorkers == 1:
@@ -407,14 +404,7 @@ func (r *Replica) suspectDownGroupMembers() bool {
 // (a follower forward verification, a reply signature from the
 // new-view re-commit) legitimately applies once that same view's
 // change completes, while anything from an older view is discarded.
-// With async crypto disabled both halves run inline, preserving the
-// classic synchronous Step semantics.
 func (r *Replica) goCrypto(kind string, work func(), apply func()) {
-	if !r.asyncCrypto {
-		work()
-		apply()
-		return
-	}
 	view := r.view
 	r.env.Defer(kind, work, func() {
 		if r.view != view || r.status != statusNormal {

@@ -66,16 +66,6 @@ type Config struct {
 	// gives this replica a dedicated n-worker pool (which lives for the
 	// life of the process).
 	VerifyWorkers int
-	// DisableAsyncCrypto forces signature work back into the Step
-	// loop. By default the hot-path handlers submit signing and
-	// verification off-loop through Env.Defer and apply the results
-	// when the completion re-enters Step as an smr.Async event, so the
-	// crypto of consecutive batches overlaps batch assembly, timers and
-	// each other instead of stalling the loop. Disabling restores the
-	// classic synchronous Step semantics (every handler's effects are
-	// visible when Step returns) — useful for lock-step debugging and
-	// for the paper-fidelity experiments.
-	DisableAsyncCrypto bool
 	// IntakeQueueCap bounds the primary's admission queue of pending
 	// client requests (default 4096). Arrivals beyond the bound are
 	// shed — counted in IntakeStats, never queued — so a request blast

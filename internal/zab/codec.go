@@ -1,18 +1,11 @@
 package zab
 
-// Wire codec for Zab messages, registered with the protocol-agnostic
-// codec registry (internal/wire) so the TCP transport can carry Zab
-// without importing this package. Same construction as the XPaxos
-// codec: a one-byte message-type tag followed by explicit fixed-order
-// field encodings, no reflection, canonical (every valid byte string
-// decodes to exactly one message, which re-encodes to the same bytes —
-// the fuzz target asserts this). Decoded byte-slice fields alias the
-// input buffer.
+// Wire codec for Zab messages: each message's body in explicit fixed
+// field order, and the tag table that internal/baseline turns into the
+// registered codec.
 
 import (
-	"errors"
-	"fmt"
-
+	"github.com/xft-consensus/xft/internal/baseline"
 	"github.com/xft-consensus/xft/internal/crypto"
 	"github.com/xft-consensus/xft/internal/smr"
 	"github.com/xft-consensus/xft/internal/wire"
@@ -30,305 +23,111 @@ const (
 	tagNewEpoch
 )
 
-// ErrBadMessage reports an encoding that is truncated, malformed, or
-// carries trailing bytes.
-var ErrBadMessage = errors.New("zab: malformed message encoding")
-
 // CodecName is the registry name of the Zab wire codec.
 const CodecName = "zab"
 
-func init() {
-	wire.Register(wire.Codec{Name: CodecName, Append: AppendMessage, Decode: DecodeMessage})
-}
+var codec = baseline.NewCodec(CodecName, map[byte]baseline.Body{
+	tagRequest:     (*MsgRequest)(nil),
+	tagPropose:     (*MsgPropose)(nil),
+	tagAck:         (*MsgAck)(nil),
+	tagCommit:      (*MsgCommit)(nil),
+	tagReply:       (*MsgReply)(nil),
+	tagEpochChange: (*MsgEpochChange)(nil),
+	tagNewEpoch:    (*MsgNewEpoch)(nil),
+})
 
-// Minimum encoded sizes per element, used to bound slice counts before
-// allocating.
-const (
-	reqMinWire      = 4 + 8 + 8 + 4 // Op len, TS, Client, Sig len
-	logEntryMinWire = 8 + 8 + 4     // Epoch, ZXID, batch count
+// MarshalMessage and DecodeMessage encode and decode one message (see
+// baseline.Codec); the transport reaches the same codec by name.
+var (
+	MarshalMessage = codec.Marshal
+	DecodeMessage  = codec.Decode
 )
 
-// readCount reads a u32 element count and bounds it by the remaining
-// input given each element's minimum encoded size.
-func readCount(rd *wire.Reader, minElem int) (int, bool) {
-	n, ok := rd.U32()
-	if !ok || int64(n)*int64(minElem) > int64(rd.Remaining()) {
-		return 0, false
-	}
-	return int(n), true
-}
-
-func (r *Request) marshalWire(w *wire.Buf) {
-	w.Bytes(r.Op).U64(r.TS).I64(int64(r.Client)).Bytes(r.Sig)
-}
-
-func (r *Request) unmarshalWire(rd *wire.Reader) bool {
-	op, ok1 := rd.Bytes()
-	ts, ok2 := rd.U64()
-	cl, ok3 := rd.I64()
-	sig, ok4 := rd.Bytes()
-	if !(ok1 && ok2 && ok3 && ok4) {
-		return false
-	}
-	r.Op, r.TS, r.Client, r.Sig = op, ts, smr.NodeID(cl), crypto.Signature(sig)
-	return true
-}
-
-func (b *Batch) marshalWire(w *wire.Buf) {
-	w.U32(uint32(len(b.Reqs)))
-	for i := range b.Reqs {
-		b.Reqs[i].marshalWire(w)
-	}
-}
-
-func (b *Batch) unmarshalWire(rd *wire.Reader) bool {
-	n, ok := readCount(rd, reqMinWire)
-	if !ok {
-		return false
-	}
-	if n > 0 {
-		b.Reqs = make([]Request, n)
-	}
-	for i := range b.Reqs {
-		if !b.Reqs[i].unmarshalWire(rd) {
-			return false
-		}
-	}
-	return true
-}
-
-func (e *logEntry) marshalWire(w *wire.Buf) {
-	w.U64(uint64(e.Epoch)).U64(uint64(e.ZXID))
-	e.Batch.marshalWire(w)
-}
-
-func (e *logEntry) unmarshalWire(rd *wire.Reader) bool {
-	epoch, ok1 := rd.U64()
-	zxid, ok2 := rd.U64()
-	if !(ok1 && ok2) || !e.Batch.unmarshalWire(rd) {
-		return false
-	}
-	e.Epoch, e.ZXID = smr.View(epoch), smr.SeqNum(zxid)
-	return true
-}
-
-func marshalEntries(w *wire.Buf, es []logEntry) {
-	w.U32(uint32(len(es)))
-	for i := range es {
-		es[i].marshalWire(w)
-	}
-}
-
-func unmarshalEntries(rd *wire.Reader) ([]logEntry, bool) {
-	n, ok := readCount(rd, logEntryMinWire)
-	if !ok {
-		return nil, false
-	}
-	var es []logEntry
-	if n > 0 {
-		es = make([]logEntry, n)
-	}
-	for i := range es {
-		if !es[i].unmarshalWire(rd) {
-			return nil, false
-		}
-	}
-	return es, true
-}
-
-func (m *MsgPropose) marshalBody(w *wire.Buf) {
-	w.U64(uint64(m.Epoch)).U64(uint64(m.ZXID))
-	m.Batch.marshalWire(w)
-	w.Bytes(m.MAC)
-}
-
-func (m *MsgPropose) unmarshalBody(rd *wire.Reader) bool {
-	epoch, ok1 := rd.U64()
-	zxid, ok2 := rd.U64()
-	if !(ok1 && ok2) || !m.Batch.unmarshalWire(rd) {
-		return false
-	}
-	mac, ok3 := rd.Bytes()
-	if !ok3 {
-		return false
-	}
-	m.Epoch, m.ZXID, m.MAC = smr.View(epoch), smr.SeqNum(zxid), crypto.MAC(mac)
-	return true
-}
-
-func (m *MsgAck) marshalBody(w *wire.Buf) {
+// MarshalBody implements baseline.Body.
+func (m *MsgAck) MarshalBody(w *wire.Buf) {
 	w.U64(uint64(m.Epoch)).U64(uint64(m.ZXID)).I64(int64(m.From)).Bytes(m.MAC)
 }
 
-func (m *MsgAck) unmarshalBody(rd *wire.Reader) bool {
-	epoch, ok1 := rd.U64()
-	zxid, ok2 := rd.U64()
-	from, ok3 := rd.I64()
-	mac, ok4 := rd.Bytes()
-	if !(ok1 && ok2 && ok3 && ok4) {
+// UnmarshalBody implements baseline.Body.
+func (m *MsgAck) UnmarshalBody(rd *wire.Reader) bool {
+	var ok bool
+	if m.Epoch, m.ZXID, ok = baseline.ReadSlot(rd); !ok {
 		return false
 	}
-	m.Epoch, m.ZXID, m.From, m.MAC = smr.View(epoch), smr.SeqNum(zxid), smr.NodeID(from), crypto.MAC(mac)
-	return true
+	from, ok1 := rd.I64()
+	mac, ok2 := rd.Bytes()
+	m.From, m.MAC = smr.NodeID(from), crypto.MAC(mac)
+	return ok1 && ok2
 }
 
-func (m *MsgCommit) marshalBody(w *wire.Buf) {
+// MarshalBody implements baseline.Body.
+func (m *MsgCommit) MarshalBody(w *wire.Buf) {
 	w.U64(uint64(m.Epoch)).U64(uint64(m.ZXID)).Bytes(m.MAC)
 }
 
-func (m *MsgCommit) unmarshalBody(rd *wire.Reader) bool {
-	epoch, ok1 := rd.U64()
-	zxid, ok2 := rd.U64()
-	mac, ok3 := rd.Bytes()
-	if !(ok1 && ok2 && ok3) {
+// UnmarshalBody implements baseline.Body.
+func (m *MsgCommit) UnmarshalBody(rd *wire.Reader) bool {
+	var ok bool
+	if m.Epoch, m.ZXID, ok = baseline.ReadSlot(rd); !ok {
 		return false
 	}
-	m.Epoch, m.ZXID, m.MAC = smr.View(epoch), smr.SeqNum(zxid), crypto.MAC(mac)
-	return true
+	mac, ok := rd.Bytes()
+	m.MAC = crypto.MAC(mac)
+	return ok
 }
 
-func (m *MsgReply) marshalBody(w *wire.Buf) {
+// MarshalBody implements baseline.Body.
+func (m *MsgReply) MarshalBody(w *wire.Buf) {
 	w.I64(int64(m.From)).U64(m.TS).Bytes(m.Rep).Bytes(m.MAC)
 }
 
-func (m *MsgReply) unmarshalBody(rd *wire.Reader) bool {
+// UnmarshalBody implements baseline.Body.
+func (m *MsgReply) UnmarshalBody(rd *wire.Reader) bool {
 	from, ok1 := rd.I64()
 	ts, ok2 := rd.U64()
 	rep, ok3 := rd.Bytes()
 	mac, ok4 := rd.Bytes()
-	if !(ok1 && ok2 && ok3 && ok4) {
-		return false
-	}
 	m.From, m.TS, m.Rep, m.MAC = smr.NodeID(from), ts, rep, crypto.MAC(mac)
-	return true
+	return ok1 && ok2 && ok3 && ok4
 }
 
-func (m *MsgEpochChange) marshalBody(w *wire.Buf) {
+// MarshalBody implements baseline.Body.
+func (m *MsgEpochChange) MarshalBody(w *wire.Buf) {
 	w.U64(uint64(m.Epoch)).I64(int64(m.From))
-	marshalEntries(w, m.Entries)
+	baseline.AppendEntries(w, m.Entries)
 }
 
-func (m *MsgEpochChange) unmarshalBody(rd *wire.Reader) bool {
+// UnmarshalBody implements baseline.Body.
+func (m *MsgEpochChange) UnmarshalBody(rd *wire.Reader) bool {
 	epoch, ok1 := rd.U64()
 	from, ok2 := rd.I64()
 	if !(ok1 && ok2) {
 		return false
 	}
-	entries, ok := unmarshalEntries(rd)
-	if !ok {
-		return false
-	}
-	m.Epoch, m.From, m.Entries = smr.View(epoch), smr.NodeID(from), entries
-	return true
+	m.Epoch, m.From = smr.View(epoch), smr.NodeID(from)
+	var ok bool
+	m.Entries, ok = baseline.ReadEntries(rd)
+	return ok
 }
 
-func (m *MsgNewEpoch) marshalBody(w *wire.Buf) {
+// MarshalBody implements baseline.Body.
+func (m *MsgNewEpoch) MarshalBody(w *wire.Buf) {
 	w.U64(uint64(m.Epoch))
-	marshalEntries(w, m.Entries)
+	baseline.AppendEntries(w, m.Entries)
 	w.Bytes(m.MAC)
 }
 
-func (m *MsgNewEpoch) unmarshalBody(rd *wire.Reader) bool {
-	epoch, ok1 := rd.U64()
-	if !ok1 {
-		return false
-	}
-	entries, ok := unmarshalEntries(rd)
+// UnmarshalBody implements baseline.Body.
+func (m *MsgNewEpoch) UnmarshalBody(rd *wire.Reader) bool {
+	epoch, ok := rd.U64()
 	if !ok {
 		return false
 	}
-	mac, ok2 := rd.Bytes()
-	if !ok2 {
+	entries, ok := baseline.ReadEntries(rd)
+	if !ok {
 		return false
 	}
+	mac, ok := rd.Bytes()
 	m.Epoch, m.Entries, m.MAC = smr.View(epoch), entries, crypto.MAC(mac)
-	return true
-}
-
-// AppendMessage appends m's wire encoding (tag byte + body) to w. It
-// errors on message types without a codec.
-func AppendMessage(w *wire.Buf, m smr.Message) error {
-	switch m := m.(type) {
-	case *MsgRequest:
-		w.U8(tagRequest)
-		m.Req.marshalWire(w)
-	case *MsgPropose:
-		w.U8(tagPropose)
-		m.marshalBody(w)
-	case *MsgAck:
-		w.U8(tagAck)
-		m.marshalBody(w)
-	case *MsgCommit:
-		w.U8(tagCommit)
-		m.marshalBody(w)
-	case *MsgReply:
-		w.U8(tagReply)
-		m.marshalBody(w)
-	case *MsgEpochChange:
-		w.U8(tagEpochChange)
-		m.marshalBody(w)
-	case *MsgNewEpoch:
-		w.U8(tagNewEpoch)
-		m.marshalBody(w)
-	default:
-		return fmt.Errorf("zab: no wire codec for %T", m)
-	}
-	return nil
-}
-
-// MarshalMessage encodes m into a fresh buffer.
-func MarshalMessage(m smr.Message) ([]byte, error) {
-	w := wire.New(m.WireSize())
-	if err := AppendMessage(w, m); err != nil {
-		return nil, err
-	}
-	return w.Done(), nil
-}
-
-// DecodeMessage parses one encoded message. Byte-slice fields of the
-// result alias b; the caller must not reuse the buffer. Trailing bytes
-// are rejected so the encoding stays canonical.
-func DecodeMessage(b []byte) (smr.Message, error) {
-	rd := wire.NewReader(b)
-	tag, ok := rd.U8()
-	if !ok {
-		return nil, ErrBadMessage
-	}
-	var m smr.Message
-	switch tag {
-	case tagRequest:
-		x := new(MsgRequest)
-		ok = x.Req.unmarshalWire(rd)
-		m = x
-	case tagPropose:
-		x := new(MsgPropose)
-		ok = x.unmarshalBody(rd)
-		m = x
-	case tagAck:
-		x := new(MsgAck)
-		ok = x.unmarshalBody(rd)
-		m = x
-	case tagCommit:
-		x := new(MsgCommit)
-		ok = x.unmarshalBody(rd)
-		m = x
-	case tagReply:
-		x := new(MsgReply)
-		ok = x.unmarshalBody(rd)
-		m = x
-	case tagEpochChange:
-		x := new(MsgEpochChange)
-		ok = x.unmarshalBody(rd)
-		m = x
-	case tagNewEpoch:
-		x := new(MsgNewEpoch)
-		ok = x.unmarshalBody(rd)
-		m = x
-	default:
-		return nil, fmt.Errorf("zab: unknown message tag %d: %w", tag, ErrBadMessage)
-	}
-	if !ok || rd.Remaining() != 0 {
-		return nil, ErrBadMessage
-	}
-	return m, nil
+	return ok
 }

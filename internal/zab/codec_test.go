@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"testing"
 
+	"github.com/xft-consensus/xft/internal/baseline"
 	"github.com/xft-consensus/xft/internal/crypto"
 	"github.com/xft-consensus/xft/internal/smr"
 	"github.com/xft-consensus/xft/internal/wire"
@@ -15,17 +16,17 @@ func sampleMessages() []smr.Message {
 	suite := crypto.NewSimSuite(7)
 	req := Request{Op: []byte("put k v"), TS: 9, Client: smr.ClientIDBase + 2}
 	w := wire.New(64)
-	req.appendSigPayload(w)
+	domain.AppendSigPayload(w, &req)
 	req.Sig = suite.Sign(crypto.NodeID(req.Client), w.Done())
 	batch := Batch{Reqs: []Request{req, {Op: []byte("get k"), TS: 10, Client: smr.ClientIDBase}}}
 	mac := crypto.MAC([]byte("mac-bytes-0123456789"))
-	entries := []logEntry{
-		{Epoch: 3, ZXID: 17, Batch: batch},
-		{Epoch: 2, ZXID: 18, Batch: Batch{}},
+	entries := []Entry{
+		{View: 3, SN: 17, Batch: batch},
+		{View: 2, SN: 18, Batch: Batch{}},
 	}
 	return []smr.Message{
 		&MsgRequest{Req: req},
-		&MsgPropose{Epoch: 3, ZXID: 17, Batch: batch, MAC: mac},
+		&MsgPropose{baseline.Proposal{View: 3, SN: 17, Batch: batch, MAC: mac}},
 		&MsgAck{Epoch: 3, ZXID: 17, From: 1, MAC: mac},
 		&MsgCommit{Epoch: 3, ZXID: 17, MAC: mac},
 		&MsgReply{From: 0, TS: 9, Rep: []byte("ok"), MAC: mac},
@@ -81,23 +82,6 @@ func TestCodecRejectsHostileCounts(t *testing.T) {
 	b := wire.New(64).U8(tagEpochChange).U64(4).I64(2).U32(1 << 31).Done()
 	if _, err := DecodeMessage(b); err == nil {
 		t.Fatal("hostile entry count accepted")
-	}
-	// A propose whose batch claims 2^30 requests.
-	b = wire.New(64).U8(tagPropose).U64(3).U64(17).U32(1 << 30).Done()
-	if _, err := DecodeMessage(b); err == nil {
-		t.Fatal("hostile batch count accepted")
-	}
-}
-
-func TestCodecUnknownType(t *testing.T) {
-	if err := AppendMessage(wire.New(8), smr.Message(nil)); err == nil {
-		t.Fatal("nil message encoded")
-	}
-	if _, err := DecodeMessage([]byte{0xEE}); err == nil {
-		t.Fatal("unknown tag decoded")
-	}
-	if _, err := DecodeMessage(nil); err == nil {
-		t.Fatal("empty input decoded")
 	}
 }
 

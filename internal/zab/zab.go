@@ -13,83 +13,43 @@
 // primary ships it to only t followers — so with the leader's WAN
 // egress as the bottleneck, XPaxos sustains roughly twice Zab's peak
 // throughput at t = 1.
+//
+// Request intake, execution, the client and the codec plumbing come
+// from internal/baseline, whose View is Zab's epoch and whose sequence
+// number is the zxid; this package is the broadcast and recovery logic.
 package zab
 
 import (
-	"sort"
-	"time"
-
+	"github.com/xft-consensus/xft/internal/baseline"
 	"github.com/xft-consensus/xft/internal/crypto"
 	"github.com/xft-consensus/xft/internal/smr"
 	"github.com/xft-consensus/xft/internal/wire"
 )
 
-const msgHeader = 24
+const msgHeader = baseline.MsgHeader
 
-// Leader maps an epoch to its leader.
-func Leader(n int, e smr.View) smr.NodeID { return smr.NodeID(int(e) % n) }
+// domain tags every Zab signature, digest and MAC payload.
+var domain = baseline.NewDomain("zab-")
 
-// Request is a client request.
-type Request struct {
-	Op     []byte
-	TS     uint64
-	Client smr.NodeID
-	// Sig authenticates the request to the leader. Empty unless
-	// Config.SignedRequests is set; Zab proper authenticates clients
-	// by session, so signing is off by default for paper fidelity.
-	Sig crypto.Signature
-}
+// The shared request, batch, log-entry, configuration and client types.
+type (
+	Request    = baseline.Request
+	Batch      = baseline.Batch
+	Entry      = baseline.Entry
+	MsgRequest = baseline.MsgRequest
+	Config     = baseline.Config
+	Client     = baseline.Client
+)
 
-func (r *Request) wireSize() int { return len(r.Op) + 24 + len(r.Sig) + 4 }
-
-// appendSigPayload appends the domain-separated bytes covered by
-// Request.Sig.
-func (r *Request) appendSigPayload(w *wire.Buf) {
-	w.Str("zab-req").Bytes(r.Op).U64(r.TS).I64(int64(r.Client))
-}
-
-// Batch groups requests into one proposal (a "transaction" batch).
-type Batch struct{ Reqs []Request }
-
-func (b *Batch) wireSize() int {
-	s := 4
-	for i := range b.Reqs {
-		s += b.Reqs[i].wireSize()
-	}
-	return s
-}
-
-func (b *Batch) digest() crypto.Digest {
-	w := wire.New(64 * len(b.Reqs)).Str("zab-batch")
-	for i := range b.Reqs {
-		r := &b.Reqs[i]
-		w.Bytes(r.Op).U64(r.TS).I64(int64(r.Client))
-	}
-	return crypto.Hash(w.Done())
-}
-
-// MsgRequest carries a client request to the leader.
-type MsgRequest struct{ Req Request }
-
-// Type implements smr.Message.
-func (m *MsgRequest) Type() string { return "request" }
-
-// WireSize implements smr.Message.
-func (m *MsgRequest) WireSize() int { return msgHeader + m.Req.wireSize() }
+// ---------------------------------------------------------------------------
+// Messages
+// ---------------------------------------------------------------------------
 
 // MsgPropose is the leader's proposal (full payload to every follower).
-type MsgPropose struct {
-	Epoch smr.View
-	ZXID  smr.SeqNum
-	Batch Batch
-	MAC   crypto.MAC
-}
+type MsgPropose struct{ baseline.Proposal }
 
 // Type implements smr.Message.
 func (m *MsgPropose) Type() string { return "propose" }
-
-// WireSize implements smr.Message.
-func (m *MsgPropose) WireSize() int { return msgHeader + 16 + m.Batch.wireSize() + len(m.MAC) }
 
 // MsgAck acknowledges a proposal.
 type MsgAck struct {
@@ -105,6 +65,10 @@ func (m *MsgAck) Type() string { return "ack" }
 // WireSize implements smr.Message.
 func (m *MsgAck) WireSize() int { return msgHeader + 24 + len(m.MAC) }
 
+func (m *MsgAck) macPayload() []byte {
+	return wire.New(48).Str("zab-ak").U64(uint64(m.Epoch)).U64(uint64(m.ZXID)).I64(int64(m.From)).Done()
+}
+
 // MsgCommit finalizes a proposal (digest-only).
 type MsgCommit struct {
 	Epoch smr.View
@@ -117,6 +81,10 @@ func (m *MsgCommit) Type() string { return "zab-commit" }
 
 // WireSize implements smr.Message.
 func (m *MsgCommit) WireSize() int { return msgHeader + 16 + len(m.MAC) }
+
+func (m *MsgCommit) macPayload() []byte {
+	return wire.New(48).Str("zab-cm").U64(uint64(m.Epoch)).U64(uint64(m.ZXID)).Done()
+}
 
 // MsgReply answers the client.
 type MsgReply struct {
@@ -132,12 +100,16 @@ func (m *MsgReply) Type() string { return "reply" }
 // WireSize implements smr.Message.
 func (m *MsgReply) WireSize() int { return msgHeader + 16 + len(m.Rep) + len(m.MAC) }
 
+func (m *MsgReply) macPayload() []byte {
+	return wire.New(48 + len(m.Rep)).Str("zab-rp").I64(int64(m.From)).U64(m.TS).Bytes(m.Rep).Done()
+}
+
 // MsgEpochChange transfers a follower's history to a prospective
 // leader (simplified recovery).
 type MsgEpochChange struct {
 	Epoch   smr.View
 	From    smr.NodeID
-	Entries []logEntry
+	Entries []Entry
 }
 
 // Type implements smr.Message.
@@ -149,18 +121,12 @@ func (m *MsgEpochChange) Type() string { return "epoch-change" }
 func (m *MsgEpochChange) Bulk() bool { return true }
 
 // WireSize implements smr.Message.
-func (m *MsgEpochChange) WireSize() int {
-	s := msgHeader + 16
-	for i := range m.Entries {
-		s += 16 + m.Entries[i].Batch.wireSize()
-	}
-	return s
-}
+func (m *MsgEpochChange) WireSize() int { return msgHeader + 16 + baseline.EntriesWireSize(m.Entries) }
 
 // MsgNewEpoch installs the new epoch's history.
 type MsgNewEpoch struct {
 	Epoch   smr.View
-	Entries []logEntry
+	Entries []Entry
 	MAC     crypto.MAC
 }
 
@@ -174,154 +140,52 @@ func (m *MsgNewEpoch) Bulk() bool { return true }
 
 // WireSize implements smr.Message.
 func (m *MsgNewEpoch) WireSize() int {
-	s := msgHeader + 8 + len(m.MAC)
+	return msgHeader + 8 + len(m.MAC) + baseline.EntriesWireSize(m.Entries)
+}
+
+func (m *MsgNewEpoch) macPayload() []byte {
+	w := wire.New(64).Str("zab-ne").U64(uint64(m.Epoch))
 	for i := range m.Entries {
-		s += 16 + m.Entries[i].Batch.wireSize()
+		e := &m.Entries[i]
+		d := domain.Digest(&e.Batch)
+		w.U64(uint64(e.SN)).Raw(d[:])
 	}
-	return s
+	return w.Done()
 }
 
-type logEntry struct {
-	Epoch smr.View
-	ZXID  smr.SeqNum
-	Batch Batch
-}
+// ---------------------------------------------------------------------------
+// Replica
+// ---------------------------------------------------------------------------
 
-// Config parameterizes replicas and clients.
-type Config struct {
-	N, T           int
-	Suite          crypto.Suite
-	BatchSize      int
-	BatchTimeout   time.Duration
-	RequestTimeout time.Duration
-	Observer       smr.CommitObserver
-
-	// SignedRequests makes clients sign requests and the leader verify
-	// them before admission. Off by default (Zab authenticates clients
-	// by session); the benchmark arena enables it so every protocol
-	// carries the same client-authentication cost as XPaxos.
-	SignedRequests bool
-	// VerifyWorkers sizes the verification pool used when
-	// SignedRequests is set: 0 uses the process-wide shared pool, 1
-	// verifies serially on the caller, >1 builds a dedicated pool.
-	VerifyWorkers int
-	// DisableAsyncCrypto runs request verification inline in Step
-	// instead of deferring it through Env.Defer.
-	DisableAsyncCrypto bool
-}
-
-func (c Config) withDefaults() Config {
-	if c.N == 0 {
-		c.N = 2*c.T + 1
-	}
-	if c.T == 0 {
-		c.T = (c.N - 1) / 2
-	}
-	if c.BatchSize == 0 {
-		c.BatchSize = 20
-	}
-	if c.BatchTimeout == 0 {
-		c.BatchTimeout = 5 * time.Millisecond
-	}
-	if c.RequestTimeout == 0 {
-		c.RequestTimeout = 2 * time.Second
-	}
-	return c
-}
-
-// Replica is a Zab replica.
+// Replica is a Zab replica (smr.Node).
 type Replica struct {
-	env   smr.Env
-	cfg   Config
-	id    smr.NodeID
-	n, t  int
-	suite crypto.Suite
-	app   smr.Application
+	*baseline.Core
 
-	epoch    smr.View
 	zxid, ex smr.SeqNum
-	log      map[smr.SeqNum]*logEntry
+	log      map[smr.SeqNum]*Entry
 	acks     map[smr.SeqNum]map[smr.NodeID]bool
 	chosen   map[smr.SeqNum]bool
-	lastExec map[smr.NodeID]uint64
-	replies  map[smr.NodeID][]byte
 
-	pendingReqs   []Request
-	batchTimer    smr.TimerID
-	batchTimerSet bool
-
-	verifyPool *crypto.Pool
-	asyncVer   bool
-	vqPending  []Request
-	verifying  bool
-
-	electing bool
-	ecs      map[smr.NodeID]*MsgEpochChange
-	progress smr.TimerID
-	watching bool
+	ecs map[smr.NodeID]*MsgEpochChange
 }
 
 // NewReplica builds a Zab replica.
 func NewReplica(id smr.NodeID, cfg Config, app smr.Application) *Replica {
-	cfg = cfg.withDefaults()
-	return &Replica{
-		cfg: cfg, id: id, n: cfg.N, t: cfg.T, suite: cfg.Suite, app: app,
-		log:      make(map[smr.SeqNum]*logEntry),
-		acks:     make(map[smr.SeqNum]map[smr.NodeID]bool),
-		chosen:   make(map[smr.SeqNum]bool),
-		lastExec: make(map[smr.NodeID]uint64),
-		replies:  make(map[smr.NodeID][]byte),
-		ecs:      make(map[smr.NodeID]*MsgEpochChange),
-
-		verifyPool: crypto.PoolFor(cfg.VerifyWorkers),
-		asyncVer:   !cfg.DisableAsyncCrypto,
+	r := &Replica{
+		log:    make(map[smr.SeqNum]*Entry),
+		acks:   make(map[smr.SeqNum]map[smr.NodeID]bool),
+		chosen: make(map[smr.SeqNum]bool),
+		ecs:    make(map[smr.NodeID]*MsgEpochChange),
 	}
-}
-
-// Epoch returns the current epoch.
-func (r *Replica) Epoch() smr.View { return r.epoch }
-
-// Init implements smr.Node.
-func (r *Replica) Init(env smr.Env) { r.env = env }
-
-// Step implements smr.Node.
-func (r *Replica) Step(ev smr.Event) {
-	switch e := ev.(type) {
-	case smr.Start:
-	case smr.TimerFired:
-		r.onTimer(e)
-	case smr.Recv:
-		r.onRecv(e.From, e.Msg)
-	case smr.Async:
-		e.Apply()
-	}
-}
-
-func (r *Replica) isLeader() bool { return Leader(r.n, r.epoch) == r.id }
-
-func (r *Replica) mac(to smr.NodeID, p []byte) crypto.MAC {
-	return r.suite.MAC(crypto.NodeID(r.id), crypto.NodeID(to), p)
-}
-
-func (r *Replica) onTimer(e smr.TimerFired) {
-	switch e.Kind {
-	case "batch":
-		if e.ID == r.batchTimer {
-			r.batchTimerSet = false
-			r.flush(true)
-		}
-	case "progress":
-		if e.ID == r.progress && r.watching {
-			r.watching = false
-			r.startEpochChange(r.epoch + 1)
-		}
-	}
+	r.Core = baseline.NewCore(id, cfg.WithDefaults(2), domain, app, baseline.Hooks{
+		Recv: r.onRecv, Propose: r.propose, Resend: r.reply,
+		Suspect: func() { r.startEpochChange(r.View + 1) },
+	})
+	return r
 }
 
 func (r *Replica) onRecv(from smr.NodeID, msg smr.Message) {
 	switch m := msg.(type) {
-	case *MsgRequest:
-		r.onRequest(from, m.Req)
 	case *MsgPropose:
 		r.onPropose(from, m)
 	case *MsgAck:
@@ -335,164 +199,36 @@ func (r *Replica) onRecv(from smr.NodeID, msg smr.Message) {
 	}
 }
 
-func (r *Replica) onRequest(from smr.NodeID, req Request) {
-	if req.TS <= r.lastExec[req.Client] {
-		if rep, ok := r.replies[req.Client]; ok && r.isLeader() {
-			r.reply(req.Client, req.TS, rep)
-		}
-		return
+func (r *Replica) propose(batch Batch) {
+	r.zxid++
+	zxid := r.zxid
+	r.log[zxid] = &Entry{View: r.View, SN: zxid, Batch: batch}
+	r.acks[zxid] = map[smr.NodeID]bool{r.ID: true}
+	// Full payload to every follower — the Zab leader-bandwidth
+	// bottleneck of Section 5.5.
+	for _, id := range r.Others {
+		m := &MsgPropose{baseline.Proposal{View: r.View, SN: zxid, Batch: batch}}
+		m.MAC = r.MAC(id, m.MACPayload("zab-pr", domain))
+		r.Env.Send(id, m)
 	}
-	if !r.isLeader() {
-		r.env.Send(Leader(r.n, r.epoch), &MsgRequest{Req: req})
-		if !r.watching {
-			r.watching = true
-			r.progress = r.env.SetTimer(r.cfg.RequestTimeout, "progress")
-		}
-		return
-	}
-	if r.cfg.SignedRequests {
-		r.vqPending = append(r.vqPending, req)
-		r.kickVerify()
-		return
-	}
-	r.pendingReqs = append(r.pendingReqs, req)
-	if len(r.pendingReqs) >= r.cfg.BatchSize {
-		r.flush(false)
-	} else if !r.batchTimerSet {
-		r.batchTimer = r.env.SetTimer(r.cfg.BatchTimeout, "batch")
-		r.batchTimerSet = true
-	}
-}
-
-// kickVerify drains the signed-request intake queue through the verify
-// pool, one batch in flight at a time. Requests arriving while a batch
-// is out accumulate and go out in the next batch, so verification
-// batches grow under load exactly like the XPaxos pipeline. No epoch
-// guard: client signatures are epoch-independent and admit re-checks
-// leadership per request, so an epoch change cannot wedge the queue.
-func (r *Replica) kickVerify() {
-	if r.verifying || len(r.vqPending) == 0 {
-		return
-	}
-	r.verifying = true
-	reqs := r.vqPending
-	r.vqPending = nil
-	batch := crypto.NewSigBatch(len(reqs))
-	for i := range reqs {
-		batch.Add(crypto.NodeID(reqs[i].Client), reqs[i].Sig, reqs[i].appendSigPayload)
-	}
-	var verdicts []bool
-	work := func() {
-		verdicts = r.verifyPool.VerifyEach(r.suite, batch.Jobs())
-		batch.Release()
-	}
-	apply := func() {
-		r.verifying = false
-		ok := reqs[:0]
-		for i := range reqs {
-			if verdicts[i] {
-				ok = append(ok, reqs[i])
-			}
-		}
-		r.admit(ok)
-		r.kickVerify()
-	}
-	if r.asyncVer {
-		r.env.Defer("verify-req", work, apply)
-	} else {
-		work()
-		apply()
-	}
-}
-
-// admit enqueues verified requests, re-running the checks that may
-// have changed while verification was in flight (duplicates, epoch
-// changes that moved leadership elsewhere).
-func (r *Replica) admit(reqs []Request) {
-	for _, req := range reqs {
-		if req.TS <= r.lastExec[req.Client] {
-			if rep, ok := r.replies[req.Client]; ok && r.isLeader() {
-				r.reply(req.Client, req.TS, rep)
-			}
-			continue
-		}
-		if !r.isLeader() {
-			r.env.Send(Leader(r.n, r.epoch), &MsgRequest{Req: req})
-			continue
-		}
-		r.pendingReqs = append(r.pendingReqs, req)
-	}
-	if !r.isLeader() || r.electing || len(r.pendingReqs) == 0 {
-		return
-	}
-	if len(r.pendingReqs) >= r.cfg.BatchSize {
-		r.flush(false)
-	} else if !r.batchTimerSet {
-		r.batchTimer = r.env.SetTimer(r.cfg.BatchTimeout, "batch")
-		r.batchTimerSet = true
-	}
-}
-
-func (r *Replica) flush(force bool) {
-	if !r.isLeader() || r.electing {
-		return
-	}
-	for len(r.pendingReqs) >= r.cfg.BatchSize || (force && len(r.pendingReqs) > 0) {
-		nreq := min(len(r.pendingReqs), r.cfg.BatchSize)
-		batch := Batch{Reqs: append([]Request(nil), r.pendingReqs[:nreq]...)}
-		r.pendingReqs = r.pendingReqs[nreq:]
-		r.zxid++
-		zxid := r.zxid
-		r.log[zxid] = &logEntry{Epoch: r.epoch, ZXID: zxid, Batch: batch}
-		r.acks[zxid] = map[smr.NodeID]bool{r.id: true}
-		// Full payload to every follower — the Zab leader-bandwidth
-		// bottleneck of Section 5.5.
-		for i := 0; i < r.n; i++ {
-			if smr.NodeID(i) == r.id {
-				continue
-			}
-			m := &MsgPropose{Epoch: r.epoch, ZXID: zxid, Batch: batch}
-			m.MAC = r.mac(smr.NodeID(i), r.proposePayload(m))
-			r.env.Send(smr.NodeID(i), m)
-		}
-		force = false
-	}
-}
-
-func (r *Replica) proposePayload(m *MsgPropose) []byte {
-	d := m.Batch.digest()
-	return wire.New(64).Str("zab-pr").U64(uint64(m.Epoch)).U64(uint64(m.ZXID)).Raw(d[:]).Done()
 }
 
 func (r *Replica) onPropose(from smr.NodeID, m *MsgPropose) {
-	if m.Epoch < r.epoch || from != Leader(r.n, m.Epoch) {
+	if m.View < r.View || from != r.LeaderOf(m.View) || !r.VerifyMAC(from, m.MACPayload("zab-pr", domain), m.MAC) {
 		return
 	}
-	if !r.suite.VerifyMAC(crypto.NodeID(from), crypto.NodeID(r.id), r.proposePayload(m), m.MAC) {
-		return
-	}
-	if m.Epoch > r.epoch {
-		r.epoch = m.Epoch
-		r.electing = false
-	}
-	r.log[m.ZXID] = &logEntry{Epoch: m.Epoch, ZXID: m.ZXID, Batch: m.Batch}
-	if r.zxid < m.ZXID {
-		r.zxid = m.ZXID
-	}
-	ack := &MsgAck{Epoch: m.Epoch, ZXID: m.ZXID, From: r.id}
-	ack.MAC = r.mac(from, r.ackPayload(ack))
-	r.env.Send(from, ack)
+	r.Adopt(m.View)
+	r.log[m.SN] = &Entry{View: m.View, SN: m.SN, Batch: m.Batch}
+	r.zxid = max(r.zxid, m.SN)
+	ack := &MsgAck{Epoch: m.View, ZXID: m.SN, From: r.ID}
+	ack.MAC = r.MAC(from, ack.macPayload())
+	r.Env.Send(from, ack)
 }
 
-func (r *Replica) ackPayload(m *MsgAck) []byte {
-	return wire.New(48).Str("zab-ak").U64(uint64(m.Epoch)).U64(uint64(m.ZXID)).I64(int64(m.From)).Done()
-}
-
+// onAck holds the quorum rule: a proposal commits once t+1 replicas
+// (the leader included) acknowledged it.
 func (r *Replica) onAck(from smr.NodeID, m *MsgAck) {
-	if !r.isLeader() || m.Epoch != r.epoch || m.From != from {
-		return
-	}
-	if !r.suite.VerifyMAC(crypto.NodeID(from), crypto.NodeID(r.id), r.ackPayload(m), m.MAC) {
+	if !r.IsLeader() || m.Epoch != r.View || m.From != from || !r.VerifyMAC(from, m.macPayload(), m.MAC) {
 		return
 	}
 	acks := r.acks[m.ZXID]
@@ -501,73 +237,46 @@ func (r *Replica) onAck(from smr.NodeID, m *MsgAck) {
 		r.acks[m.ZXID] = acks
 	}
 	acks[from] = true
-	if r.chosen[m.ZXID] || len(acks) < r.t+1 {
+	if r.chosen[m.ZXID] || len(acks) < r.T+1 {
 		return
 	}
 	r.chosen[m.ZXID] = true
 	delete(r.acks, m.ZXID)
-	for i := 0; i < r.n; i++ {
-		if smr.NodeID(i) == r.id {
-			continue
-		}
-		c := &MsgCommit{Epoch: r.epoch, ZXID: m.ZXID}
-		c.MAC = r.mac(smr.NodeID(i), r.commitPayload(c))
-		r.env.Send(smr.NodeID(i), c)
+	for _, id := range r.Others {
+		c := &MsgCommit{Epoch: r.View, ZXID: m.ZXID}
+		c.MAC = r.MAC(id, c.macPayload())
+		r.Env.Send(id, c)
 	}
 	r.execute()
 }
 
-func (r *Replica) commitPayload(m *MsgCommit) []byte {
-	return wire.New(48).Str("zab-cm").U64(uint64(m.Epoch)).U64(uint64(m.ZXID)).Done()
-}
-
 func (r *Replica) onCommit(from smr.NodeID, m *MsgCommit) {
-	if from != Leader(r.n, m.Epoch) || m.Epoch < r.epoch {
-		return
-	}
-	if !r.suite.VerifyMAC(crypto.NodeID(from), crypto.NodeID(r.id), r.commitPayload(m), m.MAC) {
+	if from != r.LeaderOf(m.Epoch) || m.Epoch < r.View || !r.VerifyMAC(from, m.macPayload(), m.MAC) {
 		return
 	}
 	if _, ok := r.log[m.ZXID]; !ok {
 		return
 	}
 	r.chosen[m.ZXID] = true
-	r.watching = false
+	r.Unwatch()
 	r.execute()
 }
 
 func (r *Replica) execute() {
 	for r.chosen[r.ex+1] {
-		e := r.log[r.ex+1]
 		r.ex++
-		for i := range e.Batch.Reqs {
-			req := &e.Batch.Reqs[i]
-			var rep []byte
-			if req.TS <= r.lastExec[req.Client] {
-				rep = r.replies[req.Client]
-			} else {
-				rep = r.app.Execute(req.Op)
-				r.lastExec[req.Client] = req.TS
-				r.replies[req.Client] = rep
-			}
-			if r.cfg.Observer != nil {
-				r.cfg.Observer(smr.Committed{Replica: r.id, View: e.Epoch, Seq: e.ZXID, Client: req.Client, ClientTS: req.TS})
-			}
-			if r.isLeader() {
-				r.reply(req.Client, req.TS, rep)
-			}
-		}
+		r.Execute(r.log[r.ex], r.reply)
 	}
 }
 
+// reply answers a client; only the leader does.
 func (r *Replica) reply(client smr.NodeID, ts uint64, rep []byte) {
-	m := &MsgReply{From: r.id, TS: ts, Rep: rep}
-	m.MAC = r.mac(client, r.replyPayload(m))
-	r.env.Send(client, m)
-}
-
-func (r *Replica) replyPayload(m *MsgReply) []byte {
-	return wire.New(48 + len(m.Rep)).Str("zab-rp").I64(int64(m.From)).U64(m.TS).Bytes(m.Rep).Done()
+	if !r.IsLeader() {
+		return
+	}
+	m := &MsgReply{From: r.ID, TS: ts, Rep: rep}
+	m.MAC = r.MAC(client, m.macPayload())
+	r.Env.Send(client, m)
 }
 
 // ---------------------------------------------------------------------------
@@ -575,216 +284,95 @@ func (r *Replica) replyPayload(m *MsgReply) []byte {
 // ---------------------------------------------------------------------------
 
 func (r *Replica) startEpochChange(e smr.View) {
-	if e < r.epoch || (e == r.epoch && r.electing) {
+	if e < r.View || (e == r.View && r.Electing) {
 		return
 	}
-	r.epoch = e
-	r.electing = true
+	r.View = e
+	r.Electing = true
 	r.ecs = make(map[smr.NodeID]*MsgEpochChange)
-	entries := make([]logEntry, 0, len(r.log))
-	for _, le := range r.log {
-		entries = append(entries, *le)
-	}
-	sort.Slice(entries, func(i, j int) bool { return entries[i].ZXID < entries[j].ZXID })
-	m := &MsgEpochChange{Epoch: e, From: r.id, Entries: entries}
-	if Leader(r.n, e) == r.id {
+	m := &MsgEpochChange{Epoch: e, From: r.ID, Entries: baseline.SortedEntries(r.log)}
+	if r.IsLeader() {
 		r.addEC(m)
 		return
 	}
-	for i := 0; i < r.n; i++ {
-		if smr.NodeID(i) != r.id {
-			r.env.Send(smr.NodeID(i), m)
-		}
+	for _, id := range r.Others {
+		r.Env.Send(id, m)
 	}
-	r.watching = true
-	r.progress = r.env.SetTimer(r.cfg.RequestTimeout, "progress")
+	r.Rewatch()
 }
 
 func (r *Replica) onEpochChange(from smr.NodeID, m *MsgEpochChange) {
-	if m.From != from || m.Epoch < r.epoch {
+	if m.From != from || m.Epoch < r.View {
 		return
 	}
-	if m.Epoch > r.epoch || !r.electing {
+	if m.Epoch > r.View || !r.Electing {
 		r.startEpochChange(m.Epoch)
 	}
-	if Leader(r.n, r.epoch) == r.id && m.Epoch == r.epoch {
+	if r.IsLeader() && m.Epoch == r.View {
 		r.addEC(m)
 	}
 }
 
+// addEC completes recovery at t+1 histories: merge them and install
+// the result everywhere.
 func (r *Replica) addEC(m *MsgEpochChange) {
 	r.ecs[m.From] = m
-	if len(r.ecs) < r.t+1 {
+	if len(r.ecs) < r.T+1 {
 		return
 	}
-	best := make(map[smr.SeqNum]*logEntry)
-	var maxZX smr.SeqNum
+	logs := make([][]Entry, 0, len(r.ecs))
 	for _, ec := range r.ecs {
-		for i := range ec.Entries {
-			e := ec.Entries[i]
-			if cur, ok := best[e.ZXID]; !ok || e.Epoch > cur.Epoch {
-				best[e.ZXID] = &e
-			}
-			if e.ZXID > maxZX {
-				maxZX = e.ZXID
-			}
-		}
+		logs = append(logs, ec.Entries)
 	}
-	entries := make([]logEntry, 0, len(best))
-	for zx := smr.SeqNum(1); zx <= maxZX; zx++ {
-		e, ok := best[zx]
-		if !ok {
-			e = &logEntry{Epoch: r.epoch, ZXID: zx, Batch: Batch{}}
-		}
-		e.Epoch = r.epoch
-		entries = append(entries, *e)
+	entries := baseline.MergeEntries(r.View, logs)
+	for _, id := range r.Others {
+		nm := &MsgNewEpoch{Epoch: r.View, Entries: entries}
+		nm.MAC = r.MAC(id, nm.macPayload())
+		r.Env.Send(id, nm)
 	}
-	for i := 0; i < r.n; i++ {
-		if smr.NodeID(i) == r.id {
-			continue
-		}
-		nm := &MsgNewEpoch{Epoch: r.epoch, Entries: entries}
-		nm.MAC = r.mac(smr.NodeID(i), r.newEpochPayload(nm))
-		r.env.Send(smr.NodeID(i), nm)
-	}
-	r.installEpoch(r.epoch, entries)
-}
-
-func (r *Replica) newEpochPayload(m *MsgNewEpoch) []byte {
-	w := wire.New(64).Str("zab-ne").U64(uint64(m.Epoch))
-	for i := range m.Entries {
-		e := &m.Entries[i]
-		d := e.Batch.digest()
-		w.U64(uint64(e.ZXID)).Raw(d[:])
-	}
-	return w.Done()
+	r.installEpoch(entries)
 }
 
 func (r *Replica) onNewEpoch(from smr.NodeID, m *MsgNewEpoch) {
-	if from != Leader(r.n, m.Epoch) || m.Epoch < r.epoch {
+	if from != r.LeaderOf(m.Epoch) || m.Epoch < r.View || !r.VerifyMAC(from, m.macPayload(), m.MAC) {
 		return
 	}
-	if !r.suite.VerifyMAC(crypto.NodeID(from), crypto.NodeID(r.id), r.newEpochPayload(m), m.MAC) {
-		return
-	}
-	r.epoch = m.Epoch
-	r.installEpoch(m.Epoch, m.Entries)
+	r.View = m.Epoch
+	r.installEpoch(m.Entries)
 }
 
-func (r *Replica) installEpoch(e smr.View, entries []logEntry) {
-	r.electing = false
-	r.watching = false
+func (r *Replica) installEpoch(entries []Entry) {
+	r.Electing = false
+	r.Unwatch()
 	r.ecs = make(map[smr.NodeID]*MsgEpochChange)
-	var maxZX smr.SeqNum
 	for i := range entries {
-		le := entries[i]
-		r.log[le.ZXID] = &le
-		r.chosen[le.ZXID] = true
-		if le.ZXID > maxZX {
-			maxZX = le.ZXID
-		}
-	}
-	if r.zxid < maxZX {
-		r.zxid = maxZX
+		e := &entries[i]
+		r.log[e.SN] = e
+		r.chosen[e.SN] = true
+		r.zxid = max(r.zxid, e.SN)
 	}
 	r.acks = make(map[smr.SeqNum]map[smr.NodeID]bool)
 	r.execute()
-	if r.isLeader() {
-		r.flush(true)
-	}
+	r.Flush()
 }
 
 // ---------------------------------------------------------------------------
 // Client
 // ---------------------------------------------------------------------------
 
-// Client is a closed-loop Zab client.
-type Client struct {
-	env   smr.Env
-	cfg   Config
-	id    smr.NodeID
-	n, t  int
-	suite crypto.Suite
-
-	ts      uint64
-	epoch   smr.View
-	pending *struct {
-		req    Request
-		sentAt time.Duration
-		timer  smr.TimerID
-	}
-
-	// OnCommit receives (op, reply, latency).
-	OnCommit func(op, rep []byte, latency time.Duration)
-	// Committed counts completed requests.
-	Committed uint64
-}
-
-// NewClient builds a client.
+// NewClient builds a closed-loop Zab client: the leader's reply alone
+// completes a request.
 func NewClient(id smr.NodeID, cfg Config) *Client {
-	cfg = cfg.withDefaults()
-	return &Client{cfg: cfg, id: id, n: cfg.N, t: cfg.T, suite: cfg.Suite}
+	var c *Client
+	c = baseline.NewClient(id, cfg.WithDefaults(2), domain, func(from smr.NodeID, msg smr.Message) ([]byte, bool) {
+		m, ok := msg.(*MsgReply)
+		if !ok || m.TS != c.TS() || m.From != from || !c.VerifyMAC(from, m.macPayload(), m.MAC) {
+			return nil, false
+		}
+		// Replies carry no epoch; the smallest epoch the replier leads
+		// is enough to route the next request to it.
+		c.SawView(smr.View(int(from) % c.N))
+		return m.Rep, true
+	})
+	return c
 }
-
-// Init implements smr.Node.
-func (c *Client) Init(env smr.Env) { c.env = env }
-
-// Invoke submits an operation.
-func (c *Client) Invoke(op []byte) {
-	if c.pending != nil {
-		panic("zab: client invoked with request outstanding")
-	}
-	c.ts++
-	req := Request{Op: op, TS: c.ts, Client: c.id}
-	if c.cfg.SignedRequests {
-		w := wire.Get()
-		req.appendSigPayload(w)
-		req.Sig = c.suite.Sign(crypto.NodeID(c.id), w.Done())
-		wire.Put(w)
-	}
-	c.pending = &struct {
-		req    Request
-		sentAt time.Duration
-		timer  smr.TimerID
-	}{req: req, sentAt: c.env.Now()}
-	c.env.Send(Leader(c.n, c.epoch), &MsgRequest{Req: req})
-	c.pending.timer = c.env.SetTimer(c.cfg.RequestTimeout, "req")
-}
-
-// Step implements smr.Node.
-func (c *Client) Step(ev smr.Event) {
-	switch e := ev.(type) {
-	case smr.Start:
-	case smr.Invoke:
-		c.Invoke(e.Op)
-	case smr.TimerFired:
-		if c.pending != nil && e.ID == c.pending.timer {
-			for i := 0; i < c.n; i++ {
-				c.env.Send(smr.NodeID(i), &MsgRequest{Req: c.pending.req})
-			}
-			c.pending.timer = c.env.SetTimer(c.cfg.RequestTimeout, "req")
-		}
-	case smr.Recv:
-		m, ok := e.Msg.(*MsgReply)
-		if !ok || c.pending == nil || m.TS != c.pending.req.TS || m.From != e.From {
-			return
-		}
-		payload := wire.New(48 + len(m.Rep)).Str("zab-rp").I64(int64(m.From)).U64(m.TS).Bytes(m.Rep).Done()
-		if !c.suite.VerifyMAC(crypto.NodeID(e.From), crypto.NodeID(c.id), payload, m.MAC) {
-			return
-		}
-		if leaderEpochOf(e.From, c.n) > c.epoch {
-			c.epoch = leaderEpochOf(e.From, c.n)
-		}
-		p := c.pending
-		c.env.CancelTimer(p.timer)
-		c.pending = nil
-		c.Committed++
-		if c.OnCommit != nil {
-			c.OnCommit(p.req.Op, m.Rep, c.env.Now()-p.sentAt)
-		}
-	}
-}
-
-// leaderEpochOf returns the smallest epoch in which id leads.
-func leaderEpochOf(id smr.NodeID, n int) smr.View { return smr.View(int(id) % n) }

@@ -72,7 +72,7 @@ func TestZabLeaderSendsToAllFollowers(t *testing.T) {
 	// The contrast with XPaxos (Section 5.5): one request = proposals
 	// to 2t followers (full payload), acks back, commits out.
 	c := newCluster(t, 1, 1)
-	c.replicas[0].cfg.BatchSize = 1
+	c.replicas[0].Cfg.BatchSize = 1
 	c.net.At(0, func() { c.clients[0].Invoke(kv.GetOp("x")) })
 	c.net.RunFor(time.Second)
 	counts := c.net.MessageCounts()
@@ -100,7 +100,7 @@ func TestZabLeaderCrash(t *testing.T) {
 	c.net.Crash(0)
 	c.net.RunFor(8 * time.Second)
 	if n <= before {
-		t.Fatalf("no commits after leader crash (epochs %d %d)", c.replicas[1].Epoch(), c.replicas[2].Epoch())
+		t.Fatalf("no commits after leader crash (epochs %d %d)", c.replicas[1].View, c.replicas[2].View)
 	}
 	for i := 0; i < before; i++ {
 		if _, ok := c.stores[1].Get(fmt.Sprintf("k%d", i)); !ok {

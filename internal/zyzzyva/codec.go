@@ -1,18 +1,11 @@
 package zyzzyva
 
-// Wire codec for Zyzzyva messages, registered with the
-// protocol-agnostic codec registry (internal/wire) so the TCP
-// transport can carry Zyzzyva without importing this package. Same
-// construction as the XPaxos codec: a one-byte message-type tag
-// followed by explicit fixed-order field encodings, no reflection,
-// canonical (every valid byte string decodes to exactly one message,
-// which re-encodes to the same bytes — the fuzz target asserts this).
-// Decoded byte-slice fields alias the input buffer.
+// Wire codec for Zyzzyva messages: each message's body in explicit
+// fixed field order, and the tag table that internal/baseline turns
+// into the registered codec.
 
 import (
-	"errors"
-	"fmt"
-
+	"github.com/xft-consensus/xft/internal/baseline"
 	"github.com/xft-consensus/xft/internal/crypto"
 	"github.com/xft-consensus/xft/internal/smr"
 	"github.com/xft-consensus/xft/internal/wire"
@@ -30,163 +23,67 @@ const (
 	tagNewView
 )
 
-// ErrBadMessage reports an encoding that is truncated, malformed, or
-// carries trailing bytes.
-var ErrBadMessage = errors.New("zyzzyva: malformed message encoding")
-
 // CodecName is the registry name of the Zyzzyva wire codec.
 const CodecName = "zyzzyva"
 
-func init() {
-	wire.Register(wire.Codec{Name: CodecName, Append: AppendMessage, Decode: DecodeMessage})
-}
+var codec = baseline.NewCodec(CodecName, map[byte]baseline.Body{
+	tagRequest:      (*MsgRequest)(nil),
+	tagOrderReq:     (*MsgOrderReq)(nil),
+	tagSpecResponse: (*MsgSpecResponse)(nil),
+	tagCommitCert:   (*MsgCommitCert)(nil),
+	tagLocalCommit:  (*MsgLocalCommit)(nil),
+	tagViewChange:   (*MsgViewChange)(nil),
+	tagNewView:      (*MsgNewView)(nil),
+})
 
-// Minimum encoded sizes per element, used to bound slice counts before
-// allocating.
-const (
-	reqMinWire      = 4 + 8 + 8 + 4 // Op len, TS, Client, Sig len
-	logEntryMinWire = 8 + 8 + 4     // View, SN, batch count
-	voterWire       = 8
+// MarshalMessage and DecodeMessage encode and decode one message (see
+// baseline.Codec); the transport reaches the same codec by name.
+var (
+	MarshalMessage = codec.Marshal
+	DecodeMessage  = codec.Decode
 )
 
-// readCount reads a u32 element count and bounds it by the remaining
-// input given each element's minimum encoded size.
-func readCount(rd *wire.Reader, minElem int) (int, bool) {
-	n, ok := rd.U32()
-	if !ok || int64(n)*int64(minElem) > int64(rd.Remaining()) {
-		return 0, false
-	}
-	return int(n), true
-}
+// voterWire is a commit-cert voter's encoded size, bounding the count.
+const voterWire = 8
 
-// readDigest reads a fixed-size digest.
-func readDigest(rd *wire.Reader, d *crypto.Digest) bool {
-	p, ok := rd.Raw(crypto.DigestSize)
-	if ok {
-		copy(d[:], p)
-	}
-	return ok
-}
-
-func (r *Request) marshalWire(w *wire.Buf) {
-	w.Bytes(r.Op).U64(r.TS).I64(int64(r.Client)).Bytes(r.Sig)
-}
-
-func (r *Request) unmarshalWire(rd *wire.Reader) bool {
-	op, ok1 := rd.Bytes()
-	ts, ok2 := rd.U64()
-	cl, ok3 := rd.I64()
-	sig, ok4 := rd.Bytes()
-	if !(ok1 && ok2 && ok3 && ok4) {
-		return false
-	}
-	r.Op, r.TS, r.Client, r.Sig = op, ts, smr.NodeID(cl), crypto.Signature(sig)
-	return true
-}
-
-func (b *Batch) marshalWire(w *wire.Buf) {
-	w.U32(uint32(len(b.Reqs)))
-	for i := range b.Reqs {
-		b.Reqs[i].marshalWire(w)
-	}
-}
-
-func (b *Batch) unmarshalWire(rd *wire.Reader) bool {
-	n, ok := readCount(rd, reqMinWire)
-	if !ok {
-		return false
-	}
-	if n > 0 {
-		b.Reqs = make([]Request, n)
-	}
-	for i := range b.Reqs {
-		if !b.Reqs[i].unmarshalWire(rd) {
-			return false
-		}
-	}
-	return true
-}
-
-func (e *logEntry) marshalWire(w *wire.Buf) {
-	w.U64(uint64(e.View)).U64(uint64(e.SN))
-	e.Batch.marshalWire(w)
-}
-
-func (e *logEntry) unmarshalWire(rd *wire.Reader) bool {
-	view, ok1 := rd.U64()
-	sn, ok2 := rd.U64()
-	if !(ok1 && ok2) || !e.Batch.unmarshalWire(rd) {
-		return false
-	}
-	e.View, e.SN = smr.View(view), smr.SeqNum(sn)
-	return true
-}
-
-func marshalEntries(w *wire.Buf, es []logEntry) {
-	w.U32(uint32(len(es)))
-	for i := range es {
-		es[i].marshalWire(w)
-	}
-}
-
-func unmarshalEntries(rd *wire.Reader) ([]logEntry, bool) {
-	n, ok := readCount(rd, logEntryMinWire)
-	if !ok {
-		return nil, false
-	}
-	var es []logEntry
-	if n > 0 {
-		es = make([]logEntry, n)
-	}
-	for i := range es {
-		if !es[i].unmarshalWire(rd) {
-			return nil, false
-		}
-	}
-	return es, true
-}
-
-func (m *MsgOrderReq) marshalBody(w *wire.Buf) {
+// MarshalBody implements baseline.Body.
+func (m *MsgOrderReq) MarshalBody(w *wire.Buf) {
 	w.U64(uint64(m.View)).U64(uint64(m.SN)).Raw(m.History[:])
-	m.Batch.marshalWire(w)
+	m.Batch.Marshal(w)
 	w.Bytes(m.MAC)
 }
 
-func (m *MsgOrderReq) unmarshalBody(rd *wire.Reader) bool {
-	view, ok1 := rd.U64()
-	sn, ok2 := rd.U64()
-	if !(ok1 && ok2) || !readDigest(rd, &m.History) || !m.Batch.unmarshalWire(rd) {
+// UnmarshalBody implements baseline.Body.
+func (m *MsgOrderReq) UnmarshalBody(rd *wire.Reader) bool {
+	var ok bool
+	if m.View, m.SN, ok = baseline.ReadSlot(rd); !ok || !baseline.ReadDigest(rd, &m.History) || !m.Batch.Unmarshal(rd) {
 		return false
 	}
-	mac, ok3 := rd.Bytes()
-	if !ok3 {
-		return false
-	}
-	m.View, m.SN, m.MAC = smr.View(view), smr.SeqNum(sn), crypto.MAC(mac)
-	return true
+	mac, ok := rd.Bytes()
+	m.MAC = crypto.MAC(mac)
+	return ok
 }
 
-func (m *MsgSpecResponse) marshalBody(w *wire.Buf) {
+// MarshalBody implements baseline.Body.
+func (m *MsgSpecResponse) MarshalBody(w *wire.Buf) {
 	w.I64(int64(m.From)).U64(uint64(m.View)).U64(uint64(m.SN)).Raw(m.History[:]).
 		U64(m.TS).Raw(m.RepD[:]).Bytes(m.Rep).Bytes(m.MAC)
 }
 
-func (m *MsgSpecResponse) unmarshalBody(rd *wire.Reader) bool {
+// UnmarshalBody implements baseline.Body.
+func (m *MsgSpecResponse) UnmarshalBody(rd *wire.Reader) bool {
 	from, ok1 := rd.I64()
 	view, ok2 := rd.U64()
 	sn, ok3 := rd.U64()
-	if !(ok1 && ok2 && ok3) || !readDigest(rd, &m.History) {
+	if !(ok1 && ok2 && ok3) || !baseline.ReadDigest(rd, &m.History) {
 		return false
 	}
 	ts, ok4 := rd.U64()
-	if !ok4 || !readDigest(rd, &m.RepD) {
+	if !ok4 || !baseline.ReadDigest(rd, &m.RepD) {
 		return false
 	}
 	rep, ok5 := rd.Bytes()
 	mac, ok6 := rd.Bytes()
-	if !(ok5 && ok6) {
-		return false
-	}
 	// A nil Rep (digest-only response from a backup) and an empty Rep
 	// encode identically; normalize to nil so the encoding stays
 	// canonical.
@@ -195,10 +92,11 @@ func (m *MsgSpecResponse) unmarshalBody(rd *wire.Reader) bool {
 	}
 	m.From, m.View, m.SN, m.TS = smr.NodeID(from), smr.View(view), smr.SeqNum(sn), ts
 	m.Rep, m.MAC = rep, crypto.MAC(mac)
-	return true
+	return ok5 && ok6
 }
 
-func (m *MsgCommitCert) marshalBody(w *wire.Buf) {
+// MarshalBody implements baseline.Body.
+func (m *MsgCommitCert) MarshalBody(w *wire.Buf) {
 	w.I64(int64(m.Client)).U64(m.TS).U64(uint64(m.View)).U64(uint64(m.SN)).Raw(m.History[:])
 	w.U32(uint32(len(m.Voters)))
 	for _, v := range m.Voters {
@@ -206,180 +104,91 @@ func (m *MsgCommitCert) marshalBody(w *wire.Buf) {
 	}
 }
 
-func (m *MsgCommitCert) unmarshalBody(rd *wire.Reader) bool {
+// UnmarshalBody implements baseline.Body.
+func (m *MsgCommitCert) UnmarshalBody(rd *wire.Reader) bool {
 	client, ok1 := rd.I64()
 	ts, ok2 := rd.U64()
-	view, ok3 := rd.U64()
-	sn, ok4 := rd.U64()
-	if !(ok1 && ok2 && ok3 && ok4) || !readDigest(rd, &m.History) {
+	if !(ok1 && ok2) {
 		return false
 	}
-	n, ok := readCount(rd, voterWire)
+	m.Client, m.TS = smr.NodeID(client), ts
+	var ok bool
+	if m.View, m.SN, ok = baseline.ReadSlot(rd); !ok || !baseline.ReadDigest(rd, &m.History) {
+		return false
+	}
+	n, ok := baseline.ReadCount(rd, voterWire)
 	if !ok {
 		return false
 	}
-	var voters []smr.NodeID
 	if n > 0 {
-		voters = make([]smr.NodeID, n)
+		m.Voters = make([]smr.NodeID, n)
 	}
-	for i := range voters {
+	for i := range m.Voters {
 		v, ok := rd.I64()
 		if !ok {
 			return false
 		}
-		voters[i] = smr.NodeID(v)
+		m.Voters[i] = smr.NodeID(v)
 	}
-	m.Client, m.TS, m.View, m.SN, m.Voters = smr.NodeID(client), ts, smr.View(view), smr.SeqNum(sn), voters
 	return true
 }
 
-func (m *MsgLocalCommit) marshalBody(w *wire.Buf) {
+// MarshalBody implements baseline.Body.
+func (m *MsgLocalCommit) MarshalBody(w *wire.Buf) {
 	w.I64(int64(m.From)).U64(m.TS).U64(uint64(m.SN)).Bytes(m.MAC)
 }
 
-func (m *MsgLocalCommit) unmarshalBody(rd *wire.Reader) bool {
+// UnmarshalBody implements baseline.Body.
+func (m *MsgLocalCommit) UnmarshalBody(rd *wire.Reader) bool {
 	from, ok1 := rd.I64()
 	ts, ok2 := rd.U64()
 	sn, ok3 := rd.U64()
 	mac, ok4 := rd.Bytes()
-	if !(ok1 && ok2 && ok3 && ok4) {
-		return false
-	}
 	m.From, m.TS, m.SN, m.MAC = smr.NodeID(from), ts, smr.SeqNum(sn), crypto.MAC(mac)
-	return true
+	return ok1 && ok2 && ok3 && ok4
 }
 
-func (m *MsgViewChange) marshalBody(w *wire.Buf) {
+// MarshalBody implements baseline.Body.
+func (m *MsgViewChange) MarshalBody(w *wire.Buf) {
 	w.U64(uint64(m.View)).I64(int64(m.From))
-	marshalEntries(w, m.Entries)
+	baseline.AppendEntries(w, m.Entries)
 	w.Bytes(m.Sig)
 }
 
-func (m *MsgViewChange) unmarshalBody(rd *wire.Reader) bool {
+// UnmarshalBody implements baseline.Body.
+func (m *MsgViewChange) UnmarshalBody(rd *wire.Reader) bool {
 	view, ok1 := rd.U64()
 	from, ok2 := rd.I64()
 	if !(ok1 && ok2) {
 		return false
 	}
-	entries, ok := unmarshalEntries(rd)
+	entries, ok := baseline.ReadEntries(rd)
 	if !ok {
 		return false
 	}
-	sig, ok3 := rd.Bytes()
-	if !ok3 {
-		return false
-	}
+	sig, ok := rd.Bytes()
 	m.View, m.From, m.Entries, m.Sig = smr.View(view), smr.NodeID(from), entries, crypto.Signature(sig)
-	return true
+	return ok
 }
 
-func (m *MsgNewView) marshalBody(w *wire.Buf) {
+// MarshalBody implements baseline.Body.
+func (m *MsgNewView) MarshalBody(w *wire.Buf) {
 	w.U64(uint64(m.View))
-	marshalEntries(w, m.Entries)
+	baseline.AppendEntries(w, m.Entries)
 	w.Bytes(m.Sig)
 }
 
-func (m *MsgNewView) unmarshalBody(rd *wire.Reader) bool {
-	view, ok1 := rd.U64()
-	if !ok1 {
-		return false
-	}
-	entries, ok := unmarshalEntries(rd)
+// UnmarshalBody implements baseline.Body.
+func (m *MsgNewView) UnmarshalBody(rd *wire.Reader) bool {
+	view, ok := rd.U64()
 	if !ok {
 		return false
 	}
-	sig, ok2 := rd.Bytes()
-	if !ok2 {
+	entries, ok := baseline.ReadEntries(rd)
+	if !ok {
 		return false
 	}
+	sig, ok := rd.Bytes()
 	m.View, m.Entries, m.Sig = smr.View(view), entries, crypto.Signature(sig)
-	return true
-}
-
-// AppendMessage appends m's wire encoding (tag byte + body) to w. It
-// errors on message types without a codec.
-func AppendMessage(w *wire.Buf, m smr.Message) error {
-	switch m := m.(type) {
-	case *MsgRequest:
-		w.U8(tagRequest)
-		m.Req.marshalWire(w)
-	case *MsgOrderReq:
-		w.U8(tagOrderReq)
-		m.marshalBody(w)
-	case *MsgSpecResponse:
-		w.U8(tagSpecResponse)
-		m.marshalBody(w)
-	case *MsgCommitCert:
-		w.U8(tagCommitCert)
-		m.marshalBody(w)
-	case *MsgLocalCommit:
-		w.U8(tagLocalCommit)
-		m.marshalBody(w)
-	case *MsgViewChange:
-		w.U8(tagViewChange)
-		m.marshalBody(w)
-	case *MsgNewView:
-		w.U8(tagNewView)
-		m.marshalBody(w)
-	default:
-		return fmt.Errorf("zyzzyva: no wire codec for %T", m)
-	}
-	return nil
-}
-
-// MarshalMessage encodes m into a fresh buffer.
-func MarshalMessage(m smr.Message) ([]byte, error) {
-	w := wire.New(m.WireSize())
-	if err := AppendMessage(w, m); err != nil {
-		return nil, err
-	}
-	return w.Done(), nil
-}
-
-// DecodeMessage parses one encoded message. Byte-slice fields of the
-// result alias b; the caller must not reuse the buffer. Trailing bytes
-// are rejected so the encoding stays canonical.
-func DecodeMessage(b []byte) (smr.Message, error) {
-	rd := wire.NewReader(b)
-	tag, ok := rd.U8()
-	if !ok {
-		return nil, ErrBadMessage
-	}
-	var m smr.Message
-	switch tag {
-	case tagRequest:
-		x := new(MsgRequest)
-		ok = x.Req.unmarshalWire(rd)
-		m = x
-	case tagOrderReq:
-		x := new(MsgOrderReq)
-		ok = x.unmarshalBody(rd)
-		m = x
-	case tagSpecResponse:
-		x := new(MsgSpecResponse)
-		ok = x.unmarshalBody(rd)
-		m = x
-	case tagCommitCert:
-		x := new(MsgCommitCert)
-		ok = x.unmarshalBody(rd)
-		m = x
-	case tagLocalCommit:
-		x := new(MsgLocalCommit)
-		ok = x.unmarshalBody(rd)
-		m = x
-	case tagViewChange:
-		x := new(MsgViewChange)
-		ok = x.unmarshalBody(rd)
-		m = x
-	case tagNewView:
-		x := new(MsgNewView)
-		ok = x.unmarshalBody(rd)
-		m = x
-	default:
-		return nil, fmt.Errorf("zyzzyva: unknown message tag %d: %w", tag, ErrBadMessage)
-	}
-	if !ok || rd.Remaining() != 0 {
-		return nil, ErrBadMessage
-	}
-	return m, nil
+	return ok
 }

@@ -15,13 +15,13 @@ func sampleMessages() []smr.Message {
 	suite := crypto.NewSimSuite(7)
 	req := Request{Op: []byte("put k v"), TS: 9, Client: smr.ClientIDBase + 2}
 	w := wire.New(64)
-	req.appendSigPayload(w)
+	domain.AppendSigPayload(w, &req)
 	req.Sig = suite.Sign(crypto.NodeID(req.Client), w.Done())
 	batch := Batch{Reqs: []Request{req, {Op: []byte("get k"), TS: 10, Client: smr.ClientIDBase}}}
-	d := batch.digest()
+	d := domain.Digest(&batch)
 	mac := crypto.MAC([]byte("mac-bytes-0123456789"))
 	sig := crypto.Signature([]byte("sig-bytes-0123456789"))
-	entries := []logEntry{
+	entries := []Entry{
 		{View: 3, SN: 17, Batch: batch},
 		{View: 2, SN: 18, Batch: Batch{}},
 	}
@@ -90,18 +90,6 @@ func TestCodecRejectsHostileCounts(t *testing.T) {
 	w.Raw(make([]byte, crypto.DigestSize)).U32(1 << 30)
 	if _, err := DecodeMessage(w.Done()); err == nil {
 		t.Fatal("hostile voter count accepted")
-	}
-}
-
-func TestCodecUnknownType(t *testing.T) {
-	if err := AppendMessage(wire.New(8), smr.Message(nil)); err == nil {
-		t.Fatal("nil message encoded")
-	}
-	if _, err := DecodeMessage([]byte{0xEE}); err == nil {
-		t.Fatal("unknown tag decoded")
-	}
-	if _, err := DecodeMessage(nil); err == nil {
-		t.Fatal("empty input decoded")
 	}
 }
 

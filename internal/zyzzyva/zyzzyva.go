@@ -10,69 +10,38 @@
 // client sends a commit certificate and completes on 2t+1
 // LOCAL-COMMIT acks (slow path). MACs authenticate all common-case
 // messages; view changes are crash-fault-grade as in package pbft.
+//
+// Request intake, execution, the client core and the codec plumbing
+// come from internal/baseline; this package is the speculative
+// ordering, the client's fast/slow commit rule and the view change.
 package zyzzyva
 
 import (
 	"sort"
 	"time"
 
+	"github.com/xft-consensus/xft/internal/baseline"
 	"github.com/xft-consensus/xft/internal/crypto"
 	"github.com/xft-consensus/xft/internal/smr"
 	"github.com/xft-consensus/xft/internal/wire"
 )
 
-const msgHeader = 24
+const msgHeader = baseline.MsgHeader
 
-// Primary returns the primary of view v.
-func Primary(n int, v smr.View) smr.NodeID { return smr.NodeID(int(v) % n) }
+// domain tags every Zyzzyva signature, digest and MAC payload.
+var domain = baseline.NewDomain("zz-")
 
-// Request is a client request.
-type Request struct {
-	Op     []byte
-	TS     uint64
-	Client smr.NodeID
-	// Sig authenticates the request. Empty unless
-	// Config.SignedRequests is set; the paper's Zyzzyva baseline uses
-	// MAC authenticators, so signing is off by default.
-	Sig crypto.Signature
-}
+// The shared request, batch and log-entry types.
+type (
+	Request    = baseline.Request
+	Batch      = baseline.Batch
+	Entry      = baseline.Entry
+	MsgRequest = baseline.MsgRequest
+)
 
-func (r *Request) wireSize() int { return len(r.Op) + 24 + len(r.Sig) + 4 }
-
-// appendSigPayload appends the domain-separated bytes covered by
-// Request.Sig.
-func (r *Request) appendSigPayload(w *wire.Buf) {
-	w.Str("zz-req").Bytes(r.Op).U64(r.TS).I64(int64(r.Client))
-}
-
-// Batch groups requests.
-type Batch struct{ Reqs []Request }
-
-func (b *Batch) wireSize() int {
-	s := 4
-	for i := range b.Reqs {
-		s += b.Reqs[i].wireSize()
-	}
-	return s
-}
-
-func (b *Batch) digest() crypto.Digest {
-	w := wire.New(64 * len(b.Reqs)).Str("zz-batch")
-	for i := range b.Reqs {
-		r := &b.Reqs[i]
-		w.Bytes(r.Op).U64(r.TS).I64(int64(r.Client))
-	}
-	return crypto.Hash(w.Done())
-}
-
-// MsgRequest carries a client request.
-type MsgRequest struct{ Req Request }
-
-// Type implements smr.Message.
-func (m *MsgRequest) Type() string { return "request" }
-
-// WireSize implements smr.Message.
-func (m *MsgRequest) WireSize() int { return msgHeader + m.Req.wireSize() }
+// ---------------------------------------------------------------------------
+// Messages
+// ---------------------------------------------------------------------------
 
 // MsgOrderReq is the primary's ordered request broadcast.
 type MsgOrderReq struct {
@@ -87,7 +56,12 @@ type MsgOrderReq struct {
 func (m *MsgOrderReq) Type() string { return "order-req" }
 
 // WireSize implements smr.Message.
-func (m *MsgOrderReq) WireSize() int { return msgHeader + 16 + 32 + m.Batch.wireSize() + len(m.MAC) }
+func (m *MsgOrderReq) WireSize() int { return msgHeader + 16 + 32 + m.Batch.WireSize() + len(m.MAC) }
+
+func (m *MsgOrderReq) macPayload() []byte {
+	d := domain.Digest(&m.Batch)
+	return wire.New(96).Str("zz-or").U64(uint64(m.View)).U64(uint64(m.SN)).Raw(m.History[:]).Raw(d[:]).Done()
+}
 
 // MsgSpecResponse is a replica's speculative response to the client.
 type MsgSpecResponse struct {
@@ -107,6 +81,11 @@ func (m *MsgSpecResponse) Type() string { return "spec-response" }
 // WireSize implements smr.Message.
 func (m *MsgSpecResponse) WireSize() int {
 	return msgHeader + 32 + 64 + len(m.Rep) + len(m.MAC)
+}
+
+func (m *MsgSpecResponse) macPayload() []byte {
+	return wire.New(96 + len(m.Rep)).Str("zz-sr").I64(int64(m.From)).U64(uint64(m.View)).
+		U64(uint64(m.SN)).Raw(m.History[:]).U64(m.TS).Raw(m.RepD[:]).Bytes(m.Rep).Done()
 }
 
 // MsgCommitCert is the client's slow-path commit certificate: the set
@@ -140,11 +119,15 @@ func (m *MsgLocalCommit) Type() string { return "local-commit" }
 // WireSize implements smr.Message.
 func (m *MsgLocalCommit) WireSize() int { return msgHeader + 24 + len(m.MAC) }
 
+func (m *MsgLocalCommit) macPayload() []byte {
+	return wire.New(48).Str("zz-lc").I64(int64(m.From)).U64(m.TS).U64(uint64(m.SN)).Done()
+}
+
 // MsgViewChange / MsgNewView reuse the crash-grade scheme (see pbft).
 type MsgViewChange struct {
 	View    smr.View
 	From    smr.NodeID
-	Entries []logEntry
+	Entries []Entry
 	Sig     crypto.Signature
 }
 
@@ -158,18 +141,14 @@ func (m *MsgViewChange) Bulk() bool { return true }
 
 // WireSize implements smr.Message.
 func (m *MsgViewChange) WireSize() int {
-	s := msgHeader + 16 + len(m.Sig)
-	for i := range m.Entries {
-		s += 16 + m.Entries[i].Batch.wireSize()
-	}
-	return s
+	return msgHeader + 16 + len(m.Sig) + baseline.EntriesWireSize(m.Entries)
 }
 
 func (m *MsgViewChange) sigPayload() []byte {
 	w := wire.New(64).Str("zz-vc").U64(uint64(m.View)).I64(int64(m.From))
 	for i := range m.Entries {
 		e := &m.Entries[i]
-		d := e.Batch.digest()
+		d := domain.Digest(&e.Batch)
 		w.U64(uint64(e.SN)).U64(uint64(e.View)).Raw(d[:])
 	}
 	return w.Done()
@@ -178,7 +157,7 @@ func (m *MsgViewChange) sigPayload() []byte {
 // MsgNewView installs a new view.
 type MsgNewView struct {
 	View    smr.View
-	Entries []logEntry
+	Entries []Entry
 	Sig     crypto.Signature
 }
 
@@ -192,173 +171,75 @@ func (m *MsgNewView) Bulk() bool { return true }
 
 // WireSize implements smr.Message.
 func (m *MsgNewView) WireSize() int {
-	s := msgHeader + 8 + len(m.Sig)
-	for i := range m.Entries {
-		s += 16 + m.Entries[i].Batch.wireSize()
-	}
-	return s
+	return msgHeader + 8 + len(m.Sig) + baseline.EntriesWireSize(m.Entries)
 }
 
 func (m *MsgNewView) sigPayload() []byte {
 	w := wire.New(64).Str("zz-nv").U64(uint64(m.View))
 	for i := range m.Entries {
 		e := &m.Entries[i]
-		d := e.Batch.digest()
+		d := domain.Digest(&e.Batch)
 		w.U64(uint64(e.SN)).Raw(d[:])
 	}
 	return w.Done()
 }
 
-type logEntry struct {
-	View  smr.View
-	SN    smr.SeqNum
-	Batch Batch
-}
-
-// Config parameterizes replicas and clients.
+// Config parameterizes replicas and clients: the shared baseline
+// configuration plus the client's fast-path deadline.
 type Config struct {
-	N, T           int
-	Suite          crypto.Suite
-	BatchSize      int
-	BatchTimeout   time.Duration
-	RequestTimeout time.Duration
+	baseline.Config
 	// CommitTimeout is the client's fast-path deadline before it falls
 	// back to the slow path.
 	CommitTimeout time.Duration
-	Observer      smr.CommitObserver
-
-	// SignedRequests makes clients sign requests; the primary verifies
-	// them before ordering and backups verify the batch before
-	// speculatively executing. Off by default (the paper's baseline
-	// uses MAC authenticators); the benchmark arena enables it so
-	// every protocol carries the same client-authentication cost as
-	// XPaxos.
-	SignedRequests bool
-	// VerifyWorkers sizes the verification pool used when
-	// SignedRequests is set: 0 uses the process-wide shared pool, 1
-	// verifies serially on the caller, >1 builds a dedicated pool.
-	VerifyWorkers int
-	// DisableAsyncCrypto runs request verification inline in Step
-	// instead of deferring it through Env.Defer.
-	DisableAsyncCrypto bool
 }
 
 func (c Config) withDefaults() Config {
-	if c.N == 0 {
-		c.N = 3*c.T + 1
-	}
-	if c.T == 0 {
-		c.T = (c.N - 1) / 3
-	}
-	if c.BatchSize == 0 {
-		c.BatchSize = 20
-	}
-	if c.BatchTimeout == 0 {
-		c.BatchTimeout = 5 * time.Millisecond
-	}
-	if c.RequestTimeout == 0 {
-		c.RequestTimeout = 2 * time.Second
-	}
+	c.Config = c.Config.WithDefaults(3)
 	if c.CommitTimeout == 0 {
 		c.CommitTimeout = 500 * time.Millisecond
 	}
 	return c
 }
 
-// Replica is a Zyzzyva replica.
+// ---------------------------------------------------------------------------
+// Replica
+// ---------------------------------------------------------------------------
+
+// Replica is a Zyzzyva replica (smr.Node).
 type Replica struct {
-	env   smr.Env
-	cfg   Config
-	id    smr.NodeID
-	n, t  int
-	suite crypto.Suite
-	app   smr.Application
+	*baseline.Core
 
-	view     smr.View
-	sn, ex   smr.SeqNum
-	history  crypto.Digest
-	log      map[smr.SeqNum]*logEntry
-	lastExec map[smr.NodeID]uint64
-	replies  map[smr.NodeID][]byte
+	sn, ex  smr.SeqNum
+	history crypto.Digest
+	log     map[smr.SeqNum]*Entry
+	// pendingOrder holds order-reqs that arrived (or finished
+	// verifying) ahead of their turn; orInFlight marks those whose
+	// client signatures a backup is still verifying (SignedRequests
+	// only).
+	pendingOrder map[smr.SeqNum]*MsgOrderReq
+	orInFlight   map[smr.SeqNum]bool
 
-	pendingReqs   []Request
-	pendingOrder  map[smr.SeqNum]*MsgOrderReq
-	batchTimer    smr.TimerID
-	batchTimerSet bool
-
-	verifyPool *crypto.Pool
-	asyncVer   bool
-	vqPending  []Request
-	verifying  bool
-	orInFlight map[smr.SeqNum]bool
-
-	electing bool
-	vcs      map[smr.NodeID]*MsgViewChange
-	progress smr.TimerID
-	watching bool
+	vcs map[smr.NodeID]*MsgViewChange
 }
 
 // NewReplica builds a replica.
 func NewReplica(id smr.NodeID, cfg Config, app smr.Application) *Replica {
-	cfg = cfg.withDefaults()
-	return &Replica{
-		cfg: cfg, id: id, n: cfg.N, t: cfg.T, suite: cfg.Suite, app: app,
-		log:          make(map[smr.SeqNum]*logEntry),
-		lastExec:     make(map[smr.NodeID]uint64),
-		replies:      make(map[smr.NodeID][]byte),
+	r := &Replica{
+		log:          make(map[smr.SeqNum]*Entry),
 		pendingOrder: make(map[smr.SeqNum]*MsgOrderReq),
+		orInFlight:   make(map[smr.SeqNum]bool),
 		vcs:          make(map[smr.NodeID]*MsgViewChange),
-
-		verifyPool: crypto.PoolFor(cfg.VerifyWorkers),
-		asyncVer:   !cfg.DisableAsyncCrypto,
-		orInFlight: make(map[smr.SeqNum]bool),
 	}
-}
-
-// View returns the current view.
-func (r *Replica) View() smr.View { return r.view }
-
-// Init implements smr.Node.
-func (r *Replica) Init(env smr.Env) { r.env = env }
-
-// Step implements smr.Node.
-func (r *Replica) Step(ev smr.Event) {
-	switch e := ev.(type) {
-	case smr.Start:
-	case smr.TimerFired:
-		r.onTimer(e)
-	case smr.Recv:
-		r.onRecv(e.From, e.Msg)
-	case smr.Async:
-		e.Apply()
-	}
-}
-
-func (r *Replica) isPrimary() bool { return Primary(r.n, r.view) == r.id }
-
-func (r *Replica) mac(to smr.NodeID, p []byte) crypto.MAC {
-	return r.suite.MAC(crypto.NodeID(r.id), crypto.NodeID(to), p)
-}
-
-func (r *Replica) onTimer(e smr.TimerFired) {
-	switch e.Kind {
-	case "batch":
-		if e.ID == r.batchTimer {
-			r.batchTimerSet = false
-			r.flush(true)
-		}
-	case "progress":
-		if e.ID == r.progress && r.watching {
-			r.watching = false
-			r.startViewChange(r.view + 1)
-		}
-	}
+	r.Core = baseline.NewCore(id, cfg.withDefaults().Config, domain, app, baseline.Hooks{
+		Recv: r.onRecv, Propose: r.propose,
+		Resend:  func(client smr.NodeID, ts uint64, rep []byte) { r.specReply(r.sn, client, ts, rep) },
+		Suspect: func() { r.startViewChange(r.View + 1) },
+	})
+	return r
 }
 
 func (r *Replica) onRecv(from smr.NodeID, msg smr.Message) {
 	switch m := msg.(type) {
-	case *MsgRequest:
-		r.onRequest(from, m.Req)
 	case *MsgOrderReq:
 		r.onOrderReq(from, m)
 	case *MsgCommitCert:
@@ -370,179 +251,50 @@ func (r *Replica) onRecv(from smr.NodeID, msg smr.Message) {
 	}
 }
 
-func (r *Replica) onRequest(from smr.NodeID, req Request) {
-	if req.TS <= r.lastExec[req.Client] {
-		if rep, ok := r.replies[req.Client]; ok {
-			r.specReply(req.Client, req.TS, rep, r.sn, r.isPrimary())
-		}
-		return
-	}
-	if !r.isPrimary() {
-		r.env.Send(Primary(r.n, r.view), &MsgRequest{Req: req})
-		if !r.watching {
-			r.watching = true
-			r.progress = r.env.SetTimer(r.cfg.RequestTimeout, "progress")
-		}
-		return
-	}
-	if r.cfg.SignedRequests {
-		r.vqPending = append(r.vqPending, req)
-		r.kickVerify()
-		return
-	}
-	r.pendingReqs = append(r.pendingReqs, req)
-	if len(r.pendingReqs) >= r.cfg.BatchSize {
-		r.flush(false)
-	} else if !r.batchTimerSet {
-		r.batchTimer = r.env.SetTimer(r.cfg.BatchTimeout, "batch")
-		r.batchTimerSet = true
-	}
+// extend returns the history hash chain extended by batch b.
+func (r *Replica) extend(b *Batch) crypto.Digest {
+	d := domain.Digest(b)
+	return crypto.HashParts([]byte("zz-hist"), r.history[:], d[:])
 }
 
-// kickVerify drains the signed-request intake queue through the verify
-// pool, one batch in flight at a time. Requests arriving while a batch
-// is out accumulate and go out in the next batch, so verification
-// batches grow under load exactly like the XPaxos pipeline. No view
-// guard: client signatures are view-independent and admit re-checks
-// primaryship per request, so a view change cannot wedge the queue.
-func (r *Replica) kickVerify() {
-	if r.verifying || len(r.vqPending) == 0 {
-		return
+func (r *Replica) propose(batch Batch) {
+	r.sn++
+	sn := r.sn
+	r.history = r.extend(&batch)
+	r.log[sn] = &Entry{View: r.View, SN: sn, Batch: batch}
+	for _, id := range r.Others {
+		m := &MsgOrderReq{View: r.View, SN: sn, History: r.history, Batch: batch}
+		m.MAC = r.MAC(id, m.macPayload())
+		r.Env.Send(id, m)
 	}
-	r.verifying = true
-	reqs := r.vqPending
-	r.vqPending = nil
-	batch := crypto.NewSigBatch(len(reqs))
-	for i := range reqs {
-		batch.Add(crypto.NodeID(reqs[i].Client), reqs[i].Sig, reqs[i].appendSigPayload)
-	}
-	var verdicts []bool
-	work := func() {
-		verdicts = r.verifyPool.VerifyEach(r.suite, batch.Jobs())
-		batch.Release()
-	}
-	apply := func() {
-		r.verifying = false
-		ok := reqs[:0]
-		for i := range reqs {
-			if verdicts[i] {
-				ok = append(ok, reqs[i])
-			}
-		}
-		r.admit(ok)
-		r.kickVerify()
-	}
-	if r.asyncVer {
-		r.env.Defer("verify-req", work, apply)
-	} else {
-		work()
-		apply()
-	}
-}
-
-// admit enqueues verified requests, re-running the checks that may
-// have changed while verification was in flight (duplicates, view
-// changes that moved the primary elsewhere).
-func (r *Replica) admit(reqs []Request) {
-	for _, req := range reqs {
-		if req.TS <= r.lastExec[req.Client] {
-			if rep, ok := r.replies[req.Client]; ok {
-				r.specReply(req.Client, req.TS, rep, r.sn, r.isPrimary())
-			}
-			continue
-		}
-		if !r.isPrimary() {
-			r.env.Send(Primary(r.n, r.view), &MsgRequest{Req: req})
-			continue
-		}
-		r.pendingReqs = append(r.pendingReqs, req)
-	}
-	if !r.isPrimary() || r.electing || len(r.pendingReqs) == 0 {
-		return
-	}
-	if len(r.pendingReqs) >= r.cfg.BatchSize {
-		r.flush(false)
-	} else if !r.batchTimerSet {
-		r.batchTimer = r.env.SetTimer(r.cfg.BatchTimeout, "batch")
-		r.batchTimerSet = true
-	}
-}
-
-func (r *Replica) flush(force bool) {
-	if !r.isPrimary() || r.electing {
-		return
-	}
-	for len(r.pendingReqs) >= r.cfg.BatchSize || (force && len(r.pendingReqs) > 0) {
-		nreq := min(len(r.pendingReqs), r.cfg.BatchSize)
-		batch := Batch{Reqs: append([]Request(nil), r.pendingReqs[:nreq]...)}
-		r.pendingReqs = r.pendingReqs[nreq:]
-		r.sn++
-		sn := r.sn
-		d := batch.digest()
-		r.history = crypto.HashParts([]byte("zz-hist"), r.history[:], d[:])
-		r.log[sn] = &logEntry{View: r.view, SN: sn, Batch: batch}
-		for i := 0; i < r.n; i++ {
-			if smr.NodeID(i) == r.id {
-				continue
-			}
-			m := &MsgOrderReq{View: r.view, SN: sn, History: r.history, Batch: batch}
-			m.MAC = r.mac(smr.NodeID(i), r.orderPayload(m))
-			r.env.Send(smr.NodeID(i), m)
-		}
-		r.executeSpec(sn)
-		force = false
-	}
-}
-
-func (r *Replica) orderPayload(m *MsgOrderReq) []byte {
-	d := m.Batch.digest()
-	return wire.New(96).Str("zz-or").U64(uint64(m.View)).U64(uint64(m.SN)).Raw(m.History[:]).Raw(d[:]).Done()
+	r.executeSpec(sn)
 }
 
 func (r *Replica) onOrderReq(from smr.NodeID, m *MsgOrderReq) {
-	if m.View != r.view || from != Primary(r.n, m.View) {
+	if m.View != r.View || from != r.Leader() || !r.VerifyMAC(from, m.macPayload(), m.MAC) {
 		return
 	}
-	if !r.suite.VerifyMAC(crypto.NodeID(from), crypto.NodeID(r.id), r.orderPayload(m), m.MAC) {
-		return
-	}
-	if !r.cfg.SignedRequests || len(m.Batch.Reqs) == 0 {
+	if !r.Cfg.SignedRequests || len(m.Batch.Reqs) == 0 {
 		r.acceptOrderReq(m)
 		return
 	}
-	// Dispatch half: batch-verify the clients' request signatures off
-	// the Step loop before speculatively executing. A correct primary
-	// forwards only verified requests, so one bad signature rejects
-	// the whole order-req. The apply half re-checks the view —
-	// order-reqs are view-specific — and acceptOrderReq's sequential
-	// drain through pendingOrder tolerates out-of-order completions.
+	// Batch-verify the clients' request signatures before speculatively
+	// executing. A correct primary forwards only verified requests, so
+	// one bad signature rejects the whole order-req. The completion
+	// re-checks the view — order-reqs are view-specific — and
+	// acceptOrderReq's sequential drain through pendingOrder tolerates
+	// out-of-order completions.
 	if r.orInFlight[m.SN] {
 		return
 	}
 	r.orInFlight[m.SN] = true
-	view := r.view
-	batch := crypto.NewSigBatch(len(m.Batch.Reqs))
-	for i := range m.Batch.Reqs {
-		batch.Add(crypto.NodeID(m.Batch.Reqs[i].Client), m.Batch.Reqs[i].Sig, m.Batch.Reqs[i].appendSigPayload)
-	}
-	var ok bool
-	work := func() {
-		ok = r.verifyPool.VerifyAll(r.suite, batch.Jobs())
-		batch.Release()
-	}
-	apply := func() {
+	view := r.View
+	r.VerifyBatch(&m.Batch, func(ok bool) {
 		delete(r.orInFlight, m.SN)
-		if !ok || r.view != view {
-			return
+		if ok && r.View == view {
+			r.acceptOrderReq(m)
 		}
-		r.acceptOrderReq(m)
-	}
-	if r.asyncVer {
-		r.env.Defer("verify-batch", work, apply)
-	} else {
-		work()
-		apply()
-	}
+	})
 }
 
 // acceptOrderReq is the complete half of order-req handling: it files
@@ -555,16 +307,15 @@ func (r *Replica) acceptOrderReq(m *MsgOrderReq) {
 			return
 		}
 		delete(r.pendingOrder, r.sn+1)
-		d := next.Batch.digest()
-		want := crypto.HashParts([]byte("zz-hist"), r.history[:], d[:])
+		want := r.extend(&next.Batch)
 		if want != next.History {
 			return // primary's history diverged; a real deployment would view change
 		}
 		r.sn++
 		r.history = want
-		r.log[r.sn] = &logEntry{View: next.View, SN: r.sn, Batch: next.Batch}
+		r.log[r.sn] = &Entry{View: next.View, SN: r.sn, Batch: next.Batch}
 		r.executeSpec(r.sn)
-		r.watching = false
+		r.Unwatch()
 	}
 }
 
@@ -574,37 +325,19 @@ func (r *Replica) executeSpec(sn smr.SeqNum) {
 	if sn != r.ex+1 {
 		return
 	}
-	e := r.log[sn]
 	r.ex = sn
-	for i := range e.Batch.Reqs {
-		req := &e.Batch.Reqs[i]
-		var rep []byte
-		if req.TS <= r.lastExec[req.Client] {
-			rep = r.replies[req.Client]
-		} else {
-			rep = r.app.Execute(req.Op)
-			r.lastExec[req.Client] = req.TS
-			r.replies[req.Client] = rep
-		}
-		if r.cfg.Observer != nil {
-			r.cfg.Observer(smr.Committed{Replica: r.id, View: e.View, Seq: e.SN, Client: req.Client, ClientTS: req.TS})
-		}
-		r.specReply(req.Client, req.TS, rep, sn, r.isPrimary())
-	}
+	r.Execute(r.log[sn], func(client smr.NodeID, ts uint64, rep []byte) { r.specReply(sn, client, ts, rep) })
 }
 
-func (r *Replica) specReply(client smr.NodeID, ts uint64, rep []byte, sn smr.SeqNum, full bool) {
-	m := &MsgSpecResponse{From: r.id, View: r.view, SN: sn, History: r.history, TS: ts, RepD: crypto.Hash(rep)}
-	if full {
+// specReply answers a client directly from every replica: the full
+// payload from the primary, its digest from the backups.
+func (r *Replica) specReply(sn smr.SeqNum, client smr.NodeID, ts uint64, rep []byte) {
+	m := &MsgSpecResponse{From: r.ID, View: r.View, SN: sn, History: r.history, TS: ts, RepD: crypto.Hash(rep)}
+	if r.IsLeader() {
 		m.Rep = rep
 	}
-	m.MAC = r.mac(client, r.specPayload(m))
-	r.env.Send(client, m)
-}
-
-func (r *Replica) specPayload(m *MsgSpecResponse) []byte {
-	return wire.New(96 + len(m.Rep)).Str("zz-sr").I64(int64(m.From)).U64(uint64(m.View)).
-		U64(uint64(m.SN)).Raw(m.History[:]).U64(m.TS).Raw(m.RepD[:]).Bytes(m.Rep).Done()
+	m.MAC = r.MAC(client, m.macPayload())
+	r.Env.Send(client, m)
 }
 
 func (r *Replica) onCommitCert(from smr.NodeID, m *MsgCommitCert) {
@@ -613,13 +346,9 @@ func (r *Replica) onCommitCert(from smr.NodeID, m *MsgCommitCert) {
 	if m.SN > r.ex {
 		return
 	}
-	ack := &MsgLocalCommit{From: r.id, TS: m.TS, SN: m.SN}
-	ack.MAC = r.mac(m.Client, r.localCommitPayload(ack))
-	r.env.Send(m.Client, ack)
-}
-
-func (r *Replica) localCommitPayload(m *MsgLocalCommit) []byte {
-	return wire.New(48).Str("zz-lc").I64(int64(m.From)).U64(m.TS).U64(uint64(m.SN)).Done()
+	ack := &MsgLocalCommit{From: r.ID, TS: m.TS, SN: m.SN}
+	ack.MAC = r.MAC(m.Client, ack.macPayload())
+	r.Env.Send(m.Client, ack)
 }
 
 // ---------------------------------------------------------------------------
@@ -627,120 +356,81 @@ func (r *Replica) localCommitPayload(m *MsgLocalCommit) []byte {
 // ---------------------------------------------------------------------------
 
 func (r *Replica) startViewChange(v smr.View) {
-	if v < r.view || (v == r.view && r.electing) {
+	if v < r.View || (v == r.View && r.Electing) {
 		return
 	}
-	r.view = v
-	r.electing = true
+	r.View = v
+	r.Electing = true
 	r.vcs = make(map[smr.NodeID]*MsgViewChange)
-	entries := make([]logEntry, 0, len(r.log))
-	for _, e := range r.log {
-		entries = append(entries, *e)
-	}
-	sort.Slice(entries, func(i, j int) bool { return entries[i].SN < entries[j].SN })
-	m := &MsgViewChange{View: v, From: r.id, Entries: entries}
-	m.Sig = r.suite.Sign(crypto.NodeID(r.id), m.sigPayload())
-	if r.isPrimary() {
+	m := &MsgViewChange{View: v, From: r.ID, Entries: baseline.SortedEntries(r.log)}
+	m.Sig = r.Suite.Sign(crypto.NodeID(r.ID), m.sigPayload())
+	if r.IsLeader() {
 		r.addVC(m)
 		return
 	}
-	for i := 0; i < r.n; i++ {
-		if smr.NodeID(i) != r.id {
-			r.env.Send(smr.NodeID(i), m)
-		}
+	for _, id := range r.Others {
+		r.Env.Send(id, m)
 	}
-	r.watching = true
-	r.progress = r.env.SetTimer(r.cfg.RequestTimeout, "progress")
+	r.Rewatch()
 }
 
 func (r *Replica) onViewChange(from smr.NodeID, m *MsgViewChange) {
-	if m.From != from || m.View < r.view {
+	if m.From != from || m.View < r.View || !r.Suite.Verify(crypto.NodeID(m.From), m.sigPayload(), m.Sig) {
 		return
 	}
-	if !r.suite.Verify(crypto.NodeID(m.From), m.sigPayload(), m.Sig) {
-		return
-	}
-	if m.View > r.view || !r.electing {
+	if m.View > r.View || !r.Electing {
 		r.startViewChange(m.View)
 	}
-	if Primary(r.n, r.view) == r.id && m.View == r.view {
+	if r.IsLeader() && m.View == r.View {
 		r.addVC(m)
 	}
 }
 
+// addVC completes the view change at 2t+1 view-change messages: merge
+// the transferred logs and install them everywhere.
 func (r *Replica) addVC(m *MsgViewChange) {
 	r.vcs[m.From] = m
-	if len(r.vcs) < 2*r.t+1 {
+	if len(r.vcs) < 2*r.T+1 {
 		return
 	}
-	best := make(map[smr.SeqNum]*logEntry)
-	var maxSN smr.SeqNum
+	logs := make([][]Entry, 0, len(r.vcs))
 	for _, vc := range r.vcs {
-		for i := range vc.Entries {
-			e := vc.Entries[i]
-			if cur, ok := best[e.SN]; !ok || e.View > cur.View {
-				best[e.SN] = &e
-			}
-			if e.SN > maxSN {
-				maxSN = e.SN
-			}
-		}
+		logs = append(logs, vc.Entries)
 	}
-	entries := make([]logEntry, 0, len(best))
-	for sn := smr.SeqNum(1); sn <= maxSN; sn++ {
-		e, ok := best[sn]
-		if !ok {
-			e = &logEntry{View: r.view, SN: sn, Batch: Batch{}}
-		}
-		e.View = r.view
-		entries = append(entries, *e)
-	}
-	nv := &MsgNewView{View: r.view, Entries: entries}
-	nv.Sig = r.suite.Sign(crypto.NodeID(r.id), nv.sigPayload())
-	for i := 0; i < r.n; i++ {
-		if smr.NodeID(i) != r.id {
-			r.env.Send(smr.NodeID(i), nv)
-		}
+	nv := &MsgNewView{View: r.View, Entries: baseline.MergeEntries(r.View, logs)}
+	nv.Sig = r.Suite.Sign(crypto.NodeID(r.ID), nv.sigPayload())
+	for _, id := range r.Others {
+		r.Env.Send(id, nv)
 	}
 	r.installNewView(nv)
 }
 
 func (r *Replica) onNewView(from smr.NodeID, m *MsgNewView) {
-	if from != Primary(r.n, m.View) || m.View < r.view {
+	if from != r.LeaderOf(m.View) || m.View < r.View || !r.Suite.Verify(crypto.NodeID(from), m.sigPayload(), m.Sig) {
 		return
 	}
-	if !r.suite.Verify(crypto.NodeID(from), m.sigPayload(), m.Sig) {
-		return
-	}
-	r.view = m.View
+	r.View = m.View
 	r.installNewView(m)
 }
 
 func (r *Replica) installNewView(m *MsgNewView) {
-	r.electing = false
-	r.watching = false
+	r.Electing = false
+	r.Unwatch()
 	r.vcs = make(map[smr.NodeID]*MsgViewChange)
 	r.pendingOrder = make(map[smr.SeqNum]*MsgOrderReq)
 	r.history = crypto.Digest{}
 	var maxSN smr.SeqNum
 	for i := range m.Entries {
-		e := m.Entries[i]
-		d := e.Batch.digest()
-		r.history = crypto.HashParts([]byte("zz-hist"), r.history[:], d[:])
-		r.log[e.SN] = &e
-		if e.SN > maxSN {
-			maxSN = e.SN
-		}
+		e := &m.Entries[i]
+		r.history = r.extend(&e.Batch)
+		r.log[e.SN] = e
+		maxSN = max(maxSN, e.SN)
 	}
-	if r.sn < maxSN {
-		r.sn = maxSN
-	}
+	r.sn = max(r.sn, maxSN)
 	for r.ex < maxSN {
 		r.executeSpec(r.ex + 1)
 	}
-	if r.isPrimary() {
-		r.flush(true)
-	}
+	r.Flush()
 }
 
 // ---------------------------------------------------------------------------
@@ -749,30 +439,17 @@ func (r *Replica) installNewView(m *MsgNewView) {
 
 // Client is a closed-loop Zyzzyva client with fast and slow paths.
 type Client struct {
-	env   smr.Env
-	cfg   Config
-	id    smr.NodeID
-	n, t  int
-	suite crypto.Suite
+	*baseline.Client
+	commitTimeout time.Duration
 
-	ts      uint64
-	view    smr.View
-	pending *pendingReq
+	// FastPath/SlowPath split Committed by how the request completed.
+	FastPath, SlowPath uint64
 
-	// OnCommit receives (op, reply, latency).
-	OnCommit func(op, rep []byte, latency time.Duration)
-	// Committed counts completions; FastPath/SlowPath split them.
-	Committed, FastPath, SlowPath uint64
-}
-
-type pendingReq struct {
-	req         Request
-	sentAt      time.Duration
-	reqTimer    smr.TimerID
-	commitTimer smr.TimerID
-	commitSet   bool
+	// Per-request state, reset by begin.
 	votes       map[smr.NodeID]*MsgSpecResponse
 	acks        map[smr.NodeID]bool
+	commitTimer smr.TimerID
+	commitSet   bool
 	certSent    bool
 	rep         []byte
 	hasRep      bool
@@ -781,99 +458,72 @@ type pendingReq struct {
 // NewClient builds a client.
 func NewClient(id smr.NodeID, cfg Config) *Client {
 	cfg = cfg.withDefaults()
-	return &Client{cfg: cfg, id: id, n: cfg.N, t: cfg.T, suite: cfg.Suite}
+	c := &Client{commitTimeout: cfg.CommitTimeout}
+	c.Client = baseline.NewClient(id, cfg.Config, domain, c.accept)
+	c.Begin = c.begin
+	return c
 }
 
-// Init implements smr.Node.
-func (c *Client) Init(env smr.Env) { c.env = env }
-
-// Invoke submits an operation.
-func (c *Client) Invoke(op []byte) {
-	if c.pending != nil {
-		panic("zyzzyva: client invoked with request outstanding")
-	}
-	c.ts++
-	req := Request{Op: op, TS: c.ts, Client: c.id}
-	if c.cfg.SignedRequests {
-		w := wire.Get()
-		req.appendSigPayload(w)
-		req.Sig = c.suite.Sign(crypto.NodeID(c.id), w.Done())
-		wire.Put(w)
-	}
-	c.pending = &pendingReq{
-		req: req, sentAt: c.env.Now(),
-		votes: make(map[smr.NodeID]*MsgSpecResponse),
-		acks:  make(map[smr.NodeID]bool),
-	}
-	c.env.Send(Primary(c.n, c.view), &MsgRequest{Req: req})
-	c.pending.reqTimer = c.env.SetTimer(c.cfg.RequestTimeout, "req")
+func (c *Client) begin() {
+	c.votes = make(map[smr.NodeID]*MsgSpecResponse)
+	c.acks = make(map[smr.NodeID]bool)
+	c.commitSet, c.certSent, c.hasRep = false, false, false
 }
 
-// Step implements smr.Node.
+// Step implements smr.Node: the commit timer is Zyzzyva's own;
+// everything else is the shared client's.
 func (c *Client) Step(ev smr.Event) {
-	switch e := ev.(type) {
-	case smr.Start:
-	case smr.Invoke:
-		c.Invoke(e.Op)
-	case smr.TimerFired:
-		p := c.pending
-		if p == nil {
-			return
-		}
-		switch {
-		case e.ID == p.reqTimer:
-			for i := 0; i < c.n; i++ {
-				c.env.Send(smr.NodeID(i), &MsgRequest{Req: p.req})
-			}
-			p.reqTimer = c.env.SetTimer(c.cfg.RequestTimeout, "req")
-		case p.commitSet && e.ID == p.commitTimer:
-			c.trySlowPath()
-		}
-	case smr.Recv:
-		switch m := e.Msg.(type) {
-		case *MsgSpecResponse:
-			c.onSpecResponse(e.From, m)
-		case *MsgLocalCommit:
-			c.onLocalCommit(e.From, m)
-		}
+	if e, ok := ev.(smr.TimerFired); ok && c.commitSet && e.ID == c.commitTimer {
+		c.trySlowPath()
+		return
 	}
+	c.Client.Step(ev)
 }
 
-func (c *Client) onSpecResponse(from smr.NodeID, m *MsgSpecResponse) {
-	p := c.pending
-	if p == nil || m.TS != p.req.TS || m.From != from {
-		return
+// accept is the reply-acceptance rule: 3t+1 matching speculative
+// responses (fast path), or 2t+1 local-commit acks for the commit
+// certificate (slow path).
+func (c *Client) accept(from smr.NodeID, msg smr.Message) ([]byte, bool) {
+	done := false
+	switch m := msg.(type) {
+	case *MsgSpecResponse:
+		done = c.onSpecResponse(from, m)
+	case *MsgLocalCommit:
+		done = c.onLocalCommit(from, m)
 	}
-	payload := wire.New(96 + len(m.Rep)).Str("zz-sr").I64(int64(m.From)).U64(uint64(m.View)).
-		U64(uint64(m.SN)).Raw(m.History[:]).U64(m.TS).Raw(m.RepD[:]).Bytes(m.Rep).Done()
-	if !c.suite.VerifyMAC(crypto.NodeID(from), crypto.NodeID(c.id), payload, m.MAC) {
-		return
+	if done && c.commitSet {
+		c.Env.CancelTimer(c.commitTimer)
+		c.commitSet = false
 	}
-	if m.View > c.view {
-		c.view = m.View
+	return c.rep, done
+}
+
+func (c *Client) onSpecResponse(from smr.NodeID, m *MsgSpecResponse) bool {
+	if m.TS != c.TS() || m.From != from || !c.VerifyMAC(from, m.macPayload(), m.MAC) {
+		return false
 	}
-	p.votes[from] = m
+	c.SawView(m.View)
+	c.votes[from] = m
 	if m.Rep != nil && crypto.Hash(m.Rep) == m.RepD {
-		p.rep, p.hasRep = m.Rep, true
+		c.rep, c.hasRep = m.Rep, true
 	}
 	// Fast path: all 3t+1 responses match.
 	voters, _ := c.matching()
-	if len(voters) == c.n && p.hasRep {
+	if len(voters) == c.N && c.hasRep {
 		c.FastPath++
-		c.finish()
-		return
+		return true
 	}
 	// Arm the slow-path timer once a majority certificate is possible.
-	if len(voters) >= 2*c.t+1 && !p.commitSet {
-		p.commitSet = true
-		p.commitTimer = c.env.SetTimer(c.cfg.CommitTimeout, "commit")
+	if len(voters) >= 2*c.T+1 && !c.commitSet {
+		c.commitSet = true
+		c.commitTimer = c.Env.SetTimer(c.commitTimeout, "commit")
 	}
+	return false
 }
 
 // matching returns the largest set of voters agreeing on (view, sn,
 // history, repD).
 func (c *Client) matching() ([]smr.NodeID, *MsgSpecResponse) {
-	p := c.pending
 	type key struct {
 		v  smr.View
 		sn smr.SeqNum
@@ -882,7 +532,7 @@ func (c *Client) matching() ([]smr.NodeID, *MsgSpecResponse) {
 	}
 	groups := make(map[key][]smr.NodeID)
 	var best []smr.NodeID
-	for id, m := range p.votes {
+	for id, m := range c.votes {
 		k := key{m.View, m.SN, m.History, m.RepD}
 		groups[k] = append(groups[k], id)
 		if len(groups[k]) > len(best) {
@@ -892,51 +542,33 @@ func (c *Client) matching() ([]smr.NodeID, *MsgSpecResponse) {
 	if best == nil {
 		return nil, nil
 	}
-	return best, p.votes[best[0]]
+	return best, c.votes[best[0]]
 }
 
 func (c *Client) trySlowPath() {
-	p := c.pending
-	if p == nil || p.certSent {
+	if c.certSent {
 		return
 	}
 	voters, sample := c.matching()
-	if len(voters) < 2*c.t+1 || !p.hasRep {
+	if len(voters) < 2*c.T+1 || !c.hasRep {
 		return
 	}
-	p.certSent = true
+	c.certSent = true
 	sort.Slice(voters, func(i, j int) bool { return voters[i] < voters[j] })
-	cert := &MsgCommitCert{Client: c.id, TS: p.req.TS, View: sample.View, SN: sample.SN, History: sample.History, Voters: voters}
-	for i := 0; i < c.n; i++ {
-		c.env.Send(smr.NodeID(i), cert)
+	cert := &MsgCommitCert{Client: c.ID, TS: c.TS(), View: sample.View, SN: sample.SN, History: sample.History, Voters: voters}
+	for i := 0; i < c.N; i++ {
+		c.Env.Send(smr.NodeID(i), cert)
 	}
 }
 
-func (c *Client) onLocalCommit(from smr.NodeID, m *MsgLocalCommit) {
-	p := c.pending
-	if p == nil || m.TS != p.req.TS || m.From != from {
-		return
+func (c *Client) onLocalCommit(from smr.NodeID, m *MsgLocalCommit) bool {
+	if m.TS != c.TS() || m.From != from || !c.VerifyMAC(from, m.macPayload(), m.MAC) {
+		return false
 	}
-	payload := wire.New(48).Str("zz-lc").I64(int64(m.From)).U64(m.TS).U64(uint64(m.SN)).Done()
-	if !c.suite.VerifyMAC(crypto.NodeID(from), crypto.NodeID(c.id), payload, m.MAC) {
-		return
-	}
-	p.acks[from] = true
-	if len(p.acks) >= 2*c.t+1 && p.hasRep {
+	c.acks[from] = true
+	if len(c.acks) >= 2*c.T+1 && c.hasRep {
 		c.SlowPath++
-		c.finish()
+		return true
 	}
-}
-
-func (c *Client) finish() {
-	p := c.pending
-	c.env.CancelTimer(p.reqTimer)
-	if p.commitSet {
-		c.env.CancelTimer(p.commitTimer)
-	}
-	c.pending = nil
-	c.Committed++
-	if c.OnCommit != nil {
-		c.OnCommit(p.req.Op, p.rep, c.env.Now()-p.sentAt)
-	}
+	return false
 }

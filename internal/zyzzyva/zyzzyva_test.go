@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"github.com/xft-consensus/xft/internal/apps/kv"
+	"github.com/xft-consensus/xft/internal/baseline"
 	"github.com/xft-consensus/xft/internal/crypto"
 	"github.com/xft-consensus/xft/internal/netsim"
 	"github.com/xft-consensus/xft/internal/smr"
@@ -26,19 +27,21 @@ func newCluster(t *testing.T, tf, nclients int) *cluster {
 	for i := 0; i < n; i++ {
 		store := kv.NewStore()
 		c.stores = append(c.stores, store)
-		r := NewReplica(smr.NodeID(i), Config{
+		r := NewReplica(smr.NodeID(i), Config{Config: baseline.Config{
 			N: n, T: tf, Suite: crypto.NewMeter(suite),
 			BatchSize: 4, BatchTimeout: 2 * time.Millisecond,
 			RequestTimeout: 400 * time.Millisecond,
-		}, store)
+		}}, store)
 		c.replicas = append(c.replicas, r)
 		c.net.AddNode(smr.NodeID(i), r)
 	}
 	for i := 0; i < nclients; i++ {
 		cl := NewClient(smr.ClientIDBase+smr.NodeID(i), Config{
-			N: n, T: tf, Suite: crypto.NewMeter(suite),
-			RequestTimeout: 400 * time.Millisecond,
-			CommitTimeout:  100 * time.Millisecond,
+			Config: baseline.Config{
+				N: n, T: tf, Suite: crypto.NewMeter(suite),
+				RequestTimeout: 400 * time.Millisecond,
+			},
+			CommitTimeout: 100 * time.Millisecond,
 		})
 		c.clients = append(c.clients, cl)
 		c.net.AddNode(smr.ClientIDBase+smr.NodeID(i), cl)
@@ -76,7 +79,7 @@ func TestZyzzyvaFigure6bPattern(t *testing.T) {
 	// Figure 6b (t=1): request; order-req to 3 replicas; 4 spec
 	// responses straight to the client.
 	c := newCluster(t, 1, 1)
-	c.replicas[0].cfg.BatchSize = 1
+	c.replicas[0].Cfg.BatchSize = 1
 	c.net.At(0, func() { c.clients[0].Invoke(kv.GetOp("x")) })
 	c.net.RunFor(time.Second)
 	counts := c.net.MessageCounts()
@@ -120,6 +123,6 @@ func TestZyzzyvaPrimaryCrash(t *testing.T) {
 	c.net.Crash(0)
 	c.net.RunFor(10 * time.Second)
 	if n <= before {
-		t.Fatalf("no commits after primary crash (view %d)", c.replicas[1].View())
+		t.Fatalf("no commits after primary crash (view %d)", c.replicas[1].View)
 	}
 }

@@ -71,12 +71,6 @@ type Options struct {
 	// 0 shares a process-wide GOMAXPROCS pool, 1 verifies serially,
 	// n > 1 dedicates n workers per replica.
 	VerifyWorkers int
-	// DisableAsyncCrypto forces signature work back into each
-	// replica's event loop. By default signing and verification run
-	// asynchronously (the crypto pipeline), so consecutive batches'
-	// crypto overlaps and a slow verification cannot delay timers or
-	// view changes.
-	DisableAsyncCrypto bool
 	// EnableFD turns on the fault-detection mechanism (Section 4.4).
 	EnableFD bool
 	// Seed makes the cluster's keys deterministic (default 1).
@@ -126,7 +120,6 @@ func NewCluster(opts Options) (*Cluster, error) {
 			BatchSize:          opts.BatchSize,
 			PipelineWindow:     opts.PipelineWindow,
 			VerifyWorkers:      opts.VerifyWorkers,
-			DisableAsyncCrypto: opts.DisableAsyncCrypto,
 			CheckpointInterval: 256,
 			EnableFD:           opts.EnableFD,
 		}
