@@ -18,7 +18,9 @@
 // many requests stay outstanding at once from this single client
 // identity, which saturates the server pipeline (and exercises its
 // admission queue) without spawning one process per connection. Keep
-// the window at or below the servers' per-client intake quota.
+// the window at or below the servers' per-client intake quota. Its
+// last line reports the longest stretch without a commit — with a
+// replica killed mid-load, the service gap.
 //
 // Channel security mirrors xft-server: mutual TLS derived from -seed
 // by default, -tls-cert/-tls-key/-tls-ca for provisioned material, or
@@ -30,6 +32,7 @@ import (
 	"fmt"
 	"log"
 	"sort"
+	"sync/atomic"
 	"time"
 
 	"github.com/xft-consensus/xft/internal/apps/zk"
@@ -76,20 +79,31 @@ func main() {
 	type completion struct {
 		rep []byte
 		lat time.Duration
+		at  time.Time
 	}
 	done := make(chan completion, *window+1)
-	cl, err := xpaxos.NewClient(smr.NodeID(*clientID), xpaxos.ClientConfig{
+	// refill, when set, runs on the client's event loop after every
+	// commit: the open-loop bench issues from there, where it may ask
+	// the client whether its window has room (CanInvoke).
+	var refill atomic.Pointer[func()]
+	var cl *xpaxos.Client
+	cl, err = xpaxos.NewClient(smr.NodeID(*clientID), xpaxos.ClientConfig{
 		N: n, T: *t, Suite: crypto.NewMeter(suite),
 		RequestTimeout: 2 * time.Second,
 		TSBase:         uint64(time.Now().UnixNano()),
 		Window:         *window,
-		OnCommit:       func(op, rep []byte, lat time.Duration) { done <- completion{rep, lat} },
+		OnCommit: func(op, rep []byte, lat time.Duration) {
+			done <- completion{rep, lat, time.Now()}
+			if f := refill.Load(); f != nil {
+				(*f)()
+			}
+		},
 	})
 	if err != nil {
 		log.Fatal(err) // e.g. -window above the replicas' dedupe width (64)
 	}
 	if *window < 1 {
-		*window = cl.Window() // driver accounting must match the effective window
+		*window = cl.Window() // report the effective window
 	}
 	node, err := transport.NewNode(smr.NodeID(*clientID), cl, *listen, peers, topts...)
 	if err != nil {
@@ -143,35 +157,41 @@ func main() {
 		op := zk.SetOp("/bench", payload, -1)
 		lats := make([]time.Duration, 0, count)
 		start := time.Now()
-		if *window <= 1 {
-			for i := 0; i < count; i++ {
-				node.Submit(smr.Invoke{Op: op})
-				select {
-				case c := <-done:
-					lats = append(lats, c.lat)
-				case <-time.After(*timeout):
-					log.Fatal("operation timed out")
+		// The longest stretch without a commit: under a fault, the
+		// service gap this client saw.
+		last, gap := start, time.Duration(0)
+		collect := func() {
+			select {
+			case c := <-done:
+				lats = append(lats, c.lat)
+				if d := c.at.Sub(last); d > gap {
+					gap = d
 				}
+				last = c.at
+			case <-time.After(*timeout):
+				log.Fatalf("stalled: %d/%d completed", len(lats), count)
 			}
-		} else {
-			// Open loop: keep up to -window requests outstanding. The
-			// driver tracks its own in-flight count; the client node
-			// enforces the same bound internally.
-			inflight, issued, completed := 0, 0, 0
-			for completed < count {
-				for inflight < *window && issued < count {
-					node.Submit(smr.Invoke{Op: op})
-					inflight++
+		}
+		if *window > 1 && count > 0 {
+			// Open loop: every commit tops the window up, from the event
+			// loop. The window is the client's to judge — a count of
+			// outstanding requests would let timestamps outrun a stuck one.
+			issued := 1 // the request submitted below; loop-owned after that
+			fill := func() {
+				for issued < count && cl.CanInvoke() {
+					cl.Invoke(op)
 					issued++
 				}
-				select {
-				case c := <-done:
-					lats = append(lats, c.lat)
-					inflight--
-					completed++
-				case <-time.After(*timeout):
-					log.Fatalf("stalled: %d/%d completed, %d outstanding", completed, count, inflight)
-				}
+			}
+			refill.Store(&fill)
+			node.Submit(smr.Invoke{Op: op})
+			for len(lats) < count {
+				collect()
+			}
+		} else {
+			for i := 0; i < count; i++ {
+				node.Submit(smr.Invoke{Op: op})
+				collect()
 			}
 		}
 		el := time.Since(start)
@@ -186,6 +206,7 @@ func main() {
 		fmt.Printf("%d writes in %v, window %d (%.1f ops/s, p50 %v, p99 %v)\n",
 			count, el.Round(time.Millisecond), *window, float64(count)/el.Seconds(),
 			pct(0.50).Round(time.Microsecond), pct(0.99).Round(time.Microsecond))
+		fmt.Printf("longest gap between commits: %d ms\n", gap.Milliseconds())
 		for id, st := range node.Stats().Peers {
 			fmt.Printf("peer %d: queued=%d dropped=%d\n", id, st.Queued, st.Drops)
 		}

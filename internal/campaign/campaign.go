@@ -560,7 +560,7 @@ func (c *campaign) startClients() {
 				return
 			}
 			cl := c.clients[ci]
-			if cl.Outstanding() < cl.Window() {
+			if cl.CanInvoke() {
 				c.issueNext(ci)
 			}
 			c.net.Engine().After(interval, pump)
@@ -702,7 +702,7 @@ func (c *campaign) probeProgress() {
 	for p := 0; p < probes; p++ {
 		ci := p
 		base[p] = c.ackedCnt[ci]
-		if c.clients[ci].Outstanding() >= c.clients[ci].Window() {
+		if !c.clients[ci].CanInvoke() {
 			continue // already flagged by checkDrain
 		}
 		launched[p] = true

@@ -3,7 +3,9 @@
 package campaign
 
 // The one campaign test kept out of the default `go test ./...`: it is
-// ~2 minutes of wall clock on its own. CI's campaign-smoke job runs it
+// minutes of wall clock on its own (two to ten: the cost is view changes
+// times the log hauled by each, and which groups a seed's rotation lands
+// on moves it severalfold). CI's campaign-smoke job runs it
 // with `-tags scale`; the nightly soak runs the same profile at full
 // scale.
 

@@ -191,8 +191,8 @@ func (r *Router) GroupFor(op []byte) smr.GroupID {
 
 // Invoke routes op to its shard's client. Like xpaxos.Client.Invoke it
 // must be called from event context, and the shard's client window
-// must have room (check Client(g).Outstanding() when driving open
-// loops).
+// must have room (check Client(GroupFor(op)).CanInvoke() when driving
+// open loops).
 func (r *Router) Invoke(op []byte) smr.GroupID {
 	g := r.GroupFor(op)
 	r.clients[g].Invoke(op)

@@ -26,7 +26,9 @@
 //     last-seen, and delivers smr.PeerDown / smr.PeerUp transitions
 //     into the node's inbox — so a protocol can suspect a silent peer
 //     at probe-timeout granularity instead of waiting for a
-//     retransmission timeout.
+//     retransmission timeout. A peer whose process died is reported
+//     sooner still: its connection closes and the peer's kernel refuses
+//     the redial, which is evidence, not silence (see refusedByPeer).
 package transport
 
 import (
@@ -39,6 +41,7 @@ import (
 	"net"
 	"sync"
 	"sync/atomic"
+	"syscall"
 	"time"
 
 	"github.com/xft-consensus/xft/internal/smr"
@@ -116,10 +119,11 @@ func WithTLS(t *TLS) Option {
 // WithKeepalive enables connection-level health probing: every
 // interval the node pings each replica peer over its outbound
 // connection (dialing it if necessary) and tracks the pong's RTT and
-// arrival time. A peer silent for longer than timeout is reported to
-// the hosted protocol node as an smr.PeerDown event through the
-// inbox; a pong after that reports smr.PeerUp. A zero timeout
-// defaults to 3x the interval.
+// arrival time. A peer silent for longer than timeout — or whose
+// established connection closed and whose kernel refused the redial —
+// is reported to the hosted protocol node as an smr.PeerDown event
+// through the inbox; a pong after that reports smr.PeerUp. A zero
+// timeout defaults to 3x the interval.
 func WithKeepalive(interval, timeout time.Duration) Option {
 	return func(nd *Node) {
 		if interval <= 0 {
@@ -156,7 +160,10 @@ type Node struct {
 	tls           *TLS
 	probeInterval time.Duration
 	probeTimeout  time.Duration
-	limiter       *rateLimiter
+	// probeKick asks the probe loop for a round ahead of its next tick:
+	// a writer has evidence that a peer died. Capacity 1 coalesces.
+	probeKick chan struct{}
+	limiter   *rateLimiter
 
 	mu      sync.Mutex
 	stopped bool
@@ -187,16 +194,23 @@ type peerConn struct {
 	c    net.Conn
 	shut bool
 
-	// Health record. pongLoop writes the observations (lastSeen, rtt);
-	// the up/down judgement — and thus every PeerDown/PeerUp event —
-	// is made only by the probe loop (judgeHealth), so transitions are
-	// totally ordered and the delivered events can never invert.
-	// Guarded by hmu; Stats reads it too.
+	// Health record. pongLoop and the writer record observations
+	// (lastSeen, rtt; refused); the up/down judgement — and thus every
+	// PeerDown/PeerUp event — is made only by the probe loop
+	// (judgeHealth), so transitions are totally ordered and the
+	// delivered events can never invert. Guarded by hmu; Stats reads it
+	// too.
 	hmu      sync.Mutex
 	lastSeen time.Duration
 	rtt      time.Duration
 	up       bool
 	est      smr.RTTEstimator
+	// refused: an established connection was lost and the peer's kernel
+	// refused the immediate redial (markRefused). A later pong clears it.
+	refused bool
+	// downAt is when the last down verdict fell; only a pong newer than
+	// it brings the peer back up.
+	downAt time.Duration
 }
 
 // markSeen records a pong observation at now with the given round-trip
@@ -209,6 +223,16 @@ func (pc *peerConn) markSeen(now, rtt time.Duration) {
 	pc.lastSeen = now
 	pc.rtt = rtt
 	pc.est.Observe(rtt)
+	pc.refused = false
+	pc.hmu.Unlock()
+}
+
+// markRefused records that the peer's process is gone: the writer lost
+// an established connection and the redial was refused. Like markSeen
+// it only records; the probe loop judges.
+func (pc *peerConn) markRefused() {
+	pc.hmu.Lock()
+	pc.refused = true
 	pc.hmu.Unlock()
 }
 
@@ -222,8 +246,10 @@ const (
 )
 
 // judgeHealth makes the probe loop's up/down decision: down when an
-// up peer has been silent past its deadline, up when a down peer has
-// answered within it. The deadline is per-peer — the RTT estimator
+// up peer has been silent past its deadline or has refused a redial,
+// up when a down peer has answered since the verdict and within the
+// deadline (a refused peer's last pong may be only moments old, and
+// must not revive it). The deadline is per-peer — the RTT estimator
 // stretches the configured timeout for peers whose measured round
 // trips need it, so one timeout serves both LAN and WAN links — but
 // never shrinks below it. Called only from the probe loop, so at most
@@ -233,11 +259,14 @@ func (pc *peerConn) judgeHealth(now, interval, timeout time.Duration) (healthTra
 	defer pc.hmu.Unlock()
 	deadline := pc.est.Deadline(interval, timeout)
 	silent := now - pc.lastSeen
+	refused := pc.refused
+	pc.refused = false
 	switch {
-	case pc.up && silent > deadline:
+	case pc.up && (refused || silent > deadline):
 		pc.up = false
+		pc.downAt = now
 		return healthWentDown, silent
-	case !pc.up && silent <= deadline:
+	case !pc.up && pc.lastSeen > pc.downAt && silent <= deadline:
 		pc.up = true
 		return healthWentUp, pc.rtt
 	}
@@ -279,6 +308,27 @@ func (pc *peerConn) closeConn() {
 	pc.mu.Unlock()
 }
 
+// dropConn closes c if it is still the current connection and reports
+// whether it was: the pong reader saw the stream end before the writer
+// tried to use it. False means the writer or Stop got there first.
+func (pc *peerConn) dropConn(c net.Conn) bool {
+	pc.mu.Lock()
+	defer pc.mu.Unlock()
+	if pc.c != c {
+		return false
+	}
+	c.Close()
+	pc.c = nil
+	return true
+}
+
+// hasConn reports whether a connection is currently published.
+func (pc *peerConn) hasConn() bool {
+	pc.mu.Lock()
+	defer pc.mu.Unlock()
+	return pc.c != nil
+}
+
 // shutdown closes the current connection and latches the peer closed.
 func (pc *peerConn) shutdown() {
 	pc.mu.Lock()
@@ -310,6 +360,7 @@ func NewNode(id smr.NodeID, node smr.Node, listenAddr string, peers map[smr.Node
 		inbound:     make(map[net.Conn]struct{}),
 		timers:      smr.NewTimerSet(),
 		start:       time.Now(),
+		probeKick:   make(chan struct{}, 1),
 	}
 	for _, opt := range opts {
 		opt(n)
@@ -657,22 +708,34 @@ func (n *Node) writeLoop(pc *peerConn) {
 	buf := wire.New(4 << 10) // reused per-frame encode buffer
 	backoff := dialBackoffMin
 	dialer := net.Dialer{Timeout: n.dialTimeout}
+	// redial asks for one dial now, message in hand or not: a probed
+	// peer's established connection was lost, and whether its kernel
+	// accepts or refuses the next one tells a dropped connection from a
+	// dead process. A connection younger than dialBackoffMin does not
+	// count as established, so a peer that accepts and closes at once
+	// is redialed at the pace of traffic and probes, not in a spin.
+	var connectedAt time.Duration
+	redial := false
 	fail := func(extra uint64) {
 		pc.closeConn()
 		bw = nil
 		pc.q.countDrops(unflushed + extra)
 		unflushed = 0
+		redial = n.probes(pc.id) && n.Now()-connectedAt >= dialBackoffMin
 	}
 	for {
 		m, ok := pc.q.pop()
 		wantPing := pc.pingPending.Load()
-		if !ok && !wantPing {
+		if bw != nil && !pc.hasConn() {
+			fail(0) // the pong reader saw the stream end (pongLoop)
+		}
+		if !ok && !wantPing && !redial {
 			if bw != nil {
 				if err := bw.Flush(); err != nil {
 					fail(0)
-				} else {
-					unflushed = 0
+					continue
 				}
+				unflushed = 0
 			}
 			select {
 			case <-pc.q.notify:
@@ -694,10 +757,19 @@ func (n *Node) writeLoop(pc *peerConn) {
 		// eviction applies if the peer stays down).
 		for bw == nil {
 			c, err := n.dialPeer(&dialer, pc)
+			afterLoss := redial
+			redial = false
 			if err != nil {
 				if n.ctx.Err() != nil {
 					pc.q.countDrops(unflushed + inHand)
 					return
+				}
+				if afterLoss && refusedByPeer(err) {
+					pc.markRefused()
+					select {
+					case n.probeKick <- struct{}{}:
+					default:
+					}
 				}
 				select {
 				case <-time.After(backoff):
@@ -716,6 +788,7 @@ func (n *Node) writeLoop(pc *peerConn) {
 				return // Stop won the race; the conn is closed
 			}
 			bw = bufio.NewWriterSize(c, writeBufSize)
+			connectedAt = n.Now()
 			if n.probeInterval > 0 {
 				// The pong reader lives exactly as long as this conn.
 				n.wg.Add(1)
@@ -768,7 +841,9 @@ func (n *Node) writeLoop(pc *peerConn) {
 // pongLoop drains keepalive replies from an outbound connection,
 // feeding the peer's health record. It exits with the connection: any
 // read error — the writer replacing the conn after a write failure,
-// or Stop closing it — ends the loop.
+// Stop closing it, or the peer closing its end — ends the loop. In the
+// last case, on a probed peer, it drops the connection and wakes the
+// writer to redial now rather than at the next write.
 func (n *Node) pongLoop(pc *peerConn, c net.Conn) {
 	defer n.wg.Done()
 	br := bufio.NewReaderSize(c, 512)
@@ -776,6 +851,9 @@ func (n *Node) pongLoop(pc *peerConn, c net.Conn) {
 	for {
 		kind, payload, err := ReadFrameKind(br, buf)
 		if err != nil {
+			if n.probes(pc.id) && pc.dropConn(c) {
+				pc.q.kick()
+			}
 			return
 		}
 		buf = payload
@@ -791,12 +869,28 @@ func (n *Node) pongLoop(pc *peerConn, c net.Conn) {
 	}
 }
 
+// probes reports whether id is a peer the probe loop watches.
+func (n *Node) probes(id smr.NodeID) bool {
+	// Clients come and go; only replicas are probed.
+	return n.probeInterval > 0 && id != n.id && !id.IsClient()
+}
+
+// refusedByPeer reports whether a dial failed because the peer's
+// kernel turned it away — nothing listens on the port any more, or the
+// closing listener reset the handshake. Unlike a timeout, that is an
+// answer from the peer's host.
+func refusedByPeer(err error) bool {
+	return errors.Is(err, syscall.ECONNREFUSED) || errors.Is(err, syscall.ECONNRESET)
+}
+
 // probeLoop drives keepalive probing: every interval it asks each
 // replica peer's writer to emit one ping (which dials the peer if no
-// traffic ever has) and turns silence past the timeout into an
-// smr.PeerDown event, recovery into smr.PeerUp. It is the sole
-// producer of health events, so the delivered transition sequence
-// always alternates and matches the health record's final state.
+// traffic ever has) and turns silence past the timeout — or a redial
+// refused by the peer's kernel, for which a writer kicks a round ahead
+// of the tick — into an smr.PeerDown event, recovery into smr.PeerUp.
+// It is the sole producer of health events, so the delivered
+// transition sequence always alternates and matches the health
+// record's final state.
 func (n *Node) probeLoop() {
 	defer n.wg.Done()
 	tick := time.NewTicker(n.probeInterval)
@@ -806,10 +900,11 @@ func (n *Node) probeLoop() {
 		case <-n.ctx.Done():
 			return
 		case <-tick.C:
+		case <-n.probeKick:
 		}
 		for id := range n.peers {
-			if id == n.id || id.IsClient() {
-				continue // clients come and go; only replicas are probed
+			if !n.probes(id) {
+				continue
 			}
 			pc := n.peer(id)
 			if pc == nil {

@@ -78,13 +78,16 @@ type Client struct {
 	// (PeerDown/PeerUp are edge-triggered; view rotation wants level
 	// state).
 	downPeers map[smr.NodeID]bool
+	// announced is one past the highest view a ⟨view-installed⟩ notice
+	// was honoured for; 0 before any.
+	announced smr.View
 
 	// Committed counts successful requests (exported for tests).
 	Committed uint64
 	// Retransmits counts timer_c expirations.
 	Retransmits uint64
-	// HealthRotations counts view-guess rotations triggered by PeerDown
-	// (exported for tests and stats).
+	// HealthRotations counts view-guess rotations triggered by the
+	// health signal (exported for tests and stats).
 	HealthRotations uint64
 }
 
@@ -126,21 +129,42 @@ func (c *Client) Init(env smr.Env) { c.env = env }
 // View returns the client's current view guess.
 func (c *Client) View() smr.View { return c.view }
 
-// Outstanding returns the number of in-flight requests.
+// Outstanding returns the number of in-flight requests. Whether one
+// more may be issued is CanInvoke's question, not this count's.
 func (c *Client) Outstanding() int { return len(c.pending) }
 
 // Window returns the configured window size.
 func (c *Client) Window() int { return c.cfg.Window }
 
+// CanInvoke reports whether Invoke may be called now: fewer than Window
+// requests are outstanding, and the next timestamp stays within the
+// replicas' execution-dedupe window of the oldest outstanding one.
+// While requests commit in order the second condition follows from the
+// first. It matters when one is stuck — after a primary crash — while
+// newer ones commit and free slots: were the timestamps allowed to run
+// execWindowBits past the stuck request, every replica would take it
+// for executed long ago, hold no reply for it, and never answer.
+func (c *Client) CanInvoke() bool {
+	if len(c.pending) >= c.cfg.Window {
+		return false
+	}
+	for ts := range c.pending {
+		if c.ts+1-ts >= execWindowBits {
+			return false
+		}
+	}
+	return true
+}
+
 // Invoke submits an operation. It must be called from within the
 // node's event context (e.g. the OnCommit callback, a Start handler,
-// or an smr.Invoke event). At most Window requests may be outstanding
-// at a time; with the default Window of 1 the client is closed-loop,
-// as in the paper's benchmarks.
+// or an smr.Invoke event), and only while CanInvoke holds; with the
+// default Window of 1 the client is closed-loop, as in the paper's
+// benchmarks.
 func (c *Client) Invoke(op []byte) {
-	if len(c.pending) >= c.cfg.Window {
-		panic(fmt.Sprintf("xpaxos: client invoked with %d requests outstanding (window %d)",
-			len(c.pending), c.cfg.Window))
+	if !c.CanInvoke() {
+		panic(fmt.Sprintf("xpaxos: client invoked with %d requests outstanding (window %d, timestamps may span %d)",
+			len(c.pending), c.cfg.Window, execWindowBits))
 	}
 	c.ts++
 	req := Request{Op: op, TS: c.ts, Client: c.id}
@@ -173,37 +197,38 @@ func (c *Client) Step(ev smr.Event) {
 		c.onPeerDown(e.Peer)
 	case smr.PeerUp:
 		delete(c.downPeers, e.Peer)
+		c.rotateToViableView() // with few enough down, a better view may exist again
 	}
 }
 
-// onPeerDown consumes the runtime's connection-health signal: when the
-// current view guess's primary goes dark, rotate the guess to the next
-// view with a live primary and re-send pending requests there, instead
-// of burning a full request timeout discovering the same fault. The
+// onPeerDown consumes the runtime's connection-health signal: when a
+// member of the current view guess's synchronous group goes dark — the
+// primary, or a follower without which nothing commits either — rotate
+// the guess to the view the replicas will rotate to (NextViableView,
+// the rule they follow) and re-send pending requests there, instead of
+// burning a full request timeout discovering the same fault. The
 // signal is advisory and local (a partial partition can sever only our
 // channel), so rotation never skips the protocol's safety interlocks —
 // the rotated-to primary still needs the usual t+1 reply quorum, and if
-// the guess is wrong the timeout path still fires and broadcasts.
+// the guess is wrong the timeout path still fires and broadcasts. With
+// more than t replicas down there is nowhere better to point: keep the
+// guess and let timers drive retransmission.
 func (c *Client) onPeerDown(peer smr.NodeID) {
 	if peer.IsClient() || peer == c.id {
 		return
 	}
 	c.downPeers[peer] = true
-	if peer != Primary(c.n, c.t, c.view) {
-		return // followers answer retransmissions; only a dead primary stalls us
-	}
-	// Scan forward for the next view whose primary is not known down,
-	// bounded by one full rotation of the C(n, t+1) synchronous groups.
-	// With every primary down there is nowhere better to point: keep the
-	// guess and let timers drive retransmission.
-	for i := 1; i <= GroupCount(c.n, c.t); i++ {
-		v := c.view + smr.View(i)
-		if !c.downPeers[Primary(c.n, c.t, v)] {
-			c.view = v
-			c.HealthRotations++
-			c.resendPending()
-			return
-		}
+	c.rotateToViableView()
+}
+
+// rotateToViableView moves the guess — and everything pending — to the
+// first view at or after it whose group is believed up, if there is one
+// and it is not the guess already.
+func (c *Client) rotateToViableView() {
+	if v, ok := NextViableView(c.n, c.t, c.view, c.downPeers); ok && v != c.view {
+		c.view = v
+		c.HealthRotations++
+		c.resendPending()
 	}
 }
 
@@ -217,6 +242,8 @@ func (c *Client) onRecv(from smr.NodeID, msg smr.Message) {
 		c.onSignedReply(from, m)
 	case *MsgSuspect:
 		c.onSuspect(from, m)
+	case *MsgViewInstalled:
+		c.onViewInstalled(from, m)
 	}
 }
 
@@ -372,6 +399,27 @@ func (c *Client) onSuspect(from smr.NodeID, m *MsgSuspect) {
 	for _, id := range SyncGroup(c.n, c.t, c.view) {
 		c.env.Send(id, m)
 	}
+	c.resendPending()
+}
+
+// onViewInstalled handles the new primary's notice that its view is
+// installed: adopt the view and re-send everything pending there now.
+// The notice is honoured once per view and only from that view's
+// primary; a view at our guess counts, because we may have rotated here
+// on our own suspicion before the primary was ready and had those
+// requests dropped.
+func (c *Client) onViewInstalled(from smr.NodeID, m *MsgViewInstalled) {
+	if m.From != from || from != Primary(c.n, c.t, m.View) {
+		return
+	}
+	if m.View < c.view || m.View < c.announced {
+		return
+	}
+	if !c.suite.VerifyMAC(crypto.NodeID(from), crypto.NodeID(c.id), m.MACPayload(), m.MAC) {
+		return
+	}
+	c.view = m.View
+	c.announced = m.View + 1
 	c.resendPending()
 }
 

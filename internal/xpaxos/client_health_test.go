@@ -47,10 +47,10 @@ func replicatesTo(env *clientEnv) []smr.NodeID {
 	return out
 }
 
-func newHealthTestClient(t *testing.T, env *clientEnv, n int) *Client {
+func newHealthTestClient(t *testing.T, env *clientEnv, tf int) *Client {
 	t.Helper()
 	c, err := NewClient(env.id, ClientConfig{
-		N: n, T: 1,
+		N: 2*tf + 1, T: tf,
 		Suite:          crypto.NewSimSuite(1),
 		RequestTimeout: time.Second,
 	})
@@ -69,7 +69,7 @@ func newHealthTestClient(t *testing.T, env *clientEnv, n int) *Client {
 // Algorithm 4 broadcast.
 func TestClientRotatesViewOnPrimaryDown(t *testing.T) {
 	env := &clientEnv{id: smr.ClientIDBase}
-	c := newHealthTestClient(t, env, 3)
+	c := newHealthTestClient(t, env, 1)
 	c.Invoke(kv.PutOp("k", []byte("v")))
 
 	p0 := Primary(3, 1, 0)
@@ -77,13 +77,14 @@ func TestClientRotatesViewOnPrimaryDown(t *testing.T) {
 		t.Fatalf("initial send went to %v, want [%d]", got, p0)
 	}
 
-	// A non-primary going down must not rotate: followers only answer
-	// retransmissions, and churning the guess would desynchronize the
-	// client from a healthy primary. Replica 2 is passive in view 0.
+	// A passive replica going down must not rotate: view 0 can still
+	// commit, and churning the guess would desynchronize the client
+	// from a healthy primary. Replica 2 is passive in view 0.
 	c.Step(smr.PeerDown{Peer: 2, LastSeen: time.Second})
 	if c.View() != 0 || c.HealthRotations != 0 {
 		t.Fatalf("rotated on passive PeerDown: view=%d rotations=%d", c.View(), c.HealthRotations)
 	}
+	c.Step(smr.PeerUp{Peer: 2, RTT: time.Millisecond})
 
 	// The primary goes dark: rotate ahead of the timeout and re-send.
 	c.Step(smr.PeerDown{Peer: p0, LastSeen: time.Second})
@@ -106,50 +107,43 @@ func TestClientRotatesViewOnPrimaryDown(t *testing.T) {
 	}
 }
 
-// TestClientRotationSkipsKnownDownPrimaries: with several peers dark,
-// the rotation lands on the first view whose primary is believed live;
-// with every replica dark it stays put (the timers still drive
-// recovery, and a wrong guess must not spin the view counter); and
-// PeerUp clears the level state so a recovered replica is a rotation
-// target again. Run at n=5 (C(5,2)=10 views, primaries 0,1,2,3) so
-// there are enough distinct primaries to skip across.
-func TestClientRotationSkipsKnownDownPrimaries(t *testing.T) {
-	const n = 5
+// TestClientRotationFollowsViableViews: the client's guess follows the
+// replicas' rule (NextViableView) — it leaves a view when any member
+// of its group is dark, follower as much as primary, lands on the first
+// view whose whole group is believed up, holds with more than t dark
+// (nowhere better to point, and a wrong guess must not spin the view
+// counter), and re-evaluates when a PeerUp makes a view viable again.
+// Run at t=2, where a view can have a live primary and a dead follower:
+//
+//	0:(0,1,2) 1:(0,1,3) 2:(0,1,4) 3:(0,2,3) 4:(0,2,4)
+//	5:(0,3,4) 6:(1,2,3) 7:(1,2,4) 8:(1,3,4) 9:(2,3,4)
+func TestClientRotationFollowsViableViews(t *testing.T) {
 	env := &clientEnv{id: smr.ClientIDBase}
-	c := newHealthTestClient(t, env, n)
+	c := newHealthTestClient(t, env, 2)
 	c.Invoke(kv.PutOp("k", []byte("v")))
-
-	// Views 0-3 have primary 0, views 4-6 primary 1: killing 1 then 0
-	// must skip all seven and land on the first view led by 2.
-	c.Step(smr.PeerDown{Peer: 1, LastSeen: time.Second})
-	c.Step(smr.PeerDown{Peer: 0, LastSeen: time.Second})
-	if c.HealthRotations != 1 {
-		t.Fatalf("HealthRotations = %d, want 1", c.HealthRotations)
+	step := func(ev smr.Event, wantView smr.View, wantRotations uint64) {
+		t.Helper()
+		c.Step(ev)
+		if c.View() != wantView || c.HealthRotations != wantRotations {
+			t.Fatalf("after %#v: view %d after %d rotations, want view %d after %d",
+				ev, c.View(), c.HealthRotations, wantView, wantRotations)
+		}
 	}
-	live := Primary(n, 1, c.View())
-	if live == 0 || live == 1 {
-		t.Fatalf("rotation landed on a known-down primary %d (view %d)", live, c.View())
-	}
+	down := func(id smr.NodeID) smr.Event { return smr.PeerDown{Peer: id, LastSeen: time.Second} }
+	up := func(id smr.NodeID) smr.Event { return smr.PeerUp{Peer: id, RTT: time.Millisecond} }
 
-	// Kill everything else: replicas 3 and 4 are not the current
-	// primary (no rotation), then the current primary dies with every
-	// primary candidate down — nowhere better to point, the view holds.
-	c.Step(smr.PeerDown{Peer: 3, LastSeen: time.Second})
-	c.Step(smr.PeerDown{Peer: 4, LastSeen: time.Second})
-	viewBefore := c.View()
-	c.Step(smr.PeerDown{Peer: live, LastSeen: time.Second})
-	if c.View() != viewBefore || c.HealthRotations != 1 {
-		t.Fatalf("view moved to %d (rotations %d) with every primary down; should hold at %d",
-			c.View(), c.HealthRotations, viewBefore)
+	step(down(4), 0, 0) // passive in view 0
+	step(down(1), 3, 1) // a follower of view 0: the primary lives, the view does not
+	if sends := replicatesTo(env); len(sends) != 2 || sends[1] != 0 {
+		t.Fatalf("pending request not re-sent to view 3's primary 0: %v", sends)
 	}
-
-	// Replica 0 recovers, then the current primary's link flaps down
-	// again: the rotation must now find its way back to 0.
-	c.Step(smr.PeerUp{Peer: 0, RTT: time.Millisecond})
-	c.Step(smr.PeerUp{Peer: live, RTT: time.Millisecond})
-	c.Step(smr.PeerDown{Peer: live, LastSeen: time.Second})
-	if got := Primary(n, 1, c.View()); got != 0 {
-		t.Fatalf("after PeerUp(0), rotation picked %d (view %d), want the recovered 0", got, c.View())
+	step(down(0), 3, 1) // three of five dark: hold
+	step(up(4), 9, 2)   // {0,1} dark: the only group without them
+	step(up(0), 9, 2)
+	step(up(1), 9, 2)
+	step(down(2), 11, 3) // wraps: 10 = (0,1,2) holds the dark 2, 11 = (0,1,3) is clean
+	if c.Retransmits != 0 {
+		t.Fatal("rotation burned a retransmission; it must act before the timeout path")
 	}
 }
 

@@ -42,6 +42,7 @@ const (
 	tagLazyCommit
 	tagFaultProof
 	tagForkIIQuery
+	tagViewInstalled
 )
 
 // ErrBadMessage reports an encoding that is truncated, malformed, or
@@ -404,6 +405,21 @@ func (m *MsgSuspect) unmarshalBody(rd *wire.Reader) bool {
 	return true
 }
 
+func (m *MsgViewInstalled) marshalBody(w *wire.Buf) {
+	w.U64(uint64(m.View)).I64(int64(m.From)).Bytes(m.MAC)
+}
+
+func (m *MsgViewInstalled) unmarshalBody(rd *wire.Reader) bool {
+	view, ok1 := rd.U64()
+	from, ok2 := rd.I64()
+	mac, ok3 := rd.Bytes()
+	if !(ok1 && ok2 && ok3) {
+		return false
+	}
+	m.View, m.From, m.MAC = smr.View(view), smr.NodeID(from), crypto.MAC(mac)
+	return true
+}
+
 func (m *MsgViewChange) marshalBody(w *wire.Buf) {
 	w.U64(uint64(m.NewView)).I64(int64(m.From))
 	m.Checkpoint.marshalWire(w)
@@ -667,6 +683,9 @@ func AppendMessage(w *wire.Buf, m smr.Message) error {
 	case *MsgForkIIQuery:
 		w.U8(tagForkIIQuery)
 		m.marshalBody(w)
+	case *MsgViewInstalled:
+		w.U8(tagViewInstalled)
+		m.marshalBody(w)
 	default:
 		return fmt.Errorf("xpaxos: no wire codec for %T", m)
 	}
@@ -771,6 +790,10 @@ func DecodeMessage(b []byte) (smr.Message, error) {
 		m = x
 	case tagForkIIQuery:
 		x := new(MsgForkIIQuery)
+		ok = x.unmarshalBody(rd)
+		m = x
+	case tagViewInstalled:
+		x := new(MsgViewInstalled)
 		ok = x.unmarshalBody(rd)
 		m = x
 	default:

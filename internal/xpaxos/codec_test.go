@@ -119,6 +119,7 @@ func sampleMessages() []smr.Message {
 		&MsgLazyCommit{Entry: sampleCommitEntry(513)},
 		&MsgFaultProof{Kind: "fork-i", View: 5, Culprit: 1, SN: 514, EvidenceA: sampleViewChange(), EvidenceB: sampleViewChange()},
 		&MsgForkIIQuery{View: 5, OldView: 4, Culprit: 1, SN: 515, Evidence: sampleViewChange()},
+		&MsgViewInstalled{View: 6, From: 1, MAC: []byte("imac")},
 	}
 }
 
@@ -156,7 +157,7 @@ func TestCodecCoversAllTags(t *testing.T) {
 		}
 		seen[enc[0]] = true
 	}
-	for tag := tagReplicate; tag <= tagForkIIQuery; tag++ {
+	for tag := tagReplicate; tag <= tagViewInstalled; tag++ {
 		if !seen[tag] {
 			t.Errorf("no sample message covers tag %d", tag)
 		}

@@ -91,12 +91,13 @@ func TestProactiveSuspectBeatsRetransmitBaseline(t *testing.T) {
 
 	t.Logf("view-change delay after partition: proactive=%v baseline=%v", proactiveDelay, baselineDelay)
 
-	// The proactive path reacts at probe-timeout granularity (200ms
-	// timeout + a probe tick + suspect gossip), the baseline needs a
+	// The proactive path is detection (200ms probe timeout, at most one
+	// 50ms probe tick more) plus one view change (the 2Δ = 200ms
+	// collection wait and a round of messages); the baseline needs a
 	// client retransmission (2s) plus the armed watch to expire
 	// (another 2s).
-	if proactiveDelay > time.Second {
-		t.Errorf("proactive view change took %v, want < 1s (probe timeout 200ms)", proactiveDelay)
+	if want := 200*time.Millisecond + 50*time.Millisecond + 2*foDelta + foRound; proactiveDelay > want {
+		t.Errorf("proactive view change took %v, want at most %v (probe timeout + a tick + 2Δ + a round)", proactiveDelay, want)
 	}
 	if baselineDelay < 2*time.Second {
 		t.Errorf("baseline view change took %v — expected the retransmit path (> 2s); is the baseline accidentally health-fed?", baselineDelay)
@@ -146,22 +147,28 @@ func TestPeerDownIgnoredWhenIrrelevant(t *testing.T) {
 // by its follower at probe granularity with no client involvement at
 // all.
 func TestProactiveSuspectPrimaryCrash(t *testing.T) {
-	c := newCluster(t, clusterOpts{
+	const crashAt = 300 * time.Millisecond
+	c := newFailoverCluster(t, clusterOpts{
 		t:             1,
 		reqTimeout:    time.Hour, // only the health signal can act
 		probeInterval: 50 * time.Millisecond,
 		probeTimeout:  200 * time.Millisecond,
 	})
-	c.net.At(300*time.Millisecond, func() { c.net.Crash(0) })
+	c.net.At(crashAt, func() { c.net.Crash(0) })
 	c.run(5 * time.Second)
-	// View 1's group (0,2) contains the dead primary; the cluster must
-	// keep rotating until it lands on (1,2) = view 2.
-	for _, id := range []int{1, 2} {
-		if v := c.replicas[id].view; v < 2 {
-			t.Errorf("replica %d still in view %d; health signal did not drive rotation past the dead node", id, v)
+	// View 1's group (0,2) contains the dead primary; the rotation must
+	// pass it without waiting and land on (1,2) = view 2: detection,
+	// then one view change.
+	for _, id := range []smr.NodeID{1, 2} {
+		if v := c.replicas[id].view; v != 2 {
+			t.Errorf("replica %d in view %d, want 2; health signal did not drive rotation past the dead node", id, v)
 		}
 		if c.replicas[id].InViewChange() {
 			t.Errorf("replica %d stuck mid view change", id)
+		}
+		want := 200*time.Millisecond + 50*time.Millisecond + 2*foDelta + foRound
+		if took := c.installedAt(id, 2) - crashAt; took > want {
+			t.Errorf("replica %d installed view 2 %v after the crash, want at most %v (probe timeout + a tick + 2Δ + a round)", id, took, want)
 		}
 	}
 }

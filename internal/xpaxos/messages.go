@@ -421,6 +421,29 @@ func (m *MsgSuspect) Type() string { return "suspect" }
 // WireSize implements smr.Message.
 func (m *MsgSuspect) WireSize() int { return msgHeader + 8 + 8 + len(m.Sig) }
 
+// MsgViewInstalled is the new primary's notice to a client that View
+// is installed and taking requests: the client points its view guess
+// there and re-sends what it has pending, instead of waiting out a
+// request timeout aimed at a primary that is gone. It carries no
+// authority — a wrong guess costs the client a timeout, as it always
+// has — so a MAC under the pairwise key suffices.
+type MsgViewInstalled struct {
+	View smr.View
+	From smr.NodeID
+	MAC  crypto.MAC
+}
+
+// MACPayload returns the authenticated bytes.
+func (m *MsgViewInstalled) MACPayload() []byte {
+	return wire.New(32).Str("xp-installed").U64(uint64(m.View)).I64(int64(m.From)).Done()
+}
+
+// Type implements smr.Message.
+func (m *MsgViewInstalled) Type() string { return "view-installed" }
+
+// WireSize implements smr.Message.
+func (m *MsgViewInstalled) WireSize() int { return msgHeader + 8 + 8 + len(m.MAC) }
+
 // CheckpointProof is a stable checkpoint: sequence number, state
 // digest and t+1 signed chkpt records (Section 4.5.1).
 type CheckpointProof struct {

@@ -22,7 +22,7 @@ func TestOpenLoopWindowedClient(t *testing.T) {
 	issued := 0
 	maxOut := 0
 	pump := func() {
-		for cl.Outstanding() < window && issued < total {
+		for cl.CanInvoke() && issued < total {
 			cl.Invoke(kv.PutOp(fmt.Sprintf("k%d", issued%5), []byte(fmt.Sprintf("v%d", issued))))
 			issued++
 			if cl.Outstanding() > maxOut {
@@ -90,7 +90,7 @@ func TestOpenLoopSurvivesShedding(t *testing.T) {
 	cl := c.clients[0]
 	issued := 0
 	pump := func() {
-		for cl.Outstanding() < window && issued < total {
+		for cl.CanInvoke() && issued < total {
 			cl.Invoke(kv.PutOp("k", []byte(fmt.Sprintf("v%d", issued))))
 			issued++
 		}

@@ -177,11 +177,13 @@ type Replica struct {
 	futureVC     map[smr.View]map[smr.NodeID]*MsgViewChange
 	futureFinal  map[smr.View]map[smr.NodeID]*MsgVCFinal
 	futureNV     map[smr.View]*MsgNewView
-	// vcConsec counts view changes entered since the last fresh batch
-	// execution. Each consecutive unproductive view change doubles
-	// timer_vc (capped), so a run of bad luck with the group rotation —
-	// or a backlog too deep to clear in one timeout — converges instead
-	// of churning through views at the minimum period forever.
+	// vcConsec counts view changes attempted — a collection started
+	// with a full timer_vc — since the last fresh batch execution. Each
+	// consecutive unproductive attempt doubles timer_vc (capped), so a
+	// run of bad luck with the group rotation — or a backlog too deep to
+	// clear in one timeout — converges instead of churning through views
+	// at the minimum period forever. Views skipped because a member is
+	// known down (suspectDoomedView) are not attempts.
 	vcConsec int
 
 	// Fault detection (fd.go).
@@ -193,7 +195,7 @@ type Replica struct {
 
 	// downPeers is the level view of the runtime's edge-triggered
 	// PeerDown/PeerUp health events: peers currently believed dead or
-	// partitioned from us. Consulted when a view installs, so a group
+	// partitioned from us. Consulted when a view is entered, so a group
 	// containing a known-dead member is suspected immediately.
 	downPeers map[smr.NodeID]bool
 }
@@ -330,6 +332,7 @@ func (r *Replica) Step(ev smr.Event) {
 		r.onPeerDown(e)
 	case smr.PeerUp:
 		delete(r.downPeers, e.Peer)
+		r.suspectDoomedView() // the recovery may have made a better view viable
 	}
 }
 
@@ -341,56 +344,49 @@ func (r *Replica) Step(ev smr.Event) {
 // monitors continuously rather than auditing only at view change. The
 // peer is also remembered in downPeers (the events are edge-triggered;
 // the protocol wants level state), so a later view that rotates the
-// dead peer back into the group is suspected as soon as it installs —
-// see suspectDownGroupMembers.
+// dead peer back into the group is suspected as soon as it is entered
+// — see suspectDoomedView.
 func (r *Replica) onPeerDown(e smr.PeerDown) {
 	if e.Peer == r.id {
 		return
 	}
 	r.downPeers[e.Peer] = true
-	if r.cfg.DisableProactiveSuspect {
-		return
-	}
-	if r.status != statusNormal || !r.isActive() {
-		return // the view-change timer owns fault handling mid-change
-	}
-	if !InGroup(r.n, r.t, r.view, e.Peer) {
-		return // passive peers do not gate progress; ignore
-	}
-	r.suspect(r.view)
+	r.suspectDoomedView()
 }
 
-// suspectDownGroupMembers suspects the current view if a synchronous
-// group member is already known dead — called when a view installs,
-// so the rotation skips past doomed groups at gossip speed instead of
-// burning a full view-change timeout rediscovering the same fault. It
-// reports whether it suspected.
+// suspectDoomedView suspects the current view if a member of its
+// synchronous group is known down and a better view exists — the
+// NextViableView rule. It runs whenever the view or the down set
+// changes (view entry, PeerDown, PeerUp), in normal operation and mid
+// view change alike: an active replica may always suspect its own
+// view, so a view change that cannot complete is abandoned at gossip
+// speed instead of burning timer_vc rediscovering a known fault, and
+// the rotation lands on the first viable group. It reports whether the
+// replica moved on.
 //
-// Viability guard: with more than t peers down, every C(n, t+1) group
-// contains one, so skipping is futile — the cascade would spin through
-// view numbers at gossip speed for as long as the outage lasts.
-// Suspend proactive suspicion instead and let timers rediscover the
-// fault once enough peers answer probes again.
-func (r *Replica) suspectDownGroupMembers() bool {
+// With more than t peers down every group contains one, so skipping is
+// futile — the cascade would spin through view numbers at gossip speed
+// for as long as the outage lasts. NextViableView then reports no
+// viable view and the timers rediscover the fault once enough peers
+// answer probes again.
+func (r *Replica) suspectDoomedView() bool {
 	if r.cfg.DisableProactiveSuspect || !r.isActive() {
 		return false
 	}
-	down := 0
-	for id, d := range r.downPeers {
-		if d && !id.IsClient() {
-			down++
-		}
-	}
-	if down > r.t {
+	v := r.view
+	if next, ok := NextViableView(r.n, r.t, v, r.downPeers); !ok || next == v {
 		return false
 	}
-	for _, id := range r.group {
-		if id != r.id && r.downPeers[id] {
-			r.suspect(r.view)
-			return true
-		}
+	if r.vcState != nil && r.vcConsec > 0 {
+		// This view's collection started a full timer_vc and was counted
+		// as a view-change attempt; abandoning it over a known-dead member
+		// says nothing about how long a view change needs. (The count can
+		// already be back at zero: a lazily replicated entry executed
+		// since.)
+		r.vcConsec--
 	}
-	return false
+	r.suspect(v)
+	return r.view > v
 }
 
 // goCrypto runs work off the event loop through the runtime's async

@@ -1,6 +1,7 @@
 package xpaxos
 
 import (
+	"slices"
 	"sort"
 
 	"github.com/xft-consensus/xft/internal/crypto"
@@ -103,6 +104,18 @@ func (r *Replica) enterView(nv smr.View) {
 	r.view = nv
 	r.group = SyncGroup(r.n, r.t, nv)
 	r.status = statusViewChange
+	if r.vcState != nil {
+		r.env.CancelTimer(r.vcState.netTimer)
+		r.env.CancelTimer(r.vcState.vcTimer)
+		r.vcState = nil
+	}
+	if r.suspectDoomedView() {
+		// A member of nv's group is known down: nv cannot install, and as
+		// one of its active replicas we have said so and entered the next
+		// view, which reset everything below. No view-change message, no
+		// timer and no back-off step are spent on nv.
+		return
+	}
 
 	// Abandon per-view volatile state. The queued markers are rebuilt
 	// from the unbatched backlog only: requests that were batched into
@@ -132,11 +145,6 @@ func (r *Replica) enterView(nv smr.View) {
 	r.replySignVerifying = make(map[replySigID]bool)
 	r.fwdPending = nil
 	r.fwdInFlight = false
-	if r.vcState != nil {
-		r.env.CancelTimer(r.vcState.netTimer)
-		r.env.CancelTimer(r.vcState.vcTimer)
-		r.vcState = nil
-	}
 
 	vc := r.buildViewChange(nv)
 	for _, id := range SyncGroup(r.n, r.t, nv) {
@@ -642,14 +650,30 @@ func (r *Replica) processNewView(m *MsgNewView) {
 			}
 		}
 	}
-	// The new primary resumes batching client requests.
+	// The new primary resumes batching client requests, and tells the
+	// clients it knows where to send them.
 	if r.isPrimary() {
 		r.flushBatches(true)
+		r.announceView()
 	}
-	// If the rotation put a peer we already know is dead into the new
-	// group, move on immediately (keepalive level state; the events
-	// themselves fire only on transitions).
-	r.suspectDownGroupMembers()
+}
+
+// announceView sends ⟨view-installed⟩ to every client this replica has
+// executed a request for. Nothing else tells a client that a view
+// installed: its requests to the dead primary are lost, and those it
+// re-sent on its own suspicion may have reached us before we were
+// primary. Its request timer remains the fallback.
+func (r *Replica) announceView() {
+	clients := make([]smr.NodeID, 0, len(r.lastExec))
+	for c := range r.lastExec {
+		clients = append(clients, c)
+	}
+	slices.Sort(clients) // send order must not depend on map order (netsim determinism)
+	for _, c := range clients {
+		m := &MsgViewInstalled{View: r.view, From: r.id}
+		m.MAC = r.suite.MAC(crypto.NodeID(r.id), crypto.NodeID(c), m.MACPayload())
+		r.env.Send(c, m)
+	}
 }
 
 // collectReplyDigests recomputes the reply root inputs for a batch

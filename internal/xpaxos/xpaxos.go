@@ -90,16 +90,17 @@ type Config struct {
 	// EnableFD turns on the fault-detection mechanism (Section 4.4).
 	EnableFD bool
 	// DisableProactiveSuspect turns off the replica's reaction to the
-	// runtime's connection-health signal. By default, an smr.PeerDown
-	// event naming a member of the current synchronous group makes an
-	// active replica suspect the view immediately — the keepalive
-	// prober (TCP transport) or the modeled link monitor (netsim)
-	// detects a dead or partitioned peer at probe-timeout granularity,
-	// well before a client retransmission would arm the Algorithm 4
-	// watch. The signal is advisory and local; reacting to it costs at
-	// worst a spurious view change, which the protocol tolerates by
-	// design. Disabling restores the retransmit-timeout-only fault
-	// path of the paper's baseline.
+	// runtime's connection-health signal. By default, an active replica
+	// suspects its view as soon as it knows a member of the view's
+	// synchronous group to be down — when the smr.PeerDown arrives, or
+	// when it enters a view whose group holds such a peer (see
+	// NextViableView) — the keepalive prober (TCP transport) or the
+	// modeled link monitor (netsim) detects a dead or partitioned peer
+	// at probe-timeout granularity or better, well before a client
+	// retransmission would arm the Algorithm 4 watch. The signal is
+	// advisory and local; reacting to it costs at worst a spurious view
+	// change, which the protocol tolerates by design. Disabling restores
+	// the retransmit-timeout-only fault path of the paper's baseline.
 	DisableProactiveSuspect bool
 	// DisableLazyReplication turns off lazy replication to passive
 	// replicas (Section 4.5.2); on by default.
@@ -260,6 +261,43 @@ func InGroup(n, t int, v smr.View, id smr.NodeID) bool {
 		}
 	}
 	return false
+}
+
+// NextViableView returns the first view at or after from whose whole
+// synchronous group is believed up, given the set of replicas a node
+// currently believes down. Every entry needs the whole group, so a
+// view with any down member — primary or follower — cannot make
+// progress. It is the one view-skipping rule: replicas suspect a view
+// it skips, clients point their guess at the view it returns. It
+// reports false when more than t replicas are down: then every group
+// contains one, there is nowhere better to go, and timers must drive.
+func NextViableView(n, t int, from smr.View, down map[smr.NodeID]bool) (smr.View, bool) {
+	downReplicas := 0
+	for i := 0; i < n; i++ {
+		if down[smr.NodeID(i)] {
+			downReplicas++
+		}
+	}
+	if downReplicas == 0 {
+		return from, true
+	}
+	if downReplicas > t {
+		return from, false
+	}
+	// One rotation visits every group, and with at most t of 2t+1
+	// replicas down one of them is all up.
+	groups := cachedCombinations(n, t+1)
+search:
+	for i := range groups {
+		v := from + smr.View(i)
+		for _, id := range groups[int(v)%len(groups)] {
+			if down[smr.NodeID(id)] {
+				continue search
+			}
+		}
+		return v, true
+	}
+	return from, false
 }
 
 // combinations enumerates k-subsets of {0..n-1} in lexicographic order.

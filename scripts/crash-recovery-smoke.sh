@@ -2,6 +2,8 @@
 # Crash-recovery smoke: a live 3-replica cluster with durable WALs, one
 # replica SIGKILLed mid-load and restarted from its -data-dir. Gates:
 #   1. the first load completes despite the kill (t=1 tolerates it),
+#      and the longest stretch it saw without a commit — the kill, the
+#      view change and the redirect — stays under a second,
 #   2. the restarted replica logs a WAL recovery at a nonzero height,
 #   3. a second load completes with the recovered replica back in.
 # The deterministic crash-point matrix is unit-tested
@@ -26,8 +28,10 @@ go build -o "$workdir/xft-client" ./cmd/xft-client
 # replies to a client it can route to.
 replicas="0=localhost:7300,1=localhost:7301,2=localhost:7302"
 peers="$replicas,1000=localhost:7307"
+# Δ = 100 ms is ample on loopback; the view change waits 2Δ for the
+# dead replica's message, which is most of the gap gated below.
 start_server() { # id
-  "$workdir/xft-server" -id "$1" -listen ":730$1" -peers "$peers" \
+  "$workdir/xft-server" -id "$1" -listen ":730$1" -peers "$peers" -delta 100ms \
     -data-dir "$workdir/replica$1" >>"$workdir/server$1.log" 2>&1 &
   pids+=($!)
 }
@@ -59,6 +63,15 @@ if ! wait "$load1"; then
   exit 1
 fi
 grep 'ops/s' "$workdir/load1.log"
+# The client saw the SIGKILL as its longest wait between two commits:
+# the survivors' redial being refused, one view change, one notice.
+gap="$(sed -n 's/^longest gap between commits: \([0-9]*\) ms$/\1/p' "$workdir/load1.log")"
+echo "kill to first commit after it: at most ${gap:-?} ms"
+if [ -z "$gap" ] || [ "$gap" -gt 1000 ]; then
+  echo "FAIL: service gap after the kill is ${gap:-unknown} ms, want at most 1000" >&2
+  tail -n 20 "$workdir"/load1.log "$workdir"/server*.log >&2
+  exit 1
+fi
 
 echo "=== restart replica 1 from its data dir ==="
 start_server 1
