@@ -14,11 +14,8 @@ import (
 	"bytes"
 	"fmt"
 	"strings"
-	"sync"
 	"testing"
-	"time"
 
-	"github.com/xft-consensus/xft/internal/apps/kv"
 	"github.com/xft-consensus/xft/internal/bench"
 	"github.com/xft-consensus/xft/internal/reliability"
 )
@@ -295,81 +292,6 @@ func BenchmarkDurability(b *testing.B) {
 		b.ReportMetric(fullSync, "fullsync-ns/rec")
 		if group > 0 {
 			b.ReportMetric(perEntry/group, "amortize-x")
-		}
-	}
-}
-
-// BenchmarkPipelineThroughput measures common-case throughput of the
-// live n=3 cluster with real Ed25519 signatures under concurrent
-// closed-loop clients, comparing the lock-step configuration
-// (PipelineWindow=1) against the pipelined default. ns/op is per
-// committed request, so the speedup is the ratio of the two ns/op
-// numbers. Note this measures wall-clock work on the host: pipelining
-// overlaps the primary's and follower's CPU work, so the gain scales
-// with available cores (on a single-core host both configurations are
-// bound by total crypto work and batch-amortization effects dominate;
-// BenchmarkPipelineSimWAN isolates the architectural speedup).
-func BenchmarkPipelineThroughput(b *testing.B) {
-	for _, cfg := range []struct {
-		name   string
-		window int
-	}{
-		{"window=1", 1},
-		{"pipelined", 0}, // 0 → default window (32)
-	} {
-		b.Run(cfg.name, func(b *testing.B) {
-			cluster, err := NewCluster(Options{
-				T:              1,
-				NewApp:         func() Application { return kv.NewStore() },
-				BatchSize:      20,
-				PipelineWindow: cfg.window,
-				Delta:          200 * time.Millisecond,
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer cluster.Stop()
-			const nc = 16
-			clients := make([]*Client, nc)
-			for i := range clients {
-				clients[i] = cluster.NewClient()
-			}
-			b.ResetTimer()
-			var wg sync.WaitGroup
-			for i := range clients {
-				n := b.N / nc
-				if i < b.N%nc {
-					n++
-				}
-				wg.Add(1)
-				go func(cl *Client, n int) {
-					defer wg.Done()
-					for j := 0; j < n; j++ {
-						if _, err := cl.Invoke(kv.PutOp("bench", []byte("v"))); err != nil {
-							b.Error(err)
-							return
-						}
-					}
-				}(clients[i], n)
-			}
-			wg.Wait()
-		})
-	}
-}
-
-// BenchmarkLiveClusterInvoke measures end-to-end latency of the public
-// API on the in-process live runtime with real Ed25519 signatures.
-func BenchmarkLiveClusterInvoke(b *testing.B) {
-	cluster, err := NewCluster(Options{T: 1, NewApp: func() Application { return kv.NewStore() }, BatchSize: 1, Delta: 200 * time.Millisecond})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer cluster.Stop()
-	client := cluster.NewClient()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := client.Invoke(kv.PutOp("bench", []byte("v"))); err != nil {
-			b.Fatal(err)
 		}
 	}
 }

@@ -99,7 +99,7 @@ func TestStaleVerifyCompletionDroppedAfterViewChange(t *testing.T) {
 	if r.sn != 0 {
 		t.Errorf("stale completion consumed sequence number %d", r.sn)
 	}
-	if len(r.pendingEntries) != 0 {
+	if s := r.slot(1); s.buffered != nil {
 		t.Error("stale completion buffered an entry from the dead view")
 	}
 	for _, s := range env.sent {
@@ -107,8 +107,8 @@ func TestStaleVerifyCompletionDroppedAfterViewChange(t *testing.T) {
 			t.Error("stale completion signed and sent a commit for the dead view")
 		}
 	}
-	if len(r.entryVerifying) != 0 {
-		t.Errorf("entryVerifying not reset by the view change: %v", r.entryVerifying)
+	if r.slot(1).entryVerifying {
+		t.Error("entryVerifying not reset by the view change")
 	}
 }
 

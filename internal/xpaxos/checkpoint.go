@@ -1,6 +1,8 @@
 package xpaxos
 
 import (
+	"maps"
+	"slices"
 	"sort"
 
 	"github.com/xft-consensus/xft/internal/crypto"
@@ -26,14 +28,9 @@ import (
 func (r *Replica) snapshotState() []byte {
 	w := wire.New(1024)
 	w.Bytes(r.app.Snapshot())
-	clients := make([]int, 0, len(r.lastExec))
-	for c := range r.lastExec {
-		clients = append(clients, int(c))
-	}
-	sort.Ints(clients)
+	clients := slices.Sorted(maps.Keys(r.lastExec))
 	w.U32(uint32(len(clients)))
-	for _, c := range clients {
-		id := smr.NodeID(c)
+	for _, id := range clients {
 		m := r.lastExec[id]
 		w.I64(int64(id)).U64(m.last).U64(m.bits)
 		cached := r.replies.all(id)
@@ -87,39 +84,25 @@ func (r *Replica) restoreState(snap []byte) bool {
 // Checkpointing (Section 4.5.1, Figure 4)
 // ---------------------------------------------------------------------------
 
-// pendingSnapshots stores the serialized state at each checkpoint
-// candidate until the checkpoint stabilizes.
-// (declared on Replica lazily through map below)
-
 // maxPendingSnaps bounds how many checkpoint-candidate snapshots a
 // replica retains while awaiting stabilization.
 const maxPendingSnaps = 8
 
 // maybeCheckpoint is called right after executing sequence number sn.
-// At every CHK-th batch the replica votes prechk (MAC-authenticated).
+// At every CHK-th batch the replica keeps a snapshot of its state at
+// the candidate and, if active, votes prechk (MAC-authenticated).
 func (r *Replica) maybeCheckpoint(sn smr.SeqNum) {
-	chk := r.cfg.CheckpointInterval
-	if chk == 0 || uint64(sn)%chk != 0 {
+	c := r.candidate(sn)
+	if c == nil {
 		return
 	}
 	snap := r.snapshotState()
-	if r.pendingSnaps == nil {
-		r.pendingSnaps = make(map[smr.SeqNum][]byte)
-	}
-	r.pendingSnaps[sn] = snap
-	// Bound the retained candidates: a passive replica whose lazychk
+	c.snap = snap
+	// Bound the retained snapshots: a passive replica whose lazychk
 	// stream is shed would otherwise accumulate one full snapshot per
 	// interval forever. A checkpoint stabilizing at a dropped height is
 	// adopted through the view-change state transfer instead.
-	for len(r.pendingSnaps) > maxPendingSnaps {
-		oldest := sn
-		for s := range r.pendingSnaps {
-			if s < oldest {
-				oldest = s
-			}
-		}
-		delete(r.pendingSnaps, oldest)
-	}
+	r.log.keepSnaps(maxPendingSnaps)
 	if !r.isActive() {
 		return // passive replicas snapshot locally but do not vote
 	}
@@ -132,19 +115,17 @@ func (r *Replica) maybeCheckpoint(sn smr.SeqNum) {
 			r.env.Send(id, &mm)
 		}
 	}
-	r.addPrechkVote(sn, r.id, d)
+	r.addPrechkVote(c, sn, r.id, d)
 }
 
-func (r *Replica) addPrechkVote(sn smr.SeqNum, from smr.NodeID, d crypto.Digest) {
-	votes, ok := r.prechkVotes[sn]
-	if !ok {
-		votes = make(map[smr.NodeID]crypto.Digest)
-		r.prechkVotes[sn] = votes
+func (r *Replica) addPrechkVote(c *chkCandidate, sn smr.SeqNum, from smr.NodeID, d crypto.Digest) {
+	if c.prechk == nil {
+		c.prechk = make(map[smr.NodeID]crypto.Digest)
 	}
-	votes[from] = d
+	c.prechk[from] = d
 	// t+1 matching prechk messages → sign and broadcast chkpt.
 	count := 0
-	for _, vd := range votes {
+	for _, vd := range c.prechk {
 		if vd == d {
 			count++
 		}
@@ -152,53 +133,53 @@ func (r *Replica) addPrechkVote(sn smr.SeqNum, from smr.NodeID, d crypto.Digest)
 	if count < r.t+1 {
 		return
 	}
-	delete(r.prechkVotes, sn)
+	c.prechk = nil
 	rec := ChkptRecord{SN: sn, View: r.view, StateD: d, From: r.id}
 	rec.Sig = r.suite.Sign(crypto.NodeID(r.id), rec.SigPayload())
-	msg := &MsgChkpt{Rec: rec}
-	for _, id := range r.group {
-		if id != r.id {
-			r.env.Send(id, msg)
-		}
-	}
-	r.addChkptVote(rec)
+	r.sendActives(&MsgChkpt{Rec: rec})
+	r.addChkptVote(c, rec)
 }
 
-// onPrechk handles a pre-checkpoint vote.
+// onPrechk handles a pre-checkpoint vote. Votes are kept per candidate
+// height, so the height must be one the log admits.
 func (r *Replica) onPrechk(from smr.NodeID, m *MsgPrechk) {
 	if !r.isActive() || m.From != from || !InGroup(r.n, r.t, m.View, m.From) {
+		return
+	}
+	c := r.candidate(m.SN)
+	if c == nil {
 		return
 	}
 	if !r.suite.VerifyMAC(crypto.NodeID(from), crypto.NodeID(r.id), m.MACPayload(), m.MAC) {
 		return
 	}
-	if m.SN <= r.chk.SN {
-		return
-	}
-	r.addPrechkVote(m.SN, m.From, m.StateD)
+	r.addPrechkVote(c, m.SN, m.From, m.StateD)
 }
 
-// onChkpt handles a signed checkpoint record.
+// onChkpt handles a signed checkpoint record: one per replica per
+// candidate height the log admits.
 func (r *Replica) onChkpt(from smr.NodeID, m *MsgChkpt) {
 	rec := m.Rec
-	if rec.From != from || rec.SN <= r.chk.SN {
+	if rec.From != from || int(from) < 0 || int(from) >= r.n {
+		return
+	}
+	c := r.candidate(rec.SN)
+	if c == nil {
 		return
 	}
 	if !r.suite.Verify(crypto.NodeID(rec.From), rec.SigPayload(), rec.Sig) {
 		return
 	}
-	r.addChkptVote(rec)
+	r.addChkptVote(c, rec)
 }
 
-func (r *Replica) addChkptVote(rec ChkptRecord) {
-	votes, ok := r.chkptVotes[rec.SN]
-	if !ok {
-		votes = make(map[smr.NodeID]ChkptRecord)
-		r.chkptVotes[rec.SN] = votes
+func (r *Replica) addChkptVote(c *chkCandidate, rec ChkptRecord) {
+	if c.chkpt == nil {
+		c.chkpt = make(map[smr.NodeID]ChkptRecord)
 	}
-	votes[rec.From] = rec
+	c.chkpt[rec.From] = rec
 	matching := make([]ChkptRecord, 0, r.t+1)
-	for _, v := range votes {
+	for _, v := range c.chkpt {
 		if v.StateD == rec.StateD {
 			matching = append(matching, v)
 		}
@@ -208,11 +189,10 @@ func (r *Replica) addChkptVote(rec ChkptRecord) {
 	}
 	sort.Slice(matching, func(i, j int) bool { return matching[i].From < matching[j].From })
 	proof := CheckpointProof{SN: rec.SN, StateD: rec.StateD, Proof: matching[:r.t+1]}
-	snap, ok := r.pendingSnaps[rec.SN]
-	if !ok {
+	if c.snap == nil {
 		return // have not executed this far yet; stabilize later
 	}
-	r.stabilizeCheckpoint(proof, snap)
+	r.stabilizeCheckpoint(proof, c.snap)
 	// Propagate to passive replicas (Figure 4, lazychk).
 	if r.isActive() && !r.cfg.DisableLazyReplication {
 		msg := &MsgLazyChk{Proof: proof}
@@ -229,48 +209,9 @@ func (r *Replica) stabilizeCheckpoint(proof CheckpointProof, snap []byte) {
 	}
 	r.chk = proof
 	r.chkSnapshot = snap
-	for sn := range r.commitLog {
-		if sn <= proof.SN {
-			delete(r.commitLog, sn)
-		}
-	}
-	for sn := range r.prepareLog {
-		if sn <= proof.SN {
-			delete(r.prepareLog, sn)
-		}
-	}
-	for sn := range r.pendingCommits {
-		if sn <= proof.SN {
-			delete(r.pendingCommits, sn)
-		}
-	}
-	// With a pipeline window, several prepares may be buffered ahead of
-	// order when a checkpoint fast-forwards the replica past them; drop
-	// anything at or below the stable point so the buffer cannot pin
-	// dead batches.
-	for sn := range r.pendingEntries {
-		if sn <= proof.SN {
-			delete(r.pendingEntries, sn)
-		}
-	}
-	// The stable point's own snapshot is kept in chkSnapshot, so the
-	// pending copy at proof.SN is dead too (<=, not <: keeping it was
-	// a per-checkpoint leak).
-	for sn := range r.pendingSnaps {
-		if sn <= proof.SN {
-			delete(r.pendingSnaps, sn)
-		}
-	}
-	for sn := range r.chkptVotes {
-		if sn <= proof.SN {
-			delete(r.chkptVotes, sn)
-		}
-	}
-	for sn := range r.prechkVotes {
-		if sn <= proof.SN {
-			delete(r.prechkVotes, sn)
-		}
-	}
+	// Everything at or below the stable point is dead, the candidate at
+	// proof.SN included: its snapshot now lives in chkSnapshot.
+	r.log.truncate(proof.SN)
 	r.logCheckpoint(&proof, snap)
 }
 
@@ -336,12 +277,9 @@ func (r *Replica) verifyCheckpointProof(p *CheckpointProof) bool {
 // for t ≥ 2 follower j ships the entries with sn ≡ j (mod t) to every
 // passive replica, so the load splits 1/t per follower.
 func (r *Replica) lazyReplicate(entry *CommitEntry) {
-	if r.cfg.DisableLazyReplication || !r.isActive() || r.isPrimary() {
-		return
-	}
-	idx := followerIndex(r.n, r.t, r.view, r.id)
-	if idx < 0 {
-		return
+	idx := r.followerPos(r.id)
+	if r.cfg.DisableLazyReplication || idx < 0 {
+		return // only followers replicate lazily
 	}
 	if r.t >= 2 && int(uint64(entry.SN())%uint64(r.t)) != idx {
 		return
@@ -358,10 +296,18 @@ func (r *Replica) lazyReplicate(entry *CommitEntry) {
 func (r *Replica) onLazyCommit(from smr.NodeID, m *MsgLazyCommit) {
 	entry := m.Entry
 	sn := entry.SN()
-	if existing, ok := r.commitLog[sn]; ok && existing.View() >= entry.View() {
+	if sn <= r.chk.SN || sn <= r.ex {
 		return
 	}
-	if sn <= r.chk.SN || sn <= r.ex {
+	// No slot means sn is too far above the execution mark to ever run
+	// here: the hole below it only closes through a view change's state
+	// transfer. Such an entry is not kept; all it can still tell us is
+	// that the system moved to a later view.
+	s := r.slot(sn)
+	if s == nil && entry.View() <= r.view {
+		return
+	}
+	if s != nil && s.commit != nil && s.commit.View() >= entry.View() {
 		return
 	}
 	if !r.verifyCommitEntry(&entry) {
@@ -373,7 +319,10 @@ func (r *Replica) onLazyCommit(from smr.NodeID, m *MsgLazyCommit) {
 		r.view = entry.View()
 		r.group = SyncGroup(r.n, r.t, r.view)
 	}
-	r.commitLog[sn] = &entry
+	if s == nil {
+		return
+	}
+	s.commit = &entry
 	r.logCommitEntry(&entry)
 	r.notifyCommit(&entry)
 	r.executePassive()
@@ -383,11 +332,11 @@ func (r *Replica) onLazyCommit(from smr.NodeID, m *MsgLazyCommit) {
 // client replies (passive replicas stay mute, Section 4.1).
 func (r *Replica) executePassive() {
 	for {
-		entry, ok := r.commitLog[r.ex+1]
-		if !ok {
+		s := r.slot(r.ex + 1)
+		if s == nil || s.commit == nil {
 			return
 		}
-		sn := r.ex + 1
+		entry, sn := s.commit, r.ex+1
 		r.applyBatch(&entry.Batch, sn, entry.View())
 		r.ex = sn
 		r.maybeCheckpoint(sn)
@@ -403,9 +352,9 @@ func (r *Replica) onLazyChk(from smr.NodeID, m *MsgLazyChk) {
 	if !r.verifyCheckpointProof(&proof) {
 		return
 	}
-	snap, ok := r.pendingSnaps[proof.SN]
-	if !ok || crypto.Hash(snap) != proof.StateD {
+	c := r.candidate(proof.SN)
+	if c == nil || c.snap == nil || crypto.Hash(c.snap) != proof.StateD {
 		return // we have not reached this state; a view change will transfer it
 	}
-	r.stabilizeCheckpoint(proof, snap)
+	r.stabilizeCheckpoint(proof, c.snap)
 }

@@ -194,6 +194,7 @@ func (r *Replica) recoverFromWAL() {
 	if proof.SN > 0 && r.restoreState(snap) {
 		r.chk = proof
 		r.chkSnapshot = snap
+		r.log.truncate(proof.SN)
 		r.ex, r.sn = proof.SN, proof.SN
 		for i := range proof.Proof {
 			if v := proof.Proof[i].View; v > maxView {
@@ -201,14 +202,13 @@ func (r *Replica) recoverFromWAL() {
 			}
 		}
 	}
-	chkInterval := r.cfg.CheckpointInterval
 	for {
 		e, ok := entries[r.ex+1]
 		if !ok {
 			break // gap (shed or torn records): the prefix ends here
 		}
 		sn := r.ex + 1
-		r.commitLog[sn] = e
+		r.slot(sn).commit = e
 		r.applyBatch(&e.Batch, sn, e.View())
 		r.ex = sn
 		if sn > r.sn {
@@ -217,14 +217,11 @@ func (r *Replica) recoverFromWAL() {
 		if v := e.View(); v > maxView {
 			maxView = v
 		}
-		if chkInterval != 0 && uint64(sn)%chkInterval == 0 {
+		if c := r.candidate(sn); c != nil {
 			// Keep the local snapshot a checkpoint at this height would
 			// have produced, so a checkpoint the cluster stabilizes
 			// later can still stabilize here (no votes are re-sent).
-			if r.pendingSnaps == nil {
-				r.pendingSnaps = make(map[smr.SeqNum][]byte)
-			}
-			r.pendingSnaps[sn] = r.snapshotState()
+			c.snap = r.snapshotState()
 		}
 	}
 	// Resume in the newest view the durable state names; the group

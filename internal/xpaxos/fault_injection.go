@@ -20,14 +20,18 @@ import (
 // catch.
 func (r *Replica) InjectDropCommitLog(from, to smr.SeqNum) {
 	for sn := from; sn <= to; sn++ {
-		delete(r.commitLog, sn)
+		if s := r.slot(sn); s != nil {
+			s.commit = nil
+		}
 	}
 }
 
 // InjectDropPrepareLog deletes prepare-log entries in [from, to].
 func (r *Replica) InjectDropPrepareLog(from, to smr.SeqNum) {
 	for sn := from; sn <= to; sn++ {
-		delete(r.prepareLog, sn)
+		if s := r.slot(sn); s != nil {
+			s.prepare = nil
+		}
 	}
 }
 
@@ -37,10 +41,7 @@ func (r *Replica) InjectDropPrepareLog(from, to smr.SeqNum) {
 // empty backup" data-loss fault: the machine continues to participate
 // but remembers nothing it once acknowledged.
 func (r *Replica) InjectWipeState() {
-	r.commitLog = make(map[smr.SeqNum]*CommitEntry)
-	r.prepareLog = make(map[smr.SeqNum]*PrepareEntry)
-	r.pendingCommits = make(map[smr.SeqNum]map[smr.NodeID]Order)
-	r.pendingEntries = make(map[smr.SeqNum]*PrepareEntry)
+	r.log.wipe()
 	r.chk = CheckpointProof{}
 	r.chkSnapshot = nil
 	r.finalProofs = make(map[smr.View][]MsgVCConfirm)
@@ -56,8 +57,6 @@ func (r *Replica) InjectWipeState() {
 	// empty bookkeeping and at worst make the replica emit messages a
 	// faulty machine could emit anyway.
 	r.intakeQ = nil
-	r.entryVerifying = make(map[smr.SeqNum]bool)
-	r.orderVerifying = make(map[orderKey]bool)
 	r.replySigning = make(map[watchKey]bool)
 	r.replySignVerifying = make(map[replySigID]bool)
 	r.fwdPending = nil
@@ -69,16 +68,13 @@ func (r *Replica) InjectWipeState() {
 // replica was the primary of the entry's view — exactly the power a
 // Byzantine ex-primary has.
 func (r *Replica) InjectForkPrepare(sn smr.SeqNum, forged Batch) bool {
-	old, ok := r.prepareLog[sn]
-	if !ok {
+	s := r.slot(sn)
+	if s == nil || s.prepare == nil {
 		return false
 	}
-	kind := KindPrepare
-	if r.t == 1 {
-		kind = KindCommit
-	}
-	o := signOrder(r.suite, kind, forged.Digest(), sn, old.View(), r.id, old.Primary.RepRoot)
-	r.prepareLog[sn] = &PrepareEntry{Batch: forged, Primary: o}
+	old := s.prepare
+	o := signOrder(r.suite, r.primaryKind(), forged.Digest(), sn, old.View(), r.id, old.Primary.RepRoot)
+	s.prepare = &PrepareEntry{Batch: forged, Primary: o}
 	return true
 }
 
@@ -87,16 +83,13 @@ func (r *Replica) InjectForkPrepare(sn smr.SeqNum, forged Batch) bool {
 // re-signs the entry's batch with a stale view number. Only meaningful
 // if the replica was the primary of that older view.
 func (r *Replica) InjectRegressPrepare(sn smr.SeqNum, oldView smr.View) bool {
-	e, ok := r.prepareLog[sn]
-	if !ok || e.View() <= oldView {
+	s := r.slot(sn)
+	if s == nil || s.prepare == nil || s.prepare.View() <= oldView {
 		return false
 	}
-	kind := KindPrepare
-	if r.t == 1 {
-		kind = KindCommit
-	}
-	o := signOrder(r.suite, kind, e.Primary.BatchD, sn, oldView, r.id, e.Primary.RepRoot)
-	r.prepareLog[sn] = &PrepareEntry{Batch: e.Batch, Primary: o}
+	e := s.prepare
+	o := signOrder(r.suite, r.primaryKind(), e.Primary.BatchD, sn, oldView, r.id, e.Primary.RepRoot)
+	s.prepare = &PrepareEntry{Batch: e.Batch, Primary: o}
 	return true
 }
 
@@ -104,10 +97,6 @@ func (r *Replica) InjectRegressPrepare(sn smr.SeqNum, oldView smr.View) bool {
 // hand, e.g. to rotate the synchronous group for maintenance. It has
 // the same effect as the replica suspecting view v itself.
 func (r *Replica) SuspectView(v smr.View) { r.suspect(v) }
-
-// CommitLogLen reports the number of retained commit-log entries (for
-// tests).
-func (r *Replica) CommitLogLen() int { return len(r.commitLog) }
 
 // StableCheckpointSN reports the stable checkpoint sequence number.
 func (r *Replica) StableCheckpointSN() smr.SeqNum { return r.chk.SN }

@@ -179,8 +179,7 @@ func (r *Replica) detectFaults(st *vcState) {
 				continue
 			}
 			sn := ce.SN()
-			iPrime := ce.View() // view in which the entry was committed
-			group := SyncGroup(r.n, r.t, iPrime)
+			iPrime := ce.View()       // view in which the entry was committed
 			for mi, m := range msgs { // m is the suspect's message
 				sk := m.From
 				if sk == mPrime.From {
@@ -191,7 +190,6 @@ func (r *Replica) detectFaults(st *vcState) {
 					continue
 				}
 				skInOld := InGroup(r.n, r.t, iPrime, sk)
-				_ = group
 				pe := prepIdx[mi][sn]
 				switch {
 				case skInOld && pe == nil:

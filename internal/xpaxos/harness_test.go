@@ -206,7 +206,7 @@ func (c *cluster) checkLemma1() {
 		}
 		var entry *CommitEntry
 		for _, r := range c.replicas {
-			if e, ok := r.commitLog[sn]; ok {
+			if e, ok := r.CommitLogEntry(sn); ok {
 				if entry == nil || e.View() > entry.View() {
 					entry = e
 				}

@@ -34,10 +34,9 @@ func partitionScenario(t *testing.T, proactive bool) (vcAt time.Duration, c *clu
 		latency:    10 * time.Millisecond,
 		delta:      100 * time.Millisecond,
 		reqTimeout: reqTimeout,
-		cfgMod: func(id smr.NodeID, cfg *Config) {
-			cfg.DisableProactiveSuspect = !proactive
-		},
 	}
+	// The reference arm runs no prober, so no PeerDown ever reaches the
+	// replicas and only the retransmission path can act.
 	if proactive {
 		opts.probeInterval = 50 * time.Millisecond
 		opts.probeTimeout = 200 * time.Millisecond

@@ -208,9 +208,9 @@ func TestPipelineAcrossCheckpoints(t *testing.T) {
 		if r.chk.SN == 0 {
 			t.Errorf("replica %d never checkpointed under pipelined load", id)
 		}
-		for sn := range r.commitLog {
-			if sn <= r.chk.SN {
-				t.Errorf("replica %d kept entry %d below checkpoint %d", id, sn, r.chk.SN)
+		for _, e := range r.log.commits() {
+			if e.SN() <= r.chk.SN {
+				t.Errorf("replica %d kept entry %d below checkpoint %d", id, e.SN(), r.chk.SN)
 			}
 		}
 	}

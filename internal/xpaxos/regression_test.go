@@ -79,7 +79,10 @@ func TestAdoptCheckpointPrunesDedupe(t *testing.T) {
 	for i := 1; i <= 9; i++ { // ts 9 is beyond the checkpoint: must survive
 		lag.queued[watchKey{Client: client, TS: uint64(i)}] = crypto.Digest{}
 	}
-	lag.pendingSnaps = map[smr.SeqNum][]byte{2: {1}, 4: {1}, 8: {1}}
+	lag.cfg.CheckpointInterval = 2
+	for _, h := range []smr.SeqNum{2, 4, 8} {
+		lag.candidate(h).snap = []byte{1}
+	}
 
 	lag.adoptCheckpoint(proof, snap)
 
@@ -92,8 +95,8 @@ func TestAdoptCheckpointPrunesDedupe(t *testing.T) {
 	if _, ok := lag.queued[watchKey{Client: client, TS: 9}]; !ok {
 		t.Fatalf("the uncovered marker (ts 9) was pruned")
 	}
-	if len(lag.pendingSnaps) != 0 {
-		t.Fatalf("pendingSnaps holds %d snapshots at or below the stable point, want 0", len(lag.pendingSnaps))
+	if n := retainedCandidates(lag); n != 0 {
+		t.Fatalf("%d checkpoint candidates held at or below the stable point, want 0", n)
 	}
 }
 
@@ -107,12 +110,109 @@ func TestPendingSnapshotsBounded(t *testing.T) {
 	for i := 1; i <= 4*maxPendingSnaps; i++ {
 		r.maybeCheckpoint(smr.SeqNum(i))
 	}
-	if len(r.pendingSnaps) > maxPendingSnaps {
-		t.Fatalf("pendingSnaps grew to %d candidates, cap is %d", len(r.pendingSnaps), maxPendingSnaps)
+	snaps := 0
+	for _, s := range r.log.slots {
+		if s != nil && s.chk != nil && s.chk.snap != nil {
+			snaps++
+		}
+	}
+	if snaps > maxPendingSnaps {
+		t.Fatalf("%d candidate snapshots retained, cap is %d", snaps, maxPendingSnaps)
 	}
 	// The newest candidates are the ones a late-stabilizing checkpoint
 	// can still use; eviction must discard oldest-first.
-	if _, ok := r.pendingSnaps[smr.SeqNum(4*maxPendingSnaps)]; !ok {
+	if r.candidate(smr.SeqNum(4*maxPendingSnaps)).snap == nil {
 		t.Fatalf("newest candidate was evicted; eviction must be oldest-first")
+	}
+}
+
+// The three tests below pin the sequence-number admission rule: a
+// replica keeps per-sequence state only inside its log window
+// (stable checkpoint < sn ≤ execution mark + look-ahead), so a single
+// faulty replica naming far sequence numbers — under genuine
+// signatures — cannot grow a correct replica's memory. Before the
+// rule, each sprayed message left a map entry behind.
+
+// sprayCount is how many distinct sequence numbers the faulty replica
+// names; the retained state must not scale with it.
+const sprayCount = 4000
+
+func boundedReplica(t *testing.T, id smr.NodeID, cfg Config) (*Replica, *stubEnv) {
+	t.Helper()
+	r := NewReplica(id, cfg, kv.NewStore())
+	env := newStubEnv(id)
+	r.Init(env)
+	r.Step(smr.Start{})
+	return r, env
+}
+
+// TestFarCommitsFromFollowerBounded: the view's follower sprays signed
+// commit orders at far sequence numbers at the t = 1 primary.
+func TestFarCommitsFromFollowerBounded(t *testing.T) {
+	cfg := regressionConfig()
+	suite := cfg.Suite.(*crypto.Meter)
+	r, _ := boundedReplica(t, 0, cfg) // primary of view 0; s1 is the follower
+	before := suite.Total().Verifies
+	for i := 0; i < sprayCount; i++ {
+		sn := smr.SeqNum(1000 + 7*i)
+		o := signOrder(suite, KindCommit, crypto.Digest{1}, sn, 0, 1, crypto.Digest{})
+		r.Step(smr.Recv{From: 1, Msg: &MsgCommit{Order: o}})
+	}
+	if n := retainedSlots(r); n > int(r.log.ahead) {
+		t.Fatalf("%d sequence numbers retained after %d far commits, window is %d", n, sprayCount, r.log.ahead)
+	}
+	if v := suite.Total().Verifies - before; v != 0 {
+		t.Fatalf("%d signature checks spent on commits outside the log window, want 0", v)
+	}
+	if r.View() != 0 {
+		t.Fatalf("far commits drove the primary to view %d", r.View())
+	}
+}
+
+// TestChkptSprayFromPassiveBounded: a passive replica sprays signed
+// checkpoint records at arbitrary heights at an active one.
+func TestChkptSprayFromPassiveBounded(t *testing.T) {
+	cfg := regressionConfig()
+	cfg.CheckpointInterval = 8
+	suite := cfg.Suite
+	r, _ := boundedReplica(t, 0, cfg) // s2 is passive in view 0
+	for i := 0; i < sprayCount; i++ {
+		rec := ChkptRecord{SN: smr.SeqNum(1 + 3*i), View: 0, StateD: crypto.Digest{byte(i)}, From: 2}
+		rec.Sig = suite.Sign(2, rec.SigPayload())
+		r.Step(smr.Recv{From: 2, Msg: &MsgChkpt{Rec: rec}})
+	}
+	heights := int(r.log.ahead / smr.SeqNum(cfg.CheckpointInterval))
+	if n := retainedCandidates(r); n > heights {
+		t.Fatalf("%d checkpoint candidates retained after %d sprayed records, the window holds %d heights", n, sprayCount, heights)
+	}
+	if n := retainedSlots(r); n > int(r.log.ahead) {
+		t.Fatalf("%d sequence numbers retained, window is %d", n, r.log.ahead)
+	}
+}
+
+// TestLazyCommitsAboveHoleBounded: a passive replica that missed one
+// lazily replicated entry receives every later one. None can ever
+// execute here — the hole only closes through a view change's state
+// transfer — so only the window's worth may be kept.
+func TestLazyCommitsAboveHoleBounded(t *testing.T) {
+	cfg := regressionConfig()
+	suite := cfg.Suite
+	r, _ := boundedReplica(t, 2, cfg) // passive in view 0
+	for i := 0; i < sprayCount; i++ {
+		sn := smr.SeqNum(2 + i) // sn 1 never arrives
+		batch := Batch{Reqs: []Request{signedReq(suite, smr.ClientIDBase, uint64(sn), kv.PutOp("k", []byte("v")))}}
+		m0 := signOrder(suite, KindCommit, batch.Digest(), sn, 0, 0, crypto.Digest{})
+		m1 := signOrder(suite, KindCommit, batch.Digest(), sn, 0, 1, crypto.Digest{})
+		entry := CommitEntry{Batch: batch, Primary: m0, Commits: []Order{m1}}
+		r.Step(smr.Recv{From: 1, Msg: &MsgLazyCommit{Entry: entry}})
+	}
+	if r.Executed() != 0 {
+		t.Fatalf("executed to %d across the hole at sn 1", r.Executed())
+	}
+	if n := retainedSlots(r); n > int(r.log.ahead) {
+		t.Fatalf("%d entries retained above the hole after %d lazy commits, window is %d", n, sprayCount, r.log.ahead)
+	}
+	if _, ok := r.CommitLogEntry(2); !ok {
+		t.Fatalf("the entry right above the hole was not kept; in-window lazy commits must still be stored")
 	}
 }

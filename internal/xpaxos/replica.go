@@ -3,6 +3,7 @@ package xpaxos
 import (
 	"bytes"
 	"fmt"
+	"slices"
 
 	"github.com/xft-consensus/xft/internal/crypto"
 	"github.com/xft-consensus/xft/internal/smr"
@@ -77,18 +78,11 @@ type Replica struct {
 	status status
 	group  []smr.NodeID
 
-	// Logs. sn is the last sequence number prepared locally; ex the
-	// last executed.
-	sn, ex     smr.SeqNum
-	prepareLog map[smr.SeqNum]*PrepareEntry
-	commitLog  map[smr.SeqNum]*CommitEntry
-	// pendingCommits collects follower commit orders per sequence
-	// number until the entry is complete (t ≥ 2), or holds m1 while the
-	// t = 1 primary awaits execution order.
-	pendingCommits map[smr.SeqNum]map[smr.NodeID]Order
-	// pendingEntries buffers prepares that arrived ahead of order
-	// (possible immediately after a view change).
-	pendingEntries map[smr.SeqNum]*PrepareEntry
+	// sn is the last sequence number prepared locally, ex the last
+	// executed. log holds everything kept per sequence number (seqlog.go);
+	// all access goes through slot and candidate.
+	sn, ex smr.SeqNum
+	log    seqLog
 
 	// Batching and pipelining (primary only). intake is the bounded
 	// admission queue of client requests awaiting batch formation;
@@ -119,12 +113,6 @@ type Replica struct {
 	// client's pipelined requests keep their arrival order even when
 	// verifications complete out of order.
 	intakeQ []*intakeVerify
-	// entryVerifying marks sequence numbers whose prepare entry is
-	// being verified off-loop, so a duplicate delivery is not verified
-	// twice.
-	entryVerifying map[smr.SeqNum]bool
-	// orderVerifying dedupes in-flight commit-order verifications.
-	orderVerifying map[orderKey]bool
 	// replySigning marks watch keys whose ReplySig is being signed.
 	replySigning map[watchKey]bool
 	// replySignVerifying dedupes and bounds in-flight reply-sign
@@ -155,11 +143,8 @@ type Replica struct {
 	watchTimers map[smr.TimerID]watchKey
 
 	// Checkpointing.
-	chk          CheckpointProof
-	chkSnapshot  []byte
-	pendingSnaps map[smr.SeqNum][]byte
-	prechkVotes  map[smr.SeqNum]map[smr.NodeID]crypto.Digest
-	chkptVotes   map[smr.SeqNum]map[smr.NodeID]ChkptRecord
+	chk         CheckpointProof
+	chkSnapshot []byte
 
 	// Durability (durability.go). walPending and walInFlight survive
 	// view changes — enterView must not reset them: unlike the crypto
@@ -210,13 +195,6 @@ type suspectKey struct {
 	From smr.NodeID
 }
 
-// orderKey identifies one follower's commit order for one sequence
-// number (in-flight verification dedupe).
-type orderKey struct {
-	SN   smr.SeqNum
-	From smr.NodeID
-}
-
 // replySigID identifies one replica's signed-reply record for one
 // watched request (in-flight verification dedupe).
 type replySigID struct {
@@ -255,17 +233,12 @@ func NewReplica(id smr.NodeID, cfg Config, app smr.Application) *Replica {
 		t:                  cfg.T,
 		suite:              cfg.Suite,
 		app:                app,
-		prepareLog:         make(map[smr.SeqNum]*PrepareEntry),
-		commitLog:          make(map[smr.SeqNum]*CommitEntry),
-		pendingCommits:     make(map[smr.SeqNum]map[smr.NodeID]Order),
-		pendingEntries:     make(map[smr.SeqNum]*PrepareEntry),
+		log:                seqLog{ahead: smr.SeqNum(logAheadWindows * cfg.PipelineWindow)},
 		lastExec:           make(map[smr.NodeID]execMark),
 		replies:            make(replyCache),
 		queued:             make(map[watchKey]crypto.Digest),
 		watches:            make(map[watchKey]*watchState),
 		watchTimers:        make(map[smr.TimerID]watchKey),
-		prechkVotes:        make(map[smr.SeqNum]map[smr.NodeID]crypto.Digest),
-		chkptVotes:         make(map[smr.SeqNum]map[smr.NodeID]ChkptRecord),
 		seenSuspects:       make(map[suspectKey]bool),
 		ceCache:            make(map[crypto.Digest]bool),
 		futureVC:           make(map[smr.View]map[smr.NodeID]*MsgViewChange),
@@ -275,8 +248,6 @@ func NewReplica(id smr.NodeID, cfg Config, app smr.Application) *Replica {
 		agreedVCSet:        make(map[smr.View]map[vcKey]*MsgViewChange),
 		fset:               make(map[smr.NodeID]bool),
 		convicted:          make(map[faultID]bool),
-		entryVerifying:     make(map[smr.SeqNum]bool),
-		orderVerifying:     make(map[orderKey]bool),
 		replySigning:       make(map[watchKey]bool),
 		replySignVerifying: make(map[replySigID]bool),
 		downPeers:          make(map[smr.NodeID]bool),
@@ -307,8 +278,34 @@ func (r *Replica) Executed() smr.SeqNum { return r.ex }
 
 // CommitLogEntry returns the commit-log entry at sn, if present.
 func (r *Replica) CommitLogEntry(sn smr.SeqNum) (*CommitEntry, bool) {
-	e, ok := r.commitLog[sn]
-	return e, ok
+	if s := r.slot(sn); s != nil && s.commit != nil {
+		return s.commit, true
+	}
+	return nil, false
+}
+
+// slot returns the log slot of sn, or nil when sn is at or below the
+// stable checkpoint or more than the log's look-ahead beyond the
+// execution mark (see seqLog). Handlers call it before scheduling any
+// signature check, so a sequence number outside the window costs a
+// peer's message nothing but the parse.
+func (r *Replica) slot(sn smr.SeqNum) *slot { return r.log.slot(sn, r.ex) }
+
+// candidate returns the checkpoint candidate at height sn, or nil when
+// sn is not a checkpoint height inside the log window.
+func (r *Replica) candidate(sn smr.SeqNum) *chkCandidate {
+	chk := r.cfg.CheckpointInterval
+	if chk == 0 || uint64(sn)%chk != 0 {
+		return nil
+	}
+	s := r.slot(sn)
+	if s == nil {
+		return nil
+	}
+	if s.chk == nil {
+		s.chk = new(chkCandidate)
+	}
+	return s.chk
 }
 
 // InViewChange reports whether the replica is mid view change.
@@ -370,7 +367,7 @@ func (r *Replica) onPeerDown(e smr.PeerDown) {
 // viable view and the timers rediscover the fault once enough peers
 // answer probes again.
 func (r *Replica) suspectDoomedView() bool {
-	if r.cfg.DisableProactiveSuspect || !r.isActive() {
+	if !r.isActive() {
 		return false
 	}
 	v := r.view
@@ -476,34 +473,26 @@ func (r *Replica) primary() smr.NodeID     { return r.group[0] }
 func (r *Replica) isPrimary() bool         { return r.id == r.group[0] }
 func (r *Replica) followers() []smr.NodeID { return r.group[1:] }
 
-func (r *Replica) isActive() bool {
-	for _, m := range r.group {
-		if m == r.id {
-			return true
-		}
+func (r *Replica) isActive() bool { return slices.Contains(r.group, r.id) }
+
+// primaryKind is the kind of order a primary signs: a commit for t = 1
+// (Figure 2b: m0 = ⟨commit, D(req), sn, i⟩σ_ps), a prepare for t ≥ 2
+// (Figure 2a).
+func (r *Replica) primaryKind() OrderKind {
+	if r.t == 1 {
+		return KindCommit
 	}
-	return false
+	return KindPrepare
 }
 
-func (r *Replica) isFollower(id smr.NodeID) bool {
-	for _, m := range r.group[1:] {
-		if m == id {
-			return true
-		}
-	}
-	return false
-}
+// followerPos returns the 0-based position of id among the current
+// view's followers, or -1.
+func (r *Replica) followerPos(id smr.NodeID) int { return slices.Index(r.group[1:], id) }
 
 // followerIndex returns the 0-based index of id among the followers of
 // view v, or -1.
 func followerIndex(n, t int, v smr.View, id smr.NodeID) int {
-	g := SyncGroup(n, t, v)
-	for i, m := range g[1:] {
-		if m == id {
-			return i
-		}
-	}
-	return -1
+	return slices.Index(SyncGroup(n, t, v)[1:], id)
 }
 
 // sendActives sends m to every active replica except self.
@@ -807,24 +796,24 @@ func (b *sigBatch) verifyEach(pool *crypto.Pool, suite crypto.Suite) []bool {
 // common-case protocol (Section 4.2). The sequence number is claimed
 // on the spot — later batches may be dispatched meanwhile — while the
 // order signature is produced off-loop; the prepare ships when it
-// completes. Followers buffer out-of-order arrivals (pendingEntries),
-// so signing completions need not preserve dispatch order.
+// completes. Followers buffer out-of-order arrivals (slot.buffered), so
+// signing completions need not preserve dispatch order.
 func (r *Replica) assignBatch(batch Batch) {
 	r.sn++
 	if f := r.inFlight(); f > r.maxInFlight {
 		r.maxInFlight = f
 	}
 	sn := r.sn
-	kind := KindPrepare
-	if r.t == 1 {
-		kind = KindCommit // Figure 2b: m0 = ⟨commit, D(req), sn, i⟩σ_ps
-	}
-	o := &Order{Kind: kind, BatchD: batch.Digest(), SN: sn, View: r.view, From: r.id}
+	o := &Order{Kind: r.primaryKind(), BatchD: batch.Digest(), SN: sn, View: r.view, From: r.id}
 	r.goCrypto("sign-order",
 		func() { signOrderInto(r.suite, o) },
 		func() {
+			s := r.slot(sn)
+			if s == nil {
+				return // the log was wiped while signing (fault injection)
+			}
 			entry := &PrepareEntry{Batch: batch, Primary: *o}
-			r.prepareLog[sn] = entry
+			s.prepare = entry
 			r.preView = r.view
 			if r.t == 1 {
 				r.env.Send(r.followers()[0], &MsgCommitReq{Entry: *entry})
@@ -843,27 +832,27 @@ func (r *Replica) assignBatch(batch Batch) {
 
 // onCommitReq is the t = 1 follower receiving ⟨req, m0⟩.
 func (r *Replica) onCommitReq(from smr.NodeID, m *MsgCommitReq) {
-	if r.status != statusNormal || r.t != 1 || !r.isActive() || r.isPrimary() {
-		return
+	if r.t == 1 {
+		r.admitPrepareEntry(from, m.Entry, r.drainFollowerT1)
 	}
-	e := m.Entry
-	if e.Primary.View != r.view || from != r.primary() {
-		return
-	}
-	r.admitPrepareEntry(&e, r.drainFollowerT1)
 }
 
 // admitPrepareEntry runs the follower's acceptance of a primary's
 // entry in two halves: the structural binding (kind, sender, batch
 // digest) checks synchronously, then the entry's signatures — the
 // primary's order plus every client request — verify off-loop as one
-// parallel scatter. A valid entry lands in pendingEntries and drain
+// parallel scatter. A valid entry is buffered in its slot and drain
 // processes it in sequence order, so verification of entry sn+1
 // overlaps execution and signing of entry sn.
-func (r *Replica) admitPrepareEntry(e *PrepareEntry, drain func()) {
+func (r *Replica) admitPrepareEntry(from smr.NodeID, entry PrepareEntry, drain func()) {
+	if r.status != statusNormal || r.followerPos(r.id) < 0 || entry.View() != r.view || from != r.primary() {
+		return // only a follower takes entries, and only from its view's primary
+	}
+	e := &entry
 	sn := e.SN()
-	if sn <= r.sn || r.pendingEntries[sn] != nil || r.entryVerifying[sn] {
-		return // already processed, buffered, or in verification
+	s := r.slot(sn)
+	if s == nil || sn <= r.sn || s.buffered != nil || s.entryVerifying {
+		return // outside the log window, already processed, buffered, or in verification
 	}
 	if !r.checkPrepareEntryShape(e) {
 		r.suspect(r.view) // invalid message from an active replica
@@ -875,20 +864,23 @@ func (r *Replica) admitPrepareEntry(e *PrepareEntry, drain func()) {
 		req := &e.Batch.Reqs[i]
 		b.add(crypto.NodeID(req.Client), req.Sig, req.appendSigPayload)
 	}
-	r.entryVerifying[sn] = true
+	s.entryVerifying = true
 	var ok bool
 	r.goCrypto("verify-prepare",
 		func() { ok = b.verifyAll(r.verifyPool, r.suite) },
 		func() {
-			delete(r.entryVerifying, sn)
+			s := r.slot(sn)
+			if s != nil {
+				s.entryVerifying = false
+			}
 			if !ok {
 				r.suspect(r.view)
 				return
 			}
-			if sn <= r.sn || r.pendingEntries[sn] != nil {
+			if s == nil || sn <= r.sn || s.buffered != nil {
 				return // superseded while verifying (checkpoint adoption)
 			}
-			r.pendingEntries[sn] = e
+			s.buffered = e
 			drain()
 		})
 }
@@ -896,11 +888,12 @@ func (r *Replica) admitPrepareEntry(e *PrepareEntry, drain func()) {
 // drainFollowerT1 processes buffered entries in sequence order.
 func (r *Replica) drainFollowerT1() {
 	for {
-		e, ok := r.pendingEntries[r.sn+1]
-		if !ok {
+		s := r.slot(r.sn + 1)
+		if s == nil || s.buffered == nil {
 			return
 		}
-		delete(r.pendingEntries, r.sn+1)
+		e := s.buffered
+		s.buffered = nil
 		r.sn++
 		sn := r.sn
 		// Execute immediately (the follower runs ahead of the primary,
@@ -916,14 +909,15 @@ func (r *Replica) drainFollowerT1() {
 			digs[i] = crypto.Hash(rep)
 		}
 		root := ReplyRoot(tss, digs)
-		r.prepareLog[sn] = &PrepareEntry{Batch: e.Batch, Primary: e.Primary}
+		s.prepare = &PrepareEntry{Batch: e.Batch, Primary: e.Primary}
 		r.ex = sn
 		r.maybeCheckpoint(sn)
 		m1 := &Order{Kind: KindCommit, BatchD: e.Primary.BatchD, SN: sn, View: r.view, From: r.id, RepRoot: root}
 		r.goCrypto("sign-order",
 			func() { signOrderInto(r.suite, m1) },
 			func() {
-				if sn <= r.chk.SN {
+				s := r.slot(sn)
+				if s == nil {
 					// A checkpoint stabilized past sn while signing; the
 					// primary necessarily assembled sn already, so the
 					// commit is moot and storing it would resurrect a
@@ -931,7 +925,7 @@ func (r *Replica) drainFollowerT1() {
 					return
 				}
 				entry := &CommitEntry{Batch: e.Batch, Primary: e.Primary, Commits: []Order{*m1}}
-				r.commitLog[sn] = entry
+				s.commit = entry
 				r.logCommitEntry(entry)
 				r.notifyCommit(entry)
 				r.env.Send(r.primary(), &MsgCommit{Order: *m1})
@@ -946,26 +940,22 @@ func (r *Replica) drainFollowerT1() {
 
 // onPrepare is a follower receiving the primary's ⟨req, prepare⟩.
 func (r *Replica) onPrepare(from smr.NodeID, m *MsgPrepare) {
-	if r.status != statusNormal || r.t < 2 || !r.isActive() || r.isPrimary() {
-		return
+	if r.t >= 2 {
+		r.admitPrepareEntry(from, m.Entry, r.drainFollowerPrepares)
 	}
-	e := m.Entry
-	if e.Primary.View != r.view || from != r.primary() {
-		return
-	}
-	r.admitPrepareEntry(&e, r.drainFollowerPrepares)
 }
 
 func (r *Replica) drainFollowerPrepares() {
 	for {
-		e, ok := r.pendingEntries[r.sn+1]
-		if !ok {
+		s := r.slot(r.sn + 1)
+		if s == nil || s.buffered == nil {
 			return
 		}
-		delete(r.pendingEntries, r.sn+1)
+		e := s.buffered
+		s.buffered = nil
 		r.sn++
 		sn := r.sn
-		r.prepareLog[sn] = e
+		s.prepare = e
 		r.preView = r.view
 		// The commit signature is produced off-loop; the vote is
 		// recorded and broadcast when it lands. The drain keeps going
@@ -974,16 +964,12 @@ func (r *Replica) drainFollowerPrepares() {
 		r.goCrypto("sign-order",
 			func() { signOrderInto(r.suite, c) },
 			func() {
-				if sn <= r.chk.SN {
+				s := r.slot(sn)
+				if s == nil {
 					return // checkpoint stabilized past sn while signing
 				}
-				r.addCommitVote(sn, *c)
-				msg := &MsgCommit{Order: *c}
-				for _, id := range r.group {
-					if id != r.id {
-						r.env.Send(id, msg)
-					}
-				}
+				r.addCommitVote(s, *c)
+				r.sendActives(&MsgCommit{Order: *c})
 				r.tryAssemble(sn)
 			})
 	}
@@ -999,43 +985,48 @@ func (r *Replica) onCommit(from smr.NodeID, m *MsgCommit) {
 		return
 	}
 	o := m.Order
-	if o.View != r.view || o.From != from || !r.isFollower(from) {
+	pos := r.followerPos(from)
+	if o.View != r.view || o.From != from || pos < 0 {
 		return
 	}
-	if votes, ok := r.pendingCommits[o.SN]; ok {
-		if _, dup := votes[o.From]; dup {
-			return // this follower's vote is already recorded
-		}
+	s := r.slot(o.SN)
+	if s == nil {
+		return // outside the log window: neither stored nor verified
 	}
-	key := orderKey{SN: o.SN, From: o.From}
-	if r.orderVerifying[key] {
+	verifying := uint64(1) << pos
+	if s.votes != nil && s.votes[pos].Sig != nil {
+		return // this follower's vote is already recorded
+	}
+	if s.orderVerifying&verifying != 0 {
 		return // a copy is already in verification
 	}
-	r.orderVerifying[key] = true
+	s.orderVerifying |= verifying
 	var valid bool
 	r.goCrypto("verify-order",
 		func() { valid = verifyOrder(r.suite, &o) },
 		func() {
-			delete(r.orderVerifying, key)
+			s := r.slot(o.SN)
+			if s != nil {
+				s.orderVerifying &^= verifying
+			}
 			if !valid {
 				r.suspect(r.view)
 				return
 			}
-			if o.SN <= r.chk.SN {
+			if s == nil {
 				return // checkpoint stabilized past this entry meanwhile
 			}
-			r.addCommitVote(o.SN, o)
+			r.addCommitVote(s, o)
 			r.tryAssemble(o.SN)
 		})
 }
 
-func (r *Replica) addCommitVote(sn smr.SeqNum, o Order) {
-	votes, ok := r.pendingCommits[sn]
-	if !ok {
-		votes = make(map[smr.NodeID]Order, r.t)
-		r.pendingCommits[sn] = votes
+// addCommitVote records a current-group follower's commit order in s.
+func (r *Replica) addCommitVote(s *slot, o Order) {
+	if s.votes == nil {
+		s.votes = make([]Order, r.t)
 	}
-	votes[o.From] = o
+	s.votes[r.followerPos(o.From)] = o
 }
 
 // tryAssemble completes CommitLog[sn] once the prepare entry and all t
@@ -1043,26 +1034,25 @@ func (r *Replica) addCommitVote(sn smr.SeqNum, o Order) {
 // committed in an older view may be superseded by the re-commit of the
 // new view.
 func (r *Replica) tryAssemble(sn smr.SeqNum) {
-	pe, ok := r.prepareLog[sn]
-	if !ok {
+	s := r.slot(sn)
+	if s == nil || s.prepare == nil || s.votes == nil {
 		return
 	}
-	if existing, done := r.commitLog[sn]; done && existing.View() >= pe.View() {
+	pe := s.prepare
+	if s.commit != nil && s.commit.View() >= pe.View() {
 		return
 	}
-	votes := r.pendingCommits[sn]
-	commits := make([]Order, 0, r.t)
-	for _, f := range r.followers() {
-		o, ok := votes[f]
-		if !ok || o.BatchD != pe.Primary.BatchD || o.View != pe.Primary.View {
+	for i := range s.votes {
+		o := &s.votes[i]
+		if o.Sig == nil || o.BatchD != pe.Primary.BatchD || o.View != pe.Primary.View {
 			return
 		}
-		commits = append(commits, o)
 	}
-	entry := &CommitEntry{Batch: pe.Batch, Primary: pe.Primary, Commits: commits}
-	r.commitLog[sn] = entry
+	// The votes sit in follower order, which is the certificate's.
+	entry := &CommitEntry{Batch: pe.Batch, Primary: pe.Primary, Commits: s.votes}
+	s.commit = entry
+	s.votes = nil
 	r.logCommitEntry(entry)
-	delete(r.pendingCommits, sn)
 	r.notifyCommit(entry)
 	if sn <= r.ex {
 		// Re-commit of an already-executed entry (view change):
@@ -1081,11 +1071,11 @@ func (r *Replica) tryAssemble(sn smr.SeqNum) {
 // drainFollowerT1); the t = 1 primary and all t ≥ 2 actives do.
 func (r *Replica) tryExecute() {
 	for {
-		entry, ok := r.commitLog[r.ex+1]
-		if !ok {
+		s := r.slot(r.ex + 1)
+		if s == nil || s.commit == nil {
 			break
 		}
-		sn := r.ex + 1
+		entry, sn := s.commit, r.ex+1
 		tss, reps := r.applyBatch(&entry.Batch, sn, entry.View())
 		r.ex = sn
 		r.maybeCheckpoint(sn)
@@ -1110,73 +1100,64 @@ func (r *Replica) tryExecute() {
 // via retransmission (resendCommittedReplies / Algorithm 4), exactly
 // as if the replies had been lost on the wire.
 func (r *Replica) sendReplies(entry *CommitEntry, sn smr.SeqNum, tss []uint64, reps [][]byte) {
-	if r.t == 1 && r.isPrimary() {
-		m1 := entry.Commits[0]
-		view := r.view
-		var out []*MsgReply
-		rootOK := true
-		r.goCrypto("mac-reply",
-			func() {
-				digs := make([]crypto.Digest, len(reps))
-				for i, rep := range reps {
-					digs[i] = crypto.Hash(rep)
-				}
-				// Check the follower's reply digest (Section 4.2.2)
-				// before answering clients: a mismatch means one of us
-				// diverged.
-				leaves := ReplyLeaves(tss, digs)
-				if m1.RepRoot != crypto.MerkleRoot(leaves) {
-					rootOK = false
-					return
-				}
-				out = make([]*MsgReply, len(entry.Batch.Reqs))
-				for i := range entry.Batch.Reqs {
-					req := &entry.Batch.Reqs[i]
-					rep := &MsgReply{
-						From: r.id, SN: sn, View: view, TS: tss[i], Rep: reps[i],
-						Proof: crypto.BuildMerkleProof(leaves, i), FollowerCommit: &m1,
-					}
-					rep.MAC = r.suite.MAC(crypto.NodeID(r.id), crypto.NodeID(req.Client), rep.MACPayload())
-					out[i] = rep
-				}
-			},
-			func() {
-				if !rootOK {
-					r.suspect(r.view)
-					return
-				}
-				for i, rep := range out {
-					r.env.Send(entry.Batch.Reqs[i].Client, rep)
-				}
-			})
-		return
+	primary := r.isPrimary()
+	if r.t == 1 && !primary {
+		return // the t = 1 follower's answer travels inside the primary's reply
 	}
-	if r.t >= 2 {
-		view := r.view
-		primary := r.isPrimary()
-		var out []smr.Message
-		r.goCrypto("mac-reply",
-			func() {
-				out = make([]smr.Message, len(entry.Batch.Reqs))
-				for i := range entry.Batch.Reqs {
-					req := &entry.Batch.Reqs[i]
-					if primary {
-						rep := &MsgReply{From: r.id, SN: sn, View: view, TS: tss[i], Rep: reps[i]}
-						rep.MAC = r.suite.MAC(crypto.NodeID(r.id), crypto.NodeID(req.Client), rep.MACPayload())
-						out[i] = rep
-					} else {
-						rep := &MsgReplyDigest{From: r.id, SN: sn, View: view, TS: tss[i], RepDigest: crypto.Hash(reps[i])}
-						rep.MAC = r.suite.MAC(crypto.NodeID(r.id), crypto.NodeID(req.Client), rep.MACPayload())
-						out[i] = rep
-					}
+	view := r.view
+	out := make([]smr.Message, len(entry.Batch.Reqs))
+	rootOK := true
+	r.goCrypto("mac-reply",
+		func() {
+			if r.t >= 2 {
+				for i := range out {
+					out[i] = r.groupReply(primary, entry.Batch.Reqs[i].Client, sn, view, tss[i], reps[i])
 				}
-			},
-			func() {
-				for i, rep := range out {
-					r.env.Send(entry.Batch.Reqs[i].Client, rep)
+				return
+			}
+			digs := make([]crypto.Digest, len(reps))
+			for i, rep := range reps {
+				digs[i] = crypto.Hash(rep)
+			}
+			// Check the follower's reply digest (Section 4.2.2) before
+			// answering clients: a mismatch means one of us diverged.
+			m1 := entry.Commits[0]
+			leaves := ReplyLeaves(tss, digs)
+			if m1.RepRoot != crypto.MerkleRoot(leaves) {
+				rootOK = false
+				return
+			}
+			for i := range out {
+				rep := &MsgReply{
+					From: r.id, SN: sn, View: view, TS: tss[i], Rep: reps[i],
+					Proof: crypto.BuildMerkleProof(leaves, i), FollowerCommit: &m1,
 				}
-			})
+				rep.MAC = r.suite.MAC(crypto.NodeID(r.id), crypto.NodeID(entry.Batch.Reqs[i].Client), rep.MACPayload())
+				out[i] = rep
+			}
+		},
+		func() {
+			if !rootOK {
+				r.suspect(r.view)
+				return
+			}
+			for i, rep := range out {
+				r.env.Send(entry.Batch.Reqs[i].Client, rep)
+			}
+		})
+}
+
+// groupReply builds one client's t ≥ 2 answer (Figure 2a): the primary
+// sends the reply, a follower its digest.
+func (r *Replica) groupReply(primary bool, client smr.NodeID, sn smr.SeqNum, v smr.View, ts uint64, rep []byte) smr.Message {
+	if primary {
+		m := &MsgReply{From: r.id, SN: sn, View: v, TS: ts, Rep: rep}
+		m.MAC = r.suite.MAC(crypto.NodeID(r.id), crypto.NodeID(client), m.MACPayload())
+		return m
 	}
+	m := &MsgReplyDigest{From: r.id, SN: sn, View: v, TS: ts, RepDigest: crypto.Hash(rep)}
+	m.MAC = r.suite.MAC(crypto.NodeID(r.id), crypto.NodeID(client), m.MACPayload())
+	return m
 }
 
 // applyBatch executes the batch's requests in order with at-most-once
@@ -1221,10 +1202,11 @@ func (r *Replica) applyBatch(b *Batch, sn smr.SeqNum, v smr.View) (tss []uint64,
 func (r *Replica) sendReply(client smr.NodeID, req *Request, c cachedReply) {
 	rep := MsgReply{From: r.id, SN: c.SN, View: c.View, TS: c.TS, Rep: c.Rep}
 	if r.t == 1 {
-		entry, ok := r.commitLog[c.SN]
-		if !ok {
+		s := r.slot(c.SN)
+		if s == nil || s.commit == nil {
 			return // truncated by a checkpoint; client will retransmit
 		}
+		entry := s.commit
 		m1 := entry.Commits[0]
 		rep.SN, rep.View = entry.SN(), entry.View()
 		rep.FollowerCommit = &m1
@@ -1264,15 +1246,7 @@ func (r *Replica) resendCommittedReplies(entry *CommitEntry) {
 			}
 			continue
 		}
-		if r.isPrimary() {
-			rep := MsgReply{From: r.id, SN: entry.SN(), View: entry.View(), TS: c.TS, Rep: c.Rep}
-			rep.MAC = r.suite.MAC(crypto.NodeID(r.id), crypto.NodeID(req.Client), rep.MACPayload())
-			r.env.Send(req.Client, &rep)
-		} else {
-			rep := MsgReplyDigest{From: r.id, SN: entry.SN(), View: entry.View(), TS: c.TS, RepDigest: crypto.Hash(c.Rep)}
-			rep.MAC = r.suite.MAC(crypto.NodeID(r.id), crypto.NodeID(req.Client), rep.MACPayload())
-			r.env.Send(req.Client, &rep)
-		}
+		r.env.Send(req.Client, r.groupReply(r.isPrimary(), req.Client, entry.SN(), entry.View(), c.TS, c.Rep))
 	}
 }
 
@@ -1302,11 +1276,7 @@ func (r *Replica) notifyCommit(e *CommitEntry) {
 // across the verification pool — are checked by admitPrepareEntry's
 // off-loop half.
 func (r *Replica) checkPrepareEntryShape(e *PrepareEntry) bool {
-	wantKind := KindPrepare
-	if r.t == 1 {
-		wantKind = KindCommit
-	}
-	if e.Primary.Kind != wantKind {
+	if e.Primary.Kind != r.primaryKind() {
 		return false
 	}
 	if e.Primary.From != Primary(r.n, r.t, e.Primary.View) {
@@ -1320,11 +1290,7 @@ func (r *Replica) checkPrepareEntryShape(e *PrepareEntry) bool {
 // same batch digest. Used on lazy replication and view-change paths.
 func (r *Replica) verifyCommitEntry(e *CommitEntry) bool {
 	v := e.Primary.View
-	wantKind := KindPrepare
-	if r.t == 1 {
-		wantKind = KindCommit
-	}
-	if e.Primary.Kind != wantKind || e.Primary.From != Primary(r.n, r.t, v) {
+	if e.Primary.Kind != r.primaryKind() || e.Primary.From != Primary(r.n, r.t, v) {
 		return false
 	}
 	if e.Batch.Digest() != e.Primary.BatchD {
@@ -1444,12 +1410,7 @@ func (r *Replica) broadcastReplySign(client smr.NodeID, ts uint64, c cachedReply
 		func() { rs.Sig = r.suite.Sign(crypto.NodeID(r.id), rs.SigPayload()) },
 		func() {
 			delete(r.replySigning, key)
-			msg := &MsgReplySign{R: *rs}
-			for _, id := range r.group {
-				if id != r.id {
-					r.env.Send(id, msg)
-				}
-			}
+			r.sendActives(&MsgReplySign{R: *rs})
 			r.applyReplySign(*rs) // our own signature needs no verification
 		})
 }

@@ -1,8 +1,8 @@
 package xpaxos
 
 import (
+	"maps"
 	"slices"
-	"sort"
 
 	"github.com/xft-consensus/xft/internal/crypto"
 	"github.com/xft-consensus/xft/internal/smr"
@@ -117,13 +117,14 @@ func (r *Replica) enterView(nv smr.View) {
 		return
 	}
 
-	// Abandon per-view volatile state. The queued markers are rebuilt
-	// from the unbatched backlog only: requests that were batched into
-	// prepares of the dead view may not survive the view change, and a
-	// stale marker would make the primary drop their retransmissions
+	// Abandon per-view volatile state: buffered entries, commit votes
+	// and in-flight verification marks in the log, and what the async
+	// crypto pipeline has in flight (below). The queued markers are
+	// rebuilt from the unbatched backlog only: requests that were batched
+	// into prepares of the dead view may not survive the view change, and
+	// a stale marker would make the primary drop their retransmissions
 	// forever.
-	r.pendingEntries = make(map[smr.SeqNum]*PrepareEntry)
-	r.pendingCommits = make(map[smr.SeqNum]map[smr.NodeID]Order)
+	r.log.dropVolatile()
 	r.queued = make(map[watchKey]crypto.Digest, r.intake.size())
 	r.intake.each(func(req *Request) {
 		r.queued[watchKey{Client: req.Client, TS: req.TS}] = crypto.Hash(req.Sig)
@@ -139,8 +140,6 @@ func (r *Replica) enterView(nv smr.View) {
 	// into dead-view prepares — their queued markers were rebuilt away
 	// above, so retransmissions are judged fresh.
 	r.intakeQ = nil
-	r.entryVerifying = make(map[smr.SeqNum]bool)
-	r.orderVerifying = make(map[orderKey]bool)
 	r.replySigning = make(map[watchKey]bool)
 	r.replySignVerifying = make(map[replySigID]bool)
 	r.fwdPending = nil
@@ -203,41 +202,15 @@ func (r *Replica) buildViewChange(nv smr.View) *MsgViewChange {
 		From:       r.id,
 		Checkpoint: r.chk,
 		Snapshot:   r.chkSnapshot,
-		CommitLog:  r.sortedCommitLog(),
+		CommitLog:  r.log.commits(),
 	}
 	if r.cfg.EnableFD {
-		vc.PrepareLog = r.sortedPrepareLog()
+		vc.PrepareLog = r.log.prepares()
 		vc.PreView = r.preView
 		vc.FinalProof = r.finalProofs[r.preView]
 	}
 	vc.Sig = r.suite.Sign(crypto.NodeID(r.id), vc.SigPayload())
 	return vc
-}
-
-func (r *Replica) sortedCommitLog() []CommitEntry {
-	sns := make([]int, 0, len(r.commitLog))
-	for sn := range r.commitLog {
-		sns = append(sns, int(sn))
-	}
-	sort.Ints(sns)
-	out := make([]CommitEntry, 0, len(sns))
-	for _, sn := range sns {
-		out = append(out, *r.commitLog[smr.SeqNum(sn)])
-	}
-	return out
-}
-
-func (r *Replica) sortedPrepareLog() []PrepareEntry {
-	sns := make([]int, 0, len(r.prepareLog))
-	for sn := range r.prepareLog {
-		sns = append(sns, int(sn))
-	}
-	sort.Ints(sns)
-	out := make([]PrepareEntry, 0, len(sns))
-	for _, sn := range sns {
-		out = append(out, *r.prepareLog[smr.SeqNum(sn)])
-	}
-	return out
 }
 
 // onViewChange routes an incoming view-change message.
@@ -290,13 +263,8 @@ func (r *Replica) checkVCSetComplete() {
 	if len(st.vcSet) == r.n || (st.netExpired && len(st.vcSet) >= r.n-r.t) {
 		st.finalSent = true
 		vcs := make([]*MsgViewChange, 0, len(st.vcSet))
-		ids := make([]int, 0, len(st.vcSet))
-		for id := range st.vcSet {
-			ids = append(ids, int(id))
-		}
-		sort.Ints(ids)
-		for _, id := range ids {
-			vcs = append(vcs, st.vcSet[smr.NodeID(id)])
+		for _, id := range slices.Sorted(maps.Keys(st.vcSet)) {
+			vcs = append(vcs, st.vcSet[id])
 		}
 		f := &MsgVCFinal{NewView: st.target, From: r.id, VCSet: vcs}
 		f.Sig = r.suite.Sign(crypto.NodeID(r.id), f.SigPayload())
@@ -484,20 +452,7 @@ func (r *Replica) computeSelection() {
 // verifyPrepareEntryForVC validates a prepare entry carried in a
 // view-change message (any view, not just the current one).
 func (r *Replica) verifyPrepareEntryForVC(e *PrepareEntry) bool {
-	wantKind := KindPrepare
-	if r.t == 1 {
-		wantKind = KindCommit
-	}
-	if e.Primary.Kind != wantKind {
-		return false
-	}
-	if e.Primary.From != Primary(r.n, r.t, e.Primary.View) {
-		return false
-	}
-	if e.Batch.Digest() != e.Primary.BatchD {
-		return false
-	}
-	return verifyOrder(r.suite, &e.Primary)
+	return r.checkPrepareEntryShape(e) && verifyOrder(r.suite, &e.Primary)
 }
 
 // sendNewView is the new primary's Algorithm 3 lines 20–24.
@@ -506,10 +461,7 @@ func (r *Replica) sendNewView() {
 	if st == nil || !st.selDone {
 		return
 	}
-	kind := KindPrepare
-	if r.t == 1 {
-		kind = KindCommit
-	}
+	kind := r.primaryKind()
 	prepares := make([]PrepareEntry, 0, len(st.selection))
 	for sn := st.selChk.SN + 1; sn <= st.selMax; sn++ {
 		e := st.selection[sn]
@@ -566,10 +518,7 @@ func (r *Replica) processNewView(m *MsgNewView) {
 		r.suspect(r.view)
 		return
 	}
-	kind := KindPrepare
-	if r.t == 1 {
-		kind = KindCommit
-	}
+	kind := r.primaryKind()
 	for i := range m.Prepares {
 		e := &m.Prepares[i]
 		sn := st.selChk.SN + 1 + smr.SeqNum(i)
@@ -602,7 +551,9 @@ func (r *Replica) processNewView(m *MsgNewView) {
 	}
 	for i := range m.Prepares {
 		e := m.Prepares[i]
-		r.prepareLog[e.SN()] = &e
+		if s := r.slot(e.SN()); s != nil {
+			s.prepare = &e
+		}
 	}
 	// Every active replica resumes from the selection's end — the group
 	// must agree on the next sequence number (Algorithm 3 line 29).
@@ -629,7 +580,9 @@ func (r *Replica) processNewView(m *MsgNewView) {
 				root := ReplyRoot(tss, reps)
 				m1 := signOrder(r.suite, KindCommit, e.Primary.BatchD, sn, r.view, r.id, root)
 				entry := &CommitEntry{Batch: e.Batch, Primary: e.Primary, Commits: []Order{m1}}
-				r.commitLog[sn] = entry
+				if s := r.slot(sn); s != nil {
+					s.commit = entry
+				}
 				r.logCommitEntry(entry)
 				r.notifyCommit(entry)
 				r.env.Send(r.primary(), &MsgCommit{Order: m1})
@@ -639,13 +592,10 @@ func (r *Replica) processNewView(m *MsgNewView) {
 			for i := range m.Prepares {
 				e := &m.Prepares[i]
 				c := signOrder(r.suite, KindCommit, e.Primary.BatchD, e.SN(), r.view, r.id, crypto.Digest{})
-				r.addCommitVote(e.SN(), c)
-				msg := &MsgCommit{Order: c}
-				for _, id := range r.group {
-					if id != r.id {
-						r.env.Send(id, msg)
-					}
+				if s := r.slot(e.SN()); s != nil {
+					r.addCommitVote(s, c)
 				}
+				r.sendActives(&MsgCommit{Order: c})
 				r.tryAssemble(e.SN())
 			}
 		}
@@ -664,12 +614,8 @@ func (r *Replica) processNewView(m *MsgNewView) {
 // re-sent on its own suspicion may have reached us before we were
 // primary. Its request timer remains the fallback.
 func (r *Replica) announceView() {
-	clients := make([]smr.NodeID, 0, len(r.lastExec))
-	for c := range r.lastExec {
-		clients = append(clients, c)
-	}
-	slices.Sort(clients) // send order must not depend on map order (netsim determinism)
-	for _, c := range clients {
+	// Send order must not depend on map order (netsim determinism).
+	for _, c := range slices.Sorted(maps.Keys(r.lastExec)) {
 		m := &MsgViewInstalled{View: r.view, From: r.id}
 		m.MAC = r.suite.MAC(crypto.NodeID(r.id), crypto.NodeID(c), m.MACPayload())
 		r.env.Send(c, m)

@@ -269,13 +269,14 @@ func TestCheckpointTruncatesLogs(t *testing.T) {
 		if r.chk.SN == 0 {
 			t.Errorf("replica %d never checkpointed", id)
 		}
-		for sn := range r.commitLog {
-			if sn <= r.chk.SN {
-				t.Errorf("replica %d kept log entry %d below checkpoint %d", id, sn, r.chk.SN)
+		commits := r.log.commits()
+		for _, e := range commits {
+			if e.SN() <= r.chk.SN {
+				t.Errorf("replica %d kept log entry %d below checkpoint %d", id, e.SN(), r.chk.SN)
 			}
 		}
-		if len(r.commitLog) > 2*4 {
-			t.Errorf("replica %d commit log grew to %d entries despite checkpointing", id, len(r.commitLog))
+		if len(commits) > 2*4 {
+			t.Errorf("replica %d commit log grew to %d entries despite checkpointing", id, len(commits))
 		}
 	}
 }

@@ -28,6 +28,7 @@ package xpaxos
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -89,19 +90,6 @@ type Config struct {
 	CheckpointInterval uint64
 	// EnableFD turns on the fault-detection mechanism (Section 4.4).
 	EnableFD bool
-	// DisableProactiveSuspect turns off the replica's reaction to the
-	// runtime's connection-health signal. By default, an active replica
-	// suspects its view as soon as it knows a member of the view's
-	// synchronous group to be down — when the smr.PeerDown arrives, or
-	// when it enters a view whose group holds such a peer (see
-	// NextViableView) — the keepalive prober (TCP transport) or the
-	// modeled link monitor (netsim) detects a dead or partitioned peer
-	// at probe-timeout granularity or better, well before a client
-	// retransmission would arm the Algorithm 4 watch. The signal is
-	// advisory and local; reacting to it costs at worst a spurious view
-	// change, which the protocol tolerates by design. Disabling restores
-	// the retransmit-timeout-only fault path of the paper's baseline.
-	DisableProactiveSuspect bool
 	// DisableLazyReplication turns off lazy replication to passive
 	// replicas (Section 4.5.2); on by default.
 	DisableLazyReplication bool
@@ -255,12 +243,7 @@ func Primary(n, t int, v smr.View) smr.NodeID { return SyncGroup(n, t, v)[0] }
 
 // InGroup reports whether id is active in view v.
 func InGroup(n, t int, v smr.View, id smr.NodeID) bool {
-	for _, m := range SyncGroup(n, t, v) {
-		if m == id {
-			return true
-		}
-	}
-	return false
+	return slices.Contains(SyncGroup(n, t, v), id)
 }
 
 // NextViableView returns the first view at or after from whose whole

@@ -3,19 +3,28 @@
 # benchmark), counted the way ROADMAP counts them:
 #   find <dir> -maxdepth 1 -name '*.go' ! -name '*_test.go' | xargs cat | wc -l
 #
-#   scripts/loc.sh           print the table
-#   scripts/loc.sh --check   also fail if the ratcheted set exceeds CEILING
+#   scripts/loc.sh           print the table and both ratchets
+#   scripts/loc.sh --check   also fail if a ratchet exceeds its ceiling
 #
-# The ratcheted set is the four baseline protocols, the kit and table
-# they share, and the bench harness. It was 6,534 lines before they were
-# collapsed onto internal/baseline; CEILING is ROADMAP's -25 % target,
-# which that PR met. Lower it when a PR shrinks the set further; raising
-# it needs a reason in the PR description.
+# Two sets are ratcheted, each against its own ceiling:
+#
+#   - the four baseline protocols, the kit and table they share, and the
+#     bench harness. 6,534 lines before they were collapsed onto
+#     internal/baseline; CEILING is ROADMAP's -25 % target, which that PR
+#     met.
+#   - internal/xpaxos. 6,084 lines before the replica's per-sequence
+#     maps became one sequence log; XPAXOS_CEILING is the count that PR
+#     reached. ROADMAP's -15 % target for the package is 5,171.
+#
+# A ceiling is lowered by the PR that shrinks its set: run this script,
+# set the constant to the count it prints, and say so in CHANGES.md.
+# Raising one needs a reason in the PR description.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 RATCHETED="internal/baseline internal/protocols internal/paxos internal/pbft internal/zab internal/zyzzyva internal/bench"
 CEILING=4900
+XPAXOS_CEILING=6046
 
 count() { find "$1" -maxdepth 1 -name '*.go' ! -name '*_test.go' -print0 | xargs -0 -r cat | wc -l; }
 
@@ -32,9 +41,19 @@ ratcheted=0
 for dir in $RATCHETED; do
 	ratcheted=$((ratcheted + $(count "$dir")))
 done
+xpaxos=$(count internal/xpaxos)
 printf '%7d  baselines + kit + table + bench (ceiling %d)\n' "$ratcheted" "$CEILING"
+printf '%7d  internal/xpaxos (ceiling %d)\n' "$xpaxos" "$XPAXOS_CEILING"
 
-if [ "${1:-}" = "--check" ] && [ "$ratcheted" -gt "$CEILING" ]; then
-	echo "loc.sh: ratcheted set is $ratcheted lines, over the $CEILING ceiling" >&2
-	exit 1
+if [ "${1:-}" = "--check" ]; then
+	status=0
+	if [ "$ratcheted" -gt "$CEILING" ]; then
+		echo "loc.sh: baselines + kit + table + bench is $ratcheted lines, over the $CEILING ceiling" >&2
+		status=1
+	fi
+	if [ "$xpaxos" -gt "$XPAXOS_CEILING" ]; then
+		echo "loc.sh: internal/xpaxos is $xpaxos lines, over the $XPAXOS_CEILING ceiling" >&2
+		status=1
+	fi
+	exit "$status"
 fi
