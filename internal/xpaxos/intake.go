@@ -3,7 +3,9 @@ package xpaxos
 import (
 	"sync/atomic"
 
+	"github.com/xft-consensus/xft/internal/crypto"
 	"github.com/xft-consensus/xft/internal/smr"
+	"github.com/xft-consensus/xft/internal/wire"
 )
 
 // admissionQueue is the primary's bounded intake of pending client
@@ -150,4 +152,291 @@ func (q *admissionQueue) stats() IntakeStats {
 		ForwardDropped:  q.forwardDropped.Load(),
 		PressureDropped: q.pressureDropped.Load(),
 	}
+}
+
+// intakeVerify is one drained slice of candidate requests whose client
+// signatures are checked off-loop before batch assignment.
+type intakeVerify struct {
+	cand     []Request
+	verdicts []bool
+	done     bool
+}
+
+// ---------------------------------------------------------------------------
+// Common case: request intake and batching (primary)
+// ---------------------------------------------------------------------------
+
+// onRequest handles a client request arriving at any active replica.
+// Non-primaries forward to the primary (this also covers the
+// client-broadcast path after a timeout).
+func (r *Replica) onRequest(from smr.NodeID, req Request, forwarded bool) {
+	if !r.isActive() {
+		return
+	}
+	// Client-signature verification is deferred to batch formation,
+	// where the whole batch's signatures scatter across the
+	// verification pool in one call instead of costing the event loop
+	// one serial public-key operation per arrival. Paths that act on a
+	// request immediately still verify inline.
+	// At-most-once: an already-executed request gets the cached reply.
+	// A not-yet-executed timestamp inside the window (a shed request
+	// returning via retransmission) falls through to normal admission.
+	if r.lastExec[req.Client].executed(req.TS) {
+		if c, ok := r.replies.get(req.Client, req.TS); ok && r.isPrimary() && r.verifyRequest(&req) {
+			r.sendReply(req.Client, &req, c)
+		}
+		return
+	}
+	if !r.isPrimary() {
+		if !forwarded {
+			// Verify-before-forward: a follower authenticates the client
+			// signature before relaying, so a forged-request blast is
+			// absorbed here instead of being amplified into the
+			// primary's intake (ROADMAP: request-intake hardening).
+			// Arrivals accumulate while a verification batch is in
+			// flight and scatter through the batch verifier together
+			// (verifyForwards), so the per-request edge cost shrinks
+			// under exactly the loads that need it; a lone forward
+			// still verifies — and forwards — immediately.
+			if len(r.fwdPending) >= r.cfg.IntakeQueueCap {
+				// The unverified backlog is as bounded as the intake
+				// queue; overflow is shed and counted like a forgery.
+				r.intake.forwardDropped.Add(1)
+				return
+			}
+			r.fwdPending = append(r.fwdPending, req)
+			r.verifyForwards()
+		}
+		return
+	}
+	key := watchKey{Client: req.Client, TS: req.TS}
+	sigD := crypto.Hash(req.Sig)
+	if prev, ok := r.queued[key]; ok {
+		if prev == sigD {
+			return // identical copy already in the pipeline
+		}
+		// A different copy for the same (client, ts): the queued one is
+		// unverified, so it could be a forgery racing the honest
+		// request. Verify this copy inline — if it is genuine, queue it
+		// too (batch formation discards the bad one); if not, ignore it
+		// without letting it displace anything.
+		if !r.verifyRequest(&req) {
+			return
+		}
+	}
+	// Once a client's queue is deep, further admissions must verify
+	// up front: unverified requests charge the named client's quota,
+	// which an attacker spraying forgeries in the victim's name could
+	// otherwise pin full (see admissionQueue.pressured).
+	if r.intake.pressured(req.Client) && !r.verifyRequest(&req) {
+		r.intake.pressureDropped.Add(1)
+		return
+	}
+	if !r.intake.admit(req) {
+		// Shed by the admission bounds. Leave no marker: a
+		// retransmission after the overload clears must be judged
+		// fresh, not suppressed as a duplicate.
+		return
+	}
+	r.queued[key] = sigD
+	r.flushBatches(false)
+}
+
+// IntakeStats reports the replica's request-intake health: admission
+// queue depth, cumulative admissions and sheds, and follower-side
+// forward drops. Safe to call from any goroutine.
+func (r *Replica) IntakeStats() IntakeStats { return r.intake.stats() }
+
+func (r *Replica) verifyRequest(req *Request) bool {
+	w := wire.Get()
+	ok := r.suite.Verify(crypto.NodeID(req.Client), req.appendSigPayload(w), req.Sig)
+	wire.Put(w)
+	return ok
+}
+
+// verifyForwards drains the follower's pending forward backlog through
+// the crypto pipeline, one batch in flight at a time: requests
+// arriving while a batch verifies accumulate into the next one, so
+// bursts amortize across one batch-verifier pass with no added timer
+// or latency for a lone request. Valid requests are relayed to the
+// primary; invalid ones are shed and counted.
+func (r *Replica) verifyForwards() {
+	if r.fwdInFlight || len(r.fwdPending) == 0 {
+		return
+	}
+	cand := r.fwdPending
+	r.fwdPending = nil
+	r.fwdInFlight = true
+	b := newSigBatch(len(cand))
+	for i := range cand {
+		b.add(crypto.NodeID(cand[i].Client), cand[i].Sig, cand[i].appendSigPayload)
+	}
+	var verdicts []bool
+	r.goCrypto("verify-forward",
+		func() { verdicts = b.verifyEach(r.verifyPool, r.suite) },
+		func() {
+			r.fwdInFlight = false
+			for i, ok := range verdicts {
+				if !ok {
+					r.intake.forwardDropped.Add(1)
+					continue
+				}
+				r.env.Send(r.primary(), &MsgReplicate{Req: cand[i]})
+			}
+			r.verifyForwards()
+		})
+}
+
+// inFlight returns the number of sequence numbers the replica has
+// assigned but not yet executed — the occupied pipeline slots at the
+// primary.
+func (r *Replica) inFlight() int {
+	if r.sn <= r.ex {
+		return 0
+	}
+	return int(r.sn - r.ex)
+}
+
+// MaxInFlight returns the high-water mark of concurrently in-flight
+// sequence numbers (exported for tests and stats).
+func (r *Replica) MaxInFlight() int { return r.maxInFlight }
+
+// pipelineKeepBusy is the in-flight depth below which a partial batch
+// ships immediately: with the primary and follower stages overlapped,
+// two outstanding batches keep both busy, so holding a partial back to
+// fill it would idle a stage. At or above this depth, partial batches
+// wait for more requests (amortizing per-batch signatures) until the
+// batch timer bounds the delay.
+const pipelineKeepBusy = 2
+
+// flushBatches drains pending requests into sequence-numbered
+// proposals, keeping at most PipelineWindow batches in flight — where
+// "in flight" counts both assigned sequence numbers and batches still
+// in signature verification (intakeQ). Batch formation is adaptive: a
+// full batch is dispatched whenever the window has room; a partial
+// batch is dispatched immediately while the pipeline is hungry (fewer
+// than pipelineKeepBusy batches in flight), and otherwise waits to
+// fill until the batch timer forces it out (force=true). Under load,
+// backpressure grows batches naturally: requests accumulate while the
+// window is busy and drain into one proposal when a slot frees.
+func (r *Replica) flushBatches(force bool) {
+	if r.status != statusNormal || !r.isPrimary() {
+		return
+	}
+	for r.intake.size() > 0 && r.inFlight()+len(r.intakeQ) < r.cfg.PipelineWindow {
+		if r.intake.size() < r.cfg.BatchSize && !force && r.inFlight()+len(r.intakeQ) >= pipelineKeepBusy {
+			break // partial batch and both stages are busy: let it fill
+		}
+		// Drain round-robin across clients: under overload every
+		// client lands requests in each batch instead of the queue
+		// head's owner monopolizing it.
+		r.dispatchIntake(r.intake.drain(r.cfg.BatchSize))
+		force = false
+	}
+	// Anything left waits for more requests, a commit that frees a
+	// window slot, or the batch timer.
+	if r.intake.size() > 0 && !r.batchTimerSet {
+		r.batchTimer = r.env.SetTimer(r.cfg.BatchTimeout, "batch")
+		r.batchTimerSet = true
+	}
+}
+
+// dispatchIntake submits the candidates' client-signature checks —
+// deferred from arrival so the whole batch verifies in one parallel
+// scatter — and queues the batch for in-order retirement. While the
+// batch verifies off-loop, the loop is free to assemble the next one:
+// verification of batch k+1 overlaps signing and assembly of batch k.
+func (r *Replica) dispatchIntake(cand []Request) {
+	iv := &intakeVerify{cand: cand}
+	r.intakeQ = append(r.intakeQ, iv)
+	b := newSigBatch(len(cand))
+	for i := range cand {
+		b.add(crypto.NodeID(cand[i].Client), cand[i].Sig, cand[i].appendSigPayload)
+	}
+	r.goCrypto("verify-intake",
+		func() { iv.verdicts = b.verifyEach(r.verifyPool, r.suite) },
+		func() {
+			iv.done = true
+			r.retireIntake()
+		})
+}
+
+// retireIntake assigns sequence numbers to verified intake batches in
+// dispatch order. Completions may arrive out of order; retiring only
+// the done prefix keeps batch order equal to drain order, so a
+// client's pipelined requests never reorder. An invalid request is
+// dropped and its queued marker cleared, so a later valid
+// retransmission from the same client is not mistaken for a duplicate.
+func (r *Replica) retireIntake() {
+	retired := false
+	for len(r.intakeQ) > 0 && r.intakeQ[0].done {
+		iv := r.intakeQ[0]
+		r.intakeQ = r.intakeQ[1:]
+		retired = true
+		reqs := make([]Request, 0, len(iv.cand))
+		for i, ok := range iv.verdicts {
+			if !ok {
+				// Clear the marker only if it is this copy's: a valid
+				// copy queued alongside keeps its own mark.
+				key := watchKey{Client: iv.cand[i].Client, TS: iv.cand[i].TS}
+				if r.queued[key] == crypto.Hash(iv.cand[i].Sig) {
+					delete(r.queued, key)
+				}
+				continue
+			}
+			reqs = append(reqs, iv.cand[i])
+		}
+		if len(reqs) > 0 {
+			r.assignBatch(Batch{Reqs: reqs})
+		}
+	}
+	if retired {
+		// Retirement freed window slots; refill them.
+		r.flushBatches(false)
+	}
+}
+
+// sigBatch accumulates independent signature checks whose payloads
+// live in pooled wire buffers; the verify methods release every buffer
+// after the verdict, keeping the Get/Put pairing in one place.
+type sigBatch struct {
+	jobs []crypto.VerifyJob
+	bufs []*wire.Buf
+}
+
+func newSigBatch(capacity int) sigBatch {
+	return sigBatch{
+		jobs: make([]crypto.VerifyJob, 0, capacity),
+		bufs: make([]*wire.Buf, 0, capacity),
+	}
+}
+
+// add appends one check; payload writes the signed bytes into the
+// pooled buffer it is handed (e.g. Request.appendSigPayload).
+func (b *sigBatch) add(id crypto.NodeID, sig crypto.Signature, payload func(*wire.Buf) []byte) {
+	w := wire.Get()
+	b.bufs = append(b.bufs, w)
+	b.jobs = append(b.jobs, crypto.VerifyJob{ID: id, Data: payload(w), Sig: sig})
+}
+
+func (b *sigBatch) release() {
+	for _, w := range b.bufs {
+		wire.Put(w)
+	}
+	b.bufs = b.bufs[:0]
+}
+
+// verifyAll scatters the checks across pool and reports whether every
+// one passed.
+func (b *sigBatch) verifyAll(pool *crypto.Pool, suite crypto.Suite) bool {
+	ok := pool.VerifyAll(suite, b.jobs)
+	b.release()
+	return ok
+}
+
+// verifyEach scatters the checks across pool and reports each verdict.
+func (b *sigBatch) verifyEach(pool *crypto.Pool, suite crypto.Suite) []bool {
+	out := pool.VerifyEach(suite, b.jobs)
+	b.release()
+	return out
 }
