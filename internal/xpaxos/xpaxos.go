@@ -6,7 +6,8 @@
 // combination of at most t crash faults, non-crash (Byzantine) faults
 // and partitioned replicas. Its three components are implemented here:
 //
-//   - the common case (replica.go): clients' signed requests are
+//   - the common case (intake.go, order.go, execute.go, over the
+//     sequence log of seqlog.go): clients' signed requests are
 //     replicated across the t+1 active replicas of the current
 //     synchronous group, with the optimized two-message pattern for
 //     t = 1 (Figure 2b) and the prepare/commit pattern for t ≥ 2
@@ -23,7 +24,7 @@
 //
 // plus the optimizations of Section 4.5: checkpointing and lazy
 // replication (checkpoint.go) and client request retransmission
-// (client.go, Algorithm 4).
+// (client.go and watch.go, Algorithm 4).
 package xpaxos
 
 import (
