@@ -13,7 +13,7 @@ import (
 	"github.com/xft-consensus/xft/internal/wire"
 )
 
-var updateGolden = flag.Bool("update-golden", false, "rewrite testdata/viewchange_t2fd.golden from the current replica")
+var updateGolden = flag.Bool("update-golden", false, "rewrite testdata/viewchange_t2fd.golden and testdata/wire.golden from the current code")
 
 // TestViewChangeGolden pins the bytes of the ⟨view-change⟩ message each
 // replica would send after a scripted t = 2 run with fault detection
