@@ -216,3 +216,39 @@ func TestLazyCommitsAboveHoleBounded(t *testing.T) {
 		t.Fatalf("the entry right above the hole was not kept; in-window lazy commits must still be stored")
 	}
 }
+
+// TestFarPrepareFromExPrimaryBounded pins the bound on what a view
+// change selects from prepare logs. With fault detection a prepare
+// entry is valid under the old primary's signature alone, and the new
+// group fills every hole below the highest selected sequence number
+// with a no-op it then signs and executes: before the bound, one faulty
+// ex-primary naming a far sequence number made every replica of the new
+// view allocate and sign that many entries.
+func TestFarPrepareFromExPrimaryBounded(t *testing.T) {
+	cfg := regressionConfig()
+	cfg.EnableFD = true
+	r, _ := boundedReplica(t, 2, cfg) // view 1 is {s0, s2}; s0 was view 0's primary too
+	r.enterView(1)
+	st := r.vcState
+	if st == nil {
+		t.Fatal("replica 2 is not in the view change to view 1")
+	}
+
+	const far = 50_000
+	prepared := func(sn smr.SeqNum) PrepareEntry {
+		return PrepareEntry{Primary: signOrder(cfg.Suite, KindCommit, new(Batch).Digest(), sn, 0, 0, crypto.Digest{})}
+	}
+	vc := &MsgViewChange{NewView: 1, From: 0, PrepareLog: []PrepareEntry{prepared(2), prepared(far)}}
+	st.union[vcKey{From: 0, D: vc.contentDigest()}] = vc
+	r.computeSelection()
+
+	// sn 2 is within the log window of the (empty) committed prefix and
+	// is selected, with a no-op at sn 1 below it; the far entry is not.
+	if st.selMax != 2 || len(st.selection) != 2 {
+		t.Fatalf("selected %d entries up to sn %d, want 2 up to sn 2: the prepare entry at sn %d must be ignored",
+			len(st.selection), st.selMax, far)
+	}
+	if e := st.selection[2]; e == nil || !e.FromPrepare {
+		t.Fatalf("the prepare entry inside the window (sn 2) was not selected: %+v", e)
+	}
+}

@@ -391,7 +391,7 @@ func (r *Replica) computeSelection() {
 		fromPrepare bool
 	}
 	sel := make(map[smr.SeqNum]*cand)
-	var maxSN smr.SeqNum
+	maxSN := bestChk.SN
 	consider := func(sn smr.SeqNum, v smr.View, b Batch, fromPrepare bool) {
 		if sn <= bestChk.SN {
 			return
@@ -414,10 +414,23 @@ func (r *Replica) computeSelection() {
 				consider(e.SN(), e.View(), e.Batch, false)
 			}
 		}
-		if r.cfg.EnableFD {
+	}
+	if r.cfg.EnableFD {
+		// A prepare entry needs one signature, the old primary's, so a
+		// faulty ex-primary can name any sequence number, and every hole
+		// below the highest one selected is filled, signed and executed
+		// by the whole new group. A correct replica holds no entry
+		// further than the log window beyond what it has committed or
+		// checkpointed, and its commit log and checkpoint are in the
+		// union too: prepare entries beyond that reach are ignored.
+		reach := maxSN + r.log.ahead
+		for _, vc := range st.union {
+			if r.fset[vc.From] {
+				continue
+			}
 			for i := range vc.PrepareLog {
 				e := &vc.PrepareLog[i]
-				if r.verifyPrepareEntryForVC(e) {
+				if e.SN() <= reach && r.verifyPrepareEntryForVC(e) {
 					consider(e.SN(), e.View(), e.Batch, true)
 				}
 			}
@@ -435,9 +448,6 @@ func (r *Replica) computeSelection() {
 		st.selection[sn] = &selEntry{SN: sn, Batch: c.batch, FromView: c.view, FromPrepare: c.fromPrepare}
 	}
 	st.selMax = maxSN
-	if st.selMax < bestChk.SN {
-		st.selMax = bestChk.SN
-	}
 
 	// 3. The new primary re-prepares the selection (new-view).
 	if r.isPrimary() {
