@@ -13,7 +13,8 @@ import (
 // Buf accumulates a deterministic encoding. The zero value is ready to
 // use.
 type Buf struct {
-	b []byte
+	b   []byte
+	enc Coder // see Encoder
 }
 
 // New returns a Buf with capacity preallocated.

@@ -2,11 +2,16 @@ package xpaxos
 
 import (
 	"bytes"
+	"os"
 	"reflect"
+	"regexp"
+	"strconv"
+	"strings"
 	"testing"
 
 	"github.com/xft-consensus/xft/internal/crypto"
 	"github.com/xft-consensus/xft/internal/smr"
+	"github.com/xft-consensus/xft/internal/wire"
 )
 
 // d32 builds a recognizable digest.
@@ -148,18 +153,77 @@ func TestCodecRoundTrip(t *testing.T) {
 	}
 }
 
+// TestCodecCoversAllTags walks the tag table: every row needs a sample
+// message, encoded under the row's tag.
 func TestCodecCoversAllTags(t *testing.T) {
-	seen := make(map[byte]bool)
+	seen := make(map[byte]string)
 	for _, m := range sampleMessages() {
 		enc, err := MarshalMessage(m)
 		if err != nil {
 			t.Fatal(err)
 		}
-		seen[enc[0]] = true
+		seen[enc[0]] = m.Type()
 	}
-	for tag := tagReplicate; tag <= tagViewInstalled; tag++ {
-		if !seen[tag] {
-			t.Errorf("no sample message covers tag %d", tag)
+	for tag, name := range codec.Tags() {
+		if seen[tag] != name {
+			t.Errorf("tag %d (%s): sample messages cover it with %q", tag, name, seen[tag])
+		}
+	}
+}
+
+// TestReadmeTagTable compares README's wire-tag table with the codec's
+// tag table, tag by tag and name by name (the names are Type() strings,
+// which also key message counters and traces).
+func TestReadmeTagTable(t *testing.T) {
+	readme, err := os.ReadFile("../../README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, table, ok := strings.Cut(string(readme), "| tag | message | tag | message | tag | message |\n")
+	if !ok {
+		t.Fatal("README.md has no XPaxos wire-tag table")
+	}
+	table, _, _ = strings.Cut(table, "\n\n")
+	documented := make(map[byte]string)
+	for _, cell := range regexp.MustCompile("\\| (\\d+) \\| `([a-z-]+)`").FindAllStringSubmatch(table, -1) {
+		tag, err := strconv.Atoi(cell[1])
+		if err != nil {
+			t.Fatal(err)
+		}
+		documented[byte(tag)] = cell[2]
+	}
+	if !reflect.DeepEqual(documented, codec.Tags()) {
+		t.Errorf("README.md wire-tag table:\n %v\ncodec tag table:\n %v", documented, codec.Tags())
+	}
+}
+
+// TestCodecAllocations pins what a message costs the allocator on the
+// hot path, at the counts the paired marshal/unmarshal codec had:
+// encoding into a reused buffer allocates nothing; decoding allocates
+// the walker, the message and one slice per non-empty repeated field
+// (byte strings alias the input).
+func TestCodecAllocations(t *testing.T) {
+	payloads := benchPayloads()
+	for _, tc := range []struct {
+		name   string
+		decode float64
+	}{{"commit", 2}, {"batch20x1k", 3}} {
+		m := payloads[tc.name]
+		buf := wire.New(32 << 10)
+		if got := testing.AllocsPerRun(100, func() {
+			if err := AppendMessage(buf.Reset(), m); err != nil {
+				t.Fatal(err)
+			}
+		}); got != 0 {
+			t.Errorf("%s: encoding allocates %v times, want 0", tc.name, got)
+		}
+		enc := buf.Done()
+		if got := testing.AllocsPerRun(100, func() {
+			if _, err := DecodeMessage(enc); err != nil {
+				t.Fatal(err)
+			}
+		}); got != tc.decode {
+			t.Errorf("%s: decoding allocates %v times, want %v", tc.name, got, tc.decode)
 		}
 	}
 }

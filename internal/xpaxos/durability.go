@@ -44,18 +44,21 @@ type walRecord struct {
 }
 
 func encodeCommitRecord(e *CommitEntry) []byte {
-	w := wire.New(256)
-	w.U8(walRecCommit)
-	e.marshalWire(w)
+	w := wire.New(256).U8(walRecCommit)
+	e.code(wire.Encoder(w))
 	return w.Done()
 }
 
 func encodeCheckpointRecord(proof *CheckpointProof, snap []byte) []byte {
-	w := wire.New(256 + len(snap))
-	w.U8(walRecCheckpoint)
-	proof.marshalWire(w)
-	w.Bytes(snap)
+	w := wire.New(256 + len(snap)).U8(walRecCheckpoint)
+	codeCheckpointRecord(wire.Encoder(w), proof, &snap)
 	return w.Done()
+}
+
+// codeCheckpointRecord is the field list of a checkpoint record's body.
+func codeCheckpointRecord(c *wire.Coder, proof *CheckpointProof, snap *[]byte) {
+	proof.code(c)
+	wire.Bytes(c, snap)
 }
 
 // logCommitEntry queues a freshly committed entry for the durable log.
@@ -165,15 +168,13 @@ func (r *Replica) recoverFromWAL() {
 	var snap []byte
 	entries := make(map[smr.SeqNum]*CommitEntry)
 	r.wal.Replay(func(_ uint64, payload []byte) error {
-		rd := wire.NewReader(payload)
-		tag, ok := rd.U8()
-		if !ok {
-			return nil
-		}
+		c := wire.Decoder(payload)
+		var tag byte
+		wire.U8(c, &tag)
 		switch tag {
 		case walRecCommit:
 			e := new(CommitEntry)
-			if e.unmarshalWire(rd) {
+			if e.code(c); c.OK() {
 				// Later records win: a view change may re-commit the
 				// same sequence number in a newer view.
 				if cur, dup := entries[e.SN()]; !dup || e.View() >= cur.View() {
@@ -181,11 +182,10 @@ func (r *Replica) recoverFromWAL() {
 				}
 			}
 		case walRecCheckpoint:
-			p := new(CheckpointProof)
-			if p.unmarshalWire(rd) {
-				if s, ok := rd.Bytes(); ok && p.SN >= proof.SN {
-					proof, snap = *p, s
-				}
+			var p CheckpointProof
+			var s []byte
+			if codeCheckpointRecord(c, &p, &s); c.OK() && p.SN >= proof.SN {
+				proof, snap = p, s
 			}
 		}
 		return nil
