@@ -22,10 +22,10 @@ const (
 
 var (
 	testDomain = NewDomain("t-")
-	testCodec  = NewCodec("baseline-test", map[byte]Body{
-		tagTestRequest:  (*MsgRequest)(nil),
-		tagTestProposal: (*testProposal)(nil),
-	})
+	testCodec  = wire.NewCodec("baseline-test",
+		wire.Row(tagTestRequest, (*MsgRequest).Code),
+		wire.Row(tagTestProposal, (*testProposal).Code),
+	)
 )
 
 // sampleMessages covers what every baseline codec inherits from the
@@ -63,10 +63,6 @@ func TestCodecRoundTrip(t *testing.T) {
 			t.Fatalf("%s: encoding not canonical after round trip", m.Type())
 		}
 	}
-	// The registry sees the same codec under its name.
-	if _, ok := wire.Lookup("baseline-test"); !ok {
-		t.Fatal("NewCodec did not register with internal/wire")
-	}
 }
 
 func TestCodecRejectsTruncationAndTrailing(t *testing.T) {
@@ -95,7 +91,9 @@ func TestRejectsHostileCounts(t *testing.T) {
 		t.Fatal("hostile batch count accepted")
 	}
 	// An entry list that claims 2^31 entries.
-	if _, ok := ReadEntries(wire.NewReader(wire.New(8).U32(1 << 31).Done())); ok {
+	var es []Entry
+	c := wire.Decoder(wire.New(8).U32(1 << 31).Done())
+	if CodeEntries(c, &es); c.OK() || es != nil {
 		t.Fatal("hostile entry count accepted")
 	}
 }
@@ -120,11 +118,11 @@ func TestEntriesRoundTrip(t *testing.T) {
 	batch := Batch{Reqs: []Request{{Op: []byte("x"), TS: 1, Client: smr.ClientIDBase}}}
 	in := []Entry{{View: 3, SN: 17, Batch: batch}, {View: 2, SN: 18}}
 	w := wire.New(64)
-	AppendEntries(w, in)
-	rd := wire.NewReader(w.Done())
-	out, ok := ReadEntries(rd)
-	if !ok || rd.Remaining() != 0 || len(out) != 2 {
-		t.Fatalf("entries did not round-trip: ok=%v remaining=%d len=%d", ok, rd.Remaining(), len(out))
+	CodeEntries(wire.Encoder(w), &in)
+	var out []Entry
+	c := wire.Decoder(w.Done())
+	if CodeEntries(c, &out); !c.Done() || len(out) != 2 {
+		t.Fatalf("entries did not round-trip: done=%v len=%d", c.Done(), len(out))
 	}
 	if out[0].View != 3 || out[0].SN != 17 || testDomain.Digest(&out[0].Batch) != testDomain.Digest(&batch) || len(out[1].Batch.Reqs) != 0 {
 		t.Fatalf("entries changed in flight: %+v", out)

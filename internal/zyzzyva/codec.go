@@ -1,12 +1,11 @@
 package zyzzyva
 
-// Wire codec for Zyzzyva messages: each message's body in explicit
-// fixed field order, and the tag table that internal/baseline turns
-// into the registered codec.
+// Wire codec for Zyzzyva messages: the tag table that wire.NewCodec
+// turns into the registered codec, and one field list per message type
+// (the request's comes with internal/baseline).
 
 import (
 	"github.com/xft-consensus/xft/internal/baseline"
-	"github.com/xft-consensus/xft/internal/crypto"
 	"github.com/xft-consensus/xft/internal/smr"
 	"github.com/xft-consensus/xft/internal/wire"
 )
@@ -26,18 +25,18 @@ const (
 // CodecName is the registry name of the Zyzzyva wire codec.
 const CodecName = "zyzzyva"
 
-var codec = baseline.NewCodec(CodecName, map[byte]baseline.Body{
-	tagRequest:      (*MsgRequest)(nil),
-	tagOrderReq:     (*MsgOrderReq)(nil),
-	tagSpecResponse: (*MsgSpecResponse)(nil),
-	tagCommitCert:   (*MsgCommitCert)(nil),
-	tagLocalCommit:  (*MsgLocalCommit)(nil),
-	tagViewChange:   (*MsgViewChange)(nil),
-	tagNewView:      (*MsgNewView)(nil),
-})
+var codec = wire.NewCodec(CodecName,
+	wire.Row(tagRequest, (*MsgRequest).Code),
+	wire.Row(tagOrderReq, (*MsgOrderReq).code),
+	wire.Row(tagSpecResponse, (*MsgSpecResponse).code),
+	wire.Row(tagCommitCert, (*MsgCommitCert).code),
+	wire.Row(tagLocalCommit, (*MsgLocalCommit).code),
+	wire.Row(tagViewChange, (*MsgViewChange).code),
+	wire.Row(tagNewView, (*MsgNewView).code),
+)
 
 // MarshalMessage and DecodeMessage encode and decode one message (see
-// baseline.Codec); the transport reaches the same codec by name.
+// wire.TagCodec); the transport reaches the same codec by name.
 var (
 	MarshalMessage = codec.Marshal
 	DecodeMessage  = codec.Decode
@@ -46,149 +45,53 @@ var (
 // voterWire is a commit-cert voter's encoded size, bounding the count.
 const voterWire = 8
 
-// MarshalBody implements baseline.Body.
-func (m *MsgOrderReq) MarshalBody(w *wire.Buf) {
-	w.U64(uint64(m.View)).U64(uint64(m.SN)).Raw(m.History[:])
-	m.Batch.Marshal(w)
-	w.Bytes(m.MAC)
+func (m *MsgOrderReq) code(c *wire.Coder) {
+	wire.U64(c, &m.View)
+	wire.U64(c, &m.SN)
+	c.Raw(m.History[:])
+	m.Batch.Code(c)
+	wire.Bytes(c, &m.MAC)
 }
 
-// UnmarshalBody implements baseline.Body.
-func (m *MsgOrderReq) UnmarshalBody(rd *wire.Reader) bool {
-	var ok bool
-	if m.View, m.SN, ok = baseline.ReadSlot(rd); !ok || !baseline.ReadDigest(rd, &m.History) || !m.Batch.Unmarshal(rd) {
-		return false
-	}
-	mac, ok := rd.Bytes()
-	m.MAC = crypto.MAC(mac)
-	return ok
+// A backup's digest-only response has a nil Rep, which an empty one
+// decodes to as well, so the two encode identically and the encoding
+// stays canonical.
+func (m *MsgSpecResponse) code(c *wire.Coder) {
+	wire.I64(c, &m.From)
+	wire.U64(c, &m.View)
+	wire.U64(c, &m.SN)
+	c.Raw(m.History[:])
+	wire.U64(c, &m.TS)
+	c.Raw(m.RepD[:])
+	wire.Bytes(c, &m.Rep)
+	wire.Bytes(c, &m.MAC)
 }
 
-// MarshalBody implements baseline.Body.
-func (m *MsgSpecResponse) MarshalBody(w *wire.Buf) {
-	w.I64(int64(m.From)).U64(uint64(m.View)).U64(uint64(m.SN)).Raw(m.History[:]).
-		U64(m.TS).Raw(m.RepD[:]).Bytes(m.Rep).Bytes(m.MAC)
+func (m *MsgCommitCert) code(c *wire.Coder) {
+	wire.I64(c, &m.Client)
+	wire.U64(c, &m.TS)
+	wire.U64(c, &m.View)
+	wire.U64(c, &m.SN)
+	c.Raw(m.History[:])
+	wire.Slice(c, &m.Voters, voterWire, func(v *smr.NodeID, c *wire.Coder) { wire.I64(c, v) })
 }
 
-// UnmarshalBody implements baseline.Body.
-func (m *MsgSpecResponse) UnmarshalBody(rd *wire.Reader) bool {
-	from, ok1 := rd.I64()
-	view, ok2 := rd.U64()
-	sn, ok3 := rd.U64()
-	if !(ok1 && ok2 && ok3) || !baseline.ReadDigest(rd, &m.History) {
-		return false
-	}
-	ts, ok4 := rd.U64()
-	if !ok4 || !baseline.ReadDigest(rd, &m.RepD) {
-		return false
-	}
-	rep, ok5 := rd.Bytes()
-	mac, ok6 := rd.Bytes()
-	// A nil Rep (digest-only response from a backup) and an empty Rep
-	// encode identically; normalize to nil so the encoding stays
-	// canonical.
-	if len(rep) == 0 {
-		rep = nil
-	}
-	m.From, m.View, m.SN, m.TS = smr.NodeID(from), smr.View(view), smr.SeqNum(sn), ts
-	m.Rep, m.MAC = rep, crypto.MAC(mac)
-	return ok5 && ok6
+func (m *MsgLocalCommit) code(c *wire.Coder) {
+	wire.I64(c, &m.From)
+	wire.U64(c, &m.TS)
+	wire.U64(c, &m.SN)
+	wire.Bytes(c, &m.MAC)
 }
 
-// MarshalBody implements baseline.Body.
-func (m *MsgCommitCert) MarshalBody(w *wire.Buf) {
-	w.I64(int64(m.Client)).U64(m.TS).U64(uint64(m.View)).U64(uint64(m.SN)).Raw(m.History[:])
-	w.U32(uint32(len(m.Voters)))
-	for _, v := range m.Voters {
-		w.I64(int64(v))
-	}
+func (m *MsgViewChange) code(c *wire.Coder) {
+	wire.U64(c, &m.View)
+	wire.I64(c, &m.From)
+	baseline.CodeEntries(c, &m.Entries)
+	wire.Bytes(c, &m.Sig)
 }
 
-// UnmarshalBody implements baseline.Body.
-func (m *MsgCommitCert) UnmarshalBody(rd *wire.Reader) bool {
-	client, ok1 := rd.I64()
-	ts, ok2 := rd.U64()
-	if !(ok1 && ok2) {
-		return false
-	}
-	m.Client, m.TS = smr.NodeID(client), ts
-	var ok bool
-	if m.View, m.SN, ok = baseline.ReadSlot(rd); !ok || !baseline.ReadDigest(rd, &m.History) {
-		return false
-	}
-	n, ok := baseline.ReadCount(rd, voterWire)
-	if !ok {
-		return false
-	}
-	if n > 0 {
-		m.Voters = make([]smr.NodeID, n)
-	}
-	for i := range m.Voters {
-		v, ok := rd.I64()
-		if !ok {
-			return false
-		}
-		m.Voters[i] = smr.NodeID(v)
-	}
-	return true
-}
-
-// MarshalBody implements baseline.Body.
-func (m *MsgLocalCommit) MarshalBody(w *wire.Buf) {
-	w.I64(int64(m.From)).U64(m.TS).U64(uint64(m.SN)).Bytes(m.MAC)
-}
-
-// UnmarshalBody implements baseline.Body.
-func (m *MsgLocalCommit) UnmarshalBody(rd *wire.Reader) bool {
-	from, ok1 := rd.I64()
-	ts, ok2 := rd.U64()
-	sn, ok3 := rd.U64()
-	mac, ok4 := rd.Bytes()
-	m.From, m.TS, m.SN, m.MAC = smr.NodeID(from), ts, smr.SeqNum(sn), crypto.MAC(mac)
-	return ok1 && ok2 && ok3 && ok4
-}
-
-// MarshalBody implements baseline.Body.
-func (m *MsgViewChange) MarshalBody(w *wire.Buf) {
-	w.U64(uint64(m.View)).I64(int64(m.From))
-	baseline.AppendEntries(w, m.Entries)
-	w.Bytes(m.Sig)
-}
-
-// UnmarshalBody implements baseline.Body.
-func (m *MsgViewChange) UnmarshalBody(rd *wire.Reader) bool {
-	view, ok1 := rd.U64()
-	from, ok2 := rd.I64()
-	if !(ok1 && ok2) {
-		return false
-	}
-	entries, ok := baseline.ReadEntries(rd)
-	if !ok {
-		return false
-	}
-	sig, ok := rd.Bytes()
-	m.View, m.From, m.Entries, m.Sig = smr.View(view), smr.NodeID(from), entries, crypto.Signature(sig)
-	return ok
-}
-
-// MarshalBody implements baseline.Body.
-func (m *MsgNewView) MarshalBody(w *wire.Buf) {
-	w.U64(uint64(m.View))
-	baseline.AppendEntries(w, m.Entries)
-	w.Bytes(m.Sig)
-}
-
-// UnmarshalBody implements baseline.Body.
-func (m *MsgNewView) UnmarshalBody(rd *wire.Reader) bool {
-	view, ok := rd.U64()
-	if !ok {
-		return false
-	}
-	entries, ok := baseline.ReadEntries(rd)
-	if !ok {
-		return false
-	}
-	sig, ok := rd.Bytes()
-	m.View, m.Entries, m.Sig = smr.View(view), entries, crypto.Signature(sig)
-	return ok
+func (m *MsgNewView) code(c *wire.Coder) {
+	wire.U64(c, &m.View)
+	baseline.CodeEntries(c, &m.Entries)
+	wire.Bytes(c, &m.Sig)
 }
