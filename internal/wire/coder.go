@@ -76,13 +76,12 @@ func U8[T ~uint8](c *Coder, v *T) {
 	}
 }
 
-// u32 codes the length prefixes and counts.
-func (c *Coder) u32(v *uint32) {
-	if c.w != nil {
-		c.w.U32(*v)
-	} else if p := c.take(4); p != nil {
-		*v = binary.LittleEndian.Uint32(p)
+// u32 reads a length prefix or count; 0 once the Coder is bad.
+func (c *Coder) u32() uint32 {
+	if p := c.take(4); p != nil {
+		return binary.LittleEndian.Uint32(p)
 	}
+	return 0
 }
 
 // U64 codes a fixed-width little-endian unsigned integer.
@@ -132,9 +131,7 @@ func Bytes[T ~[]byte](c *Coder, p *T) {
 		c.w.Bytes(*p)
 		return
 	}
-	var n uint32
-	c.u32(&n)
-	if src := c.take(int(n)); len(src) > 0 {
+	if src := c.take(int(c.u32())); len(src) > 0 {
 		*p = T(src)
 	}
 }
@@ -160,8 +157,7 @@ func (c *Coder) Count(n, minElem int) int {
 		c.w.U32(uint32(n))
 		return n
 	}
-	var got uint32
-	c.u32(&got)
+	got := c.u32()
 	if c.bad || int64(got)*int64(minElem) > int64(len(c.b)-c.pos) {
 		c.bad = true
 		return 0

@@ -176,17 +176,15 @@ func (t *TagCodec) Tags() map[byte]string {
 // leaving w as it was, on a message outside the table and on one that
 // holds a value its field list cannot encode.
 func (t *TagCodec) Append(w *Buf, m smr.Message) error {
-	var row *TagRow
 	if m != nil {
-		row = t.byName[m.Type()]
-	}
-	start := len(w.b)
-	if row != nil {
-		w.U8(row.tag)
-		if c := Encoder(w); row.encode(c, m) && c.OK() {
-			return nil
+		if row := t.byName[m.Type()]; row != nil {
+			start := len(w.b)
+			w.U8(row.tag)
+			if c := Encoder(w); row.encode(c, m) && c.OK() {
+				return nil
+			}
+			w.b = w.b[:start]
 		}
-		w.b = w.b[:start]
 	}
 	return fmt.Errorf("%s: no wire encoding for %T", t.name, m)
 }

@@ -1,8 +1,15 @@
-// Package wire provides a minimal deterministic binary encoder used to
-// build signing payloads for protocol messages. Every protocol in this
-// repository signs (or MACs) the encoding produced here, so encodings
-// must be stable: fixed-width integers, length-prefixed byte strings,
-// and explicit field order.
+// Package wire is the deterministic binary encoding every protocol in
+// this repository signs, MACs and puts on the wire: fixed-width
+// integers, length-prefixed byte strings and explicit field order, so
+// encodings are stable.
+//
+// Buf appends and Reader pulls, one primitive at a time; signing
+// payloads and the applications' operations use them directly. A wire
+// type — anything a message carries — is instead described once, as a
+// field list over Coder (coder.go) that both encodes and decodes it,
+// and a protocol's message set is a tag table of such lists handed to
+// NewCodec (registry.go), which also makes the codec available by name
+// to the transport.
 package wire
 
 import (

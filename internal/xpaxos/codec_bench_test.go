@@ -1,6 +1,6 @@
 package xpaxos
 
-// Micro-benchmark of the hand-rolled wire codec on the frames the TCP
+// Micro-benchmark of the wire codec on the frames the TCP
 // transport ships.
 // Run with: go test ./internal/xpaxos -bench=BenchmarkCodec -benchmem
 

@@ -73,8 +73,9 @@ func TestWireGolden(t *testing.T) {
 	vc := sampleViewChange()
 	final := &MsgVCFinal{NewView: 4, From: 0, VCSet: []*MsgViewChange{vc, {NewView: 4, From: 1}}}
 	nv := &MsgNewView{NewView: 4, From: 0, Prepares: []PrepareEntry{samplePrepareEntry(20)}}
+	commit, proof := sampleCommitEntry(40), sampleCheckpointProof()
 	digest := func(d crypto.Digest) []byte { return d[:] }
-	for _, signed := range []struct {
+	for _, line := range []struct {
 		name string
 		b    []byte
 	}{
@@ -86,21 +87,12 @@ func TestWireGolden(t *testing.T) {
 		{"view-change-sig-payload", vc.SigPayload()},
 		{"vc-final-sig-payload", final.SigPayload()},
 		{"new-view-sig-payload", nv.SigPayload()},
-	} {
-		fmt.Fprintf(&sb, "%s %x\n", signed.name, signed.b)
-	}
-
-	commit, proof := sampleCommitEntry(40), sampleCheckpointProof()
-	for _, rec := range []struct {
-		name string
-		b    []byte
-	}{
 		{"wal-commit", encodeCommitRecord(&commit)},
 		{"wal-commit", encodeCommitRecord(&CommitEntry{Primary: Order{Kind: KindCommit, SN: 41, View: 3}})},
 		{"wal-checkpoint", encodeCheckpointRecord(&proof, []byte("snapshot-bytes"))},
 		{"wal-checkpoint", encodeCheckpointRecord(&CheckpointProof{SN: 8}, nil)},
 	} {
-		fmt.Fprintf(&sb, "%s %x\n", rec.name, rec.b)
+		fmt.Fprintf(&sb, "%s %x\n", line.name, line.b)
 	}
 
 	const path = "testdata/wire.golden"

@@ -25,6 +25,11 @@
 // plus the optimizations of Section 4.5: checkpointing and lazy
 // replication (checkpoint.go) and client request retransmission
 // (client.go and watch.go, Algorithm 4).
+//
+// The message set is declared in messages.go (types, signed payloads,
+// modelled sizes) and put on the wire by codec.go, where every wire
+// type is one field list that both encodes and decodes it and the tag
+// table lists the 21 messages once.
 package xpaxos
 
 import (

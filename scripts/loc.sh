@@ -10,11 +10,12 @@
 #
 #   - the four baseline protocols, the kit and table they share, and the
 #     bench harness. 6,534 lines before they were collapsed onto
-#     internal/baseline; CEILING is ROADMAP's -25 % target, which that PR
-#     met.
+#     internal/baseline, 4,874 after; CEILING is the count reached when
+#     their codecs became one field list per wire type.
 #   - internal/xpaxos. 6,084 lines before the replica's per-sequence
-#     maps became one sequence log; XPAXOS_CEILING is the count that PR
-#     reached. ROADMAP's -15 % target for the package is 5,171.
+#     maps became one sequence log, 6,067 after; XPAXOS_CEILING is the
+#     count reached when codec.go became field lists. ROADMAP's -15 %
+#     target for the package is 5,171.
 #
 # A ceiling is lowered by the PR that shrinks its set: run this script,
 # set the constant to the count it prints, and say so in CHANGES.md.
@@ -23,8 +24,8 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 RATCHETED="internal/baseline internal/protocols internal/paxos internal/pbft internal/zab internal/zyzzyva internal/bench"
-CEILING=4900
-XPAXOS_CEILING=6067
+CEILING=4452
+XPAXOS_CEILING=5578
 
 count() { find "$1" -maxdepth 1 -name '*.go' ! -name '*_test.go' -print0 | xargs -0 -r cat | wc -l; }
 
