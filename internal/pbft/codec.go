@@ -47,8 +47,8 @@ func (m *MsgCommit) code(c *wire.Coder) {
 	wire.Bytes(c, &m.MAC)
 }
 
-// A digest-only reply has a nil Rep, which an empty one decodes to as
-// well, so the two encode identically and the encoding stays canonical.
+// A digest-only reply (nil Rep) and an empty reply encode identically
+// and both decode to an empty Rep; RepD tells the client which it got.
 func (m *MsgReply) code(c *wire.Coder) {
 	wire.I64(c, &m.From)
 	wire.U64(c, &m.View)

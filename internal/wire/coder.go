@@ -1,7 +1,5 @@
 package wire
 
-import "encoding/binary"
-
 // Coder walks one field list in either direction. A wire type is
 // described once, as a function that names its fields in wire order:
 //
@@ -16,17 +14,17 @@ import "encoding/binary"
 // handed a decoding one it fills the same fields from the input, in
 // place. What is written is therefore what is read, by construction.
 //
-// Decoding is sticky: the first read that fails (short input, a bool
-// byte other than 0 or 1, a count the remaining input cannot hold)
-// marks the Coder bad, and every later call returns at once without
-// reading or allocating. A field list needs no error handling of its
-// own; its caller asks Done once. Decoded byte strings alias the input,
-// and a zero-length string or zero-count slice decodes to nil, so every
-// accepted input re-encodes to the same bytes.
+// Decoding pulls from a Reader, so the primitives decode here exactly
+// as they do there, and is sticky: the first read that fails (short
+// input, a bool byte other than 0 or 1, a count the remaining input
+// cannot hold) marks the Coder bad and drops the unread input, so every
+// later call fails where it stands without reading or allocating. A
+// field list needs no error handling of its own; its caller asks Done
+// once. Decoded byte strings alias the input; an empty one decodes to
+// an empty, non-nil slice and a zero-count slice to nil.
 type Coder struct {
 	w   *Buf   // encoding target; nil when decoding
-	b   []byte // decoding input
-	pos int
+	r   Reader // decoding input
 	bad bool
 }
 
@@ -38,7 +36,7 @@ func Encoder(w *Buf) *Coder {
 }
 
 // Decoder returns a Coder that reads b.
-func Decoder(b []byte) *Coder { return &Coder{b: b} }
+func Decoder(b []byte) *Coder { return &Coder{r: Reader{b: b}} }
 
 // Decoding reports the direction, for the few field lists that must
 // allocate before they can be filled.
@@ -46,50 +44,41 @@ func (c *Coder) Decoding() bool { return c.w == nil }
 
 // Fail marks the Coder bad. Field lists call it for a value that has
 // no encoding, or a decoded one that no encoder would have produced.
-func (c *Coder) Fail() { c.bad = true }
+func (c *Coder) Fail() {
+	c.bad = true
+	c.r.b = c.r.b[:c.r.pos]
+}
 
 // OK reports that no call has failed so far.
 func (c *Coder) OK() bool { return !c.bad }
 
 // Done reports a complete walk: nothing failed and, when decoding, the
 // input is used up (trailing bytes would make the encoding ambiguous).
-func (c *Coder) Done() bool { return !c.bad && c.pos == len(c.b) }
+func (c *Coder) Done() bool { return !c.bad && c.r.Remaining() == 0 }
 
-// take returns the next n bytes of the input, or nil after marking the
-// Coder bad.
-func (c *Coder) take(n int) []byte {
-	if c.bad || n < 0 || n > len(c.b)-c.pos {
-		c.bad = true
-		return nil
+// got takes the ok of one Reader call: a failed one fails the Coder.
+func (c *Coder) got(ok bool) bool {
+	if !ok {
+		c.Fail()
 	}
-	p := c.b[c.pos : c.pos+n]
-	c.pos += n
-	return p
+	return ok
 }
 
 // U8 codes a one-byte integer.
 func U8[T ~uint8](c *Coder, v *T) {
 	if c.w != nil {
 		c.w.U8(uint8(*v))
-	} else if p := c.take(1); p != nil {
-		*v = T(p[0])
+	} else if x, ok := c.r.U8(); c.got(ok) {
+		*v = T(x)
 	}
-}
-
-// u32 reads a length prefix or count; 0 once the Coder is bad.
-func (c *Coder) u32() uint32 {
-	if p := c.take(4); p != nil {
-		return binary.LittleEndian.Uint32(p)
-	}
-	return 0
 }
 
 // U64 codes a fixed-width little-endian unsigned integer.
 func U64[T ~uint64](c *Coder, v *T) {
 	if c.w != nil {
 		c.w.U64(uint64(*v))
-	} else if p := c.take(8); p != nil {
-		*v = T(binary.LittleEndian.Uint64(p))
+	} else if x, ok := c.r.U64(); c.got(ok) {
+		*v = T(x)
 	}
 }
 
@@ -97,8 +86,8 @@ func U64[T ~uint64](c *Coder, v *T) {
 func I64[T ~int | ~int64](c *Coder, v *T) {
 	if c.w != nil {
 		c.w.I64(int64(*v))
-	} else if p := c.take(8); p != nil {
-		*v = T(int64(binary.LittleEndian.Uint64(p)))
+	} else if x, ok := c.r.I64(); c.got(ok) {
+		*v = T(x)
 	}
 }
 
@@ -106,12 +95,8 @@ func I64[T ~int | ~int64](c *Coder, v *T) {
 func (c *Coder) Bool(v *bool) {
 	if c.w != nil {
 		c.w.Bool(*v)
-	} else if p := c.take(1); p != nil {
-		if p[0] > 1 {
-			c.bad = true
-			return
-		}
-		*v = p[0] == 1
+	} else if x, ok := c.r.Bool(); c.got(ok) {
+		*v = x
 	}
 }
 
@@ -120,7 +105,7 @@ func (c *Coder) Bool(v *bool) {
 func (c *Coder) Raw(p []byte) {
 	if c.w != nil {
 		c.w.Raw(p)
-	} else if src := c.take(len(p)); src != nil {
+	} else if src, ok := c.r.Raw(len(p)); c.got(ok) {
 		copy(p, src)
 	}
 }
@@ -129,9 +114,7 @@ func (c *Coder) Raw(p []byte) {
 func Bytes[T ~[]byte](c *Coder, p *T) {
 	if c.w != nil {
 		c.w.Bytes(*p)
-		return
-	}
-	if src := c.take(int(c.u32())); len(src) > 0 {
+	} else if src, ok := c.r.Bytes(); c.got(ok) {
 		*p = T(src)
 	}
 }
@@ -140,11 +123,9 @@ func Bytes[T ~[]byte](c *Coder, p *T) {
 func (c *Coder) Str(s *string) {
 	if c.w != nil {
 		c.w.Str(*s)
-		return
+	} else if x, ok := c.r.Str(); c.got(ok) {
+		*s = x
 	}
-	var b []byte
-	Bytes(c, &b)
-	*s = string(b)
 }
 
 // Count codes an element count. Encoding writes n and returns it.
@@ -157,9 +138,8 @@ func (c *Coder) Count(n, minElem int) int {
 		c.w.U32(uint32(n))
 		return n
 	}
-	got := c.u32()
-	if c.bad || int64(got)*int64(minElem) > int64(len(c.b)-c.pos) {
-		c.bad = true
+	got, ok := c.r.U32()
+	if !c.got(ok && int64(got)*int64(minElem) <= int64(c.r.Remaining())) {
 		return 0
 	}
 	return int(got)

@@ -73,9 +73,10 @@ func sampleTree() *tree {
 }
 
 // TestCoderBothDirections: one field list writes exactly what the Buf
-// primitives would, and reads it back to an equal value; empty byte
-// strings and slices come back nil, an absent optional part stays
-// absent.
+// primitives would, and reads it back to an equal value; an empty byte
+// string comes back empty but not nil, as Reader.Bytes returns it (a
+// client tells "the reply, which is empty" from "no reply" that way),
+// an empty slice comes back nil, an absent optional part stays absent.
 func TestCoderBothDirections(t *testing.T) {
 	in := sampleTree()
 	w := New(64)
@@ -93,6 +94,10 @@ func TestCoderBothDirections(t *testing.T) {
 	if out.code(c); !c.Done() {
 		t.Fatal("decoding a valid encoding failed")
 	}
+	if got := out.Branches[0].Leaves[1].Data; got == nil || len(got) != 0 {
+		t.Fatalf("empty byte string decoded to %#v, want []byte{}", got)
+	}
+	in.Branches[0].Leaves[1].Data = []byte{}
 	if !reflect.DeepEqual(&out, in) {
 		t.Fatalf("decoded %+v, want %+v", out, in)
 	}
@@ -151,8 +156,8 @@ func TestCoderStopsAtFirstFailure(t *testing.T) {
 	if c.OK() || c.Done() {
 		t.Fatal("hostile nested count accepted")
 	}
-	if c.pos != failAt {
-		t.Errorf("walk stopped reading at byte %d, want %d (the end of the hostile count)", c.pos, failAt)
+	if c.r.pos != failAt {
+		t.Errorf("walk stopped reading at byte %d, want %d (the end of the hostile count)", c.r.pos, failAt)
 	}
 	if visits != 0 || out.Branches[0].Leaves != nil || out.Branches[1].SN != 0 || out.Extra != nil {
 		t.Errorf("walk went on after the failure: %d leaf visits, %+v", visits, out)
@@ -182,8 +187,10 @@ func TestTagCodec(t *testing.T) {
 	if err != nil || enc[0] != 3 {
 		t.Fatalf("Marshal: %x, %v", enc, err)
 	}
+	want := sampleTree()
+	want.Branches[0].Leaves[1].Data = []byte{}
 	m, err := treeCodec.Decode(enc)
-	if err != nil || !reflect.DeepEqual(m, sampleTree()) {
+	if err != nil || !reflect.DeepEqual(m, want) {
 		t.Fatalf("Decode: %+v, %v", m, err)
 	}
 	for _, bad := range [][]byte{nil, {0xee}, enc[:len(enc)-1], append(append([]byte(nil), enc...), 0)} {

@@ -52,7 +52,8 @@ type replyVote struct {
 	sn        smr.SeqNum
 	view      smr.View
 	repDigest crypto.Digest
-	rep       []byte // full reply if known
+	full      bool // the vote carried the reply itself, in rep
+	rep       []byte
 }
 
 // Client is an XPaxos client: it signs requests, sends them to the
@@ -281,7 +282,7 @@ func (c *Client) onReply(from smr.NodeID, m *MsgReply) {
 		c.commit(p, m.Rep)
 		return
 	}
-	p.replies[from] = replyVote{sn: m.SN, view: m.View, repDigest: crypto.Hash(m.Rep), rep: m.Rep}
+	p.replies[from] = replyVote{sn: m.SN, view: m.View, repDigest: crypto.Hash(m.Rep), full: true, rep: m.Rep}
 	c.checkQuorum(p)
 }
 
@@ -331,20 +332,13 @@ func (c *Client) checkQuorum(p *pendingReq) {
 		if inGroup < c.t+1 {
 			continue
 		}
-		var rep []byte
-		found := false
 		for _, id := range voters {
-			if v := p.replies[id]; v.rep != nil && crypto.Hash(v.rep) == k.d {
-				rep = v.rep
-				found = true
-				break
+			if v := p.replies[id]; v.full {
+				c.commit(p, v.rep)
+				return
 			}
 		}
-		if !found {
-			continue // digests match but nobody sent the payload yet
-		}
-		c.commit(p, rep)
-		return
+		// The digests match but nobody sent the payload yet.
 	}
 }
 

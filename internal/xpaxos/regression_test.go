@@ -252,3 +252,59 @@ func TestFarPrepareFromExPrimaryBounded(t *testing.T) {
 		t.Fatalf("the prepare entry inside the window (sn 2) was not selected: %+v", e)
 	}
 }
+
+// TestEmptyReplyCommitsOnFastPath: at t ≥ 2 the client commits on t+1
+// matching votes once one of them carried the reply itself, and an
+// application may reply with no bytes at all. Whether a vote carried
+// the reply must not hang on the slice being non-nil: the replies here
+// go through the codec as they do over TCP, and are also fed as a
+// replica hands them over in the simulator (empty, then nil).
+func TestEmptyReplyCommitsOnFastPath(t *testing.T) {
+	const tf = 2
+	suite := crypto.NewSimSuite(1)
+	for _, tc := range []struct {
+		name  string
+		rep   []byte
+		coded bool
+	}{{"over the wire", []byte{}, true}, {"by pointer, empty", []byte{}, false}, {"by pointer, nil", nil, false}} {
+		env := &clientEnv{id: smr.ClientIDBase}
+		c := newHealthTestClient(t, env, tf)
+		commits := 0
+		c.cfg.OnCommit = func(op, rep []byte, _ time.Duration) {
+			if commits++; len(rep) != 0 {
+				t.Errorf("%s: committed reply %x, want none", tc.name, rep)
+			}
+		}
+		c.Invoke(kv.PutOp("k", nil))
+		ts := env.sends[0].m.(*MsgReplicate).Req.TS
+
+		mac := func(from smr.NodeID, payload []byte) crypto.MAC {
+			return suite.MAC(crypto.NodeID(from), crypto.NodeID(env.id), payload)
+		}
+		group := SyncGroup(2*tf+1, tf, 0)
+		votes := make([]smr.Message, len(group))
+		full := &MsgReply{From: group[0], SN: 1, TS: ts, Rep: tc.rep}
+		full.MAC = mac(full.From, full.MACPayload())
+		votes[0] = full
+		for i, id := range group[1:] {
+			d := &MsgReplyDigest{From: id, SN: 1, TS: ts, RepDigest: crypto.Hash(nil)}
+			d.MAC = mac(id, d.MACPayload())
+			votes[i+1] = d
+		}
+		for i, m := range votes {
+			if tc.coded {
+				enc, err := MarshalMessage(m)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if m, err = DecodeMessage(enc); err != nil {
+					t.Fatal(err)
+				}
+			}
+			c.Step(smr.Recv{From: group[i], Msg: m})
+		}
+		if commits != 1 {
+			t.Errorf("%s: %d commits after t+1 matching votes, want 1", tc.name, commits)
+		}
+	}
+}

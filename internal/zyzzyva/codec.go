@@ -53,9 +53,9 @@ func (m *MsgOrderReq) code(c *wire.Coder) {
 	wire.Bytes(c, &m.MAC)
 }
 
-// A backup's digest-only response has a nil Rep, which an empty one
-// decodes to as well, so the two encode identically and the encoding
-// stays canonical.
+// A backup's digest-only response (nil Rep) and an empty reply encode
+// identically and both decode to an empty Rep; RepD tells the client
+// which it got.
 func (m *MsgSpecResponse) code(c *wire.Coder) {
 	wire.I64(c, &m.From)
 	wire.U64(c, &m.View)
