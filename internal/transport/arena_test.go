@@ -78,18 +78,13 @@ func runOne(t *testing.T, proto string, ac *arenaCluster) {
 	}
 }
 
-func TestArenaAllProtocolsCommitOverTCP(t *testing.T) {
-	params := protocols.Params{
-		T: 1, Suite: testSuite(t),
-		Delta:          200 * time.Millisecond,
-		BatchTimeout:   2 * time.Millisecond,
-		RequestTimeout: 2 * time.Second,
-		SignedRequests: true,
-	}
+// commitOverTCP boots every protocol of the table on loopback TCP with
+// its own instance of the application and commits one request.
+func commitOverTCP(t *testing.T, params protocols.Params, app func() smr.Application) {
 	for _, p := range protocols.All {
 		t.Run(strings.ToLower(p.Name), func(t *testing.T) {
 			ac := startCluster(t, p.Codec, p.Replicas(params.T),
-				func(i int) smr.Node { return p.NewReplica(smr.NodeID(i), params, kv.NewStore()) },
+				func(i int) smr.Node { return p.NewReplica(smr.NodeID(i), params, app()) },
 				func(done chan struct{}) smr.Node {
 					return p.NewClient(smr.ClientIDBase, params, func(op, rep []byte, lat time.Duration) { done <- struct{}{} })
 				})
@@ -98,28 +93,28 @@ func TestArenaAllProtocolsCommitOverTCP(t *testing.T) {
 	}
 }
 
+func TestArenaAllProtocolsCommitOverTCP(t *testing.T) {
+	commitOverTCP(t, protocols.Params{
+		T: 1, Suite: testSuite(t),
+		Delta:          200 * time.Millisecond,
+		BatchTimeout:   2 * time.Millisecond,
+		RequestTimeout: 2 * time.Second,
+		SignedRequests: true,
+	}, func() smr.Application { return kv.NewStore() })
+}
+
 // TestArenaEmptyReplyCommitsOverTCP: an application may reply with no
 // bytes, and at t = 2 the clients of XPaxos, PBFT and Zyzzyva must tell
 // "the reply, which is empty" from a digest-only vote after the codec
 // has been through both. The request timeout is beyond runOne's wait,
 // so only the first round of replies can commit the request.
 func TestArenaEmptyReplyCommitsOverTCP(t *testing.T) {
-	params := protocols.Params{
+	commitOverTCP(t, protocols.Params{
 		T: 2, Suite: testSuite(t),
 		Delta:          200 * time.Millisecond,
 		BatchTimeout:   2 * time.Millisecond,
 		RequestTimeout: time.Minute,
-	}
-	for _, p := range protocols.All {
-		t.Run(strings.ToLower(p.Name), func(t *testing.T) {
-			ac := startCluster(t, p.Codec, p.Replicas(params.T),
-				func(i int) smr.Node { return p.NewReplica(smr.NodeID(i), params, &kv.Null{}) },
-				func(done chan struct{}) smr.Node {
-					return p.NewClient(smr.ClientIDBase, params, func(op, rep []byte, lat time.Duration) { done <- struct{}{} })
-				})
-			runOne(t, p.Name, ac)
-		})
-	}
+	}, func() smr.Application { return &kv.Null{} })
 }
 
 // TestWithCodecUnknownName pins NewNode's failure mode when the codec

@@ -6,10 +6,10 @@
 // Buf appends and Reader pulls, one primitive at a time; signing
 // payloads and the applications' operations use them directly. A wire
 // type — anything a message carries — is instead described once, as a
-// field list over Coder (coder.go) that both encodes and decodes it,
-// and a protocol's message set is a tag table of such lists handed to
-// NewCodec (registry.go), which also makes the codec available by name
-// to the transport.
+// field list over Coder (coder.go) that both encodes it into a Buf and
+// decodes it from a Reader, and a protocol's message set is a tag
+// table of such lists handed to NewCodec (registry.go), which also
+// makes the codec available by name to the transport.
 package wire
 
 import (
