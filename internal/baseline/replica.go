@@ -245,7 +245,10 @@ func (c *Core) sigBatch(reqs []Request) *crypto.SigBatch {
 	batch := crypto.NewSigBatch(len(reqs))
 	for i := range reqs {
 		req := &reqs[i]
-		batch.Add(crypto.NodeID(req.Client), req.Sig, func(w *wire.Buf) { c.domain.AppendSigPayload(w, req) })
+		batch.Add(crypto.NodeID(req.Client), req.Sig, func(w *wire.Buf) []byte {
+			c.domain.AppendSigPayload(w, req)
+			return w.Done()
+		})
 	}
 	return batch
 }
@@ -270,8 +273,7 @@ func (c *Core) kickVerify() {
 	batch := c.sigBatch(reqs)
 	var verdicts []bool
 	c.Env.Defer("verify-req", func() {
-		verdicts = c.pool.VerifyEach(c.Suite, batch.Jobs())
-		batch.Release()
+		verdicts = batch.VerifyEach(c.pool, c.Suite)
 	}, func() {
 		c.verifying = false
 		ok := reqs[:0]
@@ -294,8 +296,7 @@ func (c *Core) VerifyBatch(b *Batch, done func(ok bool)) {
 	batch := c.sigBatch(b.Reqs)
 	var ok bool
 	c.Env.Defer("verify-batch", func() {
-		ok = c.pool.VerifyAll(c.Suite, batch.Jobs())
-		batch.Release()
+		ok = batch.VerifyAll(c.pool, c.Suite)
 	}, func() { done(ok) })
 }
 

@@ -79,11 +79,14 @@ func (b *Batch) Code(c *wire.Coder) { wire.Slice(c, &b.Reqs, reqMinWire, (*Reque
 
 // Domain separates one protocol's client signatures and batch digests
 // from another's: the prefix ("px-", "pb-", "zab-", "zz-") is part of
-// every signed payload and every digest preimage.
-type Domain struct{ req, batch string }
+// every signed payload (requests, and the log-transfer view change of
+// viewchange.go) and every digest preimage.
+type Domain struct{ req, batch, vc, nv string }
 
 // NewDomain returns the domain for a protocol's tag prefix.
-func NewDomain(prefix string) Domain { return Domain{prefix + "req", prefix + "batch"} }
+func NewDomain(prefix string) Domain {
+	return Domain{prefix + "req", prefix + "batch", prefix + "vc", prefix + "nv"}
+}
 
 // AppendSigPayload writes the byte string a client signs over r.
 func (d Domain) AppendSigPayload(w *wire.Buf, r *Request) {

@@ -11,7 +11,10 @@
 //     asynchronous BFT, authenticated synchronous BFT and XFT.
 package core
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // FaultState classifies a machine at a given moment (Section 2).
 type FaultState int
@@ -147,7 +150,7 @@ func largestClique(vertices []int, conn [][]bool) int {
 	best := 0
 	var expand func(clique int, candidates uint64)
 	expand = func(clique int, candidates uint64) {
-		if clique+popcount(candidates) <= best {
+		if clique+bits.OnesCount64(candidates) <= best {
 			return // cannot beat the best found so far
 		}
 		if candidates == 0 {
@@ -157,10 +160,10 @@ func largestClique(vertices []int, conn [][]bool) int {
 			return
 		}
 		for candidates != 0 {
-			v := trailingZeros(candidates)
+			v := bits.TrailingZeros64(candidates)
 			candidates &^= 1 << uint(v)
 			expand(clique+1, candidates&adj[v])
-			if clique+popcount(candidates) <= best {
+			if clique+bits.OnesCount64(candidates) <= best {
 				return
 			}
 		}
@@ -170,27 +173,6 @@ func largestClique(vertices []int, conn [][]bool) int {
 	}
 	expand(0, (uint64(1)<<uint(n))-1)
 	return best
-}
-
-func popcount(x uint64) int {
-	c := 0
-	for x != 0 {
-		x &= x - 1
-		c++
-	}
-	return c
-}
-
-func trailingZeros(x uint64) int {
-	if x == 0 {
-		return 64
-	}
-	n := 0
-	for x&1 == 0 {
-		x >>= 1
-		n++
-	}
-	return n
 }
 
 // InAnarchy implements Definition 2: the system is in anarchy at

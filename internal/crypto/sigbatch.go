@@ -5,9 +5,10 @@ import "github.com/xft-consensus/xft/internal/wire"
 // SigBatch accumulates independent signature-verification jobs whose
 // payloads are built into pooled wire buffers, so assembling a batch on
 // the hot path allocates nothing in steady state. Protocol replicas
-// fill one per verification round (a batch of client requests, a set
-// of forwarded messages), hand Jobs to a Pool, and Release the buffers
-// once the verdicts are in.
+// fill one per verification round (a batch of client requests, a
+// certificate's orders) and call VerifyAll or VerifyEach, which release
+// every buffer after the verdict: the Get/Put pairing lives here, and
+// no buffer goes back to the pool while a job still reads it.
 type SigBatch struct {
 	jobs []VerifyJob
 	bufs []*wire.Buf
@@ -18,28 +19,32 @@ func NewSigBatch(n int) *SigBatch {
 	return &SigBatch{jobs: make([]VerifyJob, 0, n), bufs: make([]*wire.Buf, 0, n)}
 }
 
-// Add appends one job: enc writes the signed payload into a pooled
-// buffer, and the job verifies sig over that payload under id's key.
-func (b *SigBatch) Add(id NodeID, sig Signature, enc func(w *wire.Buf)) {
-	buf := wire.Get()
-	enc(buf)
-	b.jobs = append(b.jobs, VerifyJob{ID: id, Data: buf.Done(), Sig: sig})
-	b.bufs = append(b.bufs, buf)
+// Add appends one job: payload writes the signed bytes into the pooled
+// buffer it is handed and returns them, and the job verifies sig over
+// them under id's key.
+func (b *SigBatch) Add(id NodeID, sig Signature, payload func(*wire.Buf) []byte) {
+	w := wire.Get()
+	b.bufs = append(b.bufs, w)
+	b.jobs = append(b.jobs, VerifyJob{ID: id, Data: payload(w), Sig: sig})
 }
 
-// Len returns the number of accumulated jobs.
-func (b *SigBatch) Len() int { return len(b.jobs) }
+// VerifyAll scatters the jobs across pool (nil verifies serially) and
+// reports whether every one passed. The batch is spent afterwards.
+func (b *SigBatch) VerifyAll(pool *Pool, suite Suite) bool {
+	defer b.release()
+	return pool.VerifyAll(suite, b.jobs)
+}
 
-// Jobs returns the accumulated jobs. The job payloads alias pooled
-// buffers; they are valid only until Release.
-func (b *SigBatch) Jobs() []VerifyJob { return b.jobs }
+// VerifyEach scatters the jobs across pool and reports each verdict.
+// The batch is spent afterwards.
+func (b *SigBatch) VerifyEach(pool *Pool, suite Suite) []bool {
+	defer b.release()
+	return pool.VerifyEach(suite, b.jobs)
+}
 
-// Release returns the payload buffers to the pool. The jobs (and any
-// slices taken from them) must not be used afterwards.
-func (b *SigBatch) Release() {
-	for _, buf := range b.bufs {
-		wire.Put(buf)
+func (b *SigBatch) release() {
+	for _, w := range b.bufs {
+		wire.Put(w)
 	}
-	b.bufs = b.bufs[:0]
-	b.jobs = b.jobs[:0]
+	b.bufs, b.jobs = nil, nil
 }

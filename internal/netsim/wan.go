@@ -3,6 +3,7 @@ package netsim
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"time"
 
 	"github.com/xft-consensus/xft/internal/smr"
@@ -111,7 +112,7 @@ func (w *WANModel) MeasureRTTQuantiles(rng *rand.Rand, ri, rj int, n int) (avg, 
 		samples[i] = v
 		sum += v
 	}
-	sortFloat64s(samples)
+	slices.Sort(samples)
 	quant := func(q float64) time.Duration {
 		idx := int(math.Ceil(q*float64(n))) - 1
 		if idx < 0 {
@@ -123,41 +124,4 @@ func (w *WANModel) MeasureRTTQuantiles(rng *rand.Rand, ri, rj int, n int) (avg, 
 		return time.Duration(samples[idx])
 	}
 	return time.Duration(sum / float64(n)), quant(0.9999), quant(0.99999), time.Duration(samples[n-1])
-}
-
-// sortFloat64s is a local quicksort to avoid pulling in package sort's
-// interface machinery for a hot path (and to keep allocations flat).
-func sortFloat64s(a []float64) {
-	if len(a) < 2 {
-		return
-	}
-	// Median-of-three pivot.
-	lo, hi := 0, len(a)-1
-	mid := (lo + hi) / 2
-	if a[mid] < a[lo] {
-		a[mid], a[lo] = a[lo], a[mid]
-	}
-	if a[hi] < a[lo] {
-		a[hi], a[lo] = a[lo], a[hi]
-	}
-	if a[hi] < a[mid] {
-		a[hi], a[mid] = a[mid], a[hi]
-	}
-	pivot := a[mid]
-	i, j := lo, hi
-	for i <= j {
-		for a[i] < pivot {
-			i++
-		}
-		for a[j] > pivot {
-			j--
-		}
-		if i <= j {
-			a[i], a[j] = a[j], a[i]
-			i++
-			j--
-		}
-	}
-	sortFloat64s(a[:j+1])
-	sortFloat64s(a[i:])
 }

@@ -5,7 +5,6 @@ package pbft
 // (request and pre-prepare come with internal/baseline).
 
 import (
-	"github.com/xft-consensus/xft/internal/baseline"
 	"github.com/xft-consensus/xft/internal/wire"
 )
 
@@ -28,8 +27,8 @@ var codec = wire.NewCodec(CodecName,
 	wire.Row(tagPrePrepare, (*MsgPrePrepare).Code),
 	wire.Row(tagCommit, (*MsgCommit).code),
 	wire.Row(tagReply, (*MsgReply).code),
-	wire.Row(tagViewChange, (*MsgViewChange).code),
-	wire.Row(tagNewView, (*MsgNewView).code),
+	wire.Row(tagViewChange, (*MsgViewChange).Code),
+	wire.Row(tagNewView, (*MsgNewView).Code),
 )
 
 // MarshalMessage and DecodeMessage encode and decode one message (see
@@ -56,17 +55,4 @@ func (m *MsgReply) code(c *wire.Coder) {
 	wire.Bytes(c, &m.Rep)
 	c.Raw(m.RepD[:])
 	wire.Bytes(c, &m.MAC)
-}
-
-func (m *MsgViewChange) code(c *wire.Coder) {
-	wire.U64(c, &m.View)
-	wire.I64(c, &m.From)
-	baseline.CodeEntries(c, &m.Entries)
-	wire.Bytes(c, &m.Sig)
-}
-
-func (m *MsgNewView) code(c *wire.Coder) {
-	wire.U64(c, &m.View)
-	baseline.CodeEntries(c, &m.Entries)
-	wire.Bytes(c, &m.Sig)
 }

@@ -38,6 +38,9 @@ type (
 	Entry      = baseline.Entry
 	MsgRequest = baseline.MsgRequest
 	Config     = baseline.Config
+	// The view change is the kit's log transfer under this domain's tags.
+	MsgViewChange = baseline.MsgViewChange
+	MsgNewView    = baseline.MsgNewView
 )
 
 // ---------------------------------------------------------------------------
@@ -90,69 +93,6 @@ func (m *MsgReply) macPayload() []byte {
 	return wire.New(64 + len(m.Rep)).Str("pb-rep").I64(int64(m.From)).U64(uint64(m.View)).U64(m.TS).Raw(m.RepD[:]).Bytes(m.Rep).Done()
 }
 
-// MsgViewChange transfers a replica's log to a new view's primary.
-type MsgViewChange struct {
-	View    smr.View
-	From    smr.NodeID
-	Entries []Entry
-	Sig     crypto.Signature
-}
-
-// Type implements smr.Message.
-func (m *MsgViewChange) Type() string { return "view-change" }
-
-// WireSize implements smr.Message.
-func (m *MsgViewChange) WireSize() int {
-	return msgHeader + 16 + len(m.Sig) + baseline.EntriesWireSize(m.Entries)
-}
-
-// Bulk implements smr.BulkMessage: a view change carries the
-// replica's whole accepted log (state transfer). A transport under
-// queue pressure may shed one — the new primary needs only 2t+1 of
-// them, and the progress timer re-drives the view change if it stalls.
-func (m *MsgViewChange) Bulk() bool { return true }
-
-func (m *MsgViewChange) sigPayload() []byte {
-	w := wire.New(64).Str("pb-vc").U64(uint64(m.View)).I64(int64(m.From))
-	for i := range m.Entries {
-		e := &m.Entries[i]
-		d := domain.Digest(&e.Batch)
-		w.U64(uint64(e.SN)).U64(uint64(e.View)).Raw(d[:])
-	}
-	return w.Done()
-}
-
-// MsgNewView installs the new view's log.
-type MsgNewView struct {
-	View    smr.View
-	Entries []Entry
-	Sig     crypto.Signature
-}
-
-// Type implements smr.Message.
-func (m *MsgNewView) Type() string { return "new-view" }
-
-// WireSize implements smr.Message.
-func (m *MsgNewView) WireSize() int {
-	return msgHeader + 8 + len(m.Sig) + baseline.EntriesWireSize(m.Entries)
-}
-
-// Bulk implements smr.BulkMessage: the new-view installs the merged
-// log (state transfer). If one is shed under queue pressure, the
-// recipient's progress timer pushes it into the next view change and
-// the transfer retries.
-func (m *MsgNewView) Bulk() bool { return true }
-
-func (m *MsgNewView) sigPayload() []byte {
-	w := wire.New(64).Str("pb-nv").U64(uint64(m.View))
-	for i := range m.Entries {
-		e := &m.Entries[i]
-		d := domain.Digest(&e.Batch)
-		w.U64(uint64(e.SN)).Raw(d[:])
-	}
-	return w.Done()
-}
-
 // ---------------------------------------------------------------------------
 // Replica
 // ---------------------------------------------------------------------------
@@ -169,7 +109,7 @@ type Replica struct {
 	// still verifying (SignedRequests only).
 	ppInFlight map[smr.SeqNum]bool
 
-	vcs map[smr.NodeID]*MsgViewChange
+	vc baseline.LogTransfer
 }
 
 // NewReplica builds a replica.
@@ -179,7 +119,6 @@ func NewReplica(id smr.NodeID, cfg Config, app smr.Application) *Replica {
 		votes:      make(map[smr.SeqNum]map[smr.NodeID]crypto.Digest),
 		chosen:     make(map[smr.SeqNum]bool),
 		ppInFlight: make(map[smr.SeqNum]bool),
-		vcs:        make(map[smr.NodeID]*MsgViewChange),
 	}
 	r.Core = baseline.NewCore(id, cfg.WithDefaults(3), domain, app, baseline.Hooks{
 		Recv: r.onRecv, Propose: r.propose,
@@ -188,8 +127,9 @@ func NewReplica(id smr.NodeID, cfg Config, app smr.Application) *Replica {
 				r.reply(client, ts, rep)
 			}
 		},
-		Suspect: func() { r.startViewChange(r.View + 1) },
+		Suspect: func() { r.vc.Start(r.View + 1) },
 	})
+	r.vc = baseline.LogTransfer{Core: r.Core, Quorum: 2*r.T + 1, Log: r.log, Announce: r.announce, Install: r.install}
 	return r
 }
 
@@ -217,10 +157,8 @@ func (r *Replica) onRecv(from smr.NodeID, msg smr.Message) {
 		r.onPrePrepare(from, m)
 	case *MsgCommit:
 		r.onCommit(from, m)
-	case *MsgViewChange:
-		r.onViewChange(from, m)
-	case *MsgNewView:
-		r.onNewView(from, m)
+	default:
+		r.vc.Recv(from, msg)
 	}
 }
 
@@ -341,85 +279,30 @@ func (r *Replica) reply(client smr.NodeID, ts uint64, rep []byte) {
 }
 
 // ---------------------------------------------------------------------------
-// View change (crash-fault-grade; see package comment)
+// View change (crash-fault-grade; see package comment): the kit's
+// log transfer, at 2t+1 view-change messages
 // ---------------------------------------------------------------------------
 
-func (r *Replica) startViewChange(v smr.View) {
-	if v < r.View || (v == r.View && r.Electing) {
-		return
-	}
-	r.View = v
-	r.Electing = true
-	r.vcs = make(map[smr.NodeID]*MsgViewChange)
-	m := &MsgViewChange{View: v, From: r.ID, Entries: baseline.SortedEntries(r.log)}
-	m.Sig = r.Suite.Sign(crypto.NodeID(r.ID), m.sigPayload())
-	if r.IsLeader() {
-		r.addVC(m)
-		return
-	}
-	// To the new primary first, then push the rest of the group into
-	// the view change as well.
+// announce sends our view-change message to the new primary first,
+// then pushes the rest of the group into the view change as well.
+func (r *Replica) announce(m *MsgViewChange) {
 	r.Env.Send(r.Leader(), m)
 	for _, id := range r.Others {
 		if id != r.Leader() {
 			r.Env.Send(id, m)
 		}
 	}
-	r.Rewatch()
 }
 
-func (r *Replica) onViewChange(from smr.NodeID, m *MsgViewChange) {
-	if m.From != from || m.View < r.View || !r.Suite.Verify(crypto.NodeID(m.From), m.sigPayload(), m.Sig) {
-		return
-	}
-	if m.View > r.View || !r.Electing {
-		r.startViewChange(m.View)
-	}
-	if r.IsLeader() && m.View == r.View {
-		r.addVC(m)
-	}
-}
-
-// addVC completes the view change at 2t+1 view-change messages: merge
-// the transferred logs and install them everywhere.
-func (r *Replica) addVC(m *MsgViewChange) {
-	r.vcs[m.From] = m
-	if len(r.vcs) < 2*r.T+1 {
-		return
-	}
-	logs := make([][]Entry, 0, len(r.vcs))
-	for _, vc := range r.vcs {
-		logs = append(logs, vc.Entries)
-	}
-	nv := &MsgNewView{View: r.View, Entries: baseline.MergeEntries(r.View, logs)}
-	nv.Sig = r.Suite.Sign(crypto.NodeID(r.ID), nv.sigPayload())
-	for _, id := range r.Others {
-		r.Env.Send(id, nv)
-	}
-	r.installNewView(nv)
-}
-
-func (r *Replica) onNewView(from smr.NodeID, m *MsgNewView) {
-	if from != r.LeaderOf(m.View) || m.View < r.View || !r.Suite.Verify(crypto.NodeID(from), m.sigPayload(), m.Sig) {
-		return
-	}
-	r.View = m.View
-	r.installNewView(m)
-}
-
-func (r *Replica) installNewView(m *MsgNewView) {
-	r.Electing = false
-	r.Unwatch()
-	r.vcs = make(map[smr.NodeID]*MsgViewChange)
-	for i := range m.Entries {
-		e := &m.Entries[i]
+func (r *Replica) install(entries []Entry) {
+	for i := range entries {
+		e := &entries[i]
 		r.log[e.SN] = e
 		r.chosen[e.SN] = true
 		r.sn = max(r.sn, e.SN)
 	}
 	r.votes = make(map[smr.SeqNum]map[smr.NodeID]crypto.Digest)
 	r.execute()
-	r.Flush()
 }
 
 // ---------------------------------------------------------------------------

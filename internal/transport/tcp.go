@@ -39,6 +39,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"syscall"
@@ -986,25 +987,11 @@ func ParsePeers(s string) (map[smr.NodeID]string, error) {
 	}
 	var id int
 	var addr string
-	for _, part := range splitComma(s) {
+	for _, part := range strings.FieldsFunc(s, func(c rune) bool { return c == ',' }) {
 		if _, err := fmt.Sscanf(part, "%d=%s", &id, &addr); err != nil {
 			return nil, fmt.Errorf("transport: bad peer entry %q", part)
 		}
 		peers[smr.NodeID(id)] = addr
 	}
 	return peers, nil
-}
-
-func splitComma(s string) []string {
-	var out []string
-	start := 0
-	for i := 0; i <= len(s); i++ {
-		if i == len(s) || s[i] == ',' {
-			if i > start {
-				out = append(out, s[start:i])
-			}
-			start = i + 1
-		}
-	}
-	return out
 }

@@ -212,6 +212,7 @@ func (r *Replica) stabilizeCheckpoint(proof CheckpointProof, snap []byte) {
 	// Everything at or below the stable point is dead, the candidate at
 	// proof.SN included: its snapshot now lives in chkSnapshot.
 	r.log.truncate(proof.SN)
+	r.prune()
 	r.logCheckpoint(&proof, snap)
 }
 

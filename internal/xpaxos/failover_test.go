@@ -191,8 +191,8 @@ func TestSkippedViewsDoNotInflateBackoff(t *testing.T) {
 	fc.net.At(learnAt+150*time.Millisecond, func() {
 		for _, id := range []smr.NodeID{1, 2, 3} {
 			r := fc.replicas[id]
-			if r.view != 6 || r.vcState == nil {
-				t.Errorf("replica %d at view %d (collecting: %v), want collecting for view 6", id, r.view, r.vcState != nil)
+			if r.view != 6 || r.collecting() == nil {
+				t.Errorf("replica %d at view %d (collecting: %v), want collecting for view 6", id, r.view, r.collecting() != nil)
 				continue
 			}
 			if r.vcConsec != 1 {

@@ -44,8 +44,7 @@ func (r *Replica) InjectWipeState() {
 	r.log.wipe()
 	r.chk = CheckpointProof{}
 	r.chkSnapshot = nil
-	r.finalProofs = make(map[smr.View][]MsgVCConfirm)
-	r.agreedVCSet = make(map[smr.View]map[vcKey]*MsgViewChange)
+	r.views.wipe()
 	r.preView = 0
 	r.sn, r.ex = 0, 0
 	r.lastExec = make(map[smr.NodeID]execMark)

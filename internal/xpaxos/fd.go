@@ -1,7 +1,8 @@
 package xpaxos
 
 import (
-	"sort"
+	"maps"
+	"slices"
 
 	"github.com/xft-consensus/xft/internal/crypto"
 	"github.com/xft-consensus/xft/internal/smr"
@@ -29,96 +30,48 @@ import (
 // and network faults to produce anarchy.
 
 // startConfirmRound begins the FD vc-confirm phase (Figure 13).
-func (r *Replica) startConfirmRound() {
-	st := r.vcState
-	if st == nil || st.confirmSent {
-		return
-	}
-	st.confirmSent = true
+func (r *Replica) startConfirmRound(rec *viewRecord) {
+	rec.confirmSent = true
+	r.detectFaults(rec)
 
-	r.detectFaults(st)
-
-	// Remove messages from convicted replicas (Algorithm 5 lines 4–5).
-	for key := range st.union {
-		if r.fset[key.From] {
-			delete(st.union, key)
-		}
+	// Remove messages from convicted replicas (Algorithm 5 lines 4–5)
+	// and digest what is left, canonically: the union is ordered.
+	rec.union = slices.DeleteFunc(rec.union, func(m *MsgViewChange) bool { return r.fset[m.From] })
+	w := wire.New(40 * len(rec.union)).Str("xp-union")
+	for _, m := range rec.union {
+		d := m.contentDigest()
+		w.I64(int64(m.From)).Raw(d[:])
 	}
-	st.myConfirmD = unionDigest(st.union)
-	if st.confirms == nil {
-		st.confirms = make(map[smr.NodeID]*MsgVCConfirm)
-	}
-	m := &MsgVCConfirm{NewView: st.target, From: r.id, VCSetD: st.myConfirmD}
+	rec.confirmD = crypto.Hash(w.Done())
+	m := &MsgVCConfirm{NewView: r.view, From: r.id, VCSetD: rec.confirmD}
 	m.Sig = r.suite.Sign(crypto.NodeID(r.id), m.SigPayload())
 	r.sendActives(m)
 	r.onVCConfirm(r.id, m)
 }
 
-// unionDigest canonically digests a view-change set.
-func unionDigest(union map[vcKey]*MsgViewChange) crypto.Digest {
-	keys := make([]vcKey, 0, len(union))
-	for k := range union {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].From != keys[j].From {
-			return keys[i].From < keys[j].From
-		}
-		return string(keys[i].D[:]) < string(keys[j].D[:])
-	})
-	w := wire.New(40 * len(keys)).Str("xp-union")
-	for _, k := range keys {
-		w.I64(int64(k.From)).Raw(k.D[:])
-	}
-	return crypto.Hash(w.Done())
-}
-
 // onVCConfirm collects confirmations; t+1 matching ones finalize the
 // agreed set (Algorithm 5 lines 7–11).
 func (r *Replica) onVCConfirm(from smr.NodeID, m *MsgVCConfirm) {
-	st := r.vcState
-	if st == nil || m.NewView != st.target || !st.confirmSent {
+	rec := r.admit(from, m)
+	if rec == nil {
 		return
 	}
-	if m.From != from && from != r.id {
-		return
-	}
-	if !InGroup(r.n, r.t, st.target, m.From) {
-		return
-	}
-	if from != r.id && !r.suite.Verify(crypto.NodeID(m.From), m.SigPayload(), m.Sig) {
-		return
-	}
-	if st.confirms == nil {
-		st.confirms = make(map[smr.NodeID]*MsgVCConfirm)
-	}
-	if _, dup := st.confirms[m.From]; dup {
-		return
-	}
-	st.confirms[m.From] = m
-	if len(st.confirms) < r.t+1 || st.fdDone {
+	rec.confirms[m.From] = m
+	if len(rec.confirms) < r.t+1 || rec.fdDone {
 		return
 	}
 	// All t+1 must match our digest; a mismatch means some active
 	// replica disagrees about the evidence — suspect the view.
-	for _, c := range st.confirms {
-		if c.VCSetD != st.myConfirmD {
+	for _, c := range rec.confirms {
+		if c.VCSetD != rec.confirmD {
 			r.suspect(r.view)
 			return
 		}
 	}
-	st.fdDone = true
-	proof := make([]MsgVCConfirm, 0, r.t+1)
-	for _, c := range st.confirms {
-		proof = append(proof, *c)
+	rec.fdDone = true
+	for _, id := range slices.Sorted(maps.Keys(rec.confirms)) {
+		rec.finalProof = append(rec.finalProof, *rec.confirms[id])
 	}
-	sort.Slice(proof, func(i, j int) bool { return proof[i].From < proof[j].From })
-	r.finalProofs[st.target] = proof
-	agreed := make(map[vcKey]*MsgViewChange, len(st.union))
-	for k, v := range st.union {
-		agreed[k] = v
-	}
-	r.agreedVCSet[st.target] = agreed
 	r.computeSelection()
 }
 
@@ -137,24 +90,14 @@ func prepEntryAt(m *MsgViewChange, sn smr.SeqNum) *PrepareEntry {
 }
 
 // detectFaults runs the pairwise predicates over the union set.
-func (r *Replica) detectFaults(st *vcState) {
-	msgs := make([]*MsgViewChange, 0, len(st.union))
-	for _, m := range st.union {
-		msgs = append(msgs, m)
-	}
-	sort.Slice(msgs, func(i, j int) bool {
-		if msgs[i].From != msgs[j].From {
-			return msgs[i].From < msgs[j].From
-		}
-		di, dj := msgs[i].contentDigest(), msgs[j].contentDigest()
-		return string(di[:]) < string(dj[:])
-	})
+func (r *Replica) detectFaults(rec *viewRecord) {
+	msgs, target := rec.union, r.view
 	// A replica sending two *different* view-change messages for the
 	// same view change has equivocated: convict directly.
 	for i := 0; i < len(msgs); i++ {
 		for j := i + 1; j < len(msgs); j++ {
 			if msgs[i].From == msgs[j].From {
-				r.convict(msgs[i].From, "equivocation", 0, msgs[i], msgs[j], st.target)
+				r.convict(msgs[i].From, "equivocation", 0, msgs[i], msgs[j], target)
 			}
 		}
 	}
@@ -196,15 +139,15 @@ func (r *Replica) detectFaults(st *vcState) {
 					// state-loss (line 3): sk served in sg_i' where this
 					// entry committed, so its prepare log must cover sn;
 					// an empty slot is a data-loss fault.
-					r.convict(sk, "state-loss", sn, m, mPrime, st.target)
+					r.convict(sk, "state-loss", sn, m, mPrime, target)
 				case skInOld && pe != nil && (pe.View() < iPrime ||
 					(pe.View() == iPrime && pe.Primary.BatchD != ce.Primary.BatchD)):
 					// fork-I (line 6): sk's prepare log regressed below,
 					// or diverged from, what it helped commit in i'.
 					if r.verifyPrepareEntryForVC(pe) {
-						r.convict(sk, "fork-i", sn, m, mPrime, st.target)
+						r.convict(sk, "fork-i", sn, m, mPrime, target)
 					}
-				case pe != nil && pe.View() > iPrime && pe.View() < st.target &&
+				case pe != nil && pe.View() > iPrime && pe.View() < target &&
 					pe.Primary.BatchD != ce.Primary.BatchD:
 					// fork-II suspicion (line 9): sk presents a
 					// higher-view prepare that conflicts with a commit
@@ -213,7 +156,7 @@ func (r *Replica) detectFaults(st *vcState) {
 					// against their stored agreement.
 					if r.verifyPrepareEntryForVC(pe) {
 						q := &MsgForkIIQuery{
-							View: st.target, OldView: pe.View(), Culprit: sk,
+							View: target, OldView: pe.View(), Culprit: sk,
 							SN: sn, Evidence: m,
 						}
 						for _, id := range SyncGroup(r.n, r.t, pe.View()) {
@@ -317,53 +260,30 @@ func (r *Replica) verifyFaultEvidence(m *MsgFaultProof) bool {
 	}
 }
 
-// answerForkIIQuery checks a suspicious prepare log against our stored
-// agreement for the old view (Algorithm 6 lines 12–16).
+// answerForkIIQuery checks a suspicious prepare log against what the
+// view change to the old view selected (Algorithm 6 lines 12–16): a
+// correct replica's prepare log in that view holds exactly the selected
+// batch. We can speak for the last view we installed only; its record
+// keeps the selected digests and nothing older is retained.
 func (r *Replica) answerForkIIQuery(q *MsgForkIIQuery) {
-	if q.Evidence == nil {
-		return
+	rec, ev := r.views[q.OldView], q.Evidence
+	if rec == nil || ev == nil || ev.From != q.Culprit {
+		return // we did not take part in that view change, or have moved on
 	}
-	agreed, ok := r.agreedVCSet[q.OldView]
-	if !ok {
-		return // we did not take part in that view change
-	}
-	pe := prepEntryAt(q.Evidence, q.SN)
+	pe := prepEntryAt(ev, q.SN)
 	if pe == nil || pe.View() != q.OldView {
 		return
 	}
-	// Recompute what the view change to q.OldView selected at q.SN; a
-	// correct replica's prepare log in that view must contain exactly
-	// the selected batch.
-	selected, ok := r.selectionAt(agreed, q.SN)
-	if !ok {
-		return
+	i := q.SN - rec.selChk.SN - 1 // wraps to a huge index at or below the checkpoint
+	if i >= smr.SeqNum(len(rec.selected)) || rec.selected[i] == (crypto.Digest{}) {
+		return // nothing was selected there to hold anyone to
 	}
-	if pe.Primary.BatchD != selected {
-		r.convict(q.Culprit, "fork-ii", q.SN, q.Evidence, nil, q.View)
+	// The query comes from any peer: the culprit must have signed the
+	// log, and the old primary the entry, before either counts.
+	if pe.Primary.BatchD != rec.selected[i] && r.verifyPrepareEntryForVC(pe) &&
+		r.suite.Verify(crypto.NodeID(ev.From), ev.SigPayload(), ev.Sig) {
+		r.convict(q.Culprit, "fork-ii", q.SN, ev, nil, q.View)
 	}
-}
-
-// selectionAt recomputes the batch digest selected at sn by the
-// agreement `agreed` (highest-view commit entry, FD prepare overlay).
-func (r *Replica) selectionAt(agreed map[vcKey]*MsgViewChange, sn smr.SeqNum) (crypto.Digest, bool) {
-	var best crypto.Digest
-	bestView := smr.View(0)
-	found := false
-	for _, vc := range agreed {
-		for i := range vc.CommitLog {
-			e := &vc.CommitLog[i]
-			if e.SN() == sn && (!found || e.View() > bestView) && r.verifyCommitEntry(e) {
-				best, bestView, found = e.Primary.BatchD, e.View(), true
-			}
-		}
-		for i := range vc.PrepareLog {
-			e := &vc.PrepareLog[i]
-			if e.SN() == sn && (!found || e.View() > bestView) && r.verifyPrepareEntryForVC(e) {
-				best, bestView, found = e.Primary.BatchD, e.View(), true
-			}
-		}
-	}
-	return best, found
 }
 
 // onForkIIQuery handles a remote fork-II consultation.

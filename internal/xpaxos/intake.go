@@ -267,13 +267,13 @@ func (r *Replica) verifyForwards() {
 	cand := r.fwdPending
 	r.fwdPending = nil
 	r.fwdInFlight = true
-	b := newSigBatch(len(cand))
+	b := crypto.NewSigBatch(len(cand))
 	for i := range cand {
-		b.add(crypto.NodeID(cand[i].Client), cand[i].Sig, cand[i].appendSigPayload)
+		b.Add(crypto.NodeID(cand[i].Client), cand[i].Sig, cand[i].appendSigPayload)
 	}
 	var verdicts []bool
 	r.goCrypto("verify-forward",
-		func() { verdicts = b.verifyEach(r.verifyPool, r.suite) },
+		func() { verdicts = b.VerifyEach(r.verifyPool, r.suite) },
 		func() {
 			r.fwdInFlight = false
 			for i, ok := range verdicts {
@@ -349,12 +349,12 @@ func (r *Replica) flushBatches(force bool) {
 func (r *Replica) dispatchIntake(cand []Request) {
 	iv := &intakeVerify{cand: cand}
 	r.intakeQ = append(r.intakeQ, iv)
-	b := newSigBatch(len(cand))
+	b := crypto.NewSigBatch(len(cand))
 	for i := range cand {
-		b.add(crypto.NodeID(cand[i].Client), cand[i].Sig, cand[i].appendSigPayload)
+		b.Add(crypto.NodeID(cand[i].Client), cand[i].Sig, cand[i].appendSigPayload)
 	}
 	r.goCrypto("verify-intake",
-		func() { iv.verdicts = b.verifyEach(r.verifyPool, r.suite) },
+		func() { iv.verdicts = b.VerifyEach(r.verifyPool, r.suite) },
 		func() {
 			iv.done = true
 			r.retireIntake()
@@ -394,49 +394,4 @@ func (r *Replica) retireIntake() {
 		// Retirement freed window slots; refill them.
 		r.flushBatches(false)
 	}
-}
-
-// sigBatch accumulates independent signature checks whose payloads
-// live in pooled wire buffers; the verify methods release every buffer
-// after the verdict, keeping the Get/Put pairing in one place.
-type sigBatch struct {
-	jobs []crypto.VerifyJob
-	bufs []*wire.Buf
-}
-
-func newSigBatch(capacity int) sigBatch {
-	return sigBatch{
-		jobs: make([]crypto.VerifyJob, 0, capacity),
-		bufs: make([]*wire.Buf, 0, capacity),
-	}
-}
-
-// add appends one check; payload writes the signed bytes into the
-// pooled buffer it is handed (e.g. Request.appendSigPayload).
-func (b *sigBatch) add(id crypto.NodeID, sig crypto.Signature, payload func(*wire.Buf) []byte) {
-	w := wire.Get()
-	b.bufs = append(b.bufs, w)
-	b.jobs = append(b.jobs, crypto.VerifyJob{ID: id, Data: payload(w), Sig: sig})
-}
-
-func (b *sigBatch) release() {
-	for _, w := range b.bufs {
-		wire.Put(w)
-	}
-	b.bufs = b.bufs[:0]
-}
-
-// verifyAll scatters the checks across pool and reports whether every
-// one passed.
-func (b *sigBatch) verifyAll(pool *crypto.Pool, suite crypto.Suite) bool {
-	ok := pool.VerifyAll(suite, b.jobs)
-	b.release()
-	return ok
-}
-
-// verifyEach scatters the checks across pool and reports each verdict.
-func (b *sigBatch) verifyEach(pool *crypto.Pool, suite crypto.Suite) []bool {
-	out := pool.VerifyEach(suite, b.jobs)
-	b.release()
-	return out
 }

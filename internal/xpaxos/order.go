@@ -72,16 +72,16 @@ func (r *Replica) admitPrepareEntry(from smr.NodeID, entry PrepareEntry, drain f
 		r.suspect(r.view) // invalid message from an active replica
 		return
 	}
-	b := newSigBatch(len(e.Batch.Reqs) + 1)
-	b.add(crypto.NodeID(e.Primary.From), e.Primary.Sig, e.Primary.appendSigPayload)
+	b := crypto.NewSigBatch(len(e.Batch.Reqs) + 1)
+	b.Add(crypto.NodeID(e.Primary.From), e.Primary.Sig, e.Primary.appendSigPayload)
 	for i := range e.Batch.Reqs {
 		req := &e.Batch.Reqs[i]
-		b.add(crypto.NodeID(req.Client), req.Sig, req.appendSigPayload)
+		b.Add(crypto.NodeID(req.Client), req.Sig, req.appendSigPayload)
 	}
 	s.entryVerifying = true
 	var ok bool
 	r.goCrypto("verify-prepare",
-		func() { ok = b.verifyAll(r.verifyPool, r.suite) },
+		func() { ok = b.VerifyAll(r.verifyPool, r.suite) },
 		func() {
 			s := r.slot(sn)
 			if s != nil {
@@ -334,13 +334,13 @@ func (r *Replica) verifyCommitEntry(e *CommitEntry) bool {
 	if verdict, ok := r.ceCache[key]; ok {
 		return verdict
 	}
-	b := newSigBatch(r.t + 1)
-	b.add(crypto.NodeID(e.Primary.From), e.Primary.Sig, e.Primary.appendSigPayload)
+	b := crypto.NewSigBatch(r.t + 1)
+	b.Add(crypto.NodeID(e.Primary.From), e.Primary.Sig, e.Primary.appendSigPayload)
 	for i := range e.Commits {
 		o := &e.Commits[i]
-		b.add(crypto.NodeID(o.From), o.Sig, o.appendSigPayload)
+		b.Add(crypto.NodeID(o.From), o.Sig, o.appendSigPayload)
 	}
-	ok := b.verifyAll(r.verifyPool, r.suite)
+	ok := b.VerifyAll(r.verifyPool, r.suite)
 	if len(r.ceCache) >= ceCacheMax {
 		r.ceCache = make(map[crypto.Digest]bool, ceCacheMax/4)
 	}

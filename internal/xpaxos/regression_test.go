@@ -229,8 +229,8 @@ func TestFarPrepareFromExPrimaryBounded(t *testing.T) {
 	cfg.EnableFD = true
 	r, _ := boundedReplica(t, 2, cfg) // view 1 is {s0, s2}; s0 was view 0's primary too
 	r.enterView(1)
-	st := r.vcState
-	if st == nil {
+	rec := r.collecting()
+	if rec == nil {
 		t.Fatal("replica 2 is not in the view change to view 1")
 	}
 
@@ -238,19 +238,331 @@ func TestFarPrepareFromExPrimaryBounded(t *testing.T) {
 	prepared := func(sn smr.SeqNum) PrepareEntry {
 		return PrepareEntry{Primary: signOrder(cfg.Suite, KindCommit, new(Batch).Digest(), sn, 0, 0, crypto.Digest{})}
 	}
-	vc := &MsgViewChange{NewView: 1, From: 0, PrepareLog: []PrepareEntry{prepared(2), prepared(far)}}
-	st.union[vcKey{From: 0, D: vc.contentDigest()}] = vc
+	rec.union = []*MsgViewChange{{NewView: 1, From: 0, PrepareLog: []PrepareEntry{prepared(2), prepared(far)}}}
 	r.computeSelection()
 
 	// sn 2 is within the log window of the (empty) committed prefix and
 	// is selected, with a no-op at sn 1 below it; the far entry is not.
-	if st.selMax != 2 || len(st.selection) != 2 {
-		t.Fatalf("selected %d entries up to sn %d, want 2 up to sn 2: the prepare entry at sn %d must be ignored",
-			len(st.selection), st.selMax, far)
+	if len(rec.selection) != 2 {
+		t.Fatalf("selected %d entries, want 2 up to sn 2: the prepare entry at sn %d must be ignored", len(rec.selection), far)
 	}
-	if e := st.selection[2]; e == nil || !e.FromPrepare {
-		t.Fatalf("the prepare entry inside the window (sn 2) was not selected: %+v", e)
+	if e := rec.selection[1]; !e.FromPrepare || !rec.selection[0].Hole {
+		t.Fatalf("want a hole at sn 1 and the prepare entry inside the window at sn 2, got %+v", rec.selection)
 	}
+}
+
+// The tests below pin the view admission rule and its prune
+// (viewlog.go): what a replica keeps per view is bounded however many
+// views peers name and however many view changes it lives through.
+// Before the view log, messages for future views were buffered with no
+// membership check and no cap, entries for skipped views were never
+// deleted, and every installed view left its whole agreed set of
+// view-change messages — application snapshots included — behind.
+
+// retainedViewState sums what r's view records hold of peers' and its
+// own view-change traffic: the messages' wire bytes, and how many of
+// the application snapshots they carry are not r's own stable one.
+func retainedViewState(r *Replica) (bytes, foreignSnaps int) {
+	count := func(vc *MsgViewChange) {
+		if len(vc.Snapshot) > 0 && (len(r.chkSnapshot) == 0 || &vc.Snapshot[0] != &r.chkSnapshot[0]) {
+			foreignSnaps++
+		}
+	}
+	for _, rec := range r.views {
+		for _, vc := range rec.vcs {
+			bytes += vc.WireSize()
+			count(vc)
+		}
+		for _, f := range rec.finals {
+			bytes += f.WireSize()
+			for _, vc := range f.VCSet {
+				count(vc)
+			}
+		}
+		for _, vc := range rec.union {
+			count(vc)
+		}
+		if rec.newView != nil {
+			bytes += rec.newView.WireSize()
+		}
+		if len(rec.selSnapshot) > 0 && &rec.selSnapshot[0] != &r.chkSnapshot[0] {
+			foreignSnaps++
+		}
+	}
+	return bytes, foreignSnaps
+}
+
+// maxViewRecords is the bound viewlog.go states on the number of view
+// records, for n replicas.
+func maxViewRecords(n int) int { return n*maxFutureViews + suspectMemory + 2 }
+
+// TestFutureViewSprayBounded: one replica sends validly signed
+// view-change messages for two hundred far views, a 1 MiB snapshot in
+// each.
+func TestFutureViewSprayBounded(t *testing.T) {
+	cfg := regressionConfig()
+	suite := cfg.Suite.(*crypto.Meter)
+	r, _ := boundedReplica(t, 0, cfg)
+	snap := make([]byte, 1<<20)
+	member := 0
+	before := suite.Total().Verifies
+	for v := smr.View(1000); v < 1200; v++ {
+		vc := &MsgViewChange{NewView: v, From: 1, Snapshot: snap}
+		vc.Sig = suite.Sign(1, vc.SigPayload())
+		r.Step(smr.Recv{From: 1, Msg: vc})
+		if InGroup(cfg.N, cfg.T, v, 0) {
+			member++
+		}
+	}
+	if got := suite.Total().Verifies - before; got != uint64(member) {
+		t.Fatalf("%d signature checks for 200 sprayed views, want %d: one per view whose group includes the receiver, none for the rest", got, member)
+	}
+	if len(r.views) > maxFutureViews {
+		t.Fatalf("%d view records retained for one sender, cap is %d", len(r.views), maxFutureViews)
+	}
+	if b, _ := retainedViewState(r); b > maxFutureViews*(len(snap)+4096) {
+		t.Fatalf("%d bytes of view-change messages retained, cap is %d messages", b, maxFutureViews)
+	}
+	// Lowest evicted first: the sender's newest message survives.
+	newest := smr.View(1199)
+	for !InGroup(cfg.N, cfg.T, newest, 0) {
+		newest--
+	}
+	if rec := r.views[newest]; rec == nil || rec.vcs[1] == nil {
+		t.Fatalf("the sender's newest view-change message (view %d) was not kept", newest)
+	}
+	if r.View() != 0 {
+		t.Fatalf("one sender's view-change messages drove the replica to view %d", r.View())
+	}
+}
+
+// TestViewStateBoundedAcrossViewChanges: t = 2, fault detection on, a
+// checkpoint every 8 batches, 4 KiB puts, and the primary crashed and
+// recovered twenty times over.
+func TestViewStateBoundedAcrossViewChanges(t *testing.T) {
+	c := newCluster(t, clusterOpts{
+		t: 2, clients: 2, reqTimeout: 300 * time.Millisecond,
+		cfgMod: func(id smr.NodeID, cfg *Config) {
+			cfg.EnableFD = true
+			cfg.CheckpointInterval = 8
+		},
+	})
+	stopped := false
+	for ci, cl := range c.clients {
+		i, val := 0, make([]byte, 4096)
+		put := func() { i++; cl.Invoke(kv.PutOp(fmt.Sprintf("k-%d-%d", ci, i%64), val)) }
+		cl.cfg.OnCommit = func(op, rep []byte, lat time.Duration) {
+			if !stopped {
+				put()
+			}
+		}
+		c.net.At(0, put)
+	}
+	c.run(time.Second)
+	installs := 0
+	for round := 0; round < 20; round++ {
+		from := c.replicas[1].View()
+		primary := Primary(c.n, c.tf, from)
+		c.net.Crash(primary)
+		c.run(2 * time.Second)
+		c.net.Recover(primary)
+		c.run(time.Second)
+		if c.replicas[1].View() > from {
+			installs++
+		}
+	}
+	stopped = true
+	c.run(3 * time.Second)
+	if installs < 20 {
+		t.Fatalf("only %d of 20 crash rounds changed the view", installs)
+	}
+	for _, r := range c.replicas {
+		if r.InViewChange() {
+			t.Fatalf("replica %d still mid view change at view %d", r.id, r.view)
+		}
+		if r.chk.SN == 0 {
+			t.Fatalf("replica %d never stabilized a checkpoint", r.id)
+		}
+		if b, snaps := retainedViewState(r); snaps != 0 || b != 0 {
+			t.Errorf("replica %d retains %d bytes of view-change messages and %d snapshots other than its stable checkpoint's", r.id, b, snaps)
+		}
+		if len(r.views) > maxViewRecords(c.n) {
+			t.Errorf("replica %d holds %d view records after %d view changes, bound is %d", r.id, len(r.views), installs, maxViewRecords(c.n))
+		}
+	}
+	c.checkLemma1()
+}
+
+// TestSkippedViewsLeaveNothingBuffered: messages buffered for a view
+// the replica then skips go when it passes that view.
+func TestSkippedViewsLeaveNothingBuffered(t *testing.T) {
+	cfg := regressionConfig()
+	suite := cfg.Suite
+	r, _ := boundedReplica(t, 2, cfg) // view 1 is {s0, s2}, s0 its primary
+	vc := &MsgViewChange{NewView: 1, From: 0, Snapshot: make([]byte, 1024)}
+	vc.Sig = suite.Sign(0, vc.SigPayload())
+	final := &MsgVCFinal{NewView: 1, From: 0, VCSet: []*MsgViewChange{vc}}
+	final.Sig = suite.Sign(0, final.SigPayload())
+	nv := &MsgNewView{NewView: 1, From: 0}
+	nv.Sig = suite.Sign(0, nv.SigPayload())
+	for _, m := range []smr.Message{vc, final, nv} {
+		r.Step(smr.Recv{From: 0, Msg: m})
+	}
+	if rec := r.views[1]; rec == nil || rec.vcs[0] == nil || rec.finals[0] == nil || rec.newView == nil {
+		t.Fatalf("view 1's messages were not buffered while view 1 was ahead: %+v", rec)
+	}
+	var signer smr.NodeID
+	for !InGroup(cfg.N, cfg.T, 4, signer) || signer == 2 {
+		signer++
+	}
+	sus := &MsgSuspect{View: 4, From: signer}
+	sus.Sig = suite.Sign(crypto.NodeID(signer), sus.SigPayload())
+	r.Step(smr.Recv{From: signer, Msg: sus})
+	if r.View() < 5 {
+		t.Fatalf("replica at view %d after a suspect of view 4", r.View())
+	}
+	for v, rec := range r.views {
+		if v < r.View() && (len(rec.vcs)+len(rec.finals) > 0 || rec.newView != nil) {
+			t.Errorf("view %d was skipped (now at %d) and still buffers %d view-change, %d vc-final messages, new-view %v",
+				v, r.View(), len(rec.vcs), len(rec.finals), rec.newView != nil)
+		}
+	}
+}
+
+// TestBufferedViewChangeCompletesOnEntry: what arrived for a view while
+// it was ahead is what the replica collects once it enters that view.
+// s2 holds s0's view-change, vc-final and new-view for view 1 before it
+// hears of any suspicion; entering view 1 and letting the 2Δ timer
+// expire installs the view with no further message.
+func TestBufferedViewChangeCompletesOnEntry(t *testing.T) {
+	cfg := regressionConfig()
+	suite := cfg.Suite
+	r, env := boundedReplica(t, 2, cfg) // view 1 is {s0, s2}, s0 its primary
+	vc := &MsgViewChange{NewView: 1, From: 0}
+	vc.Sig = suite.Sign(0, vc.SigPayload())
+	final := &MsgVCFinal{NewView: 1, From: 0, VCSet: []*MsgViewChange{vc}}
+	final.Sig = suite.Sign(0, final.SigPayload())
+	nv := &MsgNewView{NewView: 1, From: 0}
+	nv.Sig = suite.Sign(0, nv.SigPayload())
+	sus := &MsgSuspect{View: 0, From: 0}
+	sus.Sig = suite.Sign(0, sus.SigPayload())
+	for _, m := range []smr.Message{vc, final, nv, sus} {
+		r.Step(smr.Recv{From: 0, Msg: m})
+	}
+	if rec := r.collecting(); r.View() != 1 || rec == nil || len(rec.vcs) != 2 {
+		t.Fatalf("at view %d, collecting %v: want view 1 collecting s0's buffered view-change message and our own", r.View(), rec)
+	}
+	id, ok := env.lastTimer("vc-net")
+	if !ok {
+		t.Fatal("no 2Δ timer armed on entering view 1")
+	}
+	r.Step(smr.TimerFired{ID: id, Kind: "vc-net"})
+	if r.InViewChange() || r.preView != 1 {
+		t.Fatalf("view 1 not installed from the buffered messages (in view change: %v, last installed %d)", r.InViewChange(), r.preView)
+	}
+}
+
+// TestOldSuspectNotRegossiped: a ⟨suspect⟩ of a view more than
+// suspectMemory behind costs nothing and is not relayed; one inside
+// that memory is relayed once.
+func TestOldSuspectNotRegossiped(t *testing.T) {
+	cfg := regressionConfig()
+	suite := cfg.Suite.(*crypto.Meter)
+	r, env := boundedReplica(t, 0, cfg)
+	suspectOf := func(v smr.View) *MsgSuspect {
+		var signer smr.NodeID
+		for !InGroup(cfg.N, cfg.T, v, signer) || signer == 0 {
+			signer++
+		}
+		m := &MsgSuspect{View: v, From: signer}
+		m.Sig = suite.Sign(crypto.NodeID(signer), m.SigPayload())
+		return m
+	}
+	r.Step(smr.Recv{From: 1, Msg: suspectOf(29)})
+	if r.View() < 30 {
+		t.Fatalf("replica at view %d after a suspect of view 29", r.View())
+	}
+	step := func(m *MsgSuspect) (sends int, verifies uint64) {
+		s, v := len(env.sent), suite.Total().Verifies
+		r.Step(smr.Recv{From: m.From, Msg: m})
+		return len(env.sent) - s, suite.Total().Verifies - v
+	}
+	old := r.View() - suspectMemory - 1
+	if sends, verifies := step(suspectOf(old)); sends != 0 || verifies != 0 || r.views[old] != nil {
+		t.Fatalf("a suspect of view %d (now at %d) cost %d sends and %d signature checks and left a record: %v; want nothing",
+			old, r.View(), sends, verifies, r.views[old] != nil)
+	}
+	recent := suspectOf(r.View() - 2)
+	if sends, _ := step(recent); sends != cfg.N-1 {
+		t.Fatalf("a suspect of a recent view was relayed to %d replicas, want %d", sends, cfg.N-1)
+	}
+	if sends, verifies := step(recent); sends != 0 || verifies != 0 {
+		t.Fatalf("the same suspect again cost %d sends and %d signature checks, want none", sends, verifies)
+	}
+	if len(r.views) > maxViewRecords(cfg.N) {
+		t.Fatalf("%d view records, bound is %d", len(r.views), maxViewRecords(cfg.N))
+	}
+}
+
+// TestForkIIQueryConvictsForgedPrepare drives Algorithm 6 lines 12–16:
+// s0, primary of the installed view 1, replaces prepare-log entries of
+// that view with batches of its own — genuinely signed, so nothing but
+// a member of view 1's group checking them against what view 1's view
+// change selected can tell. s2 is asked, and convicts; it still does
+// after it has left view 1, which pruned everything but the selected
+// digests.
+func TestForkIIQueryConvictsForgedPrepare(t *testing.T) {
+	c := fdCluster(t, 1)
+	ops := make([][]byte, 4)
+	for i := range ops {
+		ops[i] = kv.PutOp(fmt.Sprintf("k%d", i), []byte("v"))
+	}
+	done := c.invokeSeq(0, ops, nil)
+	c.run(2 * time.Second)
+	c.net.At(c.net.Now(), func() { c.replicas[1].suspect(0) })
+	c.run(3 * time.Second)
+	s0, s2 := c.replicas[0], c.replicas[2]
+	if *done != len(ops) || s2.View() != 1 || s2.InViewChange() || s2.preView != 1 {
+		t.Fatalf("setup: %d/%d commits, s2 at view %d (installed %d)", *done, len(ops), s2.View(), s2.preView)
+	}
+	query := func(sn smr.SeqNum) *MsgForkIIQuery {
+		return &MsgForkIIQuery{View: 2, OldView: 1, Culprit: 0, SN: sn, Evidence: s0.buildViewChange(2)}
+	}
+	c.net.At(c.net.Now(), func() {
+		s2.Step(smr.Recv{From: 1, Msg: query(2)})
+		if d := c.anyDetection(); d != "" {
+			t.Errorf("an honest prepare log was convicted: %s", d)
+		}
+		for _, sn := range []smr.SeqNum{2, 3} {
+			forged := Batch{Reqs: []Request{signedReq(c.suite, 1500, uint64(sn), kv.PutOp("evil", []byte("e")))}}
+			if !s0.InjectForkPrepare(sn, forged) {
+				t.Errorf("fork injection at sn %d failed", sn)
+			}
+		}
+		// Anyone can send a query: evidence the culprit did not sign
+		// convicts nobody.
+		unsigned := query(2)
+		unsigned.Evidence.Sig = make(crypto.Signature, len(unsigned.Evidence.Sig))
+		s2.Step(smr.Recv{From: 1, Msg: unsigned})
+		if d := c.anyDetection(); d != "" {
+			t.Errorf("a prepare log its sender did not sign was convicted: %s", d)
+		}
+		s2.Step(smr.Recv{From: 1, Msg: query(2)})
+		if !c.hasDetection(2, "fork-ii", 0) {
+			t.Errorf("forged prepare at sn 2 not convicted: %v", c.detections)
+		}
+		c.detections[2] = nil
+		s2.suspect(1) // s2 enters view 2, which prunes view 1's record
+		if b, snaps := retainedViewState(s2); s2.views[1] == nil || snaps != 0 {
+			t.Errorf("after leaving view 1 s2 keeps its record: %v, %d bytes of messages, %d foreign snapshots; want the record and no snapshot",
+				s2.views[1] != nil, b, snaps)
+		}
+		s2.Step(smr.Recv{From: 1, Msg: query(3)})
+		if !c.hasDetection(2, "fork-ii", 0) {
+			t.Errorf("forged prepare at sn 3 not convicted after s2 left view 1: %v", c.detections)
+		}
+	})
+	c.run(time.Second)
 }
 
 // TestEmptyReplyCommitsOnFastPath: at t ≥ 2 the client commits on t+1

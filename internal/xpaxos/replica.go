@@ -110,12 +110,9 @@ type Replica struct {
 	walErr      error
 	walDropped  uint64
 
-	// View change (viewchange.go).
-	seenSuspects map[suspectKey]bool
-	vcState      *vcState
-	futureVC     map[smr.View]map[smr.NodeID]*MsgViewChange
-	futureFinal  map[smr.View]map[smr.NodeID]*MsgVCFinal
-	futureNV     map[smr.View]*MsgNewView
+	// views holds everything kept per view (viewlog.go): view change
+	// and fault detection. All access goes through admit and collecting.
+	views viewLog
 	// vcConsec counts view changes attempted — a collection started
 	// with a full timer_vc — since the last fresh batch execution. Each
 	// consecutive unproductive attempt doubles timer_vc (capped), so a
@@ -125,12 +122,10 @@ type Replica struct {
 	// known down (suspectDoomedView) are not attempts.
 	vcConsec int
 
-	// Fault detection (fd.go).
-	preView     smr.View
-	finalProofs map[smr.View][]MsgVCConfirm
-	agreedVCSet map[smr.View]map[vcKey]*MsgViewChange
-	fset        map[smr.NodeID]bool
-	convicted   map[faultID]bool
+	// Fault detection (fd.go). preView is the last view installed.
+	preView   smr.View
+	fset      map[smr.NodeID]bool
+	convicted map[faultID]bool
 
 	// downPeers is the level view of the runtime's edge-triggered
 	// PeerDown/PeerUp health events: peers currently believed dead or
@@ -143,11 +138,6 @@ type Replica struct {
 // intake verification is deferred to batch formation: a forged copy
 // may reach the queue first, and the mark alone must not let it
 // suppress the honest client's request (see onRequest).
-
-type suspectKey struct {
-	View smr.View
-	From smr.NodeID
-}
 
 type faultID struct {
 	Culprit smr.NodeID
@@ -172,13 +162,8 @@ func NewReplica(id smr.NodeID, cfg Config, app smr.Application) *Replica {
 		queued:             make(map[watchKey]crypto.Digest),
 		watches:            make(map[watchKey]*watchState),
 		watchTimers:        make(map[smr.TimerID]watchKey),
-		seenSuspects:       make(map[suspectKey]bool),
 		ceCache:            make(map[crypto.Digest]bool),
-		futureVC:           make(map[smr.View]map[smr.NodeID]*MsgViewChange),
-		futureFinal:        make(map[smr.View]map[smr.NodeID]*MsgVCFinal),
-		futureNV:           make(map[smr.View]*MsgNewView),
-		finalProofs:        make(map[smr.View][]MsgVCConfirm),
-		agreedVCSet:        make(map[smr.View]map[vcKey]*MsgViewChange),
+		views:              make(viewLog),
 		fset:               make(map[smr.NodeID]bool),
 		convicted:          make(map[faultID]bool),
 		replySigning:       make(map[watchKey]bool),
@@ -307,7 +292,7 @@ func (r *Replica) suspectDoomedView() bool {
 	if next, ok := NextViableView(r.n, r.t, v, r.downPeers); !ok || next == v {
 		return false
 	}
-	if r.vcState != nil && r.vcConsec > 0 {
+	if r.collecting() != nil && r.vcConsec > 0 {
 		// This view's collection started a full timer_vc and was counted
 		// as a view-change attempt; abandoning it over a known-dead member
 		// says nothing about how long a view change needs. (The count can

@@ -1,6 +1,8 @@
 package xpaxos
 
 import (
+	"bytes"
+	"cmp"
 	"maps"
 	"slices"
 
@@ -8,87 +10,40 @@ import (
 	"github.com/xft-consensus/xft/internal/smr"
 )
 
-// vcKey identifies a distinct view-change message in the union set: a
-// non-crash-faulty sender may distribute several versions, and fault
-// detection wants to see all of them.
-type vcKey struct {
-	From smr.NodeID
-	D    crypto.Digest
-}
-
-// selEntry is one selected request batch for the new view.
+// selEntry is what a view change selected at one sequence number.
 type selEntry struct {
-	SN    smr.SeqNum
 	Batch Batch
 	// FromView is the view of the log entry that won the selection.
 	FromView smr.View
 	// FromPrepare marks entries selected from a prepare log (FD mode).
 	FromPrepare bool
-}
-
-// vcState is the per-view-change scratchpad of an active replica of
-// the new view.
-type vcState struct {
-	target smr.View
-
-	vcSet      map[smr.NodeID]*MsgViewChange
-	netTimer   smr.TimerID
-	netExpired bool
-	vcTimer    smr.TimerID
-
-	finalSent bool
-	finals    map[smr.NodeID]*MsgVCFinal
-	union     map[vcKey]*MsgViewChange
-
-	// FD confirmation round.
-	confirmSent bool
-	myConfirmD  crypto.Digest
-	confirms    map[smr.NodeID]*MsgVCConfirm
-	fdDone      bool
-
-	// Selection output.
-	selDone     bool
-	selection   map[smr.SeqNum]*selEntry
-	selMax      smr.SeqNum
-	selChk      CheckpointProof
-	selSnapshot []byte
-
-	pendingNV *MsgNewView
+	// Hole marks a sequence number no benign replica committed or
+	// prepared: it gets the no-op batch, so numbering stays contiguous.
+	Hole bool
 }
 
 // suspect initiates (or joins) a view change away from view v
 // (Section 4.3.2). Only active replicas of v may initiate; passive
 // replicas and later views join when they receive the suspect message.
 func (r *Replica) suspect(v smr.View) {
-	if v < r.view {
+	if v < r.view || !InGroup(r.n, r.t, v, r.id) {
 		return
 	}
-	if !InGroup(r.n, r.t, v, r.id) {
-		return
-	}
-	key := suspectKey{View: v, From: r.id}
-	if r.seenSuspects[key] {
-		return
-	}
-	r.seenSuspects[key] = true
+	// Our own mark keeps us from relaying our suspect when peers gossip
+	// it back.
 	m := r.makeSuspect(v)
+	r.admit(r.id, m).suspects[r.id] = true
 	r.sendAllReplicas(m)
 	r.enterView(v + 1)
 }
 
 // onSuspect handles ⟨suspect, i, sk⟩σ — possibly relayed by a client.
 func (r *Replica) onSuspect(from smr.NodeID, m *MsgSuspect) {
-	if !InGroup(r.n, r.t, m.View, m.From) {
-		return // only active replicas of view i may suspect view i
-	}
-	if !r.suite.Verify(crypto.NodeID(m.From), m.SigPayload(), m.Sig) {
+	rec := r.admit(from, m)
+	if rec == nil {
 		return
 	}
-	key := suspectKey{View: m.View, From: m.From}
-	if r.seenSuspects[key] {
-		return
-	}
-	r.seenSuspects[key] = true
+	rec.suspects[m.From] = true
 	r.sendAllReplicas(m) // gossip so every replica converges on the view change
 	if m.View >= r.view {
 		r.enterView(m.View + 1)
@@ -101,14 +56,11 @@ func (r *Replica) enterView(nv smr.View) {
 	if nv <= r.view {
 		return
 	}
+	r.stopCollecting()
 	r.view = nv
 	r.group = SyncGroup(r.n, r.t, nv)
 	r.status = statusViewChange
-	if r.vcState != nil {
-		r.env.CancelTimer(r.vcState.netTimer)
-		r.env.CancelTimer(r.vcState.vcTimer)
-		r.vcState = nil
-	}
+	r.prune()
 	if r.suspectDoomedView() {
 		// A member of nv's group is known down: nv cannot install, and as
 		// one of its active replicas we have said so and entered the next
@@ -159,40 +111,29 @@ func (r *Replica) enterView(nv smr.View) {
 		return
 	}
 
-	st := &vcState{
-		target: nv,
-		vcSet:  make(map[smr.NodeID]*MsgViewChange),
-		finals: make(map[smr.NodeID]*MsgVCFinal),
-		union:  make(map[vcKey]*MsgViewChange),
-	}
-	st.netTimer = r.env.SetTimer(2*r.cfg.Delta, "vc-net")
+	// Our own view-change message joins whatever nv's record already
+	// holds from peers that got here first.
+	rec := r.admit(r.id, vc)
+	rec.vcs[r.id] = vc
+	rec.collecting = true
+	rec.netTimer = r.env.SetTimer(2*r.cfg.Delta, "vc-net")
 	r.vcConsec++
 	boff := r.vcConsec - 1
 	if boff > 4 {
 		boff = 4
 	}
-	st.vcTimer = r.env.SetTimer(r.cfg.ViewChangeTimeout<<boff, "vc")
-	r.vcState = st
-
-	// Process our own view-change message and any buffered ones.
-	r.acceptViewChange(r.id, vc)
-	if buf, ok := r.futureVC[nv]; ok {
-		delete(r.futureVC, nv)
-		for from, m := range buf {
-			r.acceptViewChange(from, m)
-		}
-	}
-	if buf, ok := r.futureFinal[nv]; ok {
-		delete(r.futureFinal, nv)
-		for from, m := range buf {
-			r.onVCFinal(from, m)
-		}
-	}
-	if m, ok := r.futureNV[nv]; ok {
-		delete(r.futureNV, nv)
-		r.onNewView(m.From, m)
-	}
+	rec.vcTimer = r.env.SetTimer(r.cfg.ViewChangeTimeout<<boff, "vc")
 	r.checkVCSetComplete()
+}
+
+// stopCollecting ends the current view's view change, installed or
+// abandoned.
+func (r *Replica) stopCollecting() {
+	if rec := r.collecting(); rec != nil {
+		r.env.CancelTimer(rec.netTimer)
+		r.env.CancelTimer(rec.vcTimer)
+		rec.collecting = false
+	}
 }
 
 // buildViewChange assembles our ⟨view-change⟩ message for view nv.
@@ -207,66 +148,46 @@ func (r *Replica) buildViewChange(nv smr.View) *MsgViewChange {
 	if r.cfg.EnableFD {
 		vc.PrepareLog = r.log.prepares()
 		vc.PreView = r.preView
-		vc.FinalProof = r.finalProofs[r.preView]
+		if rec := r.views[r.preView]; rec != nil {
+			vc.FinalProof = rec.finalProof
+		}
 	}
 	vc.Sig = r.suite.Sign(crypto.NodeID(r.id), vc.SigPayload())
 	return vc
 }
 
-// onViewChange routes an incoming view-change message.
+// onViewChange files a ⟨view-change⟩ for the view we are collecting
+// for, or for one ahead.
 func (r *Replica) onViewChange(from smr.NodeID, m *MsgViewChange) {
-	if m.From != from && from != r.id {
+	rec := r.admit(from, m)
+	if rec == nil {
 		return
 	}
-	if !r.suite.Verify(crypto.NodeID(m.From), m.SigPayload(), m.Sig) {
-		return
-	}
-	switch {
-	case m.NewView == r.view && r.vcState != nil:
-		r.acceptViewChange(from, m)
+	rec.vcs[m.From] = m
+	if rec.collecting {
 		r.checkVCSetComplete()
-	case m.NewView > r.view:
-		buf, ok := r.futureVC[m.NewView]
-		if !ok {
-			buf = make(map[smr.NodeID]*MsgViewChange)
-			r.futureVC[m.NewView] = buf
-		}
-		buf[m.From] = m
-		// t+1 replicas moving to nv imply at least one correct replica
-		// did; join them.
-		if len(buf) >= r.t+1 {
-			r.enterView(m.NewView)
-		}
+	} else if len(rec.vcs) >= r.t+1 {
+		// t+1 replicas moving to the view imply at least one correct
+		// replica did; join them.
+		r.enterView(m.NewView)
 	}
-}
-
-func (r *Replica) acceptViewChange(from smr.NodeID, m *MsgViewChange) {
-	st := r.vcState
-	if st == nil || m.NewView != st.target {
-		return
-	}
-	if _, dup := st.vcSet[m.From]; dup {
-		return
-	}
-	st.vcSet[m.From] = m
-	st.union[vcKey{From: m.From, D: m.contentDigest()}] = m
 }
 
 // checkVCSetComplete sends vc-final once the collection condition of
 // Algorithm 3 line 13 holds: all n messages, or the 2Δ timer expired
 // with at least n−t messages.
 func (r *Replica) checkVCSetComplete() {
-	st := r.vcState
-	if st == nil || st.finalSent {
+	rec := r.collecting()
+	if rec == nil || rec.finalSent {
 		return
 	}
-	if len(st.vcSet) == r.n || (st.netExpired && len(st.vcSet) >= r.n-r.t) {
-		st.finalSent = true
-		vcs := make([]*MsgViewChange, 0, len(st.vcSet))
-		for _, id := range slices.Sorted(maps.Keys(st.vcSet)) {
-			vcs = append(vcs, st.vcSet[id])
+	if len(rec.vcs) == r.n || (rec.netExpired && len(rec.vcs) >= r.n-r.t) {
+		rec.finalSent = true
+		vcs := make([]*MsgViewChange, 0, len(rec.vcs))
+		for _, id := range slices.Sorted(maps.Keys(rec.vcs)) {
+			vcs = append(vcs, rec.vcs[id])
 		}
-		f := &MsgVCFinal{NewView: st.target, From: r.id, VCSet: vcs}
+		f := &MsgVCFinal{NewView: r.view, From: r.id, VCSet: vcs}
 		f.Sig = r.suite.Sign(crypto.NodeID(r.id), f.SigPayload())
 		r.sendActives(f)
 		r.onVCFinal(r.id, f)
@@ -274,137 +195,114 @@ func (r *Replica) checkVCSetComplete() {
 }
 
 func (r *Replica) onNetTimer(id smr.TimerID) {
-	st := r.vcState
-	if st == nil || id != st.netTimer {
-		return
+	if rec := r.collecting(); rec != nil && id == rec.netTimer {
+		rec.netExpired = true
+		r.checkVCSetComplete()
 	}
-	st.netExpired = true
-	r.checkVCSetComplete()
 }
 
 func (r *Replica) onVCTimer(id smr.TimerID) {
-	st := r.vcState
-	if st == nil || id != st.vcTimer {
-		return
+	if rec := r.collecting(); rec != nil && id == rec.vcTimer {
+		// View change did not complete in time (Section 4.3.2 (iii)).
+		r.suspect(r.view)
 	}
-	// View change did not complete in time (Section 4.3.2 (iii)).
-	r.suspect(r.view)
 }
 
 // onVCFinal collects ⟨vc-final⟩ from all active replicas of the new
-// view (Algorithm 3 line 16).
+// view (Algorithm 3 line 16). Ours is the last one in — it goes out
+// only while we collect — so the count completes at most once, then.
+// With FD the confirm round interposes; otherwise we select at once.
 func (r *Replica) onVCFinal(from smr.NodeID, m *MsgVCFinal) {
-	if m.From != from && from != r.id {
+	rec := r.admit(from, m)
+	if rec == nil {
 		return
 	}
-	if m.NewView > r.view {
-		if !InGroup(r.n, r.t, m.NewView, m.From) {
-			return
-		}
-		if !r.suite.Verify(crypto.NodeID(m.From), m.SigPayload(), m.Sig) {
-			return
-		}
-		buf, ok := r.futureFinal[m.NewView]
-		if !ok {
-			buf = make(map[smr.NodeID]*MsgVCFinal)
-			r.futureFinal[m.NewView] = buf
-		}
-		buf[m.From] = m
-		if len(buf) >= r.t+1 {
-			r.enterView(m.NewView)
-		}
+	rec.finals[m.From] = m
+	if !rec.collecting || len(rec.finals) != r.t+1 {
 		return
 	}
-	st := r.vcState
-	if st == nil || m.NewView != st.target {
-		return
-	}
-	if !InGroup(r.n, r.t, st.target, m.From) {
-		return
-	}
-	if _, dup := st.finals[m.From]; dup {
-		return
-	}
-	if from != r.id && !r.suite.Verify(crypto.NodeID(m.From), m.SigPayload(), m.Sig) {
-		return
-	}
-	st.finals[m.From] = m
-	// Extend the union with the piggybacked view-change messages
-	// (verifying relayed signatures).
-	for _, vc := range m.VCSet {
-		key := vcKey{From: vc.From, D: vc.contentDigest()}
-		if _, ok := st.union[key]; ok {
-			continue
-		}
-		if !r.suite.Verify(crypto.NodeID(vc.From), vc.SigPayload(), vc.Sig) {
-			continue
-		}
-		st.union[key] = vc
-	}
-	if len(st.finals) == r.t+1 {
-		r.completeVCFinals()
+	rec.union = r.unionOf(rec)
+	if r.cfg.EnableFD {
+		r.startConfirmRound(rec)
+	} else {
+		r.computeSelection()
 	}
 }
 
-// completeVCFinals runs once vc-final messages from all t+1 active
-// replicas are in. With FD the confirm round interposes; otherwise we
-// select immediately.
-func (r *Replica) completeVCFinals() {
-	if r.cfg.EnableFD {
-		r.startConfirmRound()
-		return
+// unionOf returns, ordered by (sender, digest), every distinct
+// view-change message of rec: what we collected ourselves plus those
+// piggybacked on the vc-finals whose relayed signatures verify.
+func (r *Replica) unionOf(rec *viewRecord) []*MsgViewChange {
+	union := make(map[vcKey]*MsgViewChange)
+	add := func(vc *MsgViewChange, verified bool) {
+		key := vcKey{From: vc.From, D: vc.contentDigest()}
+		if union[key] == nil && (verified || r.suite.Verify(crypto.NodeID(vc.From), vc.SigPayload(), vc.Sig)) {
+			union[key] = vc
+		}
 	}
-	r.computeSelection()
+	for _, vc := range rec.vcs {
+		add(vc, true)
+	}
+	for _, f := range rec.finals {
+		for _, vc := range f.VCSet {
+			add(vc, false)
+		}
+	}
+	out := make([]*MsgViewChange, 0, len(union))
+	for _, key := range slices.SortedFunc(maps.Keys(union), vcKey.compare) {
+		out = append(out, union[key])
+	}
+	return out
+}
+
+// vcKey identifies a distinct view-change message in the union.
+type vcKey struct {
+	From smr.NodeID
+	D    crypto.Digest
+}
+
+func (a vcKey) compare(b vcKey) int {
+	return cmp.Or(cmp.Compare(a.From, b.From), bytes.Compare(a.D[:], b.D[:]))
 }
 
 // computeSelection implements Algorithm 3 lines 18–24 (and, with FD,
 // Algorithm 5 lines 12–21): per sequence number take the commit log
 // with the highest view; FD also considers prepare logs.
 func (r *Replica) computeSelection() {
-	st := r.vcState
-	if st == nil || st.selDone {
+	rec := r.collecting()
+	if rec == nil || rec.selDone {
 		return
 	}
-	st.selDone = true
+	rec.selDone = true
 
 	// 1. Adopt the highest valid checkpoint offered.
-	bestChk := r.chk
-	bestSnap := r.chkSnapshot
-	for _, vc := range st.union {
+	rec.selChk, rec.selSnapshot = r.chk, r.chkSnapshot
+	for _, vc := range rec.union {
 		if r.fset[vc.From] {
 			continue
 		}
-		if vc.Checkpoint.SN > bestChk.SN && r.verifyCheckpointProof(&vc.Checkpoint) &&
+		if vc.Checkpoint.SN > rec.selChk.SN && r.verifyCheckpointProof(&vc.Checkpoint) &&
 			crypto.Hash(vc.Snapshot) == vc.Checkpoint.StateD {
-			bestChk = vc.Checkpoint
-			bestSnap = vc.Snapshot
+			rec.selChk, rec.selSnapshot = vc.Checkpoint, vc.Snapshot
 		}
 	}
-	st.selChk = bestChk
-	st.selSnapshot = bestSnap
 
 	// 2. Select, per sequence number above the checkpoint, the commit
 	// entry with the highest view (and with FD, prepare entries too).
-	type cand struct {
-		batch       Batch
-		view        smr.View
-		fromPrepare bool
-	}
-	sel := make(map[smr.SeqNum]*cand)
-	maxSN := bestChk.SN
+	floor := rec.selChk.SN
 	consider := func(sn smr.SeqNum, v smr.View, b Batch, fromPrepare bool) {
-		if sn <= bestChk.SN {
+		if sn <= floor {
 			return
 		}
-		if sn > maxSN {
-			maxSN = sn
+		for smr.SeqNum(len(rec.selection)) < sn-floor {
+			rec.selection = append(rec.selection, selEntry{Hole: true})
 		}
-		cur, ok := sel[sn]
-		if !ok || v > cur.view || (v == cur.view && cur.fromPrepare && !fromPrepare) {
-			sel[sn] = &cand{batch: b, view: v, fromPrepare: fromPrepare}
+		cur := &rec.selection[sn-floor-1]
+		if cur.Hole || v > cur.FromView || (v == cur.FromView && cur.FromPrepare && !fromPrepare) {
+			*cur = selEntry{Batch: b, FromView: v, FromPrepare: fromPrepare}
 		}
 	}
-	for _, vc := range st.union {
+	for _, vc := range rec.union {
 		if r.fset[vc.From] {
 			continue
 		}
@@ -423,8 +321,8 @@ func (r *Replica) computeSelection() {
 		// further than the log window beyond what it has committed or
 		// checkpointed, and its commit log and checkpoint are in the
 		// union too: prepare entries beyond that reach are ignored.
-		reach := maxSN + r.log.ahead
-		for _, vc := range st.union {
+		reach := floor + smr.SeqNum(len(rec.selection)) + r.log.ahead
+		for _, vc := range rec.union {
 			if r.fset[vc.From] {
 				continue
 			}
@@ -435,27 +333,19 @@ func (r *Replica) computeSelection() {
 				}
 			}
 		}
-	}
-	st.selection = make(map[smr.SeqNum]*selEntry, len(sel))
-	for sn := bestChk.SN + 1; sn <= maxSN; sn++ {
-		c, ok := sel[sn]
-		if !ok {
-			// Hole: no benign replica committed or prepared here — fill
-			// with a no-op batch so sequence numbers stay contiguous.
-			st.selection[sn] = &selEntry{SN: sn, Batch: Batch{}}
-			continue
+		rec.selected = make([]crypto.Digest, len(rec.selection))
+		for i := range rec.selection {
+			if e := &rec.selection[i]; !e.Hole {
+				rec.selected[i] = e.Batch.Digest()
+			}
 		}
-		st.selection[sn] = &selEntry{SN: sn, Batch: c.batch, FromView: c.view, FromPrepare: c.fromPrepare}
 	}
-	st.selMax = maxSN
 
 	// 3. The new primary re-prepares the selection (new-view).
 	if r.isPrimary() {
 		r.sendNewView()
-	} else if st.pendingNV != nil {
-		nv := st.pendingNV
-		st.pendingNV = nil
-		r.processNewView(nv)
+	} else if rec.newView != nil {
+		r.processNewView(rec.newView)
 	}
 }
 
@@ -467,73 +357,54 @@ func (r *Replica) verifyPrepareEntryForVC(e *PrepareEntry) bool {
 
 // sendNewView is the new primary's Algorithm 3 lines 20–24.
 func (r *Replica) sendNewView() {
-	st := r.vcState
-	if st == nil || !st.selDone {
+	rec := r.collecting()
+	if rec == nil || !rec.selDone {
 		return
 	}
 	kind := r.primaryKind()
-	prepares := make([]PrepareEntry, 0, len(st.selection))
-	for sn := st.selChk.SN + 1; sn <= st.selMax; sn++ {
-		e := st.selection[sn]
-		d := e.Batch.Digest()
-		o := signOrder(r.suite, kind, d, sn, st.target, r.id, crypto.Digest{})
-		prepares = append(prepares, PrepareEntry{Batch: e.Batch, Primary: o})
+	prepares := make([]PrepareEntry, len(rec.selection))
+	for i := range rec.selection {
+		b := rec.selection[i].Batch
+		o := signOrder(r.suite, kind, b.Digest(), rec.selChk.SN+1+smr.SeqNum(i), r.view, r.id, crypto.Digest{})
+		prepares[i] = PrepareEntry{Batch: b, Primary: o}
 	}
-	nv := &MsgNewView{NewView: st.target, From: r.id, Prepares: prepares}
+	nv := &MsgNewView{NewView: r.view, From: r.id, Prepares: prepares}
 	nv.Sig = r.suite.Sign(crypto.NodeID(r.id), nv.SigPayload())
 	r.sendActives(nv)
-	r.processNewView(nv)
+	r.onNewView(r.id, nv)
 }
 
-// onNewView routes ⟨new-view⟩ (Algorithm 3 lines 25–33).
+// onNewView files ⟨new-view⟩ (Algorithm 3 lines 25–33) and acts on it
+// once our own selection is done.
 func (r *Replica) onNewView(from smr.NodeID, m *MsgNewView) {
-	if m.From != Primary(r.n, r.t, m.NewView) {
+	rec := r.admit(from, m)
+	if rec == nil {
 		return
 	}
-	if m.From != from && from != r.id {
-		return
+	rec.newView = m
+	if rec.selDone {
+		r.processNewView(m)
 	}
-	if !r.suite.Verify(crypto.NodeID(m.From), m.SigPayload(), m.Sig) {
-		return
-	}
-	if m.NewView > r.view {
-		r.futureNV[m.NewView] = m
-		return
-	}
-	st := r.vcState
-	if st == nil || m.NewView != st.target {
-		return
-	}
-	if !st.selDone {
-		st.pendingNV = m
-		return
-	}
-	r.processNewView(m)
 }
 
 // processNewView validates the primary's prepare log against our own
 // selection and, on success, installs the new view.
 func (r *Replica) processNewView(m *MsgNewView) {
-	st := r.vcState
-	if st == nil || !st.selDone || r.status != statusViewChange {
+	rec := r.collecting()
+	if rec == nil || !rec.selDone || r.status != statusViewChange {
 		return
 	}
 	// The prepare log must exactly match our selection (same range,
 	// same batches) — otherwise the new primary is lying; suspect it.
-	want := int(st.selMax - st.selChk.SN)
-	if want < 0 {
-		want = 0
-	}
-	if len(m.Prepares) != want {
+	if len(m.Prepares) != len(rec.selection) {
 		r.suspect(r.view)
 		return
 	}
 	kind := r.primaryKind()
 	for i := range m.Prepares {
 		e := &m.Prepares[i]
-		sn := st.selChk.SN + 1 + smr.SeqNum(i)
-		sel := st.selection[sn]
-		if sel == nil || e.SN() != sn || e.Primary.View != st.target ||
+		sel := &rec.selection[i]
+		if e.SN() != rec.selChk.SN+1+smr.SeqNum(i) || e.Primary.View != r.view ||
 			e.Primary.Kind != kind || e.Primary.From != m.From {
 			r.suspect(r.view)
 			return
@@ -550,14 +421,13 @@ func (r *Replica) processNewView(m *MsgNewView) {
 
 	// Install: adopt checkpoint if ahead of us, execute the selection,
 	// rebuild the prepare log in the new view.
-	if st.selChk.SN > r.chk.SN {
-		r.adoptCheckpoint(st.selChk, st.selSnapshot)
+	if rec.selChk.SN > r.chk.SN {
+		r.adoptCheckpoint(rec.selChk, rec.selSnapshot)
 	}
-	for sn := r.ex + 1; sn <= st.selMax; sn++ {
-		if sel, ok := st.selection[sn]; ok {
-			r.applyBatch(&sel.Batch, sn, st.target)
-			r.ex = sn
-		}
+	selMax := rec.selChk.SN + smr.SeqNum(len(rec.selection))
+	for sn := max(r.ex, rec.selChk.SN) + 1; sn <= selMax; sn++ {
+		r.applyBatch(&rec.selection[sn-rec.selChk.SN-1].Batch, sn, r.view)
+		r.ex = sn
 	}
 	for i := range m.Prepares {
 		e := m.Prepares[i]
@@ -567,14 +437,14 @@ func (r *Replica) processNewView(m *MsgNewView) {
 	}
 	// Every active replica resumes from the selection's end — the group
 	// must agree on the next sequence number (Algorithm 3 line 29).
-	r.sn = st.selMax
-	r.preView = st.target
+	r.sn = selMax
+	r.preView = r.view
 
-	// Leave view-change mode.
-	r.env.CancelTimer(st.netTimer)
-	r.env.CancelTimer(st.vcTimer)
-	r.vcState = nil
+	// Leave view-change mode. The record keeps only what fault detection
+	// may still ask about the installed view.
+	r.stopCollecting()
 	r.status = statusNormal
+	r.prune()
 	if r.cfg.OnViewChange != nil {
 		r.cfg.OnViewChange(r.view, r.env.Now())
 	}

@@ -1,6 +1,9 @@
 package xpaxos
 
 import (
+	"cmp"
+	"slices"
+
 	"github.com/xft-consensus/xft/internal/crypto"
 	"github.com/xft-consensus/xft/internal/smr"
 )
@@ -196,21 +199,13 @@ func (r *Replica) tryFinishWatch(w *watchState, digest crypto.Digest) {
 	if len(matching) < r.t+1 {
 		return
 	}
-	sortReplySigs(matching)
+	slices.SortFunc(matching, func(a, b ReplySig) int { return cmp.Compare(a.From, b.From) })
 	c, okRep := r.replies.get(w.key.Client, w.key.TS)
 	if !okRep || crypto.Hash(c.Rep) != digest {
 		return // we lack the payload; another active will answer
 	}
 	r.env.Send(w.key.Client, &MsgSignedReply{Rep: c.Rep, Replies: matching[:r.t+1]})
 	r.clearWatch(w.key)
-}
-
-func sortReplySigs(s []ReplySig) {
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j].From < s[j-1].From; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
-		}
-	}
 }
 
 func (r *Replica) clearWatch(key watchKey) {

@@ -12,15 +12,16 @@
 //     synchronous group, with the optimized two-message pattern for
 //     t = 1 (Figure 2b) and the prepare/commit pattern for t ≥ 2
 //     (Figure 2a), plus batching;
-//   - the decentralized view change (viewchange.go): all active
-//     replicas of the new synchronous group collect view-change
-//     messages (waiting for ≥ n−t of them and a 2Δ timer), exchange
-//     them via vc-final, and the new primary re-prepares the selected
-//     requests (Figure 3, Algorithm 3);
-//   - fault detection (fd.go): prepare logs travel in view-change
-//     messages and a vc-confirm phase produces transferable proofs, so
-//     data-loss and fork faults that would violate consistency in
-//     anarchy are detected outside anarchy (Algorithms 5–6);
+//   - the decentralized view change (viewchange.go, over the view log
+//     of viewlog.go): all active replicas of the new synchronous group
+//     collect view-change messages (waiting for ≥ n−t of them and a 2Δ
+//     timer), exchange them via vc-final, and the new primary
+//     re-prepares the selected requests (Figure 3, Algorithm 3);
+//   - fault detection (fd.go, on the same view log): prepare logs
+//     travel in view-change messages and a vc-confirm phase produces
+//     transferable proofs, so data-loss and fork faults that would
+//     violate consistency in anarchy are detected outside anarchy
+//     (Algorithms 5–6);
 //
 // plus the optimizations of Section 4.5: checkpointing and lazy
 // replication (checkpoint.go) and client request retransmission

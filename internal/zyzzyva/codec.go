@@ -5,7 +5,6 @@ package zyzzyva
 // (the request's comes with internal/baseline).
 
 import (
-	"github.com/xft-consensus/xft/internal/baseline"
 	"github.com/xft-consensus/xft/internal/smr"
 	"github.com/xft-consensus/xft/internal/wire"
 )
@@ -31,8 +30,8 @@ var codec = wire.NewCodec(CodecName,
 	wire.Row(tagSpecResponse, (*MsgSpecResponse).code),
 	wire.Row(tagCommitCert, (*MsgCommitCert).code),
 	wire.Row(tagLocalCommit, (*MsgLocalCommit).code),
-	wire.Row(tagViewChange, (*MsgViewChange).code),
-	wire.Row(tagNewView, (*MsgNewView).code),
+	wire.Row(tagViewChange, (*MsgViewChange).Code),
+	wire.Row(tagNewView, (*MsgNewView).Code),
 )
 
 // MarshalMessage and DecodeMessage encode and decode one message (see
@@ -81,17 +80,4 @@ func (m *MsgLocalCommit) code(c *wire.Coder) {
 	wire.U64(c, &m.TS)
 	wire.U64(c, &m.SN)
 	wire.Bytes(c, &m.MAC)
-}
-
-func (m *MsgViewChange) code(c *wire.Coder) {
-	wire.U64(c, &m.View)
-	wire.I64(c, &m.From)
-	baseline.CodeEntries(c, &m.Entries)
-	wire.Bytes(c, &m.Sig)
-}
-
-func (m *MsgNewView) code(c *wire.Coder) {
-	wire.U64(c, &m.View)
-	baseline.CodeEntries(c, &m.Entries)
-	wire.Bytes(c, &m.Sig)
 }

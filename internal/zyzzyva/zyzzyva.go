@@ -37,6 +37,9 @@ type (
 	Batch      = baseline.Batch
 	Entry      = baseline.Entry
 	MsgRequest = baseline.MsgRequest
+	// The view change is the kit's log transfer under this domain's tags.
+	MsgViewChange = baseline.MsgViewChange
+	MsgNewView    = baseline.MsgNewView
 )
 
 // ---------------------------------------------------------------------------
@@ -123,67 +126,6 @@ func (m *MsgLocalCommit) macPayload() []byte {
 	return wire.New(48).Str("zz-lc").I64(int64(m.From)).U64(m.TS).U64(uint64(m.SN)).Done()
 }
 
-// MsgViewChange / MsgNewView reuse the crash-grade scheme (see pbft).
-type MsgViewChange struct {
-	View    smr.View
-	From    smr.NodeID
-	Entries []Entry
-	Sig     crypto.Signature
-}
-
-// Type implements smr.Message.
-func (m *MsgViewChange) Type() string { return "view-change" }
-
-// Bulk marks log-carrying view-change traffic as background: the new
-// primary needs 2t+1 of them and stragglers re-send on the progress
-// timer, so shedding one under pressure only delays the view change.
-func (m *MsgViewChange) Bulk() bool { return true }
-
-// WireSize implements smr.Message.
-func (m *MsgViewChange) WireSize() int {
-	return msgHeader + 16 + len(m.Sig) + baseline.EntriesWireSize(m.Entries)
-}
-
-func (m *MsgViewChange) sigPayload() []byte {
-	w := wire.New(64).Str("zz-vc").U64(uint64(m.View)).I64(int64(m.From))
-	for i := range m.Entries {
-		e := &m.Entries[i]
-		d := domain.Digest(&e.Batch)
-		w.U64(uint64(e.SN)).U64(uint64(e.View)).Raw(d[:])
-	}
-	return w.Done()
-}
-
-// MsgNewView installs a new view.
-type MsgNewView struct {
-	View    smr.View
-	Entries []Entry
-	Sig     crypto.Signature
-}
-
-// Type implements smr.Message.
-func (m *MsgNewView) Type() string { return "new-view" }
-
-// Bulk marks the log-carrying view installation as background
-// traffic: a replica that misses it keeps its progress timer running
-// and triggers a fresh view change.
-func (m *MsgNewView) Bulk() bool { return true }
-
-// WireSize implements smr.Message.
-func (m *MsgNewView) WireSize() int {
-	return msgHeader + 8 + len(m.Sig) + baseline.EntriesWireSize(m.Entries)
-}
-
-func (m *MsgNewView) sigPayload() []byte {
-	w := wire.New(64).Str("zz-nv").U64(uint64(m.View))
-	for i := range m.Entries {
-		e := &m.Entries[i]
-		d := domain.Digest(&e.Batch)
-		w.U64(uint64(e.SN)).Raw(d[:])
-	}
-	return w.Done()
-}
-
 // Config parameterizes replicas and clients: the shared baseline
 // configuration plus the client's fast-path deadline.
 type Config struct {
@@ -219,7 +161,7 @@ type Replica struct {
 	pendingOrder map[smr.SeqNum]*MsgOrderReq
 	orInFlight   map[smr.SeqNum]bool
 
-	vcs map[smr.NodeID]*MsgViewChange
+	vc baseline.LogTransfer
 }
 
 // NewReplica builds a replica.
@@ -228,13 +170,13 @@ func NewReplica(id smr.NodeID, cfg Config, app smr.Application) *Replica {
 		log:          make(map[smr.SeqNum]*Entry),
 		pendingOrder: make(map[smr.SeqNum]*MsgOrderReq),
 		orInFlight:   make(map[smr.SeqNum]bool),
-		vcs:          make(map[smr.NodeID]*MsgViewChange),
 	}
 	r.Core = baseline.NewCore(id, cfg.withDefaults().Config, domain, app, baseline.Hooks{
 		Recv: r.onRecv, Propose: r.propose,
 		Resend:  func(client smr.NodeID, ts uint64, rep []byte) { r.specReply(r.sn, client, ts, rep) },
-		Suspect: func() { r.startViewChange(r.View + 1) },
+		Suspect: func() { r.vc.Start(r.View + 1) },
 	})
+	r.vc = baseline.LogTransfer{Core: r.Core, Quorum: 2*r.T + 1, Log: r.log, Announce: r.announce, Install: r.install}
 	return r
 }
 
@@ -244,10 +186,8 @@ func (r *Replica) onRecv(from smr.NodeID, msg smr.Message) {
 		r.onOrderReq(from, m)
 	case *MsgCommitCert:
 		r.onCommitCert(from, m)
-	case *MsgViewChange:
-		r.onViewChange(from, m)
-	case *MsgNewView:
-		r.onNewView(from, m)
+	default:
+		r.vc.Recv(from, msg)
 	}
 }
 
@@ -352,76 +292,23 @@ func (r *Replica) onCommitCert(from smr.NodeID, m *MsgCommitCert) {
 }
 
 // ---------------------------------------------------------------------------
-// View change (crash-fault-grade)
+// View change (crash-fault-grade): the kit's log transfer, at 2t+1
+// view-change messages
 // ---------------------------------------------------------------------------
 
-func (r *Replica) startViewChange(v smr.View) {
-	if v < r.View || (v == r.View && r.Electing) {
-		return
-	}
-	r.View = v
-	r.Electing = true
-	r.vcs = make(map[smr.NodeID]*MsgViewChange)
-	m := &MsgViewChange{View: v, From: r.ID, Entries: baseline.SortedEntries(r.log)}
-	m.Sig = r.Suite.Sign(crypto.NodeID(r.ID), m.sigPayload())
-	if r.IsLeader() {
-		r.addVC(m)
-		return
-	}
+// announce sends our view-change message to every other replica.
+func (r *Replica) announce(m *MsgViewChange) {
 	for _, id := range r.Others {
 		r.Env.Send(id, m)
 	}
-	r.Rewatch()
 }
 
-func (r *Replica) onViewChange(from smr.NodeID, m *MsgViewChange) {
-	if m.From != from || m.View < r.View || !r.Suite.Verify(crypto.NodeID(m.From), m.sigPayload(), m.Sig) {
-		return
-	}
-	if m.View > r.View || !r.Electing {
-		r.startViewChange(m.View)
-	}
-	if r.IsLeader() && m.View == r.View {
-		r.addVC(m)
-	}
-}
-
-// addVC completes the view change at 2t+1 view-change messages: merge
-// the transferred logs and install them everywhere.
-func (r *Replica) addVC(m *MsgViewChange) {
-	r.vcs[m.From] = m
-	if len(r.vcs) < 2*r.T+1 {
-		return
-	}
-	logs := make([][]Entry, 0, len(r.vcs))
-	for _, vc := range r.vcs {
-		logs = append(logs, vc.Entries)
-	}
-	nv := &MsgNewView{View: r.View, Entries: baseline.MergeEntries(r.View, logs)}
-	nv.Sig = r.Suite.Sign(crypto.NodeID(r.ID), nv.sigPayload())
-	for _, id := range r.Others {
-		r.Env.Send(id, nv)
-	}
-	r.installNewView(nv)
-}
-
-func (r *Replica) onNewView(from smr.NodeID, m *MsgNewView) {
-	if from != r.LeaderOf(m.View) || m.View < r.View || !r.Suite.Verify(crypto.NodeID(from), m.sigPayload(), m.Sig) {
-		return
-	}
-	r.View = m.View
-	r.installNewView(m)
-}
-
-func (r *Replica) installNewView(m *MsgNewView) {
-	r.Electing = false
-	r.Unwatch()
-	r.vcs = make(map[smr.NodeID]*MsgViewChange)
+func (r *Replica) install(entries []Entry) {
 	r.pendingOrder = make(map[smr.SeqNum]*MsgOrderReq)
 	r.history = crypto.Digest{}
 	var maxSN smr.SeqNum
-	for i := range m.Entries {
-		e := &m.Entries[i]
+	for i := range entries {
+		e := &entries[i]
 		r.history = r.extend(&e.Batch)
 		r.log[e.SN] = e
 		maxSN = max(maxSN, e.SN)
@@ -430,7 +317,6 @@ func (r *Replica) installNewView(m *MsgNewView) {
 	for r.ex < maxSN {
 		r.executeSpec(r.ex + 1)
 	}
-	r.Flush()
 }
 
 // ---------------------------------------------------------------------------

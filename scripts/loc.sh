@@ -3,19 +3,23 @@
 # benchmark), counted the way ROADMAP counts them:
 #   find <dir> -maxdepth 1 -name '*.go' ! -name '*_test.go' | xargs cat | wc -l
 #
-#   scripts/loc.sh           print the table and both ratchets
+#   scripts/loc.sh           print the table and the three ratchets
 #   scripts/loc.sh --check   also fail if a ratchet exceeds its ceiling
 #
-# Two sets are ratcheted, each against its own ceiling:
+# Three counts are ratcheted, each against its own ceiling:
 #
 #   - the four baseline protocols, the kit and table they share, and the
 #     bench harness. 6,534 lines before they were collapsed onto
 #     internal/baseline, 4,874 after; CEILING is the count reached when
-#     their codecs became one field list per wire type.
+#     their codecs became one field list per wire type and the
+#     pbft/zyzzyva view change moved into the kit.
 #   - internal/xpaxos. 6,084 lines before the replica's per-sequence
-#     maps became one sequence log, 6,067 after; XPAXOS_CEILING is the
-#     count reached when codec.go became field lists. ROADMAP's -15 %
-#     target for the package is 5,171.
+#     maps became one sequence log, 6,067 after, 5,572 when codec.go
+#     became field lists; XPAXOS_CEILING is the count reached when the
+#     per-view maps became one view log. ROADMAP's -15 % target for the
+#     package is 5,171.
+#   - the printed total outside benchmark/ (21,727 before the view log),
+#     so a package outside the two sets cannot absorb what they shed.
 #
 # A ceiling is lowered by the PR that shrinks its set: run this script,
 # set the constant to the count it prints, and say so in CHANGES.md.
@@ -24,8 +28,9 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 RATCHETED="internal/baseline internal/protocols internal/paxos internal/pbft internal/zab internal/zyzzyva internal/bench"
-CEILING=4452
-XPAXOS_CEILING=5572
+CEILING=4376
+XPAXOS_CEILING=5517
+TOTAL_CEILING=21534
 
 count() { find "$1" -maxdepth 1 -name '*.go' ! -name '*_test.go' -print0 | xargs -0 -r cat | wc -l; }
 
@@ -36,7 +41,7 @@ while read -r dir; do
 	printf '%7d  %s\n' "$n" "$dir"
 	total=$((total + n))
 done < <(find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' ! -path './.bench_build/*' -printf '%h\n' | sort -u | sed 's|^\./||')
-printf '%7d  total (outside benchmark/)\n' "$total"
+printf '%7d  total (outside benchmark/, ceiling %d)\n' "$total" "$TOTAL_CEILING"
 
 ratcheted=0
 for dir in $RATCHETED; do
@@ -54,6 +59,10 @@ if [ "${1:-}" = "--check" ]; then
 	fi
 	if [ "$xpaxos" -gt "$XPAXOS_CEILING" ]; then
 		echo "loc.sh: internal/xpaxos is $xpaxos lines, over the $XPAXOS_CEILING ceiling" >&2
+		status=1
+	fi
+	if [ "$total" -gt "$TOTAL_CEILING" ]; then
+		echo "loc.sh: the total outside benchmark/ is $total lines, over the $TOTAL_CEILING ceiling" >&2
 		status=1
 	fi
 	exit "$status"
