@@ -52,7 +52,6 @@ func main() {
 	seed := flag.Int64("seed", 1, "deterministic key seed (must match across the cluster)")
 	fd := flag.Bool("fd", true, "enable fault detection")
 	intakeCap := flag.Int("intake-cap", 0, "admission queue bound (0 = default 4096)")
-	intakePerClient := flag.Int("intake-per-client", 0, "per-client admission quota (0 = default 256)")
 	statsEvery := flag.Duration("stats", 0, "log intake/transport stats at this interval (0 = off)")
 	insecure := flag.Bool("insecure", false, "run plaintext TCP (no TLS) — for benchmarks on closed testbeds")
 	tlsCert := flag.String("tls-cert", "", "PEM certificate file (default: derive from -seed)")
@@ -104,7 +103,6 @@ func main() {
 		CheckpointInterval: 256,
 		EnableFD:           *fd,
 		IntakeQueueCap:     *intakeCap,
-		IntakePerClient:    *intakePerClient,
 		OnViewChange: func(v smr.View, at time.Duration) {
 			log.Printf("installed view %d (group %v)", v, xpaxos.SyncGroup(n, *t, v))
 		},

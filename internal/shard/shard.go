@@ -190,13 +190,16 @@ func (r *Router) GroupFor(op []byte) smr.GroupID {
 }
 
 // Invoke routes op to its shard's client. Like xpaxos.Client.Invoke it
-// must be called from event context, and the shard's client window
-// must have room (check Client(GroupFor(op)).CanInvoke() when driving
-// open loops).
-func (r *Router) Invoke(op []byte) smr.GroupID {
+// must be called from event context. It reports whether the request
+// went out: while the shard's client has no room (xpaxos.Client.CanInvoke)
+// nothing is sent and the caller offers op again later.
+func (r *Router) Invoke(op []byte) (smr.GroupID, bool) {
 	g := r.GroupFor(op)
+	if !r.clients[g].CanInvoke() {
+		return g, false
+	}
 	r.clients[g].Invoke(op)
-	return g
+	return g, true
 }
 
 // Client returns group g's client (per-shard view guess, counters).

@@ -1,8 +1,6 @@
 package xpaxos
 
 import (
-	"maps"
-	"slices"
 	"sort"
 
 	"github.com/xft-consensus/xft/internal/crypto"
@@ -14,69 +12,81 @@ import (
 // Replicated-state snapshots
 //
 // A checkpoint snapshot covers the application state *and* the client
-// bookkeeping (last executed timestamp and cached reply per client):
-// the reply cache is part of the replicated state, so a replica that
-// restores from a snapshot produces the same reply digests as one that
-// executed the log.
+// bookkeeping: the reply cache is part of the replicated state, so a
+// replica that restores from a snapshot produces the same reply digests
+// as one that executed the log.
 // ---------------------------------------------------------------------------
 
+// clientState is what a snapshot carries per client: the execMark and
+// every cached reply inside its window.
+type clientState struct {
+	id smr.NodeID
+	execMark
+	replies []cachedReply
+}
+
+// snapMinWire is the smallest encoding of a clientState, and of a
+// cachedReply: three integers and a count.
+const snapMinWire = 28
+
+func (cs *clientState) code(c *wire.Coder) {
+	wire.I64(c, &cs.id)
+	wire.U64(c, &cs.last)
+	wire.U64(c, &cs.bits)
+	wire.Slice(c, &cs.replies, snapMinWire, func(cr *cachedReply, c *wire.Coder) {
+		wire.U64(c, &cr.TS)
+		wire.U64(c, &cr.SN)
+		wire.U64(c, &cr.View)
+		wire.Bytes(c, &cr.Rep)
+	})
+	if len(cs.replies) > execWindowBits {
+		c.Fail()
+	}
+}
+
 // snapshotState serializes the replica's full replicated state: the
-// application snapshot plus, per client, the execution-dedupe window
-// (execMark) and every cached reply inside it. Clients and replies are
-// emitted in sorted order so the encoding — and therefore the
+// application snapshot, then the clients in ascending order, replies
+// ascending by timestamp, so the encoding — and therefore the
 // checkpoint digest — is identical across replicas.
 func (r *Replica) snapshotState() []byte {
 	w := wire.New(1024)
 	w.Bytes(r.app.Snapshot())
-	clients := slices.Sorted(maps.Keys(r.lastExec))
-	w.U32(uint32(len(clients)))
-	for _, id := range clients {
-		m := r.lastExec[id]
-		w.I64(int64(id)).U64(m.last).U64(m.bits)
-		cached := r.replies.all(id)
-		w.U32(uint32(len(cached)))
-		for _, cr := range cached {
-			w.U64(cr.TS).U64(uint64(cr.SN)).U64(uint64(cr.View)).Bytes(cr.Rep)
-		}
+	var clients []clientState
+	for _, id := range r.knownClients() {
+		clients = append(clients, clientState{id, r.sessions[id].execMark, r.sessions[id].replies()})
 	}
+	wire.Slice(wire.Encoder(w), &clients, snapMinWire, (*clientState).code)
 	return w.Done()
 }
 
-// restoreState installs a snapshot produced by snapshotState.
+// restoreState installs a snapshot produced by snapshotState: every
+// session's mark and replies become the snapshot's, and what the
+// sessions held open is pruned against them.
 func (r *Replica) restoreState(snap []byte) bool {
-	rd := wire.NewReader(snap)
-	appSnap, ok := rd.Bytes()
-	if !ok || r.app.Restore(appSnap) != nil {
+	var appSnap []byte
+	var clients []clientState
+	c := wire.Decoder(snap)
+	wire.Bytes(c, &appSnap)
+	if !c.OK() || r.app.Restore(appSnap) != nil {
 		return false
 	}
-	n, ok := rd.U32()
-	if !ok {
+	if wire.Slice(c, &clients, snapMinWire, (*clientState).code); !c.OK() {
 		return false
 	}
-	lastExec := make(map[smr.NodeID]execMark, n)
-	replies := make(replyCache, n)
-	for i := uint32(0); i < n; i++ {
-		id, ok1 := rd.I64()
-		ts, ok2 := rd.U64()
-		bits, ok3 := rd.U64()
-		nrep, ok4 := rd.U32()
-		if !(ok1 && ok2 && ok3 && ok4) || nrep > execWindowBits {
-			return false
-		}
-		lastExec[smr.NodeID(id)] = execMark{last: ts, bits: bits}
-		for j := uint32(0); j < nrep; j++ {
-			crTS, ok5 := rd.U64()
-			crSN, ok6 := rd.U64()
-			crView, ok7 := rd.U64()
-			rep, ok8 := rd.Bytes()
-			if !(ok5 && ok6 && ok7 && ok8) {
-				return false
-			}
-			replies.put(smr.NodeID(id), cachedReply{TS: crTS, SN: smr.SeqNum(crSN), View: smr.View(crView), Rep: rep})
+	for _, s := range r.sessions {
+		s.execMark = execMark{}
+		for i := range s.slots {
+			s.slots[i].reply = cachedReply{}
 		}
 	}
-	r.lastExec = lastExec
-	r.replies = replies
+	for _, cs := range clients {
+		s := r.session(cs.id)
+		s.execMark = cs.execMark
+		for _, cr := range cs.replies {
+			s.slots[cr.TS%execWindowBits].reply = cr
+		}
+	}
+	r.pruneSessions(false)
 	return true
 }
 
@@ -194,7 +204,7 @@ func (r *Replica) addChkptVote(c *chkCandidate, rec ChkptRecord) {
 	}
 	r.stabilizeCheckpoint(proof, c.snap)
 	// Propagate to passive replicas (Figure 4, lazychk).
-	if r.isActive() && !r.cfg.DisableLazyReplication {
+	if r.isActive() {
 		msg := &MsgLazyChk{Proof: proof}
 		for _, id := range Passive(r.n, r.t, r.view) {
 			r.env.Send(id, msg)
@@ -229,16 +239,6 @@ func (r *Replica) adoptCheckpoint(proof CheckpointProof, snap []byte) {
 		r.ex = proof.SN
 		if r.sn < r.ex {
 			r.sn = r.ex
-		}
-		// The fast-forward executed requests wholesale (through the
-		// snapshot) without passing applyBatch, so the per-(client, ts)
-		// dedupe markers of requests it covered were never cleared.
-		// Prune them here, or every fast-forward strands a batch of
-		// markers forever (the executed window owns dedupe from now on).
-		for key := range r.queued {
-			if r.lastExec[key.Client].executed(key.TS) {
-				delete(r.queued, key)
-			}
 		}
 	}
 	r.stabilizeCheckpoint(proof, snap)
@@ -279,7 +279,7 @@ func (r *Replica) verifyCheckpointProof(p *CheckpointProof) bool {
 // passive replica, so the load splits 1/t per follower.
 func (r *Replica) lazyReplicate(entry *CommitEntry) {
 	idx := r.followerPos(r.id)
-	if r.cfg.DisableLazyReplication || idx < 0 {
+	if idx < 0 {
 		return // only followers replicate lazily
 	}
 	if r.t >= 2 && int(uint64(entry.SN())%uint64(r.t)) != idx {

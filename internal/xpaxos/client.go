@@ -22,17 +22,24 @@ type ClientConfig struct {
 	// windows make the client open-loop — Invoke may be called again
 	// before earlier requests commit — which exercises the server
 	// pipeline and admission queue from few client identities.
-	// Deployments should keep Window at or below the replicas'
-	// IntakePerClient quota, or the overflow is shed at the primary
-	// and recovered only by retransmission. Values above 64 (the
-	// replicas' per-client execution-dedupe window) are rejected by
-	// NewClient.
+	//
+	// The contract with the replicas is at most 64 consecutive
+	// timestamps in flight per client identity — one session of 64
+	// request slots (sessions.go); NewClient rejects a wider Window and
+	// CanInvoke keeps the span. A replica drops a timestamp 64 or more
+	// below the client's highest executed one as executed long ago,
+	// answers an executed one inside the window from its reply cache,
+	// and silently refuses one 64 or more above a request the client
+	// re-sent that has yet to execute, until that one executes or its
+	// watch expires.
 	Window int
 	// TSBase is the starting client timestamp. A client identity that
 	// may be reused across process restarts (cmd/xft-client) must set
 	// this to a monotonically fresh value (e.g. wall-clock nanoseconds)
 	// so replicas do not dedupe new requests against the previous
-	// incarnation's timestamps.
+	// incarnation's timestamps. The jump is safe: the session window
+	// slides up to the first request, and what the old incarnation
+	// left below counts as executed.
 	TSBase uint64
 	// OnCommit is invoked when a request commits, with the reply and
 	// the request latency. Closed-loop drivers issue the next request
@@ -97,8 +104,6 @@ type Client struct {
 // per-client execution window is execWindowBits timestamps, and a
 // request older than the window is treated as already executed, so a
 // wider client window could have stale requests silently swallowed.
-// (Earlier versions clamped the window instead, which turned an unsafe
-// configuration into a silent behavior change.)
 func NewClient(id smr.NodeID, cfg ClientConfig) (*Client, error) {
 	if cfg.Window > execWindowBits {
 		return nil, fmt.Errorf("xpaxos: ClientConfig.Window %d exceeds the replicas' per-client execution-dedupe window (%d)",

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"github.com/xft-consensus/xft/internal/apps/kv"
+	"github.com/xft-consensus/xft/internal/faults"
 	"github.com/xft-consensus/xft/internal/smr"
 )
 
@@ -209,13 +210,15 @@ func TestGroupCombinatorics(t *testing.T) {
 	}
 }
 
+// noLazyReplication drops what Section 4.5.2 sends to passive replicas.
+var noLazyReplication = faults.DropTypes("lazy-commit", "lazychk")
+
 // TestFigure2MessagePattern verifies the common-case message counts:
 // for t=1 a request costs replicate + commit-req + commit + reply; for
 // t=2 it costs replicate + 2 prepares + 2×3 commits + 3 replies.
 func TestFigure2MessagePattern(t *testing.T) {
 	t.Run("t=1", func(t *testing.T) {
-		c := newCluster(t, clusterOpts{t: 1, clients: 1, cfgMod: func(id smr.NodeID, cfg *Config) {
-			cfg.DisableLazyReplication = true
+		c := newCluster(t, clusterOpts{t: 1, clients: 1, filter: noLazyReplication, cfgMod: func(id smr.NodeID, cfg *Config) {
 			cfg.BatchSize = 1
 		}})
 		c.net.At(0, func() { c.clients[0].Invoke(kv.GetOp("x")) })
@@ -232,8 +235,7 @@ func TestFigure2MessagePattern(t *testing.T) {
 		}
 	})
 	t.Run("t=2", func(t *testing.T) {
-		c := newCluster(t, clusterOpts{t: 2, clients: 1, cfgMod: func(id smr.NodeID, cfg *Config) {
-			cfg.DisableLazyReplication = true
+		c := newCluster(t, clusterOpts{t: 2, clients: 1, filter: noLazyReplication, cfgMod: func(id smr.NodeID, cfg *Config) {
 			cfg.BatchSize = 1
 		}})
 		c.net.At(0, func() { c.clients[0].Invoke(kv.GetOp("x")) })

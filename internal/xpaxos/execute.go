@@ -1,18 +1,11 @@
 package xpaxos
 
 import (
+	"slices"
+
 	"github.com/xft-consensus/xft/internal/crypto"
 	"github.com/xft-consensus/xft/internal/smr"
 )
-
-// cachedReply remembers the last reply sent to a client, for
-// at-most-once execution and retransmission.
-type cachedReply struct {
-	TS   uint64
-	SN   smr.SeqNum
-	View smr.View
-	Rep  []byte
-}
 
 // tryExecute applies contiguous committed entries. The t = 1 follower
 // never goes through here for fresh entries (it executes in
@@ -119,26 +112,27 @@ func (r *Replica) applyBatch(b *Batch, sn smr.SeqNum, v smr.View) (tss []uint64,
 	for i := range b.Reqs {
 		req := &b.Reqs[i]
 		tss[i] = req.TS
-		m := r.lastExec[req.Client]
-		if m.executed(req.TS) {
-			if c, ok := r.replies.get(req.Client, req.TS); ok {
+		s := r.session(req.Client)
+		if s.executed(req.TS) {
+			if c, ok := r.reply(req.Client, req.TS); ok {
 				reps[i] = c.Rep
 			}
 			// A marker may still exist if the request was re-queued and
 			// re-batched around its own execution (retransmission racing
 			// a commit); the executed window owns dedupe now, so clear
 			// it here too or it leaks forever.
-			delete(r.queued, watchKey{Client: req.Client, TS: req.TS})
+			r.release(s, &s.slots[req.TS%execWindowBits], false)
 			continue
 		}
-		rep := r.app.Execute(req.Op)
-		r.lastExec[req.Client] = m.record(req.TS)
-		r.replies.put(req.Client, cachedReply{TS: req.TS, SN: sn, View: v, Rep: rep})
-		reps[i] = rep
-		// Executed: the queued marker has done its job (the executed
-		// window takes over dedupe from here).
-		delete(r.queued, watchKey{Client: req.Client, TS: req.TS})
-		r.onExecutedWatched(req.Client, req.TS, sn, v, rep)
+		reps[i] = r.app.Execute(req.Op)
+		c := cachedReply{TS: req.TS, SN: sn, View: v, Rep: reps[i]}
+		q := r.recordExecution(s, c)
+		// Whoever watches the request gets our signed reply, and the
+		// queued marker has done its job.
+		if q.ts == req.TS && q.watch != nil {
+			r.broadcastReplySign(q, c)
+		}
+		r.release(s, q, false)
 	}
 	return tss, reps
 }
@@ -160,13 +154,7 @@ func (r *Replica) sendReply(client smr.NodeID, req *Request, c cachedReply) {
 		rep.FollowerCommit = &m1
 		tss, digs := r.collectReplyDigests(&entry.Batch)
 		leaves := ReplyLeaves(tss, digs)
-		idx := -1
-		for i := range entry.Batch.Reqs {
-			if entry.Batch.Reqs[i].Client == client && tss[i] == c.TS {
-				idx = i
-				break
-			}
-		}
+		idx := slices.IndexFunc(entry.Batch.Reqs, func(rq Request) bool { return rq.Client == client && rq.TS == c.TS })
 		if idx < 0 {
 			return
 		}
@@ -183,7 +171,7 @@ func (r *Replica) sendReply(client smr.NodeID, req *Request, c cachedReply) {
 func (r *Replica) resendCommittedReplies(entry *CommitEntry) {
 	for i := range entry.Batch.Reqs {
 		req := &entry.Batch.Reqs[i]
-		c, ok := r.replies.get(req.Client, req.TS)
+		c, ok := r.reply(req.Client, req.TS)
 		if !ok {
 			continue
 		}

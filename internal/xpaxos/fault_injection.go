@@ -1,7 +1,6 @@
 package xpaxos
 
 import (
-	"github.com/xft-consensus/xft/internal/crypto"
 	"github.com/xft-consensus/xft/internal/smr"
 )
 
@@ -47,17 +46,18 @@ func (r *Replica) InjectWipeState() {
 	r.views.wipe()
 	r.preView = 0
 	r.sn, r.ex = 0, 0
-	r.lastExec = make(map[smr.NodeID]execMark)
-	r.replies = make(replyCache)
-	r.queued = make(map[watchKey]crypto.Digest)
-	r.intake.reset()
+	for id := range r.watchTimers {
+		r.env.CancelTimer(id)
+	}
+	r.sessions = make(map[smr.NodeID]*session)
+	r.watchTimers = make(map[smr.TimerID]*request)
+	r.intake.total, r.intake.ring = 0, nil
+	r.intake.queued.Store(0) // the other counters are cumulative since boot
 	// In-flight async crypto is volatile too. Completions already
 	// submitted may still fire (the view did not change), but they find
 	// empty bookkeeping and at worst make the replica emit messages a
 	// faulty machine could emit anyway.
 	r.intakeQ = nil
-	r.replySigning = make(map[watchKey]bool)
-	r.replySignVerifying = make(map[replySigID]bool)
 	r.fwdPending = nil
 	r.fwdInFlight = false
 }

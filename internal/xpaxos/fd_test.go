@@ -213,11 +213,11 @@ func TestFDDetectionPropagates(t *testing.T) {
 // behaviour the paper explicitly accepts outside its guarantee domain
 // (Definition 3). FD is disabled here, mirroring Figure 11a.
 func TestAnarchyCanViolateConsistency(t *testing.T) {
-	// Lazy replication is disabled so the passive replica starts the
+	// Lazy replication is dropped so the passive replica starts the
 	// view change with an empty commit log, as in Figure 11 ("5. <>");
 	// with it enabled the passive's copy would mask the violation.
 	c := newCluster(t, clusterOpts{t: 1, clients: 2, reqTimeout: 200 * time.Millisecond,
-		cfgMod: func(id smr.NodeID, cfg *Config) { cfg.DisableLazyReplication = true }})
+		filter: noLazyReplication})
 	cl := c.clients[0]
 	var rep0 []byte
 	cl.cfg.OnCommit = func(op, rep []byte, lat time.Duration) { rep0 = rep }

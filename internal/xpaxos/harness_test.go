@@ -7,9 +7,16 @@ import (
 
 	"github.com/xft-consensus/xft/internal/apps/kv"
 	"github.com/xft-consensus/xft/internal/crypto"
+	"github.com/xft-consensus/xft/internal/faults"
 	"github.com/xft-consensus/xft/internal/netsim"
 	"github.com/xft-consensus/xft/internal/smr"
 )
+
+// watchKey names one client request.
+type watchKey struct {
+	Client smr.NodeID
+	TS     uint64
+}
 
 // cluster wires an XPaxos deployment over the network simulator for
 // tests: n replicas (KV stores) and any number of clients.
@@ -31,9 +38,11 @@ type cluster struct {
 }
 
 type clusterOpts struct {
-	t          int
-	latency    time.Duration
-	cfgMod     func(id smr.NodeID, c *Config)
+	t       int
+	latency time.Duration
+	cfgMod  func(id smr.NodeID, c *Config)
+	// filter, if set, sits between every replica and the network.
+	filter     faults.SendFilter
 	clients    int
 	clientMod  func(id smr.NodeID, c *ClientConfig)
 	seed       int64
@@ -111,7 +120,11 @@ func newCluster(t *testing.T, opts clusterOpts) *cluster {
 		}
 		r := NewReplica(id, cfg, store)
 		c.replicas = append(c.replicas, r)
-		c.net.AddNode(id, r)
+		if opts.filter != nil {
+			c.net.AddNode(id, faults.Wrap(r, opts.filter))
+		} else {
+			c.net.AddNode(id, r)
+		}
 	}
 	for i := 0; i < opts.clients; i++ {
 		id := smr.ClientIDBase + smr.NodeID(i)

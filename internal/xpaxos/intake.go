@@ -9,14 +9,11 @@ import (
 )
 
 // admissionQueue is the primary's bounded intake of pending client
-// requests. Before it existed the backlog was an unbounded slice: a
-// forged-request blast (or simply more offered load than the pipeline
-// drains) grew memory without limit while the window was full
-// (ROADMAP: request-intake hardening). The queue enforces two bounds —
-// a global capacity and a per-client quota — and sheds (drops,
-// counting) everything beyond them; batch formation drains clients
-// round-robin so one chatty or hostile client cannot starve the rest
-// no matter how fast it submits.
+// requests. The queue enforces two bounds — a global capacity and, per
+// client, the session window — and sheds (drops, counting) everything
+// beyond them; batch formation drains clients round-robin so one chatty
+// or hostile client cannot starve the rest no matter how fast it
+// submits. The requests wait in their client's session.pending.
 //
 // A shed request leaves no trace: the client's retransmission protocol
 // re-offers it, and the per-client execution window (execMark) lets it
@@ -27,14 +24,11 @@ import (
 // are atomic so IntakeStats may be read from any goroutine (the
 // transport surfaces them via Node.Stats while the loop runs).
 type admissionQueue struct {
-	capTotal     int
-	capPerClient int
-
-	total   int
-	pending map[smr.NodeID][]Request
+	capTotal int
+	total    int
 	// ring is the round-robin drain order: clients with at least one
 	// pending request, oldest-served first.
-	ring []smr.NodeID
+	ring []*session
 
 	admitted        atomic.Uint64
 	shed            atomic.Uint64
@@ -48,26 +42,19 @@ type admissionQueue struct {
 // so the transport stays protocol-agnostic.
 type IntakeStats = smr.IntakeStats
 
-func (q *admissionQueue) init(capTotal, capPerClient int) {
-	q.capTotal = capTotal
-	q.capPerClient = capPerClient
-	q.pending = make(map[smr.NodeID][]Request)
-}
-
 // admit appends req to its client's queue, or sheds it when a bound is
 // hit. The caller must not have recorded any bookkeeping for req yet:
 // a shed request leaves no trace, so its retransmission is judged
 // fresh.
-func (q *admissionQueue) admit(req Request) bool {
-	cq := q.pending[req.Client]
-	if q.total >= q.capTotal || len(cq) >= q.capPerClient {
+func (q *admissionQueue) admit(s *session, req Request) bool {
+	if q.total >= q.capTotal || len(s.pending) >= execWindowBits {
 		q.shed.Add(1)
 		return false
 	}
-	if len(cq) == 0 {
-		q.ring = append(q.ring, req.Client)
+	if len(s.pending) == 0 {
+		q.ring = append(q.ring, s)
 	}
-	q.pending[req.Client] = append(cq, req)
+	s.pending = append(s.pending, req)
 	q.total++
 	q.admitted.Add(1)
 	q.queued.Store(int64(q.total))
@@ -77,24 +64,21 @@ func (q *admissionQueue) admit(req Request) bool {
 // drain removes and returns up to max requests, one per client per
 // round-robin turn, preserving per-client FIFO order.
 func (q *admissionQueue) drain(max int) []Request {
-	if max > q.total {
-		max = q.total
-	}
+	max = min(max, q.total)
 	if max == 0 {
 		return nil
 	}
 	out := make([]Request, 0, max)
 	for len(out) < max && len(q.ring) > 0 {
-		c := q.ring[0]
-		cq := q.pending[c]
-		out = append(out, cq[0])
-		if len(cq) == 1 {
-			delete(q.pending, c)
+		s := q.ring[0]
+		out = append(out, s.pending[0])
+		if len(s.pending) == 1 {
+			s.pending = nil
 			q.ring = q.ring[1:]
 		} else {
-			q.pending[c] = cq[1:]
+			s.pending = s.pending[1:]
 			// Rotate: the client rejoins the back of the ring.
-			q.ring = append(q.ring[1:], c)
+			q.ring = append(q.ring[1:], s)
 		}
 	}
 	q.total -= len(out)
@@ -103,56 +87,17 @@ func (q *admissionQueue) drain(max int) []Request {
 }
 
 // verifyPressureDepth is the per-client queue depth from which
-// admission demands an up-front signature check (see pressured).
-const verifyPressureDepth = 8
-
-// pressured reports whether client's queue is deep enough that further
-// admissions must verify first. Intake verification is normally
-// deferred to batch formation (cheaper: the whole batch verifies in
-// one pass), but unverified admissions are charged to req.Client's
-// quota — so an attacker spraying forged requests that *name* a victim
-// client could pin the victim's quota and starve it. Demanding
+// admission demands an up-front signature check. Intake verification
+// is normally deferred to batch formation (cheaper: the whole batch
+// verifies in one pass), but unverified admissions are charged to the
+// named client's quota — so an attacker spraying forged requests that
+// *name* a victim could pin the victim's quota and starve it. Demanding
 // verification once a client's queue is non-trivially deep bounds the
 // damage to verifyPressureDepth unverified slots: beyond that, forged
 // requests die at admission and cost only the attacker's own send
 // rate, while a genuine deep queue (an open-loop client) passes and
 // proceeds.
-func (q *admissionQueue) pressured(client smr.NodeID) bool {
-	return len(q.pending[client]) >= verifyPressureDepth
-}
-
-// size returns the number of queued requests.
-func (q *admissionQueue) size() int { return q.total }
-
-// each visits every queued request (per-client FIFO, ring order).
-func (q *admissionQueue) each(f func(*Request)) {
-	for _, c := range q.ring {
-		cq := q.pending[c]
-		for i := range cq {
-			f(&cq[i])
-		}
-	}
-}
-
-// reset drops all queued requests (fault injection / state wipe).
-// Counters deliberately survive: they are cumulative since boot.
-func (q *admissionQueue) reset() {
-	q.total = 0
-	q.pending = make(map[smr.NodeID][]Request)
-	q.ring = nil
-	q.queued.Store(0)
-}
-
-// stats snapshots the counters.
-func (q *admissionQueue) stats() IntakeStats {
-	return IntakeStats{
-		Queued:          int(q.queued.Load()),
-		Admitted:        q.admitted.Load(),
-		Shed:            q.shed.Load(),
-		ForwardDropped:  q.forwardDropped.Load(),
-		PressureDropped: q.pressureDropped.Load(),
-	}
-}
+const verifyPressureDepth = 8
 
 // intakeVerify is one drained slice of candidate requests whose client
 // signatures are checked off-loop before batch assignment.
@@ -177,18 +122,19 @@ func (r *Replica) onRequest(from smr.NodeID, req Request, forwarded bool) {
 	// where the whole batch's signatures scatter across the
 	// verification pool in one call instead of costing the event loop
 	// one serial public-key operation per arrival. Paths that act on a
-	// request immediately still verify inline.
-	// At-most-once: an already-executed request gets the cached reply.
-	// A not-yet-executed timestamp inside the window (a shed request
-	// returning via retransmission) falls through to normal admission.
-	if r.lastExec[req.Client].executed(req.TS) {
-		if c, ok := r.replies.get(req.Client, req.TS); ok && r.isPrimary() && r.verifyRequest(&req) {
+	// request immediately still verify inline: an already-executed
+	// request gets the cached reply (at-most-once). A not-yet-executed
+	// timestamp inside the window (a shed request returning via
+	// retransmission) falls through to normal admission.
+	s := r.sessions[req.Client]
+	if s != nil && s.executed(req.TS) {
+		if c, ok := r.reply(req.Client, req.TS); ok && r.isPrimary() && r.verifyRequest(&req) {
 			r.sendReply(req.Client, &req, c)
 		}
 		return
 	}
 	if !r.isPrimary() {
-		if !forwarded {
+		if !forwarded && (s == nil || s.admits(req.TS)) {
 			// Verify-before-forward: a follower authenticates the client
 			// signature before relaying, so a forged-request blast is
 			// absorbed here instead of being amplified into the
@@ -209,43 +155,49 @@ func (r *Replica) onRequest(from smr.NodeID, req Request, forwarded bool) {
 		}
 		return
 	}
-	key := watchKey{Client: req.Client, TS: req.TS}
+	s = r.session(req.Client)
+	q := r.request(s, req.TS)
+	if q == nil {
+		return // outside the client's window: refused
+	}
 	sigD := crypto.Hash(req.Sig)
-	if prev, ok := r.queued[key]; ok {
-		if prev == sigD {
-			return // identical copy already in the pipeline
-		}
-		// A different copy for the same (client, ts): the queued one is
-		// unverified, so it could be a forgery racing the honest
-		// request. Verify this copy inline — if it is genuine, queue it
-		// too (batch formation discards the bad one); if not, ignore it
-		// without letting it displace anything.
-		if !r.verifyRequest(&req) {
-			return
-		}
+	if q.queued == sigD {
+		return // identical copy already in the pipeline
 	}
-	// Once a client's queue is deep, further admissions must verify
-	// up front: unverified requests charge the named client's quota,
-	// which an attacker spraying forgeries in the victim's name could
-	// otherwise pin full (see admissionQueue.pressured).
-	if r.intake.pressured(req.Client) && !r.verifyRequest(&req) {
+	// A different copy for the same (client, ts): the queued one is
+	// unverified, so it could be a forgery racing the honest request.
+	// Verify this copy inline — if it is genuine, queue it too (batch
+	// formation discards the bad one); if not, ignore it without
+	// letting it displace anything.
+	if q.queued != (crypto.Digest{}) && !r.verifyRequest(&req) {
+		return
+	}
+	// A deep queue verifies up front too (see verifyPressureDepth). A
+	// request turned away leaves no marker: its retransmission after
+	// the overload clears must be judged fresh, not as a duplicate.
+	if len(s.pending) >= verifyPressureDepth && !r.verifyRequest(&req) {
 		r.intake.pressureDropped.Add(1)
+		r.release(s, q, false)
 		return
 	}
-	if !r.intake.admit(req) {
-		// Shed by the admission bounds. Leave no marker: a
-		// retransmission after the overload clears must be judged
-		// fresh, not suppressed as a duplicate.
+	if !r.intake.admit(s, req) {
+		r.release(s, q, false)
 		return
 	}
-	r.queued[key] = sigD
+	q.queued = sigD
 	r.flushBatches(false)
 }
 
 // IntakeStats reports the replica's request-intake health: admission
 // queue depth, cumulative admissions and sheds, and follower-side
 // forward drops. Safe to call from any goroutine.
-func (r *Replica) IntakeStats() IntakeStats { return r.intake.stats() }
+func (r *Replica) IntakeStats() IntakeStats {
+	q := &r.intake
+	return IntakeStats{
+		Queued: int(q.queued.Load()), Admitted: q.admitted.Load(), Shed: q.shed.Load(),
+		ForwardDropped: q.forwardDropped.Load(), PressureDropped: q.pressureDropped.Load(),
+	}
+}
 
 func (r *Replica) verifyRequest(req *Request) bool {
 	w := wire.Get()
@@ -273,7 +225,7 @@ func (r *Replica) verifyForwards() {
 	}
 	var verdicts []bool
 	r.goCrypto("verify-forward",
-		func() { verdicts = b.VerifyEach(r.verifyPool, r.suite) },
+		func() { verdicts = b.VerifyEach(crypto.SharedPool(), r.suite) },
 		func() {
 			r.fwdInFlight = false
 			for i, ok := range verdicts {
@@ -323,8 +275,8 @@ func (r *Replica) flushBatches(force bool) {
 	if r.status != statusNormal || !r.isPrimary() {
 		return
 	}
-	for r.intake.size() > 0 && r.inFlight()+len(r.intakeQ) < r.cfg.PipelineWindow {
-		if r.intake.size() < r.cfg.BatchSize && !force && r.inFlight()+len(r.intakeQ) >= pipelineKeepBusy {
+	for r.intake.total > 0 && r.inFlight()+len(r.intakeQ) < r.cfg.PipelineWindow {
+		if r.intake.total < r.cfg.BatchSize && !force && r.inFlight()+len(r.intakeQ) >= pipelineKeepBusy {
 			break // partial batch and both stages are busy: let it fill
 		}
 		// Drain round-robin across clients: under overload every
@@ -335,7 +287,7 @@ func (r *Replica) flushBatches(force bool) {
 	}
 	// Anything left waits for more requests, a commit that frees a
 	// window slot, or the batch timer.
-	if r.intake.size() > 0 && !r.batchTimerSet {
+	if r.intake.total > 0 && !r.batchTimerSet {
 		r.batchTimer = r.env.SetTimer(r.cfg.BatchTimeout, "batch")
 		r.batchTimerSet = true
 	}
@@ -354,7 +306,7 @@ func (r *Replica) dispatchIntake(cand []Request) {
 		b.Add(crypto.NodeID(cand[i].Client), cand[i].Sig, cand[i].appendSigPayload)
 	}
 	r.goCrypto("verify-intake",
-		func() { iv.verdicts = b.VerifyEach(r.verifyPool, r.suite) },
+		func() { iv.verdicts = b.VerifyEach(crypto.SharedPool(), r.suite) },
 		func() {
 			iv.done = true
 			r.retireIntake()
@@ -375,16 +327,17 @@ func (r *Replica) retireIntake() {
 		retired = true
 		reqs := make([]Request, 0, len(iv.cand))
 		for i, ok := range iv.verdicts {
-			if !ok {
+			if ok {
+				reqs = append(reqs, iv.cand[i])
+			} else if s := r.sessions[iv.cand[i].Client]; s != nil {
 				// Clear the marker only if it is this copy's: a valid
 				// copy queued alongside keeps its own mark.
-				key := watchKey{Client: iv.cand[i].Client, TS: iv.cand[i].TS}
-				if r.queued[key] == crypto.Hash(iv.cand[i].Sig) {
-					delete(r.queued, key)
+				q := &s.slots[iv.cand[i].TS%execWindowBits]
+				if q.ts == iv.cand[i].TS && q.queued == crypto.Hash(iv.cand[i].Sig) {
+					q.queued = crypto.Digest{}
 				}
-				continue
+				r.release(s, q, false)
 			}
-			reqs = append(reqs, iv.cand[i])
 		}
 		if len(reqs) > 0 {
 			r.assignBatch(Batch{Reqs: reqs})

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"github.com/xft-consensus/xft/internal/apps/kv"
+	"github.com/xft-consensus/xft/internal/faults"
 	"github.com/xft-consensus/xft/internal/smr"
 )
 
@@ -68,52 +69,70 @@ func TestOpenLoopWindowOverflowPanics(t *testing.T) {
 }
 
 // TestOpenLoopSurvivesShedding pushes a windowed client through a
-// primary whose intake is tiny, so some requests are shed and must
-// recover via retransmission — exercising the gap barrier end to end:
-// every request still commits exactly once, in client-timestamp order.
+// primary that loses some of its requests, which must recover via
+// retransmission — exercising the gap barrier end to end: every request
+// still commits exactly once, in client-timestamp order. In one case
+// the primary's intake is tiny and sheds; in the other the client fills
+// the whole session window and the reply to its oldest request is lost,
+// so the replicas serve timestamp 1 while timestamp 64 is in flight.
 func TestOpenLoopSurvivesShedding(t *testing.T) {
-	const total, window = 30, 6
-	c := newCluster(t, clusterOpts{
-		t:          1,
-		clients:    1,
-		reqTimeout: 250 * time.Millisecond,
-		cfgMod: func(id smr.NodeID, cfg *Config) {
+	firstReplyLost := false
+	for _, tc := range []struct {
+		name          string
+		total, window int
+		cfgMod        func(id smr.NodeID, cfg *Config)
+		filter        faults.SendFilter
+	}{
+		{name: "tiny intake", total: 30, window: 6, cfgMod: func(id smr.NodeID, cfg *Config) {
 			cfg.IntakeQueueCap = 2
-			cfg.IntakePerClient = 2
 			cfg.PipelineWindow = 2
 			cfg.BatchSize = 2
-		},
-		clientMod: func(id smr.NodeID, cc *ClientConfig) {
-			cc.Window = window
-		},
-	})
-	cl := c.clients[0]
-	issued := 0
-	pump := func() {
-		for cl.CanInvoke() && issued < total {
-			cl.Invoke(kv.PutOp("k", []byte(fmt.Sprintf("v%d", issued))))
-			issued++
+		}},
+		{name: "full window, first reply lost", total: execWindowBits, window: execWindowBits,
+			filter: func(to smr.NodeID, m smr.Message) []faults.Send {
+				if rep, ok := m.(*MsgReply); ok && rep.TS == 1 && !firstReplyLost {
+					firstReplyLost = true
+					return nil
+				}
+				return faults.PassThrough(to, m)
+			}},
+	} {
+		c := newCluster(t, clusterOpts{
+			t: 1, clients: 1, reqTimeout: 250 * time.Millisecond,
+			cfgMod: tc.cfgMod, filter: tc.filter,
+			clientMod: func(id smr.NodeID, cc *ClientConfig) { cc.Window = tc.window },
+		})
+		cl := c.clients[0]
+		issued := 0
+		pump := func() {
+			for cl.CanInvoke() && issued < tc.total {
+				cl.Invoke(kv.PutOp("k", []byte(fmt.Sprintf("v%d", issued))))
+				issued++
+			}
 		}
-	}
-	cl.cfg.OnCommit = func(op, rep []byte, lat time.Duration) { pump() }
-	c.net.At(c.net.Now(), pump)
-	c.run(20 * time.Second)
+		cl.cfg.OnCommit = func(op, rep []byte, lat time.Duration) { pump() }
+		c.net.At(c.net.Now(), pump)
+		c.run(20 * time.Second)
 
-	if cl.Committed != total {
-		st := c.replicas[0].IntakeStats()
-		t.Fatalf("committed %d of %d (intake: %+v, retransmits %d)",
-			cl.Committed, total, st, cl.Retransmits)
-	}
-	if shed := c.replicas[0].IntakeStats().Shed; shed == 0 {
-		t.Log("note: no sheds occurred; barrier path not exercised this run")
-	}
-	// Every timestamp the client issued must have committed at the
-	// primary — none skipped by the at-most-once counter.
-	for ts := uint64(1); ts <= total; ts++ {
-		if len(c.commits[0][watchKey{Client: cl.id, TS: ts}]) == 0 {
-			t.Errorf("client TS %d never committed at the primary", ts)
+		if cl.Committed != uint64(tc.total) {
+			st := c.replicas[0].IntakeStats()
+			t.Fatalf("%s: committed %d of %d (intake: %+v, retransmits %d)",
+				tc.name, cl.Committed, tc.total, st, cl.Retransmits)
 		}
+		if cl.Retransmits == 0 {
+			t.Errorf("%s: no request was retransmitted; the recovery path was not exercised", tc.name)
+		}
+		// Every timestamp the client issued must have committed at the
+		// primary — none skipped by the at-most-once counter.
+		for ts := uint64(1); ts <= uint64(tc.total); ts++ {
+			if len(c.commits[0][watchKey{Client: cl.id, TS: ts}]) == 0 {
+				t.Errorf("%s: client TS %d never committed at the primary", tc.name, ts)
+			}
+		}
+		if c.replicas[0].View() != 0 {
+			t.Errorf("%s: the group changed view (%d) over requests that all made progress", tc.name, c.replicas[0].View())
+		}
+		c.checkLemma1()
+		c.checkStoresConverge(0, 1)
 	}
-	c.checkLemma1()
-	c.checkStoresConverge(0, 1)
 }

@@ -81,7 +81,7 @@ func (r *Replica) admitPrepareEntry(from smr.NodeID, entry PrepareEntry, drain f
 	s.entryVerifying = true
 	var ok bool
 	r.goCrypto("verify-prepare",
-		func() { ok = b.VerifyAll(r.verifyPool, r.suite) },
+		func() { ok = b.VerifyAll(crypto.SharedPool(), r.suite) },
 		func() {
 			s := r.slot(sn)
 			if s != nil {
@@ -340,7 +340,7 @@ func (r *Replica) verifyCommitEntry(e *CommitEntry) bool {
 		o := &e.Commits[i]
 		b.Add(crypto.NodeID(o.From), o.Sig, o.appendSigPayload)
 	}
-	ok := b.VerifyAll(r.verifyPool, r.suite)
+	ok := b.VerifyAll(crypto.SharedPool(), r.suite)
 	if len(r.ceCache) >= ceCacheMax {
 		r.ceCache = make(map[crypto.Digest]bool, ceCacheMax/4)
 	}

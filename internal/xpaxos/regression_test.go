@@ -76,8 +76,16 @@ func TestAdoptCheckpointPrunesDedupe(t *testing.T) {
 	proof := CheckpointProof{SN: 8, StateD: crypto.Hash(snap)}
 
 	lag := NewReplica(1, regressionConfig(), kv.NewStore())
+	marks := func() (ts []uint64) {
+		for _, q := range lag.sessions[client].slots {
+			if q.queued != (crypto.Digest{}) {
+				ts = append(ts, q.ts)
+			}
+		}
+		return ts
+	}
 	for i := 1; i <= 9; i++ { // ts 9 is beyond the checkpoint: must survive
-		lag.queued[watchKey{Client: client, TS: uint64(i)}] = crypto.Digest{}
+		lag.request(lag.session(client), uint64(i)).queued = crypto.Digest{1}
 	}
 	lag.cfg.CheckpointInterval = 2
 	for _, h := range []smr.SeqNum{2, 4, 8} {
@@ -89,11 +97,8 @@ func TestAdoptCheckpointPrunesDedupe(t *testing.T) {
 	if lag.ex != 8 {
 		t.Fatalf("fast-forward executed to %d, want 8", lag.ex)
 	}
-	if len(lag.queued) != 1 {
-		t.Fatalf("queued holds %d markers after fast-forward, want 1 (only the uncovered ts)", len(lag.queued))
-	}
-	if _, ok := lag.queued[watchKey{Client: client, TS: 9}]; !ok {
-		t.Fatalf("the uncovered marker (ts 9) was pruned")
+	if got := marks(); len(got) != 1 || got[0] != 9 {
+		t.Fatalf("queue marks at timestamps %v after fast-forward, want only the uncovered one (9)", got)
 	}
 	if n := retainedCandidates(lag); n != 0 {
 		t.Fatalf("%d checkpoint candidates held at or below the stable point, want 0", n)
@@ -617,6 +622,107 @@ func TestEmptyReplyCommitsOnFastPath(t *testing.T) {
 		}
 		if commits != 1 {
 			t.Errorf("%s: %d commits after t+1 matching votes, want 1", tc.name, commits)
+		}
+	}
+}
+
+// The two tests below pin the session window (sessions.go): what a
+// replica keeps per client is bounded by one window of timestamps, and
+// per request by the rule that opens a slot. Before the session table a
+// client that had 65 requests watched lost the first one's cached reply
+// to the 65th's execution — the watch expired and a correct primary was
+// suspected — and a ⟨reply-sign⟩ opened a watch for whatever pair it
+// named, whoever sent it.
+
+// rawNode is a network endpoint that only ever sends what a test tells
+// it to.
+type rawNode struct{ env smr.Env }
+
+func (n *rawNode) Init(env smr.Env) { n.env = env }
+func (n *rawNode) Step(smr.Event)   {}
+
+// openRequests counts the requests r holds open and its watch timers.
+func openRequests(r *Replica) (open, timers int) {
+	for _, s := range r.sessions {
+		open += s.open
+	}
+	return open, len(r.watchTimers)
+}
+
+// TestSilentClientBeyondWindowKeepsView: a client re-sends K distinct
+// timestamps to both active replicas once and goes silent.
+func TestSilentClientBeyondWindowKeepsView(t *testing.T) {
+	for _, k := range []uint64{65, 200, 400} {
+		c := newCluster(t, clusterOpts{})
+		id := smr.ClientIDBase
+		raw := &rawNode{}
+		c.net.AddNode(id, raw)
+		c.net.At(0, func() {
+			for ts := uint64(1); ts <= k; ts++ {
+				req := signedReq(c.suite, id, ts, kv.PutOp(fmt.Sprintf("k%d", ts), []byte("v")))
+				for _, a := range SyncGroup(c.n, c.tf, 0) {
+					raw.env.Send(a, &MsgResend{Req: req})
+				}
+			}
+		})
+		c.run(20 * time.Second)
+		for _, r := range c.replicas {
+			if r.View() != 0 {
+				t.Errorf("K=%d: replica %d moved to view %d; every admitted request made progress", k, r.id, r.View())
+			}
+			if open, timers := openRequests(r); open != 0 || timers != 0 {
+				t.Errorf("K=%d: replica %d still holds %d open requests and %d watch timers", k, r.id, open, timers)
+			}
+			// One window's worth was admitted, the rest refused: each of
+			// the first executed exactly once, everywhere.
+			if got := len(c.commits[r.id]); got != execWindowBits {
+				t.Errorf("K=%d: replica %d committed %d distinct requests, want %d", k, r.id, got, execWindowBits)
+			}
+			for key, cms := range c.commits[r.id] {
+				if key.TS > execWindowBits || len(cms) != 1 {
+					t.Errorf("K=%d: replica %d committed timestamp %d %d times", k, r.id, key.TS, len(cms))
+				}
+			}
+		}
+	}
+}
+
+// TestReplySignFloodBounded: a replica sends 20,000 validly signed
+// reply-sign records for made-up (client, timestamp) pairs over four
+// seconds. From replica 2, passive in view 0, they are dropped before
+// the signature check; from the follower they open what one signer may.
+func TestReplySignFloodBounded(t *testing.T) {
+	const total, bound = 20000, maxStrangers * execWindowBits
+	for _, sender := range []smr.NodeID{2, 1} {
+		c := newCluster(t, clusterOpts{reqTimeout: 5 * time.Second})
+		for i := 0; i < total; i++ {
+			c.net.At(time.Duration(i)*4*time.Second/total, func() {
+				rs := ReplySig{From: sender, SN: 1, TS: uint64(1 + i), Client: smr.ClientIDBase + smr.NodeID(i%977), RepDigest: crypto.Digest{1}}
+				rs.Sig = c.suite.Sign(crypto.NodeID(sender), rs.SigPayload())
+				for _, a := range SyncGroup(c.n, c.tf, 0) {
+					if a != sender {
+						c.replicas[sender].env.Send(a, &MsgReplySign{R: rs})
+					}
+				}
+			})
+		}
+		for sample := 0; sample < 80; sample++ {
+			c.run(100 * time.Millisecond)
+			for _, a := range SyncGroup(c.n, c.tf, 0) {
+				r := c.replicas[a]
+				open, timers := openRequests(r)
+				if open > bound || timers > bound || len(r.sessions) > maxStrangers {
+					t.Fatalf("sender %d, at %v: replica %d holds %d open requests, %d watch timers (bound %d) in %d sessions (bound %d)",
+						sender, c.net.Now(), a, open, timers, bound, len(r.sessions), maxStrangers)
+				}
+				if v := r.suite.(*crypto.Meter).Total().Verifies; sender == 2 && v > bound {
+					t.Fatalf("at %v replica %d has spent %d signature checks on the flood; bound is %d: a record from outside the group is dropped before the check",
+						c.net.Now(), a, v, bound)
+				}
+			}
+		}
+		if c.replicas[0].View() != 0 {
+			t.Fatalf("sender %d: the flood drove the primary to view %d", sender, c.replicas[0].View())
 		}
 	}
 }

@@ -47,10 +47,6 @@ type Replica struct {
 	batchTimerSet bool
 	maxInFlight   int
 
-	// verifyPool scatters independent signature verifications (batch
-	// requests, certificates) across workers; nil verifies serially.
-	verifyPool *crypto.Pool
-
 	// ceCache memoizes verifyCommitEntry verdicts by content digest:
 	// every view-change message re-hauls the unstable commit-log tail,
 	// so churny view changes re-verify the same entries many times.
@@ -67,34 +63,19 @@ type Replica struct {
 	// client's pipelined requests keep their arrival order even when
 	// verifications complete out of order.
 	intakeQ []*intakeVerify
-	// replySigning marks watch keys whose ReplySig is being signed.
-	replySigning map[watchKey]bool
-	// replySignVerifying dedupes and bounds in-flight reply-sign
-	// verifications: the retransmission path is driven by unsolicited
-	// peer messages, so without a cap a faulty active replica could
-	// spawn one off-loop verification per flooded message.
-	replySignVerifying map[replySigID]bool
 	// fwdPending accumulates client requests a follower has yet to
 	// verify before forwarding; one batch verifies off-loop at a time
 	// (fwdInFlight), and arrivals meanwhile form the next batch.
 	fwdPending  []Request
 	fwdInFlight bool
 
-	// Client bookkeeping: at-most-once execution and reply cache.
-	lastExec map[smr.NodeID]execMark
-	replies  replyCache
-	// queued dedupes pipelined requests per (client, timestamp): an
-	// open-loop client has up to a window of timestamps in flight and
-	// may retransmit any of them, so a single per-client mark would
-	// only suppress duplicates of the newest. The value is the
-	// signature digest (see queuedMark doc below); entries are removed
-	// at execution, when the request was found invalid, or on view
-	// change, so the map is bounded by queued + in-flight requests.
-	queued map[watchKey]crypto.Digest
-
-	// Retransmission watches (Algorithm 4).
-	watches     map[watchKey]*watchState
-	watchTimers map[smr.TimerID]watchKey
+	// sessions holds everything kept per client and per request
+	// (sessions.go); slots open through request alone. watchTimers finds
+	// the slot whose watch timer fired, and replySignVerifying counts
+	// reply-sign checks in flight.
+	sessions           map[smr.NodeID]*session
+	watchTimers        map[smr.TimerID]*request
+	replySignVerifying int
 
 	// Checkpointing.
 	chk         CheckpointProof
@@ -134,11 +115,6 @@ type Replica struct {
 	downPeers map[smr.NodeID]bool
 }
 
-// The queued marker remembers the request's signature digest because
-// intake verification is deferred to batch formation: a forged copy
-// may reach the queue first, and the mark alone must not let it
-// suppress the honest client's request (see onRequest).
-
 type faultID struct {
 	Culprit smr.NodeID
 	Kind    string
@@ -150,35 +126,22 @@ type faultID struct {
 func NewReplica(id smr.NodeID, cfg Config, app smr.Application) *Replica {
 	cfg = cfg.withDefaults()
 	r := &Replica{
-		cfg:                cfg,
-		id:                 id,
-		n:                  cfg.N,
-		t:                  cfg.T,
-		suite:              cfg.Suite,
-		app:                app,
-		log:                seqLog{ahead: smr.SeqNum(logAheadWindows * cfg.PipelineWindow)},
-		lastExec:           make(map[smr.NodeID]execMark),
-		replies:            make(replyCache),
-		queued:             make(map[watchKey]crypto.Digest),
-		watches:            make(map[watchKey]*watchState),
-		watchTimers:        make(map[smr.TimerID]watchKey),
-		ceCache:            make(map[crypto.Digest]bool),
-		views:              make(viewLog),
-		fset:               make(map[smr.NodeID]bool),
-		convicted:          make(map[faultID]bool),
-		replySigning:       make(map[watchKey]bool),
-		replySignVerifying: make(map[replySigID]bool),
-		downPeers:          make(map[smr.NodeID]bool),
+		cfg:         cfg,
+		id:          id,
+		n:           cfg.N,
+		t:           cfg.T,
+		suite:       cfg.Suite,
+		app:         app,
+		log:         seqLog{ahead: smr.SeqNum(logAheadWindows * cfg.PipelineWindow)},
+		sessions:    make(map[smr.NodeID]*session),
+		watchTimers: make(map[smr.TimerID]*request),
+		ceCache:     make(map[crypto.Digest]bool),
+		views:       make(viewLog),
+		fset:        make(map[smr.NodeID]bool),
+		convicted:   make(map[faultID]bool),
+		downPeers:   make(map[smr.NodeID]bool),
 	}
-	r.intake.init(cfg.IntakeQueueCap, cfg.IntakePerClient)
-	switch {
-	case cfg.VerifyWorkers == 1:
-		r.verifyPool = nil // serial verification in the event loop
-	case cfg.VerifyWorkers > 1:
-		r.verifyPool = crypto.NewPool(cfg.VerifyWorkers)
-	default:
-		r.verifyPool = crypto.SharedPool()
-	}
+	r.intake.capTotal = cfg.IntakeQueueCap
 	r.group = SyncGroup(r.n, r.t, 0)
 	if cfg.WAL != nil {
 		r.wal = cfg.WAL
@@ -333,9 +296,9 @@ func (r *Replica) onTimer(e smr.TimerFired) {
 			r.flushBatches(true)
 		}
 	case "watch":
-		if key, ok := r.watchTimers[e.ID]; ok {
+		if q, ok := r.watchTimers[e.ID]; ok {
 			delete(r.watchTimers, e.ID)
-			r.onWatchExpired(key)
+			r.onWatchExpired(q)
 		}
 	case "vc-net":
 		r.onNetTimer(e.ID)

@@ -1,6 +1,7 @@
 package xpaxos
 
 import (
+	"reflect"
 	"testing"
 
 	"github.com/xft-consensus/xft/internal/apps/kv"
@@ -40,33 +41,41 @@ func TestExecMarkWindow(t *testing.T) {
 }
 
 func TestReplyCacheWindow(t *testing.T) {
-	rc := make(replyCache)
+	r := NewReplica(0, regressionConfig(), kv.NewStore())
 	c := smr.NodeID(7)
+	s := r.session(c)
+	put := func(ts uint64) { r.recordExecution(s, cachedReply{TS: ts, Rep: []byte{byte(ts)}}) }
 	for ts := uint64(1); ts <= 3; ts++ {
-		rc.put(c, cachedReply{TS: ts, Rep: []byte{byte(ts)}})
+		put(ts)
 	}
 	for ts := uint64(1); ts <= 3; ts++ {
-		got, ok := rc.get(c, ts)
+		got, ok := r.reply(c, ts)
 		if !ok || got.Rep[0] != byte(ts) {
-			t.Fatalf("get(%d) = %+v, %v", ts, got, ok)
+			t.Fatalf("reply(%d) = %+v, %v", ts, got, ok)
 		}
 	}
-	// Out-of-order insert stays sorted and retrievable.
-	rc.put(c, cachedReply{TS: 10})
-	rc.put(c, cachedReply{TS: 5})
-	if _, ok := rc.get(c, 5); !ok {
+	// A late execution below the mark is retrievable, and the replies
+	// come out in timestamp order.
+	put(10)
+	put(5)
+	if _, ok := r.reply(c, 5); !ok {
 		t.Fatal("out-of-order insert lost")
 	}
+	for i, cr := range s.replies() {
+		if want := []uint64{1, 2, 3, 5, 10}[i]; cr.TS != want {
+			t.Fatalf("replies()[%d] is timestamp %d, want %d", i, cr.TS, want)
+		}
+	}
 	// Entries below the window of the max prune away.
-	rc.put(c, cachedReply{TS: 10 + execWindowBits})
-	if _, ok := rc.get(c, 1); ok {
+	put(10 + execWindowBits)
+	if _, ok := r.reply(c, 1); ok {
 		t.Fatal("ancient entry survived pruning")
 	}
-	if _, ok := rc.get(c, 10+execWindowBits); !ok {
+	if _, ok := r.reply(c, 10+execWindowBits); !ok {
 		t.Fatal("latest entry missing")
 	}
-	if n := len(rc.all(c)); n > execWindowBits {
-		t.Fatalf("cache grew to %d entries", n)
+	if n := len(s.replies()); n != 1 {
+		t.Fatalf("%d replies left inside the window after the jump, want 1", n)
 	}
 }
 
@@ -107,5 +116,33 @@ func TestDuplicateOfEarlierWindowedRequestGetsReply(t *testing.T) {
 	}
 	if !replied {
 		t.Error("duplicate of TS=1 not answered while TS=3 is the latest execution")
+	}
+}
+
+// maxReplicaStateMaps is the number of map-kind fields Replica holds,
+// directly or in structs it embeds by value: the session table's two
+// (clients, watch timers), the view log, the commit-entry verdict
+// cache, and three sets of replica ids or faults. Each map is a
+// lifetime somebody has to bound and prune; a new one is a decision to
+// review, like raising a scripts/loc.sh ceiling.
+const maxReplicaStateMaps = 7
+
+func TestReplicaStateMaps(t *testing.T) {
+	var maps []string
+	var walk func(prefix string, typ reflect.Type)
+	walk = func(prefix string, typ reflect.Type) {
+		for i := 0; i < typ.NumField(); i++ {
+			f := typ.Field(i)
+			switch f.Type.Kind() {
+			case reflect.Map:
+				maps = append(maps, prefix+f.Name)
+			case reflect.Struct:
+				walk(prefix+f.Name+".", f.Type)
+			}
+		}
+	}
+	walk("", reflect.TypeFor[Replica]())
+	if len(maps) > maxReplicaStateMaps {
+		t.Fatalf("Replica holds %d maps, ceiling is %d: %v", len(maps), maxReplicaStateMaps, maps)
 	}
 }

@@ -69,31 +69,19 @@ func (r *Replica) enterView(nv smr.View) {
 		return
 	}
 
-	// Abandon per-view volatile state: buffered entries, commit votes
-	// and in-flight verification marks in the log, and what the async
-	// crypto pipeline has in flight (below). The queued markers are
-	// rebuilt from the unbatched backlog only: requests that were batched
-	// into prepares of the dead view may not survive the view change, and
-	// a stale marker would make the primary drop their retransmissions
-	// forever.
+	// Abandon per-view volatile state in the log and the sessions, and
+	// what the async crypto pipeline has in flight: completions submitted
+	// under the dead view are discarded by goCrypto's epoch guard, so the
+	// bookkeeping they would have released is reset here. Intake batches
+	// mid-verification are dropped like requests batched into dead-view
+	// prepares: retransmissions are judged fresh.
 	r.log.dropVolatile()
-	r.queued = make(map[watchKey]crypto.Digest, r.intake.size())
-	r.intake.each(func(req *Request) {
-		r.queued[watchKey{Client: req.Client, TS: req.TS}] = crypto.Hash(req.Sig)
-	})
+	r.pruneSessions(true)
 	if r.batchTimerSet {
 		r.env.CancelTimer(r.batchTimer)
 		r.batchTimerSet = false
 	}
-	// Abandon the async crypto pipeline's in-flight work: completions
-	// submitted under the dead view are discarded by goCrypto's epoch
-	// guard, so the bookkeeping they would have released is reset here.
-	// Intake batches mid-verification are dropped like requests batched
-	// into dead-view prepares — their queued markers were rebuilt away
-	// above, so retransmissions are judged fresh.
 	r.intakeQ = nil
-	r.replySigning = make(map[watchKey]bool)
-	r.replySignVerifying = make(map[replySigID]bool)
 	r.fwdPending = nil
 	r.fwdInFlight = false
 
@@ -495,7 +483,7 @@ func (r *Replica) processNewView(m *MsgNewView) {
 // primary. Its request timer remains the fallback.
 func (r *Replica) announceView() {
 	// Send order must not depend on map order (netsim determinism).
-	for _, c := range slices.Sorted(maps.Keys(r.lastExec)) {
+	for _, c := range r.knownClients() {
 		m := &MsgViewInstalled{View: r.view, From: r.id}
 		m.MAC = r.suite.MAC(crypto.NodeID(r.id), crypto.NodeID(c), m.MACPayload())
 		r.env.Send(c, m)
@@ -511,7 +499,7 @@ func (r *Replica) collectReplyDigests(b *Batch) ([]uint64, []crypto.Digest) {
 	for i := range b.Reqs {
 		req := &b.Reqs[i]
 		tss[i] = req.TS
-		if c, ok := r.replies.get(req.Client, req.TS); ok {
+		if c, ok := r.reply(req.Client, req.TS); ok {
 			digs[i] = crypto.Hash(c.Rep)
 		}
 	}

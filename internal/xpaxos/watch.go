@@ -8,17 +8,13 @@ import (
 	"github.com/xft-consensus/xft/internal/smr"
 )
 
-type watchKey struct {
-	Client smr.NodeID
-	TS     uint64
-}
-
 // watchState tracks a retransmitted request being monitored by the
 // active replicas (Algorithm 4).
 type watchState struct {
-	key     watchKey
-	timer   smr.TimerID
-	sigs    map[smr.NodeID]ReplySig
+	s     *session // the session whose slot the watch hangs off
+	timer smr.TimerID
+	// sigs are the signed replies collected so far, one per signer.
+	sigs    []ReplySig
 	started bool
 	// view records the view the timer was (re)armed in: an expiry only
 	// suspects that same view — a watch that straddles a view change
@@ -40,22 +36,38 @@ type watchState struct {
 	graces int
 }
 
+// maxStrangers caps, per signer, the clients a replica knows of only
+// through that signer's ⟨reply-sign⟩ records.
+const maxStrangers = 4
+
+// maxReplySignVerifying bounds concurrent off-loop reply-sign
+// verifications; what exceeds it is dropped (the retransmission
+// protocol re-offers anything that mattered).
+const maxReplySignVerifying = 256
+
 // maxWatchGraces bounds how many times a watch defers to execution
 // progress before suspecting the view anyway.
 const maxWatchGraces = 8
 
-// replySigID identifies one replica's signed-reply record for one
-// watched request (in-flight verification dedupe).
-type replySigID struct {
-	Client smr.NodeID
-	TS     uint64
-	From   smr.NodeID
+// signed reports whether the watch holds id's signed reply.
+func (w *watchState) signed(id smr.NodeID) bool {
+	return slices.ContainsFunc(w.sigs, func(rs ReplySig) bool { return rs.From == id })
 }
 
-// maxReplySignVerifying bounds concurrent off-loop reply-sign
-// verifications; floods beyond it are dropped (the retransmission
-// protocol re-offers anything that mattered).
-const maxReplySignVerifying = 256
+// watch returns the watch of s's slot q, opening it — and arming its
+// timer — if q has none.
+func (r *Replica) watch(s *session, q *request) *watchState {
+	if q.watch == nil {
+		q.watch = &watchState{s: s, view: r.view, ex: r.ex}
+		r.armWatch(q)
+	}
+	return q.watch
+}
+
+func (r *Replica) armWatch(q *request) {
+	q.watch.timer = r.env.SetTimer(r.cfg.RequestTimeout, "watch")
+	r.watchTimers[q.watch.timer] = q
+}
 
 // ---------------------------------------------------------------------------
 // Retransmission handling (Algorithm 4)
@@ -69,15 +81,12 @@ func (r *Replica) onResend(from smr.NodeID, req Request) {
 	if !r.verifyRequest(&req) || req.Client != from {
 		return
 	}
-	key := watchKey{Client: req.Client, TS: req.TS}
-	w, exists := r.watches[key]
-	if !exists {
-		w = &watchState{key: key, sigs: make(map[smr.NodeID]ReplySig), view: r.view, ex: r.ex}
-		w.timer = r.env.SetTimer(r.cfg.RequestTimeout, "watch")
-		r.watches[key] = w
-		r.watchTimers[w.timer] = key
+	s := r.session(req.Client)
+	q := r.request(s, req.TS)
+	if q == nil {
+		return
 	}
-	w.started = true // a real client retransmission arms the suspicion timer
+	r.watch(s, q).started = true // a real client retransmission arms the suspicion timer
 	// Forward to the primary (it may never have seen the request).
 	if !r.isPrimary() {
 		r.env.Send(r.primary(), &MsgReplicate{Req: req})
@@ -85,68 +94,76 @@ func (r *Replica) onResend(from smr.NodeID, req Request) {
 		r.onRequest(from, req, true)
 	}
 	// If we already executed it, contribute our signed reply now.
-	if c, ok := r.replies.get(req.Client, req.TS); ok {
-		r.broadcastReplySign(req.Client, req.TS, c)
+	if c, ok := r.reply(req.Client, req.TS); ok && q.watch != nil {
+		r.broadcastReplySign(q, c)
 	}
 }
 
-// onExecutedWatched fires when a watched request executes.
-func (r *Replica) onExecutedWatched(client smr.NodeID, ts uint64, sn smr.SeqNum, v smr.View, rep []byte) {
-	key := watchKey{Client: client, TS: ts}
-	if _, ok := r.watches[key]; !ok {
+// broadcastReplySign signs and sends our reply record for the watched
+// request q, unless it is already out or being signed.
+func (r *Replica) broadcastReplySign(q *request, c cachedReply) {
+	if q.watch.signed(r.id) || q.signing {
 		return
 	}
-	r.broadcastReplySign(client, ts, cachedReply{TS: ts, SN: sn, View: v, Rep: rep})
-}
-
-func (r *Replica) broadcastReplySign(client smr.NodeID, ts uint64, c cachedReply) {
-	key := watchKey{Client: client, TS: ts}
-	if w, ok := r.watches[key]; ok {
-		if _, mine := w.sigs[r.id]; mine {
-			return // already contributed
-		}
-	}
-	if r.replySigning[key] {
-		return // our signature is already being produced off-loop
-	}
-	r.replySigning[key] = true
-	rs := &ReplySig{From: r.id, SN: c.SN, View: c.View, TS: ts, Client: client, RepDigest: crypto.Hash(c.Rep)}
+	q.signing = true
+	rs := &ReplySig{From: r.id, SN: c.SN, View: c.View, TS: q.ts, Client: q.watch.s.client, RepDigest: crypto.Hash(c.Rep)}
 	r.goCrypto("sign-replysign",
 		func() { rs.Sig = r.suite.Sign(crypto.NodeID(r.id), rs.SigPayload()) },
 		func() {
-			delete(r.replySigning, key)
+			q.signing = false
 			r.sendActives(&MsgReplySign{R: *rs})
 			r.applyReplySign(*rs) // our own signature needs no verification
 		})
 }
 
-// onReplySign receives a peer's signed reply record: the signature
-// verifies off-loop, and the record is applied when the check lands.
-// In-flight checks are deduped per (request, signer) and capped in
-// total — this path is driven by unsolicited peer messages, so it must
-// not let a flood pin one verification per message in flight.
+// onReplySign receives a peer's signed reply record. It is dropped
+// before its signature is looked at unless we are active, its sender is
+// a member of our group and the request's session admits it — for at
+// most maxStrangers clients per sender that nobody else told us of. The
+// signature then verifies off-loop, once per (request, signer) at a
+// time, and the record is applied when the check lands.
 func (r *Replica) onReplySign(from smr.NodeID, m *MsgReplySign) {
 	rs := m.R
-	if rs.From != from {
+	pos := slices.Index(r.group, from)
+	if rs.From != from || pos < 0 || !r.isActive() {
 		return
 	}
-	if w, ok := r.watches[watchKey{Client: rs.Client, TS: rs.TS}]; ok {
-		if _, dup := w.sigs[rs.From]; dup {
-			return // already recorded; skip the verification
+	s := r.sessions[rs.Client]
+	if s == nil {
+		strangers := 0
+		for _, o := range r.sessions {
+			if o.opener == from+1 && o.execMark == (execMark{}) {
+				strangers++
+			}
 		}
+		if strangers >= maxStrangers {
+			return
+		}
+		s = r.session(rs.Client)
+		s.opener = from + 1
 	}
-	id := replySigID{Client: rs.Client, TS: rs.TS, From: rs.From}
-	if r.replySignVerifying[id] || len(r.replySignVerifying) >= maxReplySignVerifying {
-		return // a copy is in flight, or the path is saturated: shed
+	q := r.request(s, rs.TS)
+	if q == nil {
+		return
 	}
-	r.replySignVerifying[id] = true
+	if (q.watch != nil && q.watch.signed(from)) || q.verifying>>pos&1 == 1 || r.replySignVerifying >= maxReplySignVerifying {
+		r.release(s, q, false) // recorded, in flight, or the path is saturated: shed
+		return
+	}
+	q.verifying |= 1 << pos
+	r.replySignVerifying++
 	var valid bool
 	r.goCrypto("verify-replysign",
 		func() { valid = r.suite.Verify(crypto.NodeID(rs.From), rs.SigPayload(), rs.Sig) },
 		func() {
-			delete(r.replySignVerifying, id)
+			r.replySignVerifying--
+			if q.ts == rs.TS {
+				q.verifying &^= 1 << pos
+			}
 			if valid {
 				r.applyReplySign(rs)
+			} else {
+				r.release(s, q, false)
 			}
 		})
 }
@@ -158,62 +175,53 @@ func (r *Replica) onReplySign(from smr.NodeID, m *MsgReplySign) {
 // quorums assemble even when the client's retransmission only reached
 // part of the group.
 func (r *Replica) applyReplySign(rs ReplySig) {
-	key := watchKey{Client: rs.Client, TS: rs.TS}
-	w, ok := r.watches[key]
-	if !ok {
-		w = &watchState{key: key, sigs: make(map[smr.NodeID]ReplySig), view: r.view, ex: r.ex}
-		w.timer = r.env.SetTimer(r.cfg.RequestTimeout, "watch")
-		r.watches[key] = w
-		r.watchTimers[w.timer] = key
-	}
-	if _, dup := w.sigs[rs.From]; dup {
+	s := r.sessions[rs.Client]
+	if s == nil {
 		return
 	}
-	w.sigs[rs.From] = rs
+	q := r.request(s, rs.TS)
+	if q == nil {
+		return
+	}
+	w := r.watch(s, q)
+	if w.signed(rs.From) {
+		return
+	}
+	w.sigs = append(w.sigs, rs)
 	// Contribute our own signature if we executed the request and have
 	// not spoken up yet. Our signature lands asynchronously, so fall
 	// through and check the quorum with what is already here — the
 	// t+1th record, whoever supplies it, finishes the watch.
 	if rs.From != r.id {
-		if _, mine := w.sigs[r.id]; !mine {
-			if c, okRep := r.replies.get(rs.Client, rs.TS); okRep {
-				r.broadcastReplySign(rs.Client, rs.TS, c)
-			}
+		if c, ok := r.reply(rs.Client, rs.TS); ok {
+			r.broadcastReplySign(q, c)
 		}
 	}
-	r.tryFinishWatch(w, rs.RepDigest)
+	r.tryFinishWatch(s, q, rs.RepDigest)
 }
 
 // tryFinishWatch sends the signed-reply bundle once t+1 distinct
 // matching signatures are collected and we hold the reply payload.
-func (r *Replica) tryFinishWatch(w *watchState, digest crypto.Digest) {
-	if r.watches[w.key] != w {
-		return // the watch already finished (or was cleared)
+func (r *Replica) tryFinishWatch(s *session, q *request, digest crypto.Digest) {
+	if q.watch == nil {
+		return // our own signature landed meanwhile and finished it
 	}
 	matching := make([]ReplySig, 0, r.t+1)
-	for _, s := range w.sigs {
-		if s.RepDigest == digest {
-			matching = append(matching, s)
+	for _, rs := range q.watch.sigs {
+		if rs.RepDigest == digest {
+			matching = append(matching, rs)
 		}
 	}
 	if len(matching) < r.t+1 {
 		return
 	}
 	slices.SortFunc(matching, func(a, b ReplySig) int { return cmp.Compare(a.From, b.From) })
-	c, okRep := r.replies.get(w.key.Client, w.key.TS)
+	c, okRep := r.reply(s.client, q.ts)
 	if !okRep || crypto.Hash(c.Rep) != digest {
 		return // we lack the payload; another active will answer
 	}
-	r.env.Send(w.key.Client, &MsgSignedReply{Rep: c.Rep, Replies: matching[:r.t+1]})
-	r.clearWatch(w.key)
-}
-
-func (r *Replica) clearWatch(key watchKey) {
-	if w, ok := r.watches[key]; ok {
-		r.env.CancelTimer(w.timer)
-		delete(r.watchTimers, w.timer)
-		delete(r.watches, key)
-	}
+	r.env.Send(s.client, &MsgSignedReply{Rep: c.Rep, Replies: matching[:r.t+1]})
+	r.release(s, q, true) // answered: the watch was all that held the executed request open
 }
 
 // onWatchExpired: the request made no progress in time — suspect the
@@ -221,36 +229,31 @@ func (r *Replica) clearWatch(key watchKey) {
 // (opened only to aggregate signatures) expire silently, and a watch
 // armed under an older view re-arms rather than condemning a view that
 // has not had a full timeout to serve the request.
-func (r *Replica) onWatchExpired(key watchKey) {
-	w, ok := r.watches[key]
-	if !ok {
-		return
-	}
-	if !w.started {
-		delete(r.watches, key)
-		return
-	}
-	if w.view < r.view || r.status == statusViewChange {
+func (r *Replica) onWatchExpired(q *request) {
+	w := q.watch
+	switch {
+	case !w.started:
+	case w.view < r.view || r.status == statusViewChange:
 		w.view = r.view
 		w.ex = r.ex
-		w.timer = r.env.SetTimer(r.cfg.RequestTimeout, "watch")
-		r.watchTimers[w.timer] = key
+		r.armWatch(q)
 		return
-	}
-	if r.ex > w.ex && w.graces < maxWatchGraces {
+	case r.ex > w.ex && w.graces < maxWatchGraces:
 		// The group is executing — the request is queued behind a
 		// backlog, not lost. Grant another timeout instead of tearing
 		// the view down (see watchState.ex).
 		w.ex = r.ex
 		w.graces++
-		w.timer = r.env.SetTimer(r.cfg.RequestTimeout, "watch")
-		r.watchTimers[w.timer] = key
+		r.armWatch(q)
 		return
 	}
-	delete(r.watches, key)
-	sus := r.makeSuspect(r.view)
-	r.env.Send(key.Client, sus)
-	r.suspect(r.view)
+	q.watch = nil
+	r.release(w.s, q, false)
+	if w.started {
+		sus := r.makeSuspect(r.view)
+		r.env.Send(w.s.client, sus)
+		r.suspect(r.view)
+	}
 }
 
 // makeSuspect builds our signed suspect message for view v.

@@ -68,23 +68,13 @@ type Config struct {
 	// stream batches so its own crypto/work overlaps the followers'.
 	// Default 32.
 	PipelineWindow int
-	// VerifyWorkers sizes the parallel signature-verification pool used
-	// for batch and certificate checks: 0 selects the process-wide
-	// shared pool (GOMAXPROCS workers), 1 verifies serially, and n > 1
-	// gives this replica a dedicated n-worker pool (which lives for the
-	// life of the process).
-	VerifyWorkers int
 	// IntakeQueueCap bounds the primary's admission queue of pending
 	// client requests (default 4096). Arrivals beyond the bound are
 	// shed — counted in IntakeStats, never queued — so a request blast
 	// cannot grow memory while the pipeline window is full; clients
-	// recover via their retransmission protocol.
+	// recover via their retransmission protocol. One client holds at
+	// most 64 of the queue, its session window.
 	IntakeQueueCap int
-	// IntakePerClient bounds how many requests a single client may
-	// hold in the admission queue at once (default 256), so one chatty
-	// or hostile client cannot monopolize the intake. Open-loop
-	// clients should keep their window below this.
-	IntakePerClient int
 	// RequestTimeout is the client's retransmission timer and the
 	// active replicas' per-request progress timer (Algorithm 4).
 	RequestTimeout time.Duration
@@ -97,9 +87,6 @@ type Config struct {
 	CheckpointInterval uint64
 	// EnableFD turns on the fault-detection mechanism (Section 4.4).
 	EnableFD bool
-	// DisableLazyReplication turns off lazy replication to passive
-	// replicas (Section 4.5.2); on by default.
-	DisableLazyReplication bool
 	// WAL, if set, is the replica's durable write-ahead log: committed
 	// entries and stable checkpoints are appended and group-committed
 	// off the Step loop, and NewReplica replays the log to recover the
@@ -144,9 +131,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.IntakeQueueCap <= 0 {
 		c.IntakeQueueCap = 4096
-	}
-	if c.IntakePerClient <= 0 {
-		c.IntakePerClient = 256
 	}
 	if c.RequestTimeout == 0 {
 		c.RequestTimeout = 4 * c.Delta

@@ -15,11 +15,13 @@
 #     pbft/zyzzyva view change moved into the kit.
 #   - internal/xpaxos. 6,084 lines before the replica's per-sequence
 #     maps became one sequence log, 6,067 after, 5,572 when codec.go
-#     became field lists; XPAXOS_CEILING is the count reached when the
-#     per-view maps became one view log. ROADMAP's -15 % target for the
-#     package is 5,171.
-#   - the printed total outside benchmark/ (21,727 before the view log),
-#     so a package outside the two sets cannot absorb what they shed.
+#     became field lists, 5,517 when the per-view maps became one view
+#     log; XPAXOS_CEILING is the count reached when the per-client and
+#     per-request maps became one session table. ROADMAP's -15 % target
+#     for the package is 5,171.
+#   - the printed total outside benchmark/ (21,727 before the view log,
+#     21,534 after), so a package outside the two sets cannot absorb
+#     what they shed.
 #
 # A ceiling is lowered by the PR that shrinks its set: run this script,
 # set the constant to the count it prints, and say so in CHANGES.md.
@@ -29,8 +31,8 @@ cd "$(dirname "$0")/.."
 
 RATCHETED="internal/baseline internal/protocols internal/paxos internal/pbft internal/zab internal/zyzzyva internal/bench"
 CEILING=4376
-XPAXOS_CEILING=5517
-TOTAL_CEILING=21534
+XPAXOS_CEILING=5514
+TOTAL_CEILING=21527
 
 count() { find "$1" -maxdepth 1 -name '*.go' ! -name '*_test.go' -print0 | xargs -0 -r cat | wc -l; }
 

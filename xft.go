@@ -21,9 +21,9 @@
 // Options.PipelineWindow batches in flight concurrently (batch
 // formation adapts to load — partial batches ship immediately when the
 // pipeline is idle, and fill while it is busy), and signature
-// verification of independent messages is scattered across a worker
-// pool sized by Options.VerifyWorkers. Set PipelineWindow to 1 for the
-// classic lock-step behavior.
+// verification of independent messages is scattered across a
+// process-wide worker pool. Set PipelineWindow to 1 for the classic
+// lock-step behavior.
 //
 // The same protocol code also runs under the deterministic WAN
 // simulator used by the test-suite and the paper-reproduction
@@ -67,10 +67,6 @@ type Options struct {
 	// flight at once (default 32). 1 reproduces the lock-step common
 	// case: each batch must commit before the next is proposed.
 	PipelineWindow int
-	// VerifyWorkers sizes the parallel signature-verification pool:
-	// 0 shares a process-wide GOMAXPROCS pool, 1 verifies serially,
-	// n > 1 dedicates n workers per replica.
-	VerifyWorkers int
 	// EnableFD turns on the fault-detection mechanism (Section 4.4).
 	EnableFD bool
 	// Seed makes the cluster's keys deterministic (default 1).
@@ -119,7 +115,6 @@ func NewCluster(opts Options) (*Cluster, error) {
 			Delta:              opts.Delta,
 			BatchSize:          opts.BatchSize,
 			PipelineWindow:     opts.PipelineWindow,
-			VerifyWorkers:      opts.VerifyWorkers,
 			CheckpointInterval: 256,
 			EnableFD:           opts.EnableFD,
 		}
