@@ -17,14 +17,16 @@
 // With -window above 1 the bench command runs open-loop: up to that
 // many requests stay outstanding at once from this single client
 // identity, which saturates the server pipeline (and exercises its
-// admission queue) without spawning one process per connection. Keep
-// the window at or below the servers' per-client intake quota. Its
-// last line reports the longest stretch without a commit — with a
-// replica killed mid-load, the service gap.
+// admission queue) without spawning one process per connection. The
+// window is at most 64, the replicas' per-client session window of
+// timestamps. Its last line reports the longest stretch without a
+// commit — with a replica killed mid-load, the service gap.
 //
 // Channel security mirrors xft-server: mutual TLS derived from -seed
 // by default, -tls-cert/-tls-key/-tls-ca for provisioned material, or
-// -insecure for plaintext (must match the servers' choice).
+// -insecure for plaintext (must match the servers' choice). Like a
+// server, the client probes the replicas every second, so it turns to
+// the next viable view as soon as a replica of its group goes down.
 package main
 
 import (
@@ -36,7 +38,7 @@ import (
 	"time"
 
 	"github.com/xft-consensus/xft/internal/apps/zk"
-	"github.com/xft-consensus/xft/internal/crypto"
+	"github.com/xft-consensus/xft/internal/deploy"
 	"github.com/xft-consensus/xft/internal/smr"
 	"github.com/xft-consensus/xft/internal/transport"
 	"github.com/xft-consensus/xft/internal/xpaxos"
@@ -64,18 +66,6 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	n := 2**t + 1
-	suite := crypto.NewEd25519Suite(n+1024, *seed)
-
-	var topts []transport.Option
-	sec, err := transport.ResolveTLS(suite, smr.NodeID(*clientID), *insecure, *tlsCert, *tlsKey, *tlsCA)
-	if err != nil {
-		log.Fatal(err)
-	}
-	if sec != nil {
-		topts = append(topts, transport.WithTLS(sec))
-	}
-
 	type completion struct {
 		rep []byte
 		lat time.Duration
@@ -86,9 +76,13 @@ func main() {
 	// commit: the open-loop bench issues from there, where it may ask
 	// the client whether its window has room (CanInvoke).
 	var refill atomic.Pointer[func()]
-	var cl *xpaxos.Client
-	cl, err = xpaxos.NewClient(smr.NodeID(*clientID), xpaxos.ClientConfig{
-		N: n, T: *t, Suite: crypto.NewMeter(suite),
+	spec := deploy.Spec{
+		ID: smr.NodeID(*clientID), T: *t, Keys: deploy.Keys(*t, *seed),
+		Listen: *listen, Peers: peers,
+		Insecure: *insecure, TLSCert: *tlsCert, TLSKey: *tlsKey, TLSCA: *tlsCA,
+		ProbeInterval: deploy.DefaultProbeInterval,
+	}
+	cl, node, err := spec.Client(xpaxos.ClientConfig{
 		RequestTimeout: 2 * time.Second,
 		TSBase:         uint64(time.Now().UnixNano()),
 		Window:         *window,
@@ -100,16 +94,12 @@ func main() {
 		},
 	})
 	if err != nil {
-		log.Fatal(err) // e.g. -window above the replicas' dedupe width (64)
+		log.Fatal(err) // e.g. -window above the replicas' session window (64)
 	}
 	if *window < 1 {
 		*window = cl.Window() // report the effective window
 	}
-	node, err := transport.NewNode(smr.NodeID(*clientID), cl, *listen, peers, topts...)
-	if err != nil {
-		log.Fatal(err)
-	}
-	go node.Run()
+	node.Start()
 	defer node.Stop()
 
 	invoke := func(op []byte) []byte {

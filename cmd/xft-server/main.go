@@ -32,14 +32,12 @@ import (
 	"log"
 	"os"
 	"os/signal"
-	"path/filepath"
 	"time"
 
 	"github.com/xft-consensus/xft/internal/apps/zk"
-	"github.com/xft-consensus/xft/internal/crypto"
+	"github.com/xft-consensus/xft/internal/deploy"
 	"github.com/xft-consensus/xft/internal/smr"
 	"github.com/xft-consensus/xft/internal/transport"
-	"github.com/xft-consensus/xft/internal/wal"
 	"github.com/xft-consensus/xft/internal/xpaxos"
 )
 
@@ -58,14 +56,14 @@ func main() {
 	tlsKey := flag.String("tls-key", "", "PEM private key file")
 	tlsCA := flag.String("tls-ca", "", "PEM CA bundle file")
 	dataDir := flag.String("data-dir", "", "directory for the durable write-ahead log (empty = in-memory only)")
-	probeInterval := flag.Duration("probe-interval", 1*time.Second, "keepalive probe interval (0 = no health probing)")
+	probeInterval := flag.Duration("probe-interval", deploy.DefaultProbeInterval, "keepalive probe interval (0 = no health probing)")
 	probeTimeout := flag.Duration("probe-timeout", 0, "silence after which a peer is reported down (0 = 3x interval)")
 	genCerts := flag.String("gen-certs", "", "write seed-derived TLS certs for the cluster into this directory and exit")
 	genClients := flag.Int("gen-clients", 8, "with -gen-certs: how many client identities to issue (ids 1000..)")
 	flag.Parse()
 
 	n := 2**t + 1
-	suite := crypto.NewEd25519Suite(n+1024, *seed)
+	keys := deploy.Keys(*t, *seed)
 
 	if *genCerts != "" {
 		ids := make([]smr.NodeID, 0, n+*genClients)
@@ -75,7 +73,7 @@ func main() {
 		for i := 0; i < *genClients; i++ {
 			ids = append(ids, smr.ClientIDBase+smr.NodeID(i))
 		}
-		if err := transport.WriteCertFiles(suite, ids, *genCerts); err != nil {
+		if err := transport.WriteCertFiles(keys, ids, *genCerts); err != nil {
 			log.Fatal(err)
 		}
 		fmt.Printf("wrote ca.pem and %d node certificates to %s\n", len(ids), *genCerts)
@@ -86,49 +84,34 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-
-	opts := []transport.Option{transport.WithKeepalive(*probeInterval, *probeTimeout)}
-	secured, err := transport.ResolveTLS(suite, smr.NodeID(*id), *insecure, *tlsCert, *tlsKey, *tlsCA)
-	if err != nil {
-		log.Fatal(err)
+	spec := deploy.Spec{
+		ID: smr.NodeID(*id), T: *t, Keys: keys,
+		Listen: *listen, Peers: peers,
+		Insecure: *insecure, TLSCert: *tlsCert, TLSKey: *tlsKey, TLSCA: *tlsCA,
+		ProbeInterval: *probeInterval, ProbeTimeout: *probeTimeout,
+		DataDir: *dataDir,
 	}
-	if secured != nil {
-		opts = append(opts, transport.WithTLS(secured))
-	}
-
-	cfg := xpaxos.Config{
-		N: n, T: *t,
-		Suite:              crypto.NewMeter(suite),
-		Delta:              *delta,
-		CheckpointInterval: 256,
-		EnableFD:           *fd,
-		IntakeQueueCap:     *intakeCap,
+	replica, node, err := spec.Replica(xpaxos.Config{
+		Delta:          *delta,
+		EnableFD:       *fd,
+		IntakeQueueCap: *intakeCap,
 		OnViewChange: func(v smr.View, at time.Duration) {
 			log.Printf("installed view %d (group %v)", v, xpaxos.SyncGroup(n, *t, v))
 		},
 		OnFaultDetected: func(culprit smr.NodeID, kind string, sn smr.SeqNum) {
 			log.Printf("FAULT DETECTED: replica %d, kind=%s, sn=%d — replace the machine", culprit, kind, sn)
 		},
-	}
-	if *dataDir != "" {
-		wlog, err := wal.Open(filepath.Join(*dataDir, "wal"), wal.Options{})
-		if err != nil {
-			log.Fatal(err)
-		}
-		cfg.WAL = wlog
-	}
-	replica := xpaxos.NewReplica(smr.NodeID(*id), cfg, zk.NewStore())
-	if *dataDir != "" {
-		// NewReplica replayed the log before the transport attaches.
-		log.Printf("recovered from WAL: sn=%d view=%d (data-dir %s)",
-			replica.Executed(), replica.View(), *dataDir)
-	}
-	node, err := transport.NewNode(smr.NodeID(*id), replica, *listen, peers, opts...)
+	}, zk.NewStore())
 	if err != nil {
 		log.Fatal(err)
 	}
+	if *dataDir != "" {
+		// The replica replayed the log before its transport runs.
+		log.Printf("recovered from WAL: sn=%d view=%d (data-dir %s)",
+			replica.Executed(), replica.View(), *dataDir)
+	}
 	log.Printf("xft-server: replica %d/%d listening on %s (t=%d, Δ=%v, FD=%v, TLS=%v, probes=%v)",
-		*id, n, node.Addr(), *t, *delta, *fd, secured != nil, *probeInterval)
+		*id, n, node.Addr(), *t, *delta, *fd, spec.Secure(), *probeInterval)
 
 	if *statsEvery > 0 {
 		go func() {
@@ -149,11 +132,11 @@ func main() {
 		}()
 	}
 
-	go func() {
-		sig := make(chan os.Signal, 1)
-		signal.Notify(sig, os.Interrupt)
-		<-sig
-		node.Stop()
-	}()
-	node.Run()
+	node.Start()
+	sig := make(chan os.Signal, 1)
+	signal.Notify(sig, os.Interrupt)
+	<-sig
+	if err := node.Stop(); err != nil {
+		log.Fatalf("closing the WAL: %v", err)
+	}
 }

@@ -7,18 +7,17 @@ import (
 	"time"
 
 	"github.com/xft-consensus/xft/internal/apps/kv"
-	"github.com/xft-consensus/xft/internal/crypto"
+	"github.com/xft-consensus/xft/internal/deploy"
 	"github.com/xft-consensus/xft/internal/smr"
-	"github.com/xft-consensus/xft/internal/transport"
 	"github.com/xft-consensus/xft/internal/xpaxos"
 )
 
 // TLSOverhead measures what mutual TLS 1.3 costs on the live TCP
 // loopback deployment: the same 3-replica XPaxos cluster (t = 1, real
-// Ed25519 signatures, keepalive probing on) is driven by one
-// open-loop client twice — plaintext, then with the transport's
-// AutoTLS channel security — and the throughput and latency deltas
-// are reported. Loopback has no propagation delay, so this
+// Ed25519 signatures, keepalive probing on, a checkpoint every 256
+// batches) is driven by one open-loop client twice — plaintext, then
+// with the transport's AutoTLS channel security — and the throughput
+// and latency deltas are reported. Loopback has no propagation delay, so this
 // upper-bounds the relative overhead: on a WAN the handshake is a
 // one-time cost and the symmetric-crypto cost shrinks against real
 // RTTs.
@@ -46,50 +45,41 @@ type loopbackResult struct {
 }
 
 // runLoopbackCluster stands up a full TCP deployment on 127.0.0.1 —
-// three xpaxos replicas and one windowed client — commits the given
-// number of 512-byte writes, and tears everything down.
+// three xpaxos replicas and one windowed client, each built like any
+// live node through deploy.Spec — commits the given number of 512-byte
+// writes, and tears everything down.
 func runLoopbackCluster(withTLS bool, ops, window int) loopbackResult {
-	const (
-		n        = 3
-		tf       = 1
-		clientID = smr.ClientIDBase
-	)
-	suite := crypto.NewEd25519Suite(n+1024, 42)
-	secure := func(id smr.NodeID) []transport.Option {
-		if !withTLS {
-			return nil
-		}
-		sec, err := transport.AutoTLS(suite, id)
-		if err != nil {
-			panic(err)
-		}
-		return []transport.Option{transport.WithTLS(sec)}
-	}
-
+	const tf = 1
+	keys := deploy.Keys(tf, 42)
 	peers := map[smr.NodeID]string{}
-	var nodes []*transport.Node
-	for i := 0; i < n; i++ {
-		id := smr.NodeID(i)
-		rep := xpaxos.NewReplica(id, xpaxos.Config{
-			N: n, T: tf,
-			Suite:          suite,
+	spec := func(id smr.NodeID) deploy.Spec {
+		return deploy.Spec{
+			ID: id, T: tf, Keys: keys, Listen: "127.0.0.1:0", Peers: peers,
+			Insecure: !withTLS, ProbeInterval: 500 * time.Millisecond, ProbeTimeout: 2 * time.Second,
+		}
+	}
+	var hosts []*deploy.Host
+	defer func() {
+		for _, h := range hosts {
+			h.Stop()
+		}
+	}()
+	for i := 0; i < 2*tf+1; i++ {
+		_, h, err := spec(smr.NodeID(i)).Replica(xpaxos.Config{
 			Delta:          500 * time.Millisecond,
 			BatchTimeout:   2 * time.Millisecond,
 			RequestTimeout: 10 * time.Second,
 		}, kv.NewStore())
-		opts := append(secure(id), transport.WithKeepalive(500*time.Millisecond, 2*time.Second))
-		node, err := transport.NewNode(id, rep, "127.0.0.1:0", peers, opts...)
 		if err != nil {
 			panic(err)
 		}
-		peers[id] = node.Addr()
-		nodes = append(nodes, node)
+		peers[smr.NodeID(i)] = h.Addr()
+		hosts = append(hosts, h)
 	}
 
 	type completion struct{ lat time.Duration }
 	done := make(chan completion, window+1)
-	cl, err := xpaxos.NewClient(clientID, xpaxos.ClientConfig{
-		N: n, T: tf, Suite: suite,
+	_, client, err := spec(smr.ClientIDBase).Client(xpaxos.ClientConfig{
 		RequestTimeout: 5 * time.Second,
 		Window:         window,
 		OnCommit:       func(op, rep []byte, lat time.Duration) { done <- completion{lat} },
@@ -97,21 +87,11 @@ func runLoopbackCluster(withTLS bool, ops, window int) loopbackResult {
 	if err != nil {
 		panic(err)
 	}
-	cnode, err := transport.NewNode(clientID, cl, "127.0.0.1:0", peers, secure(clientID)...)
-	if err != nil {
-		panic(err)
+	peers[smr.ClientIDBase] = client.Addr()
+	hosts = append(hosts, client)
+	for _, h := range hosts {
+		h.Start()
 	}
-	peers[clientID] = cnode.Addr()
-	nodes = append(nodes, cnode)
-
-	for _, nd := range nodes {
-		go nd.Run()
-	}
-	defer func() {
-		for _, nd := range nodes {
-			nd.Stop()
-		}
-	}()
 
 	op := kv.PutOp("/bench", make([]byte, 512))
 	lats := make([]time.Duration, 0, ops)
@@ -119,7 +99,7 @@ func runLoopbackCluster(withTLS bool, ops, window int) loopbackResult {
 	inflight, issued, completed := 0, 0, 0
 	for completed < ops {
 		for inflight < window && issued < ops {
-			cnode.Submit(smr.Invoke{Op: op})
+			client.Submit(smr.Invoke{Op: op})
 			inflight++
 			issued++
 		}

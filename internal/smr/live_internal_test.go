@@ -5,44 +5,28 @@ import (
 	"time"
 )
 
-// cancelAfterFireNode cancels each timer after its TimerFired was
+// TestLiveCancelTimerLeavesNoTombstones drives a TimerSet as a live
+// runtime's loop does and cancels each timer after its TimerFired was
 // delivered — by contract a no-op. The regression: CancelTimer used to
 // tombstone such ids in the cancelled map forever, an unbounded leak on
 // long-running servers (every request sets and later cancels a timer).
-type cancelAfterFireNode struct {
-	env   Env
-	fired chan TimerID
-}
-
-func (n *cancelAfterFireNode) Init(env Env) { n.env = env }
-func (n *cancelAfterFireNode) Step(ev Event) {
-	switch ev := ev.(type) {
-	case Start:
-		// Cancelled before firing: must leave no state either.
-		id := n.env.SetTimer(time.Hour, "never")
-		n.env.CancelTimer(id)
-		n.env.SetTimer(time.Millisecond, "soon")
-	case TimerFired:
-		n.env.CancelTimer(ev.ID)
-		select {
-		case n.fired <- ev.ID:
-		default:
-		}
-	}
-}
-
 func TestLiveCancelTimerLeavesNoTombstones(t *testing.T) {
-	rt := NewLiveRuntime()
-	node := &cancelAfterFireNode{fired: make(chan TimerID, 1)}
-	rt.AddNode(0, node)
-	rt.Start()
+	ts := NewTimerSet()
+	inbox := make(chan TimerFired, 2)
+	deliver := func(tf TimerFired) { inbox <- tf }
+	// Cancelled before firing: must leave no state either.
+	ts.Cancel(ts.Set(time.Hour, "never", deliver))
+	ts.Set(time.Millisecond, "soon", deliver)
 	select {
-	case <-node.fired:
+	case tf := <-inbox:
+		if !ts.Deliver(tf) {
+			t.Fatal("a live timer's delivery was refused")
+		}
+		ts.Cancel(tf.ID)
 	case <-time.After(5 * time.Second):
 		t.Fatal("timer never fired")
 	}
-	rt.Stop() // node goroutine has exited: timer maps are quiescent
-	if pending, tombstones := rt.nodes[0].timers.Sizes(); pending != 0 || tombstones != 0 {
+	if pending, tombstones := ts.Sizes(); pending != 0 || tombstones != 0 {
 		t.Errorf("timer maps leaked: pending=%d tombstones=%d", pending, tombstones)
 	}
 }

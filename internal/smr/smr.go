@@ -9,8 +9,10 @@
 //
 //   - the discrete-event WAN simulator (internal/netsim), used for all
 //     paper experiments and most tests, and
-//   - the live runtime (internal/smr/live.go), where each node is a
-//     goroutine with real timers, used by the examples and cmd/ tools.
+//   - transport.Node (internal/transport), where each node is a
+//     goroutine with real timers on a TCP endpoint with mutual TLS,
+//     used by the cmd/ tools and by the public xft.Cluster behind the
+//     examples, which runs over loopback.
 package smr
 
 import (
@@ -102,8 +104,8 @@ type TimerFired struct {
 type Start struct{}
 
 // Invoke asks a client node to submit an operation. Runtimes deliver
-// it on behalf of external callers (e.g. the live runtime's
-// thread-safe submit path); under the simulator, benchmark drivers
+// it on behalf of external callers (e.g. transport.Node.Submit, which
+// is safe from any goroutine); under the simulator, benchmark drivers
 // call the client's Invoke method directly from event context instead.
 type Invoke struct{ Op []byte }
 

@@ -2,9 +2,7 @@ package smr_test
 
 import (
 	"bytes"
-	"sync"
 	"testing"
-	"time"
 
 	"github.com/xft-consensus/xft/internal/apps/kv"
 	"github.com/xft-consensus/xft/internal/smr"
@@ -69,200 +67,5 @@ func TestApplicationContractRoundTrip(t *testing.T) {
 	// checkpoint agreement).
 	if !bytes.Equal(a.Snapshot(), c.Snapshot()) {
 		t.Error("snapshots of equal states differ")
-	}
-}
-
-// ---------------------------------------------------------------------------
-// Live runtime
-// ---------------------------------------------------------------------------
-
-// probe is a minimal smr.Node that records events and can act on them.
-type probe struct {
-	mu     sync.Mutex
-	events []smr.Event
-	env    smr.Env
-	onStep func(env smr.Env, ev smr.Event)
-}
-
-func (p *probe) Init(env smr.Env) { p.env = env }
-func (p *probe) Step(ev smr.Event) {
-	p.mu.Lock()
-	p.events = append(p.events, ev)
-	p.mu.Unlock()
-	if p.onStep != nil {
-		p.onStep(p.env, ev)
-	}
-}
-
-func (p *probe) snapshot() []smr.Event {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return append([]smr.Event(nil), p.events...)
-}
-
-func waitFor(t *testing.T, cond func() bool, what string) {
-	t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
-	for time.Now().Before(deadline) {
-		if cond() {
-			return
-		}
-		time.Sleep(time.Millisecond)
-	}
-	t.Fatalf("timed out waiting for %s", what)
-}
-
-func TestLiveRuntimeStartDeliversStartFirst(t *testing.T) {
-	rt := smr.NewLiveRuntime()
-	p := &probe{}
-	rt.AddNode(0, p)
-	rt.Start()
-	defer rt.Stop()
-	rt.Submit(0, smr.Invoke{Op: []byte("op")})
-	waitFor(t, func() bool { return len(p.snapshot()) >= 2 }, "events")
-	evs := p.snapshot()
-	if _, ok := evs[0].(smr.Start); !ok {
-		t.Errorf("first event = %T, want smr.Start", evs[0])
-	}
-	if inv, ok := evs[1].(smr.Invoke); !ok || string(inv.Op) != "op" {
-		t.Errorf("second event = %#v, want Invoke{op}", evs[1])
-	}
-}
-
-type testMsg struct{ payload string }
-
-func (testMsg) Type() string  { return "test" }
-func (testMsg) WireSize() int { return 8 }
-
-func TestLiveRuntimeSendBetweenNodes(t *testing.T) {
-	rt := smr.NewLiveRuntime()
-	sender := &probe{}
-	receiver := &probe{}
-	// The sender forwards every Invoke payload to node 1.
-	sender.onStep = func(env smr.Env, ev smr.Event) {
-		if inv, ok := ev.(smr.Invoke); ok {
-			env.Send(1, testMsg{payload: string(inv.Op)})
-		}
-	}
-	rt.AddNode(0, sender)
-	rt.AddNode(1, receiver)
-	rt.Start()
-	defer rt.Stop()
-	rt.Submit(0, smr.Invoke{Op: []byte("ping")})
-	waitFor(t, func() bool {
-		for _, ev := range receiver.snapshot() {
-			if r, ok := ev.(smr.Recv); ok {
-				m, ok := r.Msg.(testMsg)
-				return ok && r.From == 0 && m.payload == "ping"
-			}
-		}
-		return false
-	}, "relayed message")
-}
-
-func TestLiveRuntimeTimerFiresAndCancels(t *testing.T) {
-	rt := smr.NewLiveRuntime()
-	p := &probe{}
-	var cancelled smr.TimerID
-	p.onStep = func(env smr.Env, ev smr.Event) {
-		if _, ok := ev.(smr.Start); ok {
-			env.SetTimer(5*time.Millisecond, "fires")
-			cancelled = env.SetTimer(10*time.Millisecond, "cancelled")
-			env.CancelTimer(cancelled)
-		}
-	}
-	rt.AddNode(0, p)
-	rt.Start()
-	defer rt.Stop()
-	waitFor(t, func() bool {
-		for _, ev := range p.snapshot() {
-			if tf, ok := ev.(smr.TimerFired); ok && tf.Kind == "fires" {
-				return true
-			}
-		}
-		return false
-	}, "timer to fire")
-	// Give the cancelled timer's deadline time to pass, then check it
-	// never fired.
-	time.Sleep(30 * time.Millisecond)
-	for _, ev := range p.snapshot() {
-		if tf, ok := ev.(smr.TimerFired); ok && tf.ID == cancelled {
-			t.Fatal("cancelled timer fired")
-		}
-	}
-}
-
-func TestLiveRuntimeAddNodeAfterStart(t *testing.T) {
-	rt := smr.NewLiveRuntime()
-	first := &probe{}
-	rt.AddNode(0, first)
-	rt.Start()
-	defer rt.Stop()
-	// Late-added nodes (the xft package attaches clients this way) must
-	// be initialized and reachable immediately.
-	late := &probe{}
-	rt.AddNode(1, late)
-	waitFor(t, func() bool {
-		evs := late.snapshot()
-		return len(evs) > 0
-	}, "late node to start")
-	if _, ok := late.snapshot()[0].(smr.Start); !ok {
-		t.Errorf("late node's first event = %T, want smr.Start", late.snapshot()[0])
-	}
-	rt.Submit(1, smr.Invoke{Op: []byte("x")})
-	waitFor(t, func() bool { return len(late.snapshot()) >= 2 }, "late node to receive")
-}
-
-func TestLiveRuntimeStopTerminates(t *testing.T) {
-	rt := smr.NewLiveRuntime()
-	rt.AddNode(0, &probe{})
-	rt.AddNode(1, &probe{})
-	rt.Start()
-	done := make(chan struct{})
-	go func() {
-		rt.Stop()
-		close(done)
-	}()
-	select {
-	case <-done:
-	case <-time.After(5 * time.Second):
-		t.Fatal("Stop did not terminate the runtime")
-	}
-	// Submitting to a stopped runtime must not panic.
-	rt.Submit(0, smr.Invoke{Op: []byte("late")})
-}
-
-func TestLiveRuntimeSubmitUnknownNode(t *testing.T) {
-	rt := smr.NewLiveRuntime()
-	rt.Start()
-	defer rt.Stop()
-	rt.Submit(42, smr.Invoke{Op: []byte("x")}) // must be a silent no-op
-}
-
-func TestLiveRuntimeNowAdvances(t *testing.T) {
-	rt := smr.NewLiveRuntime()
-	p := &probe{}
-	var first time.Duration
-	got := make(chan time.Duration, 1)
-	p.onStep = func(env smr.Env, ev smr.Event) {
-		switch ev.(type) {
-		case smr.Start:
-			first = env.Now()
-		case smr.Invoke:
-			got <- env.Now() - first
-		}
-	}
-	rt.AddNode(0, p)
-	rt.Start()
-	defer rt.Stop()
-	time.Sleep(10 * time.Millisecond)
-	rt.Submit(0, smr.Invoke{Op: []byte("x")})
-	select {
-	case d := <-got:
-		if d <= 0 {
-			t.Errorf("Now did not advance: delta %v", d)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("no invoke step")
 	}
 }

@@ -2,10 +2,10 @@ package smr
 
 import "time"
 
-// TimerSet implements the Env timer contract shared by the runtimes
-// (the live goroutine runtime and the TCP transport): AfterFunc-backed
-// timers with tombstones for timers cancelled between firing and
-// delivery. Both maps stay bounded by the number of in-flight timers —
+// TimerSet implements the Env timer contract for a runtime on real
+// timers (the TCP transport): AfterFunc-backed timers with tombstones
+// for timers cancelled between firing and delivery. Both maps stay
+// bounded by the number of in-flight timers —
 // the bug class this type exists to fix once is CancelTimer on an
 // already-delivered timer leaving a permanent tombstone.
 //

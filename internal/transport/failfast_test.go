@@ -224,7 +224,16 @@ func TestHealthEventsAlternateUnderChurn(t *testing.T) {
 		time.Sleep(time.Duration(3+29*round%70) * time.Millisecond)
 	}
 	b = startNode(t, 1, &sinkNode{}, peers[1], peers)
-	waitFor(t, func() bool { return a.Stats().Peers[1].Up }, "peer up at the end")
+	// The record turns up before its PeerUp reaches the loop, so wait for
+	// the event too: a wrong final event still times out here.
+	waitFor(t, func() bool {
+		evs := hl.snapshot()
+		if len(evs) == 0 {
+			return false
+		}
+		_, up := evs[len(evs)-1].(smr.PeerUp)
+		return a.Stats().Peers[1].Up && up
+	}, "peer up at the end, in the record and in the last event")
 	a.Stop() // no further events
 
 	evs := hl.snapshot()

@@ -1,12 +1,12 @@
 // Package transport runs a single protocol node over real TCP — the
-// deployment mode behind cmd/xft-server and cmd/xft-client. Messages
-// travel as length-prefixed frames (frame.go) whose payload is a fixed
-// header (sender id) followed by a wire codec's tag+body encoding —
-// no gob, no type descriptors, no reflection on the hot path. The
-// codec is resolved by name from the protocol-agnostic registry
-// (internal/wire): WithCodec selects the hosted protocol's codec, and
-// the default is XPaxos. The transport itself knows nothing about any
-// protocol's message types.
+// live runtime behind every deployed process, whose nodes
+// internal/deploy assembles. Messages travel as length-prefixed frames
+// (frame.go) whose payload is a fixed header (sender id) followed by a
+// wire codec's tag+body encoding — no gob, no type descriptors, no
+// reflection on the hot path. The codec is resolved by name from the
+// protocol-agnostic registry (internal/wire): WithCodec selects the
+// hosted protocol's codec, and the default is XPaxos. The transport
+// itself knows nothing about any protocol's message types.
 //
 // Each peer has a dedicated writer goroutine fed by a bounded
 // drop-oldest send queue (sendq.go): Send never dials and never blocks,
@@ -38,6 +38,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"maps"
 	"net"
 	"strings"
 	"sync"
@@ -378,6 +379,19 @@ func NewNode(id smr.NodeID, node smr.Node, listenAddr string, peers map[smr.Node
 
 // Addr returns the bound listen address.
 func (n *Node) Addr() string { return n.ln.Addr().String() }
+
+// AddPeer makes id reachable at addr: a node that joined after this one
+// was built, such as a client of a running cluster. The peer map is
+// copied, never written, so a map the caller shared at NewNode stays
+// the caller's.
+func (n *Node) AddPeer(id smr.NodeID, addr string) {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	peers := make(map[smr.NodeID]string, len(n.peers)+1)
+	maps.Copy(peers, n.peers)
+	peers[id] = addr
+	n.peers = peers
+}
 
 // Run starts the accept loop, the keepalive prober (when enabled) and
 // the node's event loop; it blocks until Stop.
@@ -903,7 +917,10 @@ func (n *Node) probeLoop() {
 		case <-tick.C:
 		case <-n.probeKick:
 		}
-		for id := range n.peers {
+		n.mu.Lock()
+		peers := n.peers
+		n.mu.Unlock()
+		for id := range peers {
 			if !n.probes(id) {
 				continue
 			}

@@ -232,6 +232,32 @@ func TestNodeSendToUnknownPeerDrops(t *testing.T) {
 	a.Send(99, testMsg(1)) // no address: must not panic or block
 }
 
+// TestNodeAddPeer: a running node learns a peer built after it — the
+// way a client joins a running cluster — while its probe loop walks the
+// peer map. The map given to NewNode is shared with the caller and must
+// stay as it was.
+func TestNodeAddPeer(t *testing.T) {
+	sa, sb := &sinkNode{}, &sinkNode{}
+	probe := WithKeepalive(10*time.Millisecond, time.Second)
+	shared := map[smr.NodeID]string{}
+	a, err := NewNode(0, sa, "127.0.0.1:0", shared, probe)
+	if err != nil {
+		t.Fatal(err)
+	}
+	shared[0] = a.Addr()
+	go a.Run()
+	t.Cleanup(a.Stop)
+	b := startNode(t, 1, sb, "127.0.0.1:0", nil, probe)
+
+	a.AddPeer(1, b.Addr())
+	a.Send(1, testMsg(1))
+	waitFor(t, func() bool { return sb.count() == 1 }, "a's send at b")
+	waitPonged(t, a, 1) // the probe loop found b too
+	if len(shared) != 1 || shared[0] != a.Addr() {
+		t.Errorf("AddPeer wrote the shared peer map: %v", shared)
+	}
+}
+
 func TestNodeTeardownWithInflight(t *testing.T) {
 	a, b, _, sb := newPair(t)
 	// Blast messages from a background goroutine while tearing both

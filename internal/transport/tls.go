@@ -243,25 +243,6 @@ func WriteCertFiles(suite *crypto.Ed25519Suite, ids []smr.NodeID, dir string) er
 	return nil
 }
 
-// ResolveTLS resolves the channel-security flag triad shared by the
-// cmd tools: explicit PEM files win, insecure selects plaintext (nil),
-// and the default derives the cluster's mutual-TLS material from the
-// suite's deterministic seed — zero-config within a shared-seed
-// deployment.
-func ResolveTLS(suite *crypto.Ed25519Suite, id smr.NodeID, insecure bool, certFile, keyFile, caFile string) (*TLS, error) {
-	switch {
-	case certFile != "" || keyFile != "" || caFile != "":
-		if certFile == "" || keyFile == "" || caFile == "" {
-			return nil, fmt.Errorf("transport: -tls-cert, -tls-key and -tls-ca must be given together")
-		}
-		return LoadTLS(certFile, keyFile, caFile)
-	case insecure:
-		return nil, nil
-	default:
-		return AutoTLS(suite, id)
-	}
-}
-
 // serverConfig is the listener-side TLS configuration: present our
 // certificate, require and verify a peer certificate against the
 // cluster CA.

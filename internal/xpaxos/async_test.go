@@ -7,6 +7,7 @@ import (
 	"github.com/xft-consensus/xft/internal/apps/kv"
 	"github.com/xft-consensus/xft/internal/crypto"
 	"github.com/xft-consensus/xft/internal/smr"
+	"github.com/xft-consensus/xft/internal/transport"
 )
 
 // asyncEnv is a stubEnv whose Defer parks completions until the test
@@ -296,6 +297,35 @@ func (s slowVerifySuite) Verify(id crypto.NodeID, data []byte, sig crypto.Signat
 	return s.Suite.Verify(id, data, sig)
 }
 
+// loopback runs nodes on plaintext loopback transport.Nodes that know
+// each other's addresses; cleanup stops them and waits for their Run.
+func loopback(t *testing.T, nodes map[smr.NodeID]smr.Node) map[smr.NodeID]*transport.Node {
+	t.Helper()
+	peers := map[smr.NodeID]string{}
+	live := make(map[smr.NodeID]*transport.Node, len(nodes))
+	for id, nd := range nodes {
+		n, err := transport.NewNode(id, nd, "127.0.0.1:0", peers)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(n.Stop)
+		peers[id] = n.Addr()
+		live[id] = n
+	}
+	for _, n := range live {
+		ran := make(chan struct{})
+		go func() {
+			n.Run()
+			close(ran)
+		}()
+		t.Cleanup(func() {
+			n.Stop()
+			<-ran
+		})
+	}
+	return live
+}
+
 // TestSlowVerifyDoesNotStallEventLoop is the live-runtime regression
 // for the tentpole property: with verification artificially slowed to
 // 300 ms per signature, the primary's event loop must keep admitting
@@ -306,7 +336,6 @@ func (s slowVerifySuite) Verify(id crypto.NodeID, data []byte, sig crypto.Signat
 func TestSlowVerifyDoesNotStallEventLoop(t *testing.T) {
 	base := crypto.NewSimSuite(7)
 	slow := slowVerifySuite{Suite: base, delay: 300 * time.Millisecond}
-	rt := smr.NewLiveRuntime()
 	cfg := Config{
 		N: 3, T: 1, Suite: slow,
 		BatchSize:    2,
@@ -314,20 +343,20 @@ func TestSlowVerifyDoesNotStallEventLoop(t *testing.T) {
 		Delta:        10 * time.Second, // keep protocol timers out of the way
 	}
 	var replicas []*Replica
+	nodes := map[smr.NodeID]smr.Node{}
 	for i := 0; i < 3; i++ {
 		r := NewReplica(smr.NodeID(i), cfg, kv.NewStore())
 		replicas = append(replicas, r)
-		rt.AddNode(smr.NodeID(i), r)
+		nodes[smr.NodeID(i)] = r
 	}
-	rt.Start()
-	defer rt.Stop()
+	live := loopback(t, nodes)
 
 	// Three requests: the first two dispatch immediately (pipeline
 	// hungry), the third is a held partial batch that only the batch
 	// timer can flush — which requires a live event loop.
 	for ts := uint64(1); ts <= 3; ts++ {
 		req := signedReq(base, smr.ClientIDBase+smr.NodeID(ts), ts, kv.PutOp("k", []byte("v")))
-		rt.Submit(0, smr.Recv{From: req.Client, Msg: &MsgReplicate{Req: req}})
+		live[0].Submit(smr.Recv{From: req.Client, Msg: &MsgReplicate{Req: req}})
 	}
 	time.Sleep(150 * time.Millisecond) // well inside the first verification's 300 ms
 	st := replicas[0].IntakeStats()

@@ -395,16 +395,16 @@ func TestShedRequestLeavesNoMarker(t *testing.T) {
 	}
 }
 
-// TestForgedBlastLive runs the hardened intake end to end on the live
-// runtime with real Ed25519 signatures: a flooder blasts forged
+// TestForgedBlastLive runs the hardened intake end to end on loopback
+// transport.Nodes with real Ed25519 signatures: a flooder blasts forged
 // requests at the follower and primary while an honest client makes
 // progress. Run under -race this exercises the concurrent stats reads
 // and the pooled batch-verification path.
 func TestForgedBlastLive(t *testing.T) {
 	n := 3
 	suite := crypto.NewEd25519Suite(n+1024, 7) // covers smr.ClientIDBase ids
-	rt := smr.NewLiveRuntime()
 	replicas := make([]*Replica, n)
+	nodes := map[smr.NodeID]smr.Node{}
 	for i := 0; i < n; i++ {
 		cfg := Config{
 			N: n, T: 1, Suite: crypto.NewMeter(suite),
@@ -412,7 +412,7 @@ func TestForgedBlastLive(t *testing.T) {
 			BatchTimeout: time.Millisecond, IntakeQueueCap: 16,
 		}
 		replicas[i] = NewReplica(smr.NodeID(i), cfg, kv.NewStore())
-		rt.AddNode(smr.NodeID(i), replicas[i])
+		nodes[smr.NodeID(i)] = replicas[i]
 	}
 	clientID := smr.ClientIDBase
 	committed := make(chan struct{}, 64)
@@ -426,9 +426,8 @@ func TestForgedBlastLive(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewClient: %v", err)
 	}
-	rt.AddNode(clientID, cl)
-	rt.Start()
-	defer rt.Stop()
+	nodes[clientID] = cl
+	live := loopback(t, nodes)
 
 	// Flood forged requests (garbage signatures under real client ids)
 	// at both the primary and the follower from a hostile goroutine.
@@ -442,8 +441,8 @@ func TestForgedBlastLive(t *testing.T) {
 	// traffic even if the honest client races through its ops quickly.
 	for i := 0; i < 40; i++ {
 		from, msg := forge(i)
-		rt.Submit(0, smr.Recv{From: from, Msg: msg})
-		rt.Submit(1, smr.Recv{From: from, Msg: msg})
+		live[0].Submit(smr.Recv{From: from, Msg: msg})
+		live[1].Submit(smr.Recv{From: from, Msg: msg})
 	}
 	// The continuing blast is paced: the admission bounds protect
 	// memory, not CPU — an unthrottled local generator can always
@@ -465,8 +464,8 @@ func TestForgedBlastLive(t *testing.T) {
 			}
 			for burst := 0; burst < 4; burst++ {
 				from, msg := forge(i)
-				rt.Submit(0, smr.Recv{From: from, Msg: msg})
-				rt.Submit(1, smr.Recv{From: from, Msg: msg})
+				live[0].Submit(smr.Recv{From: from, Msg: msg})
+				live[1].Submit(smr.Recv{From: from, Msg: msg})
 				i++
 			}
 		}
@@ -477,7 +476,7 @@ func TestForgedBlastLive(t *testing.T) {
 	go func() {
 		defer close(done)
 		for i := 0; i < 10; i++ {
-			rt.Submit(clientID, smr.Invoke{Op: kv.PutOp("k", []byte(fmt.Sprintf("v%d", i)))})
+			live[clientID].Submit(smr.Invoke{Op: kv.PutOp("k", []byte(fmt.Sprintf("v%d", i)))})
 			select {
 			case <-committed:
 			case <-time.After(10 * time.Second):

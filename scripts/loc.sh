@@ -10,9 +10,10 @@
 #
 #   - the four baseline protocols, the kit and table they share, and the
 #     bench harness. 6,534 lines before they were collapsed onto
-#     internal/baseline, 4,874 after; CEILING is the count reached when
-#     their codecs became one field list per wire type and the
-#     pbft/zyzzyva view change moved into the kit.
+#     internal/baseline, 4,874 after, 4,376 when their codecs became one
+#     field list per wire type and the pbft/zyzzyva view change moved
+#     into the kit; CEILING is the count reached when the TLS experiment
+#     began building its nodes through internal/deploy.
 #   - internal/xpaxos. 6,084 lines before the replica's per-sequence
 #     maps became one sequence log, 6,067 after, 5,572 when codec.go
 #     became field lists, 5,517 when the per-view maps became one view
@@ -20,8 +21,10 @@
 #     per-request maps became one session table. ROADMAP's -15 % target
 #     for the package is 5,171.
 #   - the printed total outside benchmark/ (21,727 before the view log,
-#     21,534 after), so a package outside the two sets cannot absorb
-#     what they shed.
+#     21,534 after, 21,527 after the session table; TOTAL_CEILING is the
+#     count reached when every live node came to be built through
+#     internal/deploy and smr.LiveRuntime was deleted), so a package
+#     outside the two sets cannot absorb what they shed.
 #
 # A ceiling is lowered by the PR that shrinks its set: run this script,
 # set the constant to the count it prints, and say so in CHANGES.md.
@@ -30,9 +33,9 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 RATCHETED="internal/baseline internal/protocols internal/paxos internal/pbft internal/zab internal/zyzzyva internal/bench"
-CEILING=4376
+CEILING=4356
 XPAXOS_CEILING=5514
-TOTAL_CEILING=21527
+TOTAL_CEILING=21443
 
 count() { find "$1" -maxdepth 1 -name '*.go' ! -name '*_test.go' -print0 | xargs -0 -r cat | wc -l; }
 

@@ -25,18 +25,23 @@
 // process-wide worker pool. Set PipelineWindow to 1 for the classic
 // lock-step behavior.
 //
-// The same protocol code also runs under the deterministic WAN
-// simulator used by the test-suite and the paper-reproduction
-// experiments; see internal/bench and cmd/xft-bench.
+// The cluster runs over loopback TCP with mutual TLS and keepalive
+// probing, each replica and client assembled exactly as the
+// cmd/xft-server and cmd/xft-client processes assemble theirs. The same
+// protocol code also runs under the deterministic WAN simulator used by
+// the test-suite and the paper-reproduction experiments; see
+// internal/bench and cmd/xft-bench.
 package xft
 
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
 	"github.com/xft-consensus/xft/internal/crypto"
+	"github.com/xft-consensus/xft/internal/deploy"
 	"github.com/xft-consensus/xft/internal/smr"
 	"github.com/xft-consensus/xft/internal/xpaxos"
 )
@@ -51,7 +56,7 @@ type NodeID = smr.NodeID
 // View numbers XPaxos configurations.
 type View = smr.View
 
-// Options configures an in-process XPaxos cluster.
+// Options configures an XPaxos cluster in this process.
 type Options struct {
 	// T is the fault threshold; the cluster runs 2T+1 replicas.
 	T int
@@ -77,15 +82,19 @@ type Options struct {
 	OnFaultDetected func(replica NodeID, culprit NodeID, kind string)
 }
 
-// Cluster is a running in-process XPaxos deployment.
+// Cluster is a running XPaxos deployment in this process: every replica
+// and client is a node on its own loopback TCP endpoint, assembled as
+// cmd/xft-server and cmd/xft-client assemble theirs — mutual TLS and
+// keepalive probing on.
 type Cluster struct {
-	opts     Options
-	rt       *smr.LiveRuntime
-	suite    crypto.Suite
-	n, t     int
+	opts Options
+	keys *crypto.Ed25519Suite
+	// peers holds the replicas' addresses. It is complete before any
+	// replica runs and never written afterwards; every node shares it.
+	peers    map[smr.NodeID]string
 	mu       sync.Mutex
-	clients  int
-	replicas []*xpaxos.Replica
+	replicas []*deploy.Host
+	clients  []*deploy.Host
 	stopped  bool
 }
 
@@ -103,20 +112,14 @@ func NewCluster(opts Options) (*Cluster, error) {
 	if opts.Seed == 0 {
 		opts.Seed = 1
 	}
-	n := 2*opts.T + 1
-	c := &Cluster{opts: opts, n: n, t: opts.T}
-	c.suite = crypto.NewEd25519Suite(n+1024, opts.Seed)
-	c.rt = smr.NewLiveRuntime()
-	for i := 0; i < n; i++ {
+	c := &Cluster{opts: opts, keys: deploy.Keys(opts.T, opts.Seed), peers: map[smr.NodeID]string{}}
+	for i := 0; i < c.N(); i++ {
 		id := smr.NodeID(i)
 		cfg := xpaxos.Config{
-			N: n, T: opts.T,
-			Suite:              crypto.NewMeter(c.suite),
-			Delta:              opts.Delta,
-			BatchSize:          opts.BatchSize,
-			PipelineWindow:     opts.PipelineWindow,
-			CheckpointInterval: 256,
-			EnableFD:           opts.EnableFD,
+			Delta:          opts.Delta,
+			BatchSize:      opts.BatchSize,
+			PipelineWindow: opts.PipelineWindow,
+			EnableFD:       opts.EnableFD,
 		}
 		if opts.OnViewChange != nil {
 			cb := opts.OnViewChange
@@ -126,38 +129,56 @@ func NewCluster(opts Options) (*Cluster, error) {
 			cb := opts.OnFaultDetected
 			cfg.OnFaultDetected = func(culprit smr.NodeID, kind string, sn smr.SeqNum) { cb(id, culprit, kind) }
 		}
-		r := xpaxos.NewReplica(id, cfg, opts.NewApp())
-		c.replicas = append(c.replicas, r)
-		c.rt.AddNode(id, r)
+		_, h, err := c.spec(id).Replica(cfg, opts.NewApp())
+		if err != nil {
+			c.Stop()
+			return nil, err
+		}
+		c.peers[id] = h.Addr()
+		c.replicas = append(c.replicas, h)
 	}
-	c.rt.Start()
+	for _, h := range c.replicas {
+		h.Start()
+	}
 	return c, nil
 }
 
-// Stop shuts the cluster down.
+// spec is node id's deployment: a loopback port, the shared keys and
+// replica addresses, and the server defaults.
+func (c *Cluster) spec(id smr.NodeID) deploy.Spec {
+	return deploy.Spec{
+		ID: id, T: c.opts.T, Keys: c.keys,
+		Listen: "127.0.0.1:0", Peers: c.peers,
+		ProbeInterval: deploy.DefaultProbeInterval,
+	}
+}
+
+// Stop shuts the cluster down and returns once every node has stopped.
 func (c *Cluster) Stop() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if !c.stopped {
 		c.stopped = true
-		c.rt.Stop()
+		for _, h := range slices.Concat(c.clients, c.replicas) {
+			h.Stop()
+		}
 	}
 }
 
 // N returns the number of replicas.
-func (c *Cluster) N() int { return c.n }
+func (c *Cluster) N() int { return 2*c.opts.T + 1 }
 
 // T returns the fault threshold.
-func (c *Cluster) T() int { return c.t }
+func (c *Cluster) T() int { return c.opts.T }
 
 // Client submits operations to the cluster. Safe for use from one
 // goroutine at a time (requests are issued closed-loop, as in the
 // paper's benchmarks).
 type Client struct {
-	cluster *Cluster
-	id      smr.NodeID
-	mu      sync.Mutex
-	done    chan result
+	host *deploy.Host
+	err  error // why the client could not start; then host is nil
+	mu   sync.Mutex
+	done chan result
 }
 
 type result struct {
@@ -165,54 +186,52 @@ type result struct {
 	lat time.Duration
 }
 
-// NewClient registers a new client with the cluster.
-//
-// Clients added after Start join the live runtime dynamically; the
-// runtime supports that because node registration only races with
-// message delivery, which is lock-protected.
+// NewClient starts a new client node and registers its address with
+// every replica, which can then reply to it. A client that could not
+// start returns the reason from every Invoke. NewClient panics on a
+// stopped cluster.
 func (c *Cluster) NewClient() *Client {
 	c.mu.Lock()
-	idx := c.clients
-	c.clients++
-	c.mu.Unlock()
-	id := smr.ClientIDBase + smr.NodeID(idx)
-	cl := &Client{cluster: c, id: id, done: make(chan result, 1)}
-	xc, err := xpaxos.NewClient(id, xpaxos.ClientConfig{
-		N: c.n, T: c.t,
-		Suite:          crypto.NewMeter(c.suite),
+	defer c.mu.Unlock()
+	if c.stopped {
+		panic("xft: NewClient on a stopped Cluster")
+	}
+	id := smr.ClientIDBase + smr.NodeID(len(c.clients))
+	cl := &Client{done: make(chan result, 1)}
+	_, h, err := c.spec(id).Client(xpaxos.ClientConfig{
 		RequestTimeout: 4 * c.opts.Delta,
 		OnCommit: func(op, rep []byte, lat time.Duration) {
 			cl.done <- result{rep: rep, lat: lat}
 		},
 	})
 	if err != nil {
-		// Unreachable: the only rejected field (Window) is left at its
-		// closed-loop default here.
-		panic(err)
+		cl.err = fmt.Errorf("xft: NewClient: %w", err)
+		return cl
 	}
-	c.rt.AddNode(id, xc) // the runtime is started, so the client launches now
+	for _, r := range c.replicas {
+		r.AddPeer(id, h.Addr())
+	}
+	h.Start()
+	c.clients = append(c.clients, h)
+	cl.host = h
 	return cl
 }
 
 // Invoke submits op and blocks until it commits, returning the reply.
 func (cl *Client) Invoke(op []byte) ([]byte, error) {
-	cl.mu.Lock()
-	defer cl.mu.Unlock()
-	cl.cluster.rt.SubmitWait(cl.id, smr.Invoke{Op: op})
-	select {
-	case r := <-cl.done:
-		return r.rep, nil
-	case <-time.After(2 * time.Minute):
-		return nil, fmt.Errorf("xft: request timed out")
-	}
+	rep, _, err := cl.InvokeTimed(op)
+	return rep, err
 }
 
 // InvokeTimed is Invoke plus the commit latency.
 func (cl *Client) InvokeTimed(op []byte) ([]byte, time.Duration, error) {
+	if cl.err != nil {
+		return nil, 0, cl.err
+	}
 	cl.mu.Lock()
 	defer cl.mu.Unlock()
 	start := time.Now()
-	cl.cluster.rt.SubmitWait(cl.id, smr.Invoke{Op: op})
+	cl.host.Submit(smr.Invoke{Op: op})
 	select {
 	case r := <-cl.done:
 		return r.rep, r.lat, nil
