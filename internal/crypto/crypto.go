@@ -6,9 +6,10 @@
 // Two suites are provided:
 //
 //   - Ed25519Suite: real public-key cryptography from the Go standard
-//     library (crypto/ed25519, crypto/hmac, crypto/sha256). Used by the
-//     live runtime, the TCP deployment and correctness tests that must
-//     exercise genuine signature verification failures.
+//     library (crypto/ed25519, crypto/hmac, crypto/sha256), with every
+//     key derived from a seed the first time it is used. Used by the
+//     TCP deployment and correctness tests that must exercise genuine
+//     signature verification failures.
 //
 //   - SimSuite: a fast, deterministic suite for large discrete-event
 //     simulations. Signatures are keyed SHA-256 digests over a per-node
@@ -75,9 +76,10 @@ func HashParts(parts ...[]byte) Digest {
 //
 // Sign/Verify model per-node public-key signatures (the paper's
 // RSA-1024); MAC/VerifyMAC model pairwise symmetric authenticators
-// (the paper's HMAC-SHA1). A Suite instance holds keys for the whole
-// deployment; node identity is passed explicitly so a single Suite can
-// serve a simulated cluster.
+// (the paper's HMAC-SHA1). A Suite instance answers for every node of
+// the deployment, deriving each key from its seed when first needed;
+// node identity is passed explicitly so a single Suite can serve a
+// simulated cluster.
 type Suite interface {
 	// Sign signs data with the private key of node id.
 	Sign(id NodeID, data []byte) Signature
@@ -99,43 +101,27 @@ type Suite interface {
 // ---------------------------------------------------------------------------
 
 // Ed25519Suite implements Suite with real Ed25519 signatures and
-// HMAC-SHA256 MACs. Keys are generated deterministically from a seed
-// so that tests are reproducible.
+// HMAC-SHA256 MACs. Every key of ids 0..n-1 is derived from the seed
+// the first time it is used, so a process pays only for the ids it
+// meets, and anyone holding the seed can derive all of them.
 type Ed25519Suite struct {
-	priv map[NodeID]ed25519.PrivateKey
-	pub  map[NodeID]ed25519.PublicKey
-	mac  map[[2]NodeID][]byte
-	// parsed caches decompressed public-key points (NodeID ->
-	// *ed25519x.PublicKey) for batch verification: the key universe is
-	// fixed, so each key pays its curve-point decompression once per
-	// process instead of once per signature.
-	parsed sync.Map
+	n    int
+	seed int64
+	// keys maps NodeID -> *nodeKey for the ids used so far.
+	keys sync.Map
 }
 
-// NewEd25519Suite creates keys for node ids 0..n-1 (replicas and
-// clients share one id space). The seed makes key generation
-// deterministic.
+// nodeKey is one id's private key and its decompressed public point,
+// which every verification of the id's signatures reuses.
+type nodeKey struct {
+	priv ed25519.PrivateKey
+	pub  *ed25519x.PublicKey
+}
+
+// NewEd25519Suite returns a suite for node ids 0..n-1 (replicas and
+// clients share one id space) whose keys derive from seed.
 func NewEd25519Suite(n int, seed int64) *Ed25519Suite {
-	s := &Ed25519Suite{
-		priv: make(map[NodeID]ed25519.PrivateKey, n),
-		pub:  make(map[NodeID]ed25519.PublicKey, n),
-		mac:  make(map[[2]NodeID][]byte),
-	}
-	for i := 0; i < n; i++ {
-		var keySeed [ed25519.SeedSize]byte
-		binary.LittleEndian.PutUint64(keySeed[0:8], uint64(seed))
-		binary.LittleEndian.PutUint64(keySeed[8:16], uint64(i)+1)
-		priv := ed25519.NewKeyFromSeed(keySeed[:])
-		s.priv[NodeID(i)] = priv
-		s.pub[NodeID(i)] = priv.Public().(ed25519.PublicKey)
-	}
-	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			key := HashParts([]byte("mac-key"), u64(uint64(seed)), u64(uint64(min(i, j))), u64(uint64(max(i, j))))
-			s.mac[[2]NodeID{NodeID(i), NodeID(j)}] = key[:]
-		}
-	}
-	return s
+	return &Ed25519Suite{n: n, seed: seed}
 }
 
 func u64(v uint64) []byte {
@@ -144,13 +130,36 @@ func u64(v uint64) []byte {
 	return b[:]
 }
 
+func (s *Ed25519Suite) has(id NodeID) bool { return id >= 0 && int(id) < s.n }
+
+// key returns id's keys, deriving them on first use, or nil if id is
+// outside 0..n-1.
+func (s *Ed25519Suite) key(id NodeID) *nodeKey {
+	if !s.has(id) {
+		return nil
+	}
+	if k, ok := s.keys.Load(id); ok {
+		return k.(*nodeKey)
+	}
+	var keySeed [ed25519.SeedSize]byte
+	binary.LittleEndian.PutUint64(keySeed[0:8], uint64(s.seed))
+	binary.LittleEndian.PutUint64(keySeed[8:16], uint64(id)+1)
+	priv := ed25519.NewKeyFromSeed(keySeed[:])
+	pub, err := ed25519x.ParsePublicKey(priv.Public().(ed25519.PublicKey))
+	if err != nil {
+		panic(fmt.Sprintf("crypto: public key of node %d does not decode: %v", id, err))
+	}
+	k, _ := s.keys.LoadOrStore(id, &nodeKey{priv: priv, pub: pub})
+	return k.(*nodeKey)
+}
+
 // Sign implements Suite.
 func (s *Ed25519Suite) Sign(id NodeID, data []byte) Signature {
-	priv, ok := s.priv[id]
-	if !ok {
+	k := s.key(id)
+	if k == nil {
 		panic(fmt.Sprintf("crypto: no private key for node %d", id))
 	}
-	return Signature(ed25519.Sign(priv, data))
+	return Signature(ed25519.Sign(k.priv, data))
 }
 
 // Verify implements Suite. Verification is cofactored (see
@@ -163,33 +172,25 @@ func (s *Ed25519Suite) Sign(id NodeID, data []byte) Signature {
 // about message validity — a view-change-churn vector. For honestly
 // generated signatures the verdict coincides with crypto/ed25519.
 func (s *Ed25519Suite) Verify(id NodeID, data []byte, sig Signature) bool {
-	k := s.parsedKey(id)
-	if k == nil {
-		return false
-	}
-	return ed25519x.Verify(k, data, sig)
+	k := s.key(id)
+	return k != nil && ed25519x.Verify(k.pub, data, sig)
 }
 
-// MAC implements Suite.
+// MAC implements Suite. The channel key is the digest of the seed and
+// the unordered pair, computed per call.
 func (s *Ed25519Suite) MAC(from, to NodeID, data []byte) MAC {
-	key := s.mac[[2]NodeID{from, to}]
-	if key == nil {
+	if !s.has(from) || !s.has(to) {
 		panic(fmt.Sprintf("crypto: no MAC key for %d->%d", from, to))
 	}
-	h := hmac.New(sha256.New, key)
+	key := HashParts([]byte("mac-key"), u64(uint64(s.seed)), u64(uint64(min(from, to))), u64(uint64(max(from, to))))
+	h := hmac.New(sha256.New, key[:])
 	h.Write(data)
 	return h.Sum(nil)
 }
 
 // VerifyMAC implements Suite.
 func (s *Ed25519Suite) VerifyMAC(from, to NodeID, data []byte, mac MAC) bool {
-	key := s.mac[[2]NodeID{from, to}]
-	if key == nil {
-		return false
-	}
-	h := hmac.New(sha256.New, key)
-	h.Write(data)
-	return hmac.Equal(h.Sum(nil), mac)
+	return s.has(from) && s.has(to) && hmac.Equal(s.MAC(from, to, data), mac)
 }
 
 // SignatureSize implements Suite.
@@ -198,37 +199,27 @@ func (s *Ed25519Suite) SignatureSize() int { return ed25519.SignatureSize }
 // MACSize implements Suite.
 func (s *Ed25519Suite) MACSize() int { return sha256.Size }
 
-// parsedKey returns the cached decompressed point for id's public key,
-// or nil if id has no key.
-func (s *Ed25519Suite) parsedKey(id NodeID) *ed25519x.PublicKey {
-	if k, ok := s.parsed.Load(id); ok {
-		return k.(*ed25519x.PublicKey)
-	}
-	pub, ok := s.pub[id]
-	if !ok {
-		return nil
-	}
-	k, err := ed25519x.ParsePublicKey(pub)
-	if err != nil {
-		// Keys generated by NewEd25519Suite always decompress; a
-		// failure here means the key map was corrupted.
-		panic(fmt.Sprintf("crypto: public key of node %d does not decode: %v", id, err))
-	}
-	actual, _ := s.parsed.LoadOrStore(id, k)
-	return actual.(*ed25519x.PublicKey)
-}
-
 // PublicKey returns node id's raw Ed25519 public key (nil if id has
 // none). Exposed for benchmarks and external verifiers that need the
 // standard-library representation.
-func (s *Ed25519Suite) PublicKey(id NodeID) ed25519.PublicKey { return s.pub[id] }
+func (s *Ed25519Suite) PublicKey(id NodeID) ed25519.PublicKey {
+	if priv := s.PrivateKey(id); priv != nil {
+		return priv.Public().(ed25519.PublicKey)
+	}
+	return nil
+}
 
 // PrivateKey returns node id's Ed25519 private key (nil if id has
 // none). The suite's keys are seed-derived deployment material; the
 // TCP transport reuses them as TLS identity keys, so the channel
 // certificates and the protocol signatures attest the same identity
 // (see internal/transport's AutoTLS).
-func (s *Ed25519Suite) PrivateKey(id NodeID) ed25519.PrivateKey { return s.priv[id] }
+func (s *Ed25519Suite) PrivateKey(id NodeID) ed25519.PrivateKey {
+	if k := s.key(id); k != nil {
+		return k.priv
+	}
+	return nil
+}
 
 // SupportsBatchVerify implements BatchSuite.
 func (s *Ed25519Suite) SupportsBatchVerify() bool { return true }
@@ -246,9 +237,11 @@ func (s *Ed25519Suite) BatchVerify(jobs []VerifyJob) bool {
 	msgs := make([][]byte, len(jobs))
 	sigs := make([][]byte, len(jobs))
 	for i := range jobs {
-		if pubs[i] = s.parsedKey(jobs[i].ID); pubs[i] == nil {
+		k := s.key(jobs[i].ID)
+		if k == nil {
 			return false
 		}
+		pubs[i] = k.pub
 		msgs[i] = jobs[i].Data
 		sigs[i] = jobs[i].Sig
 	}

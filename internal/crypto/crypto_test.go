@@ -2,6 +2,8 @@ package crypto
 
 import (
 	"bytes"
+	"fmt"
+	"sync"
 	"testing"
 	"testing/quick"
 	"time"
@@ -130,6 +132,110 @@ func TestDeterministicKeyGeneration(t *testing.T) {
 	c := NewEd25519Suite(4, 8)
 	if bytes.Equal(a.Sign(2, msg), c.Sign(2, msg)) {
 		t.Fatalf("different seeds produced identical signatures")
+	}
+}
+
+func mustPanic(t *testing.T, what string, f func()) {
+	t.Helper()
+	defer func() {
+		if recover() == nil {
+			t.Errorf("%s did not panic", what)
+		}
+	}()
+	f()
+}
+
+// TestEd25519OutOfRangeIDs: an id outside 0..n-1, negative included,
+// has no keys whether or not the suite has derived any yet, and asking
+// about it derives nothing.
+func TestEd25519OutOfRangeIDs(t *testing.T) {
+	const n = 4
+	msg := []byte("out of range")
+	ref := NewEd25519Suite(n, 1)
+	sig, mac := ref.Sign(0, msg), ref.MAC(0, 1, msg)
+	warmed := NewEd25519Suite(n, 1)
+	for id := NodeID(0); id < n; id++ {
+		warmed.Sign(id, msg)
+	}
+	for name, s := range map[string]*Ed25519Suite{"fresh": NewEd25519Suite(n, 1), "warmed": warmed} {
+		t.Run(name, func(t *testing.T) {
+			for _, id := range []NodeID{-1, n, n + 5} {
+				mustPanic(t, fmt.Sprintf("Sign(%d)", id), func() { s.Sign(id, msg) })
+				mustPanic(t, fmt.Sprintf("MAC(%d, 0)", id), func() { s.MAC(id, 0, msg) })
+				mustPanic(t, fmt.Sprintf("MAC(0, %d)", id), func() { s.MAC(0, id, msg) })
+				if s.Verify(id, msg, sig) {
+					t.Errorf("Verify(%d) accepted node 0's signature", id)
+				}
+				if s.VerifyMAC(id, 1, msg, mac) || s.VerifyMAC(0, id, msg, mac) {
+					t.Errorf("VerifyMAC accepted the 0->1 MAC on a channel of %d", id)
+				}
+				if s.BatchVerify([]VerifyJob{{ID: 0, Data: msg, Sig: sig}, {ID: id, Data: msg, Sig: sig}}) {
+					t.Errorf("BatchVerify accepted a job naming %d", id)
+				}
+				if s.PublicKey(id) != nil || s.PrivateKey(id) != nil {
+					t.Errorf("id %d has a key", id)
+				}
+			}
+			s.keys.Range(func(k, _ any) bool {
+				if id := k.(NodeID); id < 0 || id >= n {
+					t.Errorf("keys were derived for id %d", id)
+				}
+				return true
+			})
+		})
+	}
+}
+
+// TestEd25519ConcurrentFirstUse: 16 goroutines touch the same fresh ids
+// at once, each through a different entry point first; every answer
+// must match a suite that derived the keys alone.
+func TestEd25519ConcurrentFirstUse(t *testing.T) {
+	const n, workers = 8, 16
+	msg := []byte("first use")
+	ref := NewEd25519Suite(n, 3)
+	peer := func(id NodeID) NodeID { return (id + 1) % n }
+	var sigs [n]Signature
+	var macs [n]MAC
+	for id := NodeID(0); id < n; id++ {
+		sigs[id], macs[id] = ref.Sign(id, msg), ref.MAC(id, peer(id), msg)
+	}
+	s := NewEd25519Suite(n, 3)
+	ops := []func(id NodeID) bool{
+		func(id NodeID) bool { return bytes.Equal(s.Sign(id, msg), sigs[id]) },
+		func(id NodeID) bool { return s.Verify(id, msg, sigs[id]) },
+		func(id NodeID) bool { return s.BatchVerify([]VerifyJob{{ID: id, Data: msg, Sig: sigs[id]}}) },
+		func(id NodeID) bool { return bytes.Equal(s.MAC(id, peer(id), msg), macs[id]) },
+		func(id NodeID) bool { return s.VerifyMAC(peer(id), id, msg, macs[id]) },
+		func(id NodeID) bool { return bytes.Equal(s.PrivateKey(id), ref.PrivateKey(id)) },
+	}
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			for id := NodeID(0); id < n; id++ {
+				for i := range ops {
+					if op := (w + i) % len(ops); !ops[op](id) {
+						t.Errorf("worker %d: op %d on node %d disagrees with the reference", w, op, id)
+					}
+				}
+			}
+		}()
+	}
+	close(start)
+	wg.Wait()
+}
+
+var suiteSink *Ed25519Suite
+
+// TestNewEd25519SuiteIsConstant guards against building keys up front:
+// a suite for a cluster plus 1024 client ids costs what an empty one
+// does.
+func TestNewEd25519SuiteIsConstant(t *testing.T) {
+	if a := testing.AllocsPerRun(10, func() { suiteSink = NewEd25519Suite(3+1024, 1) }); a > 2 {
+		t.Fatalf("NewEd25519Suite(3+1024, 1) makes %.0f allocations, want at most 2", a)
 	}
 }
 

@@ -29,11 +29,12 @@ const CheckpointInterval = 256
 // is not told otherwise; the silence timeout defaults to three of it.
 const DefaultProbeInterval = time.Second
 
-// Keys derives a cluster's key material from its shared seed: an
-// Ed25519 identity for every node id below 2t+1+1024, which covers the
-// 2t+1 replicas and the client ids from smr.ClientIDBase up to that
-// bound. Every node of the cluster must use the same seed; it is the
-// cluster secret.
+// Keys returns a cluster's key material, derived from its shared seed
+// on demand: an Ed25519 identity for every node id below 2t+1+1024,
+// which covers the 2t+1 replicas and the client ids from
+// smr.ClientIDBase up to that bound, each computed the first time the
+// node uses it. Every node of the cluster must use the same seed; it is
+// the cluster secret.
 func Keys(t int, seed int64) *crypto.Ed25519Suite {
 	return crypto.NewEd25519Suite(2*t+1+1024, seed)
 }

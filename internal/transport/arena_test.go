@@ -95,7 +95,7 @@ func commitOverTCP(t *testing.T, params protocols.Params, app func() smr.Applica
 
 func TestArenaAllProtocolsCommitOverTCP(t *testing.T) {
 	commitOverTCP(t, protocols.Params{
-		T: 1, Suite: testSuite(t),
+		T: 1, Suite: testSuite(),
 		Delta:          200 * time.Millisecond,
 		BatchTimeout:   2 * time.Millisecond,
 		RequestTimeout: 2 * time.Second,
@@ -110,7 +110,7 @@ func TestArenaAllProtocolsCommitOverTCP(t *testing.T) {
 // so only the first round of replies can commit the request.
 func TestArenaEmptyReplyCommitsOverTCP(t *testing.T) {
 	commitOverTCP(t, protocols.Params{
-		T: 2, Suite: testSuite(t),
+		T: 2, Suite: testSuite(),
 		Delta:          200 * time.Millisecond,
 		BatchTimeout:   2 * time.Millisecond,
 		RequestTimeout: time.Minute,

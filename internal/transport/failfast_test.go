@@ -111,7 +111,7 @@ func TestStoppedPeerIsReportedAtOnce(t *testing.T) {
 			optsFor := func(id smr.NodeID) []Option {
 				o := []Option{WithKeepalive(slowProbe, slowTimeout)}
 				if secure {
-					o = append(o, WithTLS(autoTLS(t, testSuite(t), id)))
+					o = append(o, WithTLS(autoTLS(t, testSuite(), id)))
 				}
 				return o
 			}

@@ -28,7 +28,7 @@ type shardedCommit struct {
 }
 
 func TestShardedRouterCommitsToMultipleGroupsOverTCP(t *testing.T) {
-	suite := testSuite(t)
+	suite := testSuite()
 	const (
 		nReplicas = 3
 		tf        = 1

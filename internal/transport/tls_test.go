@@ -2,11 +2,12 @@ package transport
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"crypto/tls"
 	"crypto/x509"
+	"fmt"
 	"net"
 	"path/filepath"
-	"sync"
 	"testing"
 	"time"
 
@@ -17,21 +18,9 @@ import (
 	"github.com/xft-consensus/xft/internal/xpaxos"
 )
 
-// testSuite returns one deterministic key universe shared by every
-// node of a test cluster (replicas 0..2, clients from 1000). Building
-// the universe costs ~1s (1027 keypairs plus pairwise MAC keys), so
-// all tests share one instance; the suite is safe for concurrent
-// readers.
-func testSuite(t *testing.T) *crypto.Ed25519Suite {
-	t.Helper()
-	suiteOnce.Do(func() { sharedSuite = crypto.NewEd25519Suite(3+1024, 7) })
-	return sharedSuite
-}
-
-var (
-	suiteOnce   sync.Once
-	sharedSuite *crypto.Ed25519Suite
-)
+// testSuite returns the deterministic keys of a test cluster (replicas
+// 0..2, clients from 1000).
+func testSuite() *crypto.Ed25519Suite { return crypto.NewEd25519Suite(3+1024, 7) }
 
 func autoTLS(t *testing.T, suite *crypto.Ed25519Suite, id smr.NodeID) *TLS {
 	t.Helper()
@@ -85,7 +74,7 @@ func TestFrameMsgWireCompatible(t *testing.T) {
 // newTLSPair mirrors newPair with mutual TLS from a shared suite.
 func newTLSPair(t *testing.T, opts ...Option) (a, b *Node, sa, sb *sinkNode) {
 	t.Helper()
-	suite := testSuite(t)
+	suite := testSuite()
 	sa, sb = &sinkNode{}, &sinkNode{}
 	peers := map[smr.NodeID]string{}
 	a, err := NewNode(0, sa, "127.0.0.1:0", peers, append(opts, WithTLS(autoTLS(t, suite, 0)))...)
@@ -124,7 +113,7 @@ func TestTLSSendReceive(t *testing.T) {
 // TestTLSRejectsPlaintextDialer: a peer that skips the handshake must
 // not get frames into the node.
 func TestTLSRejectsPlaintextDialer(t *testing.T) {
-	suite := testSuite(t)
+	suite := testSuite()
 	sink := &sinkNode{}
 	n, err := NewNode(0, sink, "127.0.0.1:0", nil, WithTLS(autoTLS(t, suite, 0)))
 	if err != nil {
@@ -155,7 +144,7 @@ func TestTLSRejectsPlaintextDialer(t *testing.T) {
 // disconnected without delivery — the channel identity binds the
 // protocol identity.
 func TestTLSRejectsSpoofedSender(t *testing.T) {
-	suite := testSuite(t)
+	suite := testSuite()
 	sink := &sinkNode{}
 	n, err := NewNode(0, sink, "127.0.0.1:0", nil, WithTLS(autoTLS(t, suite, 0)))
 	if err != nil {
@@ -242,6 +231,29 @@ func TestTLSWrongClusterRejected(t *testing.T) {
 	}
 }
 
+// TestAutoTLSCertificatesPinned: AutoTLS is deterministic in the seed,
+// so every node derives byte-identical certificates. The digests were
+// taken while the suite still built every key up front and must not
+// move with how it derives them.
+func TestAutoTLSCertificatesPinned(t *testing.T) {
+	suite := testSuite()
+	caDER, _, err := clusterCA(suite)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const (
+		wantCA    = "f406e1d8f67883c7f3c929f143fef8e786c8432416ad162101526a28b68378ae"
+		wantNode0 = "479d48dbe2a3bd99355ff3c5898008e33330be963f6606a868d13f37b718f135"
+	)
+	if got := fmt.Sprintf("%x", sha256.Sum256(caDER)); got != wantCA {
+		t.Errorf("CA certificate digest %s, want %s", got, wantCA)
+	}
+	node0 := autoTLS(t, suite, 0).cert.Certificate[0]
+	if got := fmt.Sprintf("%x", sha256.Sum256(node0)); got != wantNode0 {
+		t.Errorf("node 0 certificate digest %s, want %s", got, wantNode0)
+	}
+}
+
 // TestPeerIDFromCert pins the identity-SAN parsing rules: exactly one
 // non-negative xft-node-<id> name. A negative id would collide with
 // the read loop's plaintext sentinel (silently disabling the sender
@@ -273,7 +285,7 @@ func TestPeerIDFromCert(t *testing.T) {
 // TestLoadTLSFiles round-trips WriteCertFiles -> LoadTLS and runs real
 // traffic over the file-provisioned material.
 func TestLoadTLSFiles(t *testing.T) {
-	suite := testSuite(t)
+	suite := testSuite()
 	dir := t.TempDir()
 	if err := WriteCertFiles(suite, []smr.NodeID{0, 1}, dir); err != nil {
 		t.Fatal(err)
@@ -439,7 +451,7 @@ func TestTLSClusterCommits(t *testing.T) {
 		numOps  = 5
 		clientD = smr.ClientIDBase
 	)
-	suite := testSuite(t)
+	suite := testSuite()
 	peers := map[smr.NodeID]string{}
 	var nodes []*Node
 
@@ -507,7 +519,7 @@ func TestKeepaliveDrivenSuspectTCP(t *testing.T) {
 		n  = 3
 		tf = 1
 	)
-	suite := testSuite(t)
+	suite := testSuite()
 	peers := map[smr.NodeID]string{}
 	var nodes []*Node
 	viewChanged := make(chan smr.View, 8)

@@ -21,10 +21,11 @@
 #     per-request maps became one session table. ROADMAP's -15 % target
 #     for the package is 5,171.
 #   - the printed total outside benchmark/ (21,727 before the view log,
-#     21,534 after, 21,527 after the session table; TOTAL_CEILING is the
-#     count reached when every live node came to be built through
-#     internal/deploy and smr.LiveRuntime was deleted), so a package
-#     outside the two sets cannot absorb what they shed.
+#     21,534 after, 21,527 after the session table, 21,443 when every
+#     live node came to be built through internal/deploy; TOTAL_CEILING
+#     is the count reached when the Ed25519 suite began deriving keys on
+#     first use), so a package outside the two sets cannot absorb what
+#     they shed.
 #
 # A ceiling is lowered by the PR that shrinks its set: run this script,
 # set the constant to the count it prints, and say so in CHANGES.md.
@@ -35,7 +36,7 @@ cd "$(dirname "$0")/.."
 RATCHETED="internal/baseline internal/protocols internal/paxos internal/pbft internal/zab internal/zyzzyva internal/bench"
 CEILING=4356
 XPAXOS_CEILING=5514
-TOTAL_CEILING=21443
+TOTAL_CEILING=21437
 
 count() { find "$1" -maxdepth 1 -name '*.go' ! -name '*_test.go' -print0 | xargs -0 -r cat | wc -l; }
 
