@@ -22,79 +22,22 @@ import (
 
 var quick = bench.Scale{Quick: true}
 
-// peakKops extracts the highest throughput in a series output.
-func reportSeries(b *testing.B, out string) {
-	b.Helper()
+// reportPeak reports a series' highest throughput.
+func reportPeak(b *testing.B, points []bench.Point) {
 	var peak float64
-	for _, line := range strings.Split(out, "\n") {
-		fields := strings.Fields(line)
-		if len(fields) >= 3 {
-			var v float64
-			if _, err := sscan(fields[2], &v); err == nil && v > peak {
-				peak = v
-			}
-		}
+	for _, p := range points {
+		peak = max(peak, p.ThroughputKops)
 	}
-	if peak > 0 {
-		b.ReportMetric(peak, "peak-kops/s")
-	}
+	b.ReportMetric(peak, "peak-kops/s")
 }
-
-func sscan(s string, v *float64) (int, error) {
-	var err error
-	n := 0
-	*v, err = parseFloat(s)
-	if err == nil {
-		n = 1
-	}
-	return n, err
-}
-
-func parseFloat(s string) (float64, error) {
-	var v float64
-	var frac, div float64 = 0, 1
-	neg := false
-	i := 0
-	if i < len(s) && (s[i] == '-' || s[i] == '+') {
-		neg = s[i] == '-'
-		i++
-	}
-	seen := false
-	for ; i < len(s) && s[i] >= '0' && s[i] <= '9'; i++ {
-		v = v*10 + float64(s[i]-'0')
-		seen = true
-	}
-	if i < len(s) && s[i] == '.' {
-		i++
-		for ; i < len(s) && s[i] >= '0' && s[i] <= '9'; i++ {
-			frac = frac*10 + float64(s[i]-'0')
-			div *= 10
-			seen = true
-		}
-	}
-	if !seen || i != len(s) {
-		return 0, errNotFloat
-	}
-	v += frac / div
-	if neg {
-		v = -v
-	}
-	return v, nil
-}
-
-var errNotFloat = errorString("not a float")
-
-type errorString string
-
-func (e errorString) Error() string { return string(e) }
 
 // BenchmarkFig7a regenerates Figure 7a: 1/0 microbenchmark, t = 1.
 func BenchmarkFig7a(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		var buf bytes.Buffer
-		bench.Fig7(&buf, "a", quick)
+		points := bench.Fig7(&buf, "a", quick)
 		b.Log("\n" + buf.String())
-		reportSeries(b, buf.String())
+		reportPeak(b, points)
 	}
 }
 
@@ -102,9 +45,9 @@ func BenchmarkFig7a(b *testing.B) {
 func BenchmarkFig7b(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		var buf bytes.Buffer
-		bench.Fig7(&buf, "b", quick)
+		points := bench.Fig7(&buf, "b", quick)
 		b.Log("\n" + buf.String())
-		reportSeries(b, buf.String())
+		reportPeak(b, points)
 	}
 }
 
@@ -112,9 +55,9 @@ func BenchmarkFig7b(b *testing.B) {
 func BenchmarkFig7c(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		var buf bytes.Buffer
-		bench.Fig7(&buf, "c", quick)
+		points := bench.Fig7(&buf, "c", quick)
 		b.Log("\n" + buf.String())
-		reportSeries(b, buf.String())
+		reportPeak(b, points)
 	}
 }
 
@@ -140,9 +83,9 @@ func BenchmarkFig9(b *testing.B) {
 func BenchmarkFig10(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		var buf bytes.Buffer
-		bench.Fig10(&buf, quick)
+		points := bench.Fig10(&buf, quick)
 		b.Log("\n" + buf.String())
-		reportSeries(b, buf.String())
+		reportPeak(b, points)
 	}
 }
 

@@ -25,10 +25,6 @@ type Config struct {
 	// MACs only. The cross-protocol arena turns it on so all five
 	// protocols carry the same client-authentication cost.
 	SignedRequests bool
-	// VerifyWorkers sizes the request-verification pool: 0 selects the
-	// shared process-wide pool, 1 verifies serially, larger values get
-	// a dedicated pool (crypto.PoolFor).
-	VerifyWorkers int
 }
 
 // WithDefaults fills unset fields. perFault is the protocol's replica
@@ -134,7 +130,6 @@ type Core struct {
 	batchTimer    smr.TimerID
 	batchTimerSet bool
 
-	pool       *crypto.Pool
 	unverified []Request // SignedRequests only: awaiting the next verification round
 	verifying  bool
 
@@ -150,7 +145,6 @@ func NewCore(id smr.NodeID, cfg Config, d Domain, app smr.Application, h Hooks) 
 		Cfg:  cfg, domain: d, app: app, hooks: h,
 		lastExec: make(map[smr.NodeID]uint64),
 		replies:  make(map[smr.NodeID][]byte),
-		pool:     crypto.PoolFor(cfg.VerifyWorkers),
 	}
 	for i := 0; i < cfg.N; i++ {
 		if smr.NodeID(i) != id {
@@ -273,7 +267,7 @@ func (c *Core) kickVerify() {
 	batch := c.sigBatch(reqs)
 	var verdicts []bool
 	c.Env.Defer("verify-req", func() {
-		verdicts = batch.VerifyEach(c.pool, c.Suite)
+		verdicts = batch.VerifyEach(crypto.SharedPool(), c.Suite)
 	}, func() {
 		c.verifying = false
 		ok := reqs[:0]
@@ -296,7 +290,7 @@ func (c *Core) VerifyBatch(b *Batch, done func(ok bool)) {
 	batch := c.sigBatch(b.Reqs)
 	var ok bool
 	c.Env.Defer("verify-batch", func() {
-		ok = batch.VerifyAll(c.pool, c.Suite)
+		ok = batch.VerifyAll(crypto.SharedPool(), c.Suite)
 	}, func() { done(ok) })
 }
 

@@ -77,7 +77,7 @@ func signedRequest(suite crypto.Suite, client smr.NodeID, ts uint64, op []byte) 
 func TestIntakeQueuesAreBounded(t *testing.T) {
 	suite := crypto.NewSimSuite(7)
 	env := &heldEnv{}
-	c, store, replies := soloReplica(t, Config{N: 1, Suite: suite, SignedRequests: true, VerifyWorkers: 1}, env)
+	c, store, replies := soloReplica(t, Config{N: 1, Suite: suite, SignedRequests: true}, env)
 
 	const spray = 10000
 	for i := 0; i < spray; i++ {
@@ -137,7 +137,7 @@ func TestElectionBacklogIsBounded(t *testing.T) {
 func TestBadSignatureIsDropped(t *testing.T) {
 	suite := crypto.NewSimSuite(7)
 	env := &heldEnv{}
-	c, _, replies := soloReplica(t, Config{N: 1, Suite: suite, BatchSize: 1, SignedRequests: true, VerifyWorkers: 1}, env)
+	c, _, replies := soloReplica(t, Config{N: 1, Suite: suite, BatchSize: 1, SignedRequests: true}, env)
 	good := signedRequest(suite, smr.ClientIDBase, 1, kv.GetOp("k"))
 	forged := signedRequest(suite, smr.ClientIDBase+1, 1, kv.GetOp("k"))
 	forged.Req.Op = kv.GetOp("other")

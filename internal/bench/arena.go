@@ -9,20 +9,6 @@ import (
 	"github.com/xft-consensus/xft/internal/protocols"
 )
 
-// ArenaPoint is one protocol's measurement in the cross-protocol
-// arena: the usual throughput/latency point plus the crypto counters
-// that prove the optimized smr stack was actually engaged.
-type ArenaPoint struct {
-	Point
-	Replicas int
-	// Verifies and BatchedVerifies are summed over all replicas for the
-	// whole run. BatchedVerifies > 0 is the arena's acceptance signal:
-	// client-signature verification went through the deferred pool's
-	// batch path, not the serial Step-loop fallback.
-	Verifies        uint64
-	BatchedVerifies uint64
-}
-
 // asyncVerifyWorkers is the verification-pool width the arena models.
 const asyncVerifyWorkers = 4
 
@@ -53,56 +39,8 @@ func ArenaSpec(p Protocol, clients int, seed int64) Spec {
 		Clients: clients, Seed: seed, CostModel: &cm,
 		ReplicaRegions: regions,
 		SignedRequests: true,
-		VerifyWorkers:  asyncVerifyWorkers,
+		VerifyLanes:    asyncVerifyWorkers,
 	}
-}
-
-// RunArenaPoint runs one protocol's arena measurement: a RunPoint-style
-// closed loop plus the cluster's summed crypto counters.
-func RunArenaPoint(spec Spec, warmup, measure time.Duration) ArenaPoint {
-	c := Build(spec)
-	var (
-		committed uint64
-		latSum    time.Duration
-	)
-	winStart, winEnd := warmup, warmup+measure
-	for ci := 0; ci < c.NumClients(); ci++ {
-		ci := ci
-		c.SetOnCommit(ci, func(op, rep []byte, lat time.Duration) {
-			now := c.Net.Now()
-			if now >= winStart && now < winEnd {
-				committed++
-				latSum += lat
-			}
-			c.Invoke(ci, make([]byte, spec.ReqSize))
-		})
-	}
-	c.Net.At(0, func() {
-		for ci := 0; ci < c.NumClients(); ci++ {
-			c.Invoke(ci, make([]byte, spec.ReqSize))
-		}
-	})
-	var busyStart, busyEnd time.Duration
-	c.Net.At(winStart, func() { busyStart = c.Net.Stats(c.Primary).CPUBusy })
-	c.Net.At(winEnd, func() { busyEnd = c.Net.Stats(c.Primary).CPUBusy })
-	c.Net.RunUntil(winEnd + 10*time.Millisecond)
-
-	ap := ArenaPoint{
-		Point:    Point{Protocol: spec.Protocol, Clients: spec.Clients},
-		Replicas: spec.Protocol.Replicas(spec.T),
-	}
-	secs := measure.Seconds()
-	ap.ThroughputKops = float64(committed) / secs / 1000
-	if committed > 0 {
-		ap.LatencyMs = float64(latSum.Milliseconds()) / float64(committed)
-	}
-	ap.PrimaryCPU = float64(busyEnd-busyStart) / float64(measure)
-	for _, m := range c.Meters {
-		counts := m.Total()
-		ap.Verifies += counts.Verifies
-		ap.BatchedVerifies += counts.BatchedVerifies
-	}
-	return ap
 }
 
 // Arena runs the cross-protocol benchmark arena: all five protocols on
@@ -111,17 +49,17 @@ func RunArenaPoint(spec Spec, warmup, measure time.Duration) ArenaPoint {
 // protocol overheads rather than deployment accidents. It renders the
 // comparative table to w and returns the points in line-up order for
 // benchmark gating.
-func Arena(w io.Writer, sc Scale) []ArenaPoint {
+func Arena(w io.Writer, sc Scale) []Point {
 	clients := sc.clientCounts()[len(sc.clientCounts())-1]
 	return arena(w, clients, sc.warmup(), sc.measure())
 }
 
 // arena is the scale-free core of Arena, split out so tests can render
 // the table at a load small enough for unit-test budgets.
-func arena(w io.Writer, clients int, warmup, measure time.Duration) []ArenaPoint {
-	points := make([]ArenaPoint, 0, len(arenaProtocols))
+func arena(w io.Writer, clients int, warmup, measure time.Duration) []Point {
+	points := make([]Point, 0, len(arenaProtocols))
 	for _, p := range arenaProtocols {
-		points = append(points, RunArenaPoint(ArenaSpec(p, clients, 23), warmup, measure))
+		points = append(points, RunPoint(ArenaSpec(p, clients, 23), microOp(1024), warmup, measure))
 	}
 	fmt.Fprintf(w, "Cross-protocol arena: 1/0 benchmark, t=1, %d clients, co-located replicas, signed requests, modern cost model (%d verify workers)\n",
 		clients, asyncVerifyWorkers)
@@ -129,7 +67,7 @@ func arena(w io.Writer, clients int, warmup, measure time.Duration) []ArenaPoint
 		"protocol", "replicas", "throughput(kops/s)", "latency(ms)", "cpu(%)", "verifies", "batched")
 	for _, ap := range points {
 		fmt.Fprintf(w, "%-9s %-9d %-18.2f %-12.1f %-10.1f %-10d %-10d\n",
-			ap.Protocol, ap.Replicas, ap.ThroughputKops, ap.LatencyMs, ap.PrimaryCPU*100, ap.Verifies, ap.BatchedVerifies)
+			ap.Protocol, ap.Protocol.Replicas(1), ap.ThroughputKops, ap.LatencyMs, ap.PrimaryCPU*100, ap.Verifies, ap.BatchedVerifies)
 	}
 	return points
 }

@@ -1,9 +1,12 @@
 package bench
 
 import (
+	"runtime"
 	"strings"
 	"testing"
 	"time"
+
+	"github.com/xft-consensus/xft/internal/crypto"
 )
 
 // TestArenaAllProtocolsEngageBatchVerification is the arena acceptance
@@ -15,7 +18,7 @@ func TestArenaAllProtocolsEngageBatchVerification(t *testing.T) {
 	for _, p := range arenaProtocols {
 		p := p
 		t.Run(string(p), func(t *testing.T) {
-			ap := RunArenaPoint(ArenaSpec(p, 8, 23), 500*time.Millisecond, time.Second)
+			ap := RunPoint(ArenaSpec(p, 8, 23), microOp(1024), 500*time.Millisecond, time.Second)
 			if ap.ThroughputKops <= 0 {
 				t.Fatalf("%s made no progress in the arena", p)
 			}
@@ -43,5 +46,20 @@ func TestArenaTableListsAllProtocols(t *testing.T) {
 		if !strings.Contains(out, string(p)) {
 			t.Errorf("arena table missing %s:\n%s", p, out)
 		}
+	}
+}
+
+// TestArenaLeavesNoGoroutines checks that building and running every
+// arena protocol starts no goroutine that outlives the run: replicas
+// verify on the process-wide pool rather than each starting a pool of
+// its own that nothing closes.
+func TestArenaLeavesNoGoroutines(t *testing.T) {
+	crypto.SharedPool()
+	before := runtime.NumGoroutine()
+	for _, p := range arenaProtocols {
+		RunPoint(ArenaSpec(p, 8, 23), microOp(1024), 100*time.Millisecond, 200*time.Millisecond)
+	}
+	if after := runtime.NumGoroutine(); after > before {
+		t.Fatalf("goroutines grew from %d to %d across an arena sweep", before, after)
 	}
 }

@@ -64,7 +64,7 @@ func TestThroughputShapeUnderBandwidth(t *testing.T) {
 	// XPaxos trails Paxos slightly (the t=1 reply carries the
 	// follower's signed commit, ~350 B/request of primary egress that
 	// Paxos does not pay); the paper reports a ~10% gap, our model a
-	// ~30% one — see EXPERIMENTS.md.
+	// ~30% one — explaining it is ROADMAP item 12.
 	if tput[XPaxos] < 0.6*tput[Paxos] {
 		t.Errorf("XPaxos throughput %.2f should be close to Paxos %.2f", tput[XPaxos], tput[Paxos])
 	}

@@ -47,10 +47,10 @@ type Spec struct {
 	Protocol Protocol
 	T        int
 	App      AppKind
-	// ReqSize/RepSize parameterize the microbenchmark (1/0 and 4/0).
-	ReqSize, RepSize int
-	Clients          int
-	BatchSize        int
+	// ReqSize is the microbenchmark's request size (1/0 and 4/0).
+	ReqSize   int
+	Clients   int
+	BatchSize int
 	// PipelineWindow caps the XPaxos primary's in-flight batches
 	// (0 → the protocol default; 1 → lock-step).
 	PipelineWindow int
@@ -61,10 +61,6 @@ type Spec struct {
 	// bottleneck). Zero disables bandwidth modeling.
 	EgressMBps float64
 	Seed       int64
-	// Delta overrides Δ (default: derived from Table 3 = 1.25 s).
-	Delta time.Duration
-	// EnableFD turns on XPaxos fault detection.
-	EnableFD bool
 	// CostModel overrides the per-core paper cost model (used by the
 	// modern-crypto experiments; nil keeps the default).
 	CostModel *crypto.CostModel
@@ -73,9 +69,10 @@ type Spec struct {
 	// arena's apples-to-apples configuration; XPaxos always
 	// authenticates). Off by default for paper fidelity.
 	SignedRequests bool
-	// VerifyWorkers sets the baselines' verification-pool width for
-	// signed requests (0 → the shared pool, 1 → serial).
-	VerifyWorkers int
+	// VerifyLanes sets how many deferred verification jobs each
+	// simulated node runs at once (netsim.Config.VerifyLanes; 0 → one
+	// lane).
+	VerifyLanes int
 }
 
 // Table4Regions returns the paper's replica placement: Table 4 for
@@ -125,7 +122,7 @@ func (s Spec) newApp() smr.Application {
 	case ZKApp:
 		return zk.NewStore()
 	default:
-		return &kv.Null{ReplySize: s.RepSize}
+		return &kv.Null{}
 	}
 }
 
@@ -139,9 +136,6 @@ func Build(spec Spec) *Cluster {
 	}
 	if spec.Clients == 0 {
 		spec.Clients = 1
-	}
-	if spec.Delta == 0 {
-		spec.Delta = DeltaFromTable3()
 	}
 	proto := protocols.ByName(string(spec.Protocol))
 	n := proto.Replicas(spec.T)
@@ -170,11 +164,8 @@ func Build(spec Spec) *Cluster {
 		Latency:           EC2Model(regionOf, false),
 		EgressBytesPerSec: spec.EgressMBps * 1e6,
 		CostModel:         cm,
-		// Deferred verification jobs overlap across as many lanes as the
-		// protocols' verify pools have workers (0 → one lane, the
-		// single-unit model every pre-arena experiment used).
-		VerifyLanes: spec.VerifyWorkers,
-		Seed:        spec.Seed,
+		VerifyLanes:       spec.VerifyLanes,
+		Seed:              spec.Seed,
 	})
 	suite := crypto.NewSimSuite(spec.Seed + 1)
 
@@ -185,11 +176,12 @@ func Build(spec Spec) *Cluster {
 	// transfer), so 4Δ comfortably covers the 2Δ collection window
 	// plus state transfer while bounding time wasted on views whose
 	// group contains a crashed replica.
+	delta := DeltaFromTable3()
 	params := protocols.Params{
-		T: spec.T, Delta: spec.Delta, BatchSize: spec.BatchSize,
-		RequestTimeout: 2 * spec.Delta, ViewChangeTimeout: 4 * spec.Delta,
-		SignedRequests: spec.SignedRequests, VerifyWorkers: spec.VerifyWorkers,
-		PipelineWindow: spec.PipelineWindow, CheckpointInterval: 32, EnableFD: spec.EnableFD,
+		T: spec.T, Delta: delta, BatchSize: spec.BatchSize,
+		RequestTimeout: 2 * delta, ViewChangeTimeout: 4 * delta,
+		SignedRequests: spec.SignedRequests, PipelineWindow: spec.PipelineWindow,
+		CheckpointInterval: 32,
 	}
 	for i := 0; i < n; i++ {
 		meter := crypto.NewMeter(suite)

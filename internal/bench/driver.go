@@ -16,6 +16,12 @@ type Point struct {
 	// PrimaryCPU is the fraction of the measurement window the most
 	// loaded node's simulated CPU was busy (Figure 8's metric).
 	PrimaryCPU float64
+	// Verifies and BatchedVerifies are summed over all replicas for the
+	// whole run. BatchedVerifies > 0 is the arena's acceptance signal:
+	// client-signature verification went through the deferred pool's
+	// batch path, not the serial Step-loop fallback.
+	Verifies        uint64
+	BatchedVerifies uint64
 }
 
 // opMaker builds the operation each client submits; index i
@@ -42,7 +48,8 @@ func zkWriteOp(size int) opMaker {
 }
 
 // RunPoint runs a closed-loop load on a freshly built cluster and
-// measures throughput and latency inside [warmup, warmup+measure).
+// measures throughput and latency inside [warmup, warmup+measure),
+// plus the replicas' crypto counters over the whole run.
 func RunPoint(spec Spec, mkOp opMaker, warmup, measure time.Duration) Point {
 	c := Build(spec)
 	var (
@@ -83,6 +90,11 @@ func RunPoint(spec Spec, mkOp opMaker, warmup, measure time.Duration) Point {
 		p.LatencyMs = float64(latSum.Milliseconds()) / float64(committed)
 	}
 	p.PrimaryCPU = float64(busyEnd-busyStart) / float64(measure)
+	for _, m := range c.Meters {
+		counts := m.Total()
+		p.Verifies += counts.Verifies
+		p.BatchedVerifies += counts.BatchedVerifies
+	}
 	return p
 }
 

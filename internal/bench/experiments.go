@@ -32,12 +32,6 @@ func costModel() crypto.CostModel {
 	return cm
 }
 
-func init() {
-	// The cluster builder reads the default cost model through
-	// netsim.Config; Build sets it directly. (Hook kept for clarity.)
-	_ = costModel
-}
-
 // Quick controls experiment scale: true gives CI-sized runs (seconds);
 // false reproduces the full curves (minutes).
 type Scale struct {
@@ -74,8 +68,9 @@ func (s Scale) measure() time.Duration {
 
 // Fig7 reproduces Figure 7: latency vs throughput for XPaxos, Paxos,
 // PBFT and Zyzzyva. Variant "a" is the 1/0 benchmark at t=1, "b" the
-// 4/0 benchmark at t=1, "c" the 1/0 benchmark at t=2.
-func Fig7(w io.Writer, variant string, sc Scale) {
+// 4/0 benchmark at t=1, "c" the 1/0 benchmark at t=2. It renders the
+// series to w and returns every point, protocol by protocol.
+func Fig7(w io.Writer, variant string, sc Scale) []Point {
 	t := 1
 	reqSize := 1024
 	switch variant {
@@ -85,6 +80,7 @@ func Fig7(w io.Writer, variant string, sc Scale) {
 		t = 2
 	}
 	fmt.Fprintf(w, "Figure 7%s: %d/0 microbenchmark, t=%d (latency vs throughput)\n", variant, reqSize/1024, t)
+	var all []Point
 	for _, proto := range AllProtocols {
 		spec := Spec{
 			Protocol: proto, T: t, App: NullApp,
@@ -92,7 +88,9 @@ func Fig7(w io.Writer, variant string, sc Scale) {
 		}
 		points := Sweep(spec, microOp(reqSize), sc.clientCounts(), sc.warmup(), sc.measure())
 		fmt.Fprint(w, FormatPoints(points))
+		all = append(all, points...)
 	}
+	return all
 }
 
 // PipelineComparison measures the common-case throughput of XPaxos at
@@ -214,16 +212,19 @@ func Fig9(w io.Writer, sc Scale) {
 
 // Fig10 reproduces Figure 10: the ZooKeeper macro-benchmark — 1 kB
 // writes against the zk store replicated with each protocol, Zab
-// included.
-func Fig10(w io.Writer, sc Scale) {
+// included. It renders the series to w and returns every point.
+func Fig10(w io.Writer, sc Scale) []Point {
 	fmt.Fprintln(w, "Figure 10: ZooKeeper macro-benchmark (1 kB writes, t=1)")
 	protos := append(append([]Protocol{}, AllProtocols...), Zab)
+	var all []Point
 	for _, proto := range protos {
 		spec := Spec{Protocol: proto, T: 1, App: ZKApp, ReqSize: 1024,
 			EgressMBps: sc.egressMBps(), Seed: 10}
 		points := Sweep(spec, zkWriteOp(1024), sc.clientCounts(), sc.warmup(), sc.measure())
 		fmt.Fprint(w, FormatPoints(points))
+		all = append(all, points...)
 	}
+	return all
 }
 
 // Table1 prints the fault-tolerance guarantee matrix.
@@ -255,37 +256,24 @@ func Table3Report(w io.Writer, sc Scale) {
 	model := EC2Model(map[smr.NodeID]int{}, true)
 	net := netsim.New(netsim.Config{Seed: 123})
 	fmt.Fprintf(w, "Table 3: simulated RTTs across EC2 regions (ms, avg / 99.99%% / 99.999%% / max; %d pings per pair)\n", samples)
-	pairs := make([][2]int, 0)
+	var pairs [][2]int // ascending, so each pair is printed once
 	for i := 0; i < 6; i++ {
 		for j := i + 1; j < 6; j++ {
 			pairs = append(pairs, [2]int{i, j})
 		}
 	}
-	sort.Slice(pairs, func(a, b int) bool {
-		if pairs[a][0] != pairs[b][0] {
-			return pairs[a][0] < pairs[b][0]
-		}
-		return pairs[a][1] < pairs[b][1]
-	})
 	for _, pr := range pairs {
-		avg, q1, q2, max := model.MeasureRTTQuantiles(net.Engine().Rand(), pr[0], pr[1], samples)
-		ref := Table3[[2]int{min(pr[0], pr[1]), max2(pr[0], pr[1])}]
+		avg, q1, q2, peak := model.MeasureRTTQuantiles(net.Rand(), pr[0], pr[1], samples)
+		ref := Table3[[2]int{min(pr[0], pr[1]), max(pr[0], pr[1])}]
 		if ref.AvgRTT == 0 {
-			ref = Table3[[2]int{max2(pr[0], pr[1]), min(pr[0], pr[1])}]
+			ref = Table3[[2]int{max(pr[0], pr[1]), min(pr[0], pr[1])}]
 		}
 		fmt.Fprintf(w, "%-14s - %-14s  %5d / %5d / %6d / %6d   (paper: %d / %d / %d / %d)\n",
 			RegionNames[pr[0]], RegionNames[pr[1]],
-			avg.Milliseconds(), q1.Milliseconds(), q2.Milliseconds(), max.Milliseconds(),
+			avg.Milliseconds(), q1.Milliseconds(), q2.Milliseconds(), peak.Milliseconds(),
 			ref.AvgRTT.Milliseconds(), ref.P9999.Milliseconds(), ref.P99999.Milliseconds(), ref.MaxRTT.Milliseconds())
 	}
 	fmt.Fprintf(w, "derived Δ = %v (paper: 1.25s)\n", DeltaFromTable3())
-}
-
-func max2(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // Tables5to8 prints the Appendix D reliability tables.
@@ -331,7 +319,7 @@ func patternCounts(proto Protocol) map[string]uint64 {
 	c.SetOnCommit(0, func(op, rep []byte, lat time.Duration) { done = true })
 	c.Net.At(0, func() { c.Invoke(0, kv.GetOp("x")) })
 	for i := 0; i < 10000 && !done; i++ {
-		if !c.Net.Engine().Step() {
+		if !c.Net.Step() {
 			break
 		}
 	}

@@ -563,7 +563,7 @@ func (c *campaign) startClients() {
 			if cl.CanInvoke() {
 				c.issueNext(ci)
 			}
-			c.net.Engine().After(interval, pump)
+			c.net.After(interval, pump)
 		}
 		offset := warmup + time.Duration(int64(interval)*int64(i)/int64(len(c.clients)))
 		c.net.At(offset, pump)
@@ -654,7 +654,7 @@ func (c *campaign) startSampling() {
 				c.downSamples[i]++
 			}
 		}
-		c.net.Engine().After(sampleEvery, sample)
+		c.net.After(sampleEvery, sample)
 	}
 	c.net.At(warmup, sample)
 }

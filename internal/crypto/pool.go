@@ -270,19 +270,3 @@ func SharedPool() *Pool {
 	sharedOnce.Do(func() { shared = NewPool(0) })
 	return shared
 }
-
-// PoolFor maps a protocol Config's VerifyWorkers knob to a pool: the
-// zero value selects the shared process-wide pool, 1 disables
-// parallelism (nil pool → serial verification), and larger values get
-// a dedicated pool of that width. Every protocol package interprets
-// the knob this way, so the arena can size pools uniformly.
-func PoolFor(workers int) *Pool {
-	switch {
-	case workers == 1:
-		return nil
-	case workers > 1:
-		return NewPool(workers)
-	default:
-		return SharedPool()
-	}
-}

@@ -1,4 +1,4 @@
-package sim
+package netsim
 
 import (
 	"testing"
@@ -7,7 +7,7 @@ import (
 )
 
 func TestEventsRunInTimeOrder(t *testing.T) {
-	e := NewEngine(1)
+	e := newEngine(1)
 	var order []int
 	e.After(30*time.Millisecond, func() { order = append(order, 3) })
 	e.After(10*time.Millisecond, func() { order = append(order, 1) })
@@ -22,7 +22,7 @@ func TestEventsRunInTimeOrder(t *testing.T) {
 }
 
 func TestTiesBreakByInsertionOrder(t *testing.T) {
-	e := NewEngine(1)
+	e := newEngine(1)
 	var order []int
 	for i := 0; i < 10; i++ {
 		i := i
@@ -37,7 +37,7 @@ func TestTiesBreakByInsertionOrder(t *testing.T) {
 }
 
 func TestNestedScheduling(t *testing.T) {
-	e := NewEngine(1)
+	e := newEngine(1)
 	var fired []time.Duration
 	e.After(time.Millisecond, func() {
 		fired = append(fired, e.Now())
@@ -52,7 +52,7 @@ func TestNestedScheduling(t *testing.T) {
 }
 
 func TestCancelPreventsFiring(t *testing.T) {
-	e := NewEngine(1)
+	e := newEngine(1)
 	fired := false
 	tm := e.After(time.Millisecond, func() { fired = true })
 	tm.Cancel()
@@ -60,20 +60,20 @@ func TestCancelPreventsFiring(t *testing.T) {
 	if fired {
 		t.Fatalf("cancelled event fired")
 	}
-	if !tm.Cancelled() {
-		t.Fatalf("Cancelled() = false after cancel")
+	if !tm.cancelled {
+		t.Fatalf("timer not marked cancelled")
 	}
 }
 
 func TestCancelAfterFireIsSafe(t *testing.T) {
-	e := NewEngine(1)
+	e := newEngine(1)
 	tm := e.After(time.Millisecond, func() {})
 	e.Run()
 	tm.Cancel() // must not panic
 }
 
 func TestRunUntilStopsAtDeadline(t *testing.T) {
-	e := NewEngine(1)
+	e := newEngine(1)
 	var fired []int
 	e.After(time.Millisecond, func() { fired = append(fired, 1) })
 	e.After(time.Second, func() { fired = append(fired, 2) })
@@ -84,8 +84,8 @@ func TestRunUntilStopsAtDeadline(t *testing.T) {
 	if e.Now() != 500*time.Millisecond {
 		t.Fatalf("clock %v, want 500ms", e.Now())
 	}
-	if e.Pending() != 1 {
-		t.Fatalf("pending %d, want 1", e.Pending())
+	if e.queue.Len() != 1 {
+		t.Fatalf("pending %d, want 1", e.queue.Len())
 	}
 	e.Run()
 	if len(fired) != 2 {
@@ -94,7 +94,7 @@ func TestRunUntilStopsAtDeadline(t *testing.T) {
 }
 
 func TestScheduleInPastRunsNow(t *testing.T) {
-	e := NewEngine(1)
+	e := newEngine(1)
 	var at time.Duration = -1
 	e.After(10*time.Millisecond, func() {
 		e.At(time.Millisecond, func() { at = e.Now() }) // in the past
@@ -106,8 +106,8 @@ func TestScheduleInPastRunsNow(t *testing.T) {
 }
 
 func TestDeterministicRand(t *testing.T) {
-	a := NewEngine(42)
-	b := NewEngine(42)
+	a := newEngine(42)
+	b := newEngine(42)
 	for i := 0; i < 100; i++ {
 		if a.Rand().Int63() != b.Rand().Int63() {
 			t.Fatalf("same seed, different random streams")
@@ -116,15 +116,15 @@ func TestDeterministicRand(t *testing.T) {
 }
 
 func TestProcessedCount(t *testing.T) {
-	e := NewEngine(1)
+	e := newEngine(1)
 	for i := 0; i < 5; i++ {
 		e.After(time.Duration(i)*time.Millisecond, func() {})
 	}
 	tm := e.After(time.Hour, func() {})
 	tm.Cancel()
 	e.Run()
-	if e.Processed() != 5 {
-		t.Fatalf("processed = %d, want 5 (cancelled events don't count)", e.Processed())
+	if e.popped != 5 {
+		t.Fatalf("processed = %d, want 5 (cancelled events don't count)", e.popped)
 	}
 }
 
@@ -132,7 +132,7 @@ func TestProcessedCount(t *testing.T) {
 // order and the clock ends at the max delay.
 func TestPropertyMonotonicClock(t *testing.T) {
 	check := func(delays []uint16) bool {
-		e := NewEngine(7)
+		e := newEngine(7)
 		var last time.Duration = -1
 		ok := true
 		var maxD time.Duration
@@ -157,7 +157,7 @@ func TestPropertyMonotonicClock(t *testing.T) {
 }
 
 func BenchmarkEngineThroughput(b *testing.B) {
-	e := NewEngine(1)
+	e := newEngine(1)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		e.After(time.Microsecond, func() {})

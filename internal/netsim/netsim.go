@@ -1,5 +1,5 @@
-// Package netsim models a wide-area network on top of the
-// discrete-event engine in internal/sim.
+// Package netsim models a wide-area network on top of a deterministic
+// discrete-event engine with a virtual clock.
 //
 // It reproduces the three bottlenecks the XFT paper's evaluation
 // depends on (Section 5):
@@ -26,7 +26,6 @@ import (
 	"time"
 
 	"github.com/xft-consensus/xft/internal/crypto"
-	"github.com/xft-consensus/xft/internal/sim"
 	"github.com/xft-consensus/xft/internal/smr"
 )
 
@@ -63,9 +62,8 @@ type Config struct {
 	// off-loop sign and verify units run concurrently. A job occupies
 	// the earliest-free lane of its unit; jobs beyond the lane count
 	// queue. This models the live runtime's ability to have several
-	// Defer submissions in flight at once (e.g. a dedicated pool per
-	// replica plus the shared pool). Zero means one lane — the
-	// pre-existing fully-serialized unit behavior.
+	// Defer submissions in flight at once on the shared verification
+	// pool. Zero means one lane, a fully-serialized unit.
 	SignLanes   int
 	VerifyLanes int
 	// Seed drives all randomness.
@@ -100,9 +98,11 @@ type NodeStats struct {
 }
 
 // Network is the simulated WAN. It is not safe for concurrent use:
-// everything happens on the simulation's single logical thread.
+// everything happens on the simulation's single logical thread, whose
+// clock and scheduler (Now, At, After, Step, Run, RunUntil, RunFor) and
+// random source (Rand) the Network exposes directly.
 type Network struct {
-	eng   *sim.Engine
+	engine
 	cfg   Config
 	nodes map[smr.NodeID]*simNode
 	// downLinks holds directed links currently cut; key is [from,to].
@@ -135,7 +135,7 @@ func New(cfg Config) *Network {
 		cfg.Latency = Uniform{Delay: time.Millisecond}
 	}
 	return &Network{
-		eng:          sim.NewEngine(cfg.Seed),
+		engine:       newEngine(cfg.Seed),
 		cfg:          cfg,
 		nodes:        make(map[smr.NodeID]*simNode),
 		downLinks:    make(map[[2]smr.NodeID]bool),
@@ -146,13 +146,6 @@ func New(cfg Config) *Network {
 	}
 }
 
-// Engine exposes the underlying discrete-event engine (for scheduling
-// experiment actions such as fault injection at fixed virtual times).
-func (n *Network) Engine() *sim.Engine { return n.eng }
-
-// Now returns the current virtual time.
-func (n *Network) Now() time.Duration { return n.eng.Now() }
-
 // NodeOption customizes a node at registration.
 type NodeOption func(*simNode)
 
@@ -160,12 +153,6 @@ type NodeOption func(*simNode)
 // the node's simulated CPU.
 func WithMeter(m *crypto.Meter) NodeOption {
 	return func(sn *simNode) { sn.meter = m }
-}
-
-// WithEgress overrides the node's outbound bandwidth (bytes/sec;
-// zero = infinite).
-func WithEgress(bytesPerSec float64) NodeOption {
-	return func(sn *simNode) { sn.egressRate = bytesPerSec }
 }
 
 // AddNode registers node under id. Init runs via a time-0 Start event.
@@ -177,8 +164,7 @@ func (n *Network) AddNode(id smr.NodeID, node smr.Node, opts ...NodeOption) {
 		net:         n,
 		id:          id,
 		node:        node,
-		egressRate:  n.cfg.EgressBytesPerSec,
-		timers:      make(map[smr.TimerID]*sim.Timer),
+		timers:      make(map[smr.TimerID]*Timer),
 		signLanes:   make([]time.Duration, laneCount(n.cfg.SignLanes)),
 		verifyLanes: make([]time.Duration, laneCount(n.cfg.VerifyLanes)),
 	}
@@ -209,7 +195,7 @@ func (n *Network) ReplaceNode(id smr.NodeID, node smr.Node) {
 	for _, t := range sn.timers {
 		t.Cancel()
 	}
-	sn.timers = make(map[smr.TimerID]*sim.Timer)
+	sn.timers = make(map[smr.TimerID]*Timer)
 	node.Init(sn)
 	sn.enqueue(smr.Start{})
 }
@@ -353,7 +339,7 @@ func (n *Network) ClearExtraDelays() { n.extraDelay = make(map[[2]smr.NodeID]tim
 // oneWay samples the modeled propagation delay from a to b, including
 // any extra delay installed on the directed link.
 func (n *Network) oneWay(a, b smr.NodeID) time.Duration {
-	return n.cfg.Latency.OneWay(n.eng.Rand(), a, b) + n.extraDelay[[2]smr.NodeID{a, b}]
+	return n.cfg.Latency.OneWay(n.Rand(), a, b) + n.extraDelay[[2]smr.NodeID{a, b}]
 }
 
 // Nodes returns every registered node ID in ascending order (replicas
@@ -417,7 +403,7 @@ func (n *Network) StartHealthMonitors(ids ...smr.NodeID) {
 		n.cfg.ProbeTimeout = 3 * n.cfg.ProbeInterval
 	}
 	n.health = make(map[[2]smr.NodeID]*linkHealth)
-	now := n.eng.Now()
+	now := n.Now()
 	for _, a := range ids {
 		for _, b := range ids {
 			if a == b {
@@ -432,11 +418,11 @@ func (n *Network) StartHealthMonitors(ids ...smr.NodeID) {
 	}
 	var tick func()
 	tick = func() {
-		n.eng.After(n.cfg.ProbeInterval, tick)
+		n.After(n.cfg.ProbeInterval, tick)
 		for _, pair := range n.healthPairs {
 			st := n.health[pair]
 			a, b := pair[0], pair[1]
-			now := n.eng.Now()
+			now := n.Now()
 			// Judge on what past pongs established before launching this
 			// tick's probe; its pong cannot land before the next tick.
 			deadline := st.est.Deadline(n.cfg.ProbeInterval, n.cfg.ProbeTimeout)
@@ -459,34 +445,20 @@ func (n *Network) StartHealthMonitors(ids ...smr.NodeID) {
 				continue
 			}
 			rtt := n.oneWay(a, b) + n.oneWay(b, a)
-			n.eng.After(rtt, func() {
+			n.After(rtt, func() {
 				// Dropped if either end died or the link was cut while
 				// the probe was in flight.
 				if !n.probeReachable(a, b) {
 					return
 				}
-				st.lastOK = n.eng.Now()
+				st.lastOK = n.Now()
 				st.rtt = rtt
 				st.est.Observe(rtt)
 			})
 		}
 	}
-	n.eng.After(n.cfg.ProbeInterval, tick)
+	n.After(n.cfg.ProbeInterval, tick)
 }
-
-// RunUntil advances virtual time to deadline.
-func (n *Network) RunUntil(deadline time.Duration) { n.eng.RunUntil(deadline) }
-
-// RunFor advances virtual time by d.
-func (n *Network) RunFor(d time.Duration) { n.eng.RunUntil(n.eng.Now() + d) }
-
-// Run drains all pending events (careful: protocols with periodic
-// timers never drain; prefer RunUntil).
-func (n *Network) Run() { n.eng.Run() }
-
-// At schedules an experiment action (fault injection etc.) at an
-// absolute virtual time.
-func (n *Network) At(at time.Duration, fn func()) { n.eng.At(at, fn) }
 
 // deliver is called when a message physically arrives at dst.
 func (n *Network) deliver(from, to smr.NodeID, m smr.Message) {
@@ -500,7 +472,7 @@ func (n *Network) deliver(from, to smr.NodeID, m smr.Message) {
 	dst.stats.MsgsRecv++
 	dst.stats.BytesRecv += uint64(m.WireSize())
 	if n.Trace != nil {
-		n.Trace(n.eng.Now(), from, to, m)
+		n.Trace(n.Now(), from, to, m)
 	}
 	dst.enqueue(smr.Recv{From: from, Msg: m})
 }
@@ -514,8 +486,7 @@ type simNode struct {
 	id   smr.NodeID
 	node smr.Node
 
-	meter      *crypto.Meter
-	egressRate float64 // bytes/sec, 0 = infinite
+	meter *crypto.Meter
 
 	crashed bool
 	// gen distinguishes node incarnations: ReplaceNode bumps it so
@@ -557,7 +528,7 @@ type simNode struct {
 	// Deferred sends from the Step currently executing.
 	outbox []outMsg
 
-	timers  map[smr.TimerID]*sim.Timer
+	timers  map[smr.TimerID]*Timer
 	timerID smr.TimerID
 
 	stats NodeStats
@@ -611,7 +582,7 @@ func (sn *simNode) resetUnits() {
 }
 
 func (sn *simNode) ID() smr.NodeID     { return sn.id }
-func (sn *simNode) Now() time.Duration { return sn.net.eng.Now() }
+func (sn *simNode) Now() time.Duration { return sn.net.Now() }
 
 func (sn *simNode) Send(to smr.NodeID, m smr.Message) {
 	if sn.inStep {
@@ -620,13 +591,13 @@ func (sn *simNode) Send(to smr.NodeID, m smr.Message) {
 		return
 	}
 	// Outside Step (experiment scripts, fault injectors): send now.
-	sn.transmit(sn.net.eng.Now(), to, m)
+	sn.transmit(sn.net.Now(), to, m)
 }
 
 func (sn *simNode) SetTimer(d time.Duration, kind string) smr.TimerID {
 	sn.timerID++
 	id := sn.timerID
-	t := sn.net.eng.After(d, func() {
+	t := sn.net.After(d, func() {
 		delete(sn.timers, id)
 		if sn.crashed {
 			return
@@ -676,11 +647,11 @@ func (sn *simNode) enqueue(ev smr.Event) {
 	sn.queue = append(sn.queue, ev)
 	if !sn.processing {
 		sn.processing = true
-		start := sn.net.eng.Now()
+		start := sn.net.Now()
 		if sn.cpuFreeAt > start {
 			start = sn.cpuFreeAt
 		}
-		sn.net.eng.At(start, sn.processNext)
+		sn.net.At(start, sn.processNext)
 	}
 }
 
@@ -709,7 +680,7 @@ func (sn *simNode) processNext() {
 		sn.stepWindow.Add(sn.meter.TakeWindow())
 	}
 	cost += sn.stepWindow.Cost(sn.net.cfg.CostModel)
-	now := sn.net.eng.Now()
+	now := sn.net.Now()
 	done := now + cost
 	sn.stats.CPUBusy += cost
 	sn.cpuFreeAt = done
@@ -746,7 +717,7 @@ func (sn *simNode) processNext() {
 		gen := sn.gen
 		apply := dj.apply
 		kind := dj.kind
-		sn.net.eng.At(finish, func() {
+		sn.net.At(finish, func() {
 			if sn.crashed || sn.gen != gen {
 				return // the submitting incarnation is gone
 			}
@@ -763,7 +734,7 @@ func (sn *simNode) processNext() {
 	sn.outbox = sn.outbox[:0]
 
 	if len(sn.queue) > 0 {
-		sn.net.eng.At(done, sn.processNext)
+		sn.net.At(done, sn.processNext)
 	} else {
 		sn.processing = false
 		// A new event arriving before `done` must still wait for the
@@ -784,14 +755,14 @@ func (sn *simNode) transmit(ready time.Duration, to smr.NodeID, m smr.Message) {
 		txStart = sn.egressFreeAt
 	}
 	txEnd := txStart
-	if sn.egressRate > 0 {
-		txEnd = txStart + time.Duration(float64(size)/sn.egressRate*float64(time.Second))
+	if rate := sn.net.cfg.EgressBytesPerSec; rate > 0 {
+		txEnd = txStart + time.Duration(float64(size)/rate*float64(time.Second))
 	}
 	sn.egressFreeAt = txEnd
 
 	if to == sn.id {
 		// Loopback: skip the wire entirely.
-		sn.net.eng.At(ready, func() { sn.net.deliver(sn.id, sn.id, m) })
+		sn.net.At(ready, func() { sn.net.deliver(sn.id, sn.id, m) })
 		return
 	}
 	lat := sn.net.oneWay(sn.id, to)
@@ -802,7 +773,7 @@ func (sn *simNode) transmit(ready time.Duration, to smr.NodeID, m smr.Message) {
 		arrive = prev // FIFO per link: never overtake an earlier message
 	}
 	sn.net.linkClock[link] = arrive
-	sn.net.eng.At(arrive, func() { sn.net.deliver(from, to, m) })
+	sn.net.At(arrive, func() { sn.net.deliver(from, to, m) })
 }
 
 var _ smr.Env = (*simNode)(nil)

@@ -343,7 +343,7 @@ func TestWANModelQuantileCalibration(t *testing.T) {
 		Profiles: SymmetricProfiles(2, map[[2]int]LinkProfile{{0, 1}: profile}, LinkProfile{}),
 	}
 	net := New(Config{Seed: 5})
-	avg, q1, q2, maxRTT := w.MeasureRTTQuantiles(net.Engine().Rand(), 0, 1, 400000)
+	avg, q1, q2, maxRTT := w.MeasureRTTQuantiles(net.Rand(), 0, 1, 400000)
 
 	within := func(got, want time.Duration, frac float64) bool {
 		diff := float64(got - want)
@@ -375,7 +375,7 @@ func TestWANModelDisableTails(t *testing.T) {
 	}
 	net := New(Config{Seed: 6})
 	for i := 0; i < 100000; i++ {
-		if rtt := w.SampleRTT(net.Engine().Rand(), 0, 1); rtt >= profile.P9999 {
+		if rtt := w.SampleRTT(net.Rand(), 0, 1); rtt >= profile.P9999 {
 			t.Fatalf("tail sample %v with tails disabled", rtt)
 		}
 	}

@@ -33,24 +33,22 @@ type Params struct {
 	BatchTimeout   time.Duration
 	RequestTimeout time.Duration
 
-	// SignedRequests and VerifyWorkers configure client-request
-	// authentication on the four baselines (baseline.Config); XPaxos
-	// always signs and verifies on the shared pool.
+	// SignedRequests turns on client-request authentication on the
+	// four baselines (baseline.Config); XPaxos always signs. Both verify
+	// on the shared pool.
 	SignedRequests bool
-	VerifyWorkers  int
 
 	// XPaxos only (xpaxos.Config).
 	PipelineWindow     int
 	ViewChangeTimeout  time.Duration
 	CheckpointInterval uint64
-	EnableFD           bool
 }
 
 // baseline is the configuration the four baselines share.
 func (p Params) baseline() baseline.Config {
 	return baseline.Config{
 		T: p.T, Suite: p.Suite, BatchSize: p.BatchSize, BatchTimeout: p.BatchTimeout,
-		RequestTimeout: p.RequestTimeout, SignedRequests: p.SignedRequests, VerifyWorkers: p.VerifyWorkers,
+		RequestTimeout: p.RequestTimeout, SignedRequests: p.SignedRequests,
 	}
 }
 
@@ -93,7 +91,7 @@ var All = []Protocol{
 				T: p.T, Suite: p.Suite, Delta: p.Delta,
 				BatchSize: p.BatchSize, BatchTimeout: p.BatchTimeout, PipelineWindow: p.PipelineWindow,
 				RequestTimeout: p.RequestTimeout, ViewChangeTimeout: p.ViewChangeTimeout,
-				CheckpointInterval: p.CheckpointInterval, EnableFD: p.EnableFD,
+				CheckpointInterval: p.CheckpointInterval,
 			}, app)
 		},
 		NewClient: func(id smr.NodeID, p Params, onCommit OnCommit) Client {

@@ -209,7 +209,7 @@ func TestRouterWindowedClientSurvivesPrimaryCrash(t *testing.T) {
 		} else {
 			refused++
 		}
-		c.net.Engine().After(time.Millisecond, tick)
+		c.net.After(time.Millisecond, tick)
 	}
 	c.net.At(c.net.Now(), tick)
 	c.net.At(crashAt, func() { c.net.Crash(0) })

@@ -407,7 +407,7 @@ func TestWindowedClientSurvivesPrimaryCrash(t *testing.T) {
 			cl.Invoke(kv.PutOp(fmt.Sprintf("k%d", issued%7), []byte(fmt.Sprintf("v%d", issued))))
 			issued++
 		}
-		fc.net.Engine().After(time.Millisecond, tick)
+		fc.net.After(time.Millisecond, tick)
 	}
 	fc.net.At(fc.net.Now(), tick)
 	fc.net.At(crashAt, func() { fc.net.Crash(0) })
