@@ -17,7 +17,7 @@ import (
 	"testing"
 
 	"github.com/xft-consensus/xft/internal/bench"
-	"github.com/xft-consensus/xft/internal/reliability"
+	"github.com/xft-consensus/xft/internal/model"
 )
 
 var quick = bench.Scale{Quick: true}
@@ -138,10 +138,10 @@ func BenchmarkFig2and6Patterns(b *testing.B) {
 // BenchmarkReliabilityXFTConsistency measures the analytical pipeline
 // itself (big.Float triple sum).
 func BenchmarkReliabilityXFTConsistency(b *testing.B) {
-	p := reliability.FromNines(5, 4, 4)
+	p := model.FromNines(5, 4, 4)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		reliability.ConsistencyXFT(2, p)
+		model.ConsistencyXFT(2, p)
 	}
 }
 

@@ -7,10 +7,9 @@ import (
 	"time"
 
 	"github.com/xft-consensus/xft/internal/apps/kv"
-	"github.com/xft-consensus/xft/internal/core"
 	"github.com/xft-consensus/xft/internal/crypto"
+	"github.com/xft-consensus/xft/internal/model"
 	"github.com/xft-consensus/xft/internal/netsim"
-	"github.com/xft-consensus/xft/internal/reliability"
 	"github.com/xft-consensus/xft/internal/smr"
 	"github.com/xft-consensus/xft/internal/xpaxos"
 )
@@ -229,9 +228,9 @@ func Fig10(w io.Writer, sc Scale) []Point {
 
 // Table1 prints the fault-tolerance guarantee matrix.
 func Table1(w io.Writer) {
-	fmt.Fprint(w, core.FormatTable1(3))
+	fmt.Fprint(w, model.FormatTable1(3))
 	fmt.Fprintln(w)
-	fmt.Fprint(w, core.FormatTable1(5))
+	fmt.Fprint(w, model.FormatTable1(5))
 }
 
 // Table2 prints the synchronous-group rotation for t=1.
@@ -253,7 +252,7 @@ func Table3Report(w io.Writer, sc Scale) {
 	if sc.Quick {
 		samples = 300_000
 	}
-	model := EC2Model(map[smr.NodeID]int{}, true)
+	wan := EC2Model(map[smr.NodeID]int{}, true)
 	net := netsim.New(netsim.Config{Seed: 123})
 	fmt.Fprintf(w, "Table 3: simulated RTTs across EC2 regions (ms, avg / 99.99%% / 99.999%% / max; %d pings per pair)\n", samples)
 	var pairs [][2]int // ascending, so each pair is printed once
@@ -263,7 +262,7 @@ func Table3Report(w io.Writer, sc Scale) {
 		}
 	}
 	for _, pr := range pairs {
-		avg, q1, q2, peak := model.MeasureRTTQuantiles(net.Rand(), pr[0], pr[1], samples)
+		avg, q1, q2, peak := wan.MeasureRTTQuantiles(net.Rand(), pr[0], pr[1], samples)
 		ref := Table3[[2]int{min(pr[0], pr[1]), max(pr[0], pr[1])}]
 		if ref.AvgRTT == 0 {
 			ref = Table3[[2]int{max(pr[0], pr[1]), min(pr[0], pr[1])}]
@@ -278,15 +277,15 @@ func Table3Report(w io.Writer, sc Scale) {
 
 // Tables5to8 prints the Appendix D reliability tables.
 func Tables5to8(w io.Writer) {
-	fmt.Fprint(w, reliability.ConsistencyTable(1))
+	fmt.Fprint(w, model.ConsistencyTable(1))
 	fmt.Fprintln(w)
-	fmt.Fprint(w, reliability.ConsistencyTable(2))
+	fmt.Fprint(w, model.ConsistencyTable(2))
 	fmt.Fprintln(w)
-	fmt.Fprint(w, reliability.AvailabilityTable(1))
+	fmt.Fprint(w, model.AvailabilityTable(1))
 	fmt.Fprintln(w)
-	fmt.Fprint(w, reliability.AvailabilityTable(2))
+	fmt.Fprint(w, model.AvailabilityTable(2))
 	fmt.Fprintln(w)
-	fmt.Fprint(w, reliability.FormatExamples())
+	fmt.Fprint(w, model.FormatExamples())
 }
 
 // PatternReport prints the common-case message counts per protocol for

@@ -17,7 +17,7 @@
 //     drain, and fresh probe requests commit.
 //
 // Measured availability is cross-checked against the paper's analytic
-// model (internal/reliability, Section 6.2) on the profile whose fault
+// model (internal/model, Section 6.2) on the profile whose fault
 // process matches the model's independence assumptions. Every run
 // produces a compact deterministic event trace; on violation the result
 // carries the seed and a one-line repro command, which is what the
@@ -36,8 +36,8 @@ import (
 	"github.com/xft-consensus/xft/internal/apps/zk"
 	"github.com/xft-consensus/xft/internal/crypto"
 	"github.com/xft-consensus/xft/internal/faults"
+	"github.com/xft-consensus/xft/internal/model"
 	"github.com/xft-consensus/xft/internal/netsim"
-	"github.com/xft-consensus/xft/internal/reliability"
 	"github.com/xft-consensus/xft/internal/smr"
 	"github.com/xft-consensus/xft/internal/wire"
 	"github.com/xft-consensus/xft/internal/xpaxos"
@@ -951,7 +951,7 @@ func (c *campaign) analyticAvail() float64 {
 		down += d
 	}
 	pAvail := 1 - float64(down)/float64(c.samples*c.n)
-	av := reliability.AvailabilityXFT(c.t, reliability.Params{
+	av := model.AvailabilityXFT(c.t, model.Params{
 		PBenign:    big.NewFloat(1),
 		PCorrect:   big.NewFloat(pAvail),
 		PSynchrony: big.NewFloat(1),

@@ -1,20 +1,25 @@
-// Package core formalizes the XFT fault model of the paper
-// "XFT: Practical Fault Tolerance Beyond Crashes" (Section 2–3).
+// Package model formalizes the fault model of the paper "XFT:
+// Practical Fault Tolerance Beyond Crashes" and states its guarantee
+// both ways the paper does.
 //
-// It provides:
+//   - Sections 2–3: machine fault states (correct / crash / non-crash),
+//     network fault accounting (partitioned replicas, Definition 1) and
+//     the anarchy predicate (Definition 2) that delimits when an XFT
+//     protocol such as XPaxos guarantees consistency.
+//   - Table 1: the guarantee matrix comparing asynchronous CFT,
+//     asynchronous BFT, authenticated synchronous BFT and XFT, with
+//     ConsistencyHolds/AvailabilityHolds as its predicates.
+//   - Section 6 and Appendix D: closed-form probabilities that CFT, BFT
+//     and XFT are consistent and available, and the tables of nines
+//     built from them.
 //
-//   - machine fault states (correct / crash / non-crash) and network
-//     fault accounting (partitioned replicas, Definition 1);
-//   - the anarchy predicate (Definition 2) that delimits when an XFT
-//     protocol such as XPaxos guarantees consistency;
-//   - the guarantee matrix of Table 1, comparing asynchronous CFT,
-//     asynchronous BFT, authenticated synchronous BFT and XFT.
-package core
+// The closed forms are the fast path for the printed tables. The
+// package's contract test enumerates every fault state of n replicas,
+// weights it by the Section 6 probabilities and checks that the states
+// where the predicates hold add up to the closed forms.
+package model
 
-import (
-	"fmt"
-	"math/bits"
-)
+import "math/bits"
 
 // FaultState classifies a machine at a given moment (Section 2).
 type FaultState int
@@ -28,23 +33,6 @@ const (
 	// cryptographic primitives.
 	NonCrash
 )
-
-// String implements fmt.Stringer.
-func (f FaultState) String() string {
-	switch f {
-	case Correct:
-		return "correct"
-	case Crash:
-		return "crash"
-	case NonCrash:
-		return "non-crash"
-	default:
-		return fmt.Sprintf("FaultState(%d)", int(f))
-	}
-}
-
-// Benign reports whether the machine is correct or crash-faulty.
-func (f FaultState) Benign() bool { return f != NonCrash }
 
 // Condition is a snapshot of the system at moment s: the fault state
 // of every replica and which correct replicas are partitioned.
@@ -78,18 +66,12 @@ func NewFullyConnected(n int) *Condition {
 func (c *Condition) N() int { return len(c.Machines) }
 
 // SetFault marks replica i with the given state.
-func (c *Condition) SetFault(i int, f FaultState) { c.Machines[i] = f }
+func (c *Condition) SetFault(i int, state FaultState) { c.Machines[i] = state }
 
 // Disconnect cuts timely communication between replicas i and j.
 func (c *Condition) Disconnect(i, j int) {
 	c.Connected[i][j] = false
 	c.Connected[j][i] = false
-}
-
-// Reconnect restores timely communication between replicas i and j.
-func (c *Condition) Reconnect(i, j int) {
-	c.Connected[i][j] = true
-	c.Connected[j][i] = true
 }
 
 // Counts carries the paper's fault counters at a moment s.
@@ -136,7 +118,7 @@ func largestClique(vertices []int, conn [][]bool) int {
 		return 0
 	}
 	if n > 63 {
-		panic("core: largestClique supports at most 63 correct replicas")
+		panic("model: largestClique supports at most 63 correct replicas")
 	}
 	// adj[i] is the bitmask of vertices adjacent to vertices[i].
 	adj := make([]uint64, n)
@@ -181,13 +163,4 @@ func largestClique(vertices []int, conn [][]bool) int {
 func (c *Condition) InAnarchy(t int) bool {
 	cnt := c.Counts()
 	return cnt.NonCrash > 0 && cnt.Crash+cnt.NonCrash+cnt.Partitioned > t
-}
-
-// SynchronousMajority reports whether a majority of replicas are
-// correct and synchronous — the condition under which XPaxos
-// guarantees both consistency and availability.
-func (c *Condition) SynchronousMajority() bool {
-	cnt := c.Counts()
-	available := c.N() - cnt.Crash - cnt.NonCrash - cnt.Partitioned
-	return available > c.N()/2
 }

@@ -1,4 +1,4 @@
-package core
+package model
 
 import (
 	"math/rand"
@@ -44,8 +44,8 @@ func TestNoFaultsNoPartitions(t *testing.T) {
 	if c.InAnarchy(3) {
 		t.Fatalf("fault-free system reported in anarchy")
 	}
-	if !c.SynchronousMajority() {
-		t.Fatalf("fault-free system lacks synchronous majority")
+	if !AvailabilityHolds(XFT, c) {
+		t.Fatalf("fault-free system is not available")
 	}
 }
 
@@ -74,13 +74,14 @@ func TestCrashedReplicasAreNotPartitioned(t *testing.T) {
 }
 
 func TestAnarchyDefinition(t *testing.T) {
-	// n=5, t=2: anarchy iff tnc>0 and tc+tnc+tp > 2.
+	// n=5, t=2: anarchy iff tnc>0 and tc+tnc+tp > 2; XFT is available
+	// iff tc+tnc+tp ≤ 2, i.e. a majority is correct and synchronous.
 	cases := []struct {
-		name             string
-		nonCrash, crash  int
-		disconnectPairs  [][2]int
-		wantAnarchy      bool
-		wantSyncMajority bool
+		name            string
+		nonCrash, crash int
+		disconnectPairs [][2]int
+		wantAnarchy     bool
+		wantAvailable   bool
 	}{
 		{"no faults", 0, 0, nil, false, true},
 		{"one byzantine", 1, 0, nil, false, true},
@@ -108,8 +109,8 @@ func TestAnarchyDefinition(t *testing.T) {
 			if got := c.InAnarchy(2); got != tc.wantAnarchy {
 				t.Errorf("InAnarchy = %v, want %v (counts %+v)", got, tc.wantAnarchy, c.Counts())
 			}
-			if got := c.SynchronousMajority(); got != tc.wantSyncMajority {
-				t.Errorf("SynchronousMajority = %v, want %v", got, tc.wantSyncMajority)
+			if got := AvailabilityHolds(XFT, c); got != tc.wantAvailable {
+				t.Errorf("AvailabilityHolds(XFT) = %v, want %v", got, tc.wantAvailable)
 			}
 		})
 	}

@@ -1,19 +1,19 @@
-// Package reliability implements the analysis of Section 6 of the XFT
-// paper: closed-form probabilities that CFT, BFT and XFT state-machine
-// replication are consistent (safe) and available (live), assuming
-// machine and network fault states are independent and identically
-// distributed across replicas.
+package model
+
+// Section 6 of the paper: closed-form probabilities that CFT, BFT and
+// XFT state-machine replication are consistent (safe) and available
+// (live), assuming machine and network fault states are independent and
+// identically distributed across replicas.
 //
 // Probabilities are computed with 300-bit big.Float arithmetic so that
-// "nines" up to ~80 are exact — the paper's tables go to 22 nines,
-// far beyond float64's resolution near 1.
+// "nines" up to ~80 are exact — the paper's tables go to 22 nines, far
+// beyond float64's resolution near 1.
 //
-// Model (Section 6): a replica is benign with probability p_benign
-// (correct or crash), correct with p_correct ≤ p_benign, synchronous
-// with p_synchrony, and available (correct AND synchronous) with
-// p_available = p_correct × p_synchrony. CFT and XFT use n = 2t+1
-// replicas; asynchronous BFT uses n = 3t+1.
-package reliability
+// A replica is benign with probability p_benign (correct or crash),
+// correct with p_correct ≤ p_benign, synchronous with p_synchrony, and
+// available (correct AND synchronous) with p_available = p_correct ×
+// p_synchrony. CFT and XFT use n = 2t+1 replicas; asynchronous BFT uses
+// n = 3t+1.
 
 import (
 	"fmt"
@@ -142,38 +142,32 @@ func ConsistencyXFT(t int, p Params) *big.Float {
 // AvailabilityXFT returns P[XPaxos is available], n = 2t+1: at least
 // t+1 replicas available.
 func AvailabilityXFT(t int, p Params) *big.Float {
-	n := 2*t + 1
 	pav := p.PAvailable()
-	rest := sub(f(1), pav)
-	sum := f(0)
-	for i := t + 1; i <= n; i++ {
-		sum = add(sum, mul(binom(n, i), mul(pow(pav, i), pow(rest, n-i))))
-	}
-	return sum
+	return atLeast(2*t+1, t+1, pav, sub(f(1), pav))
 }
 
 // AvailabilityCFT returns P[CFT is available], n = 2t+1: at least t+1
 // replicas available and the remaining replicas benign.
 func AvailabilityCFT(t int, p Params) *big.Float {
-	n := 2*t + 1
 	pav := p.PAvailable()
-	rest := sub(p.PBenign, pav)
-	sum := f(0)
-	for i := t + 1; i <= n; i++ {
-		sum = add(sum, mul(binom(n, i), mul(pow(pav, i), pow(rest, n-i))))
-	}
-	return sum
+	return atLeast(2*t+1, t+1, pav, sub(p.PBenign, pav))
 }
 
 // AvailabilityBFT returns P[BFT is available], n = 3t+1: at least
 // n − t replicas available.
 func AvailabilityBFT(t int, p Params) *big.Float {
-	n := 3*t + 1
 	pav := p.PAvailable()
-	rest := sub(f(1), pav)
+	return atLeast(3*t+1, 2*t+1, pav, sub(f(1), pav))
+}
+
+// atLeast returns the binomial tail Σ_{i=k..n} C(n,i) p^i rest^(n−i):
+// the probability that at least k of n replicas are in a state of
+// probability p while each of the others is in a state of probability
+// rest.
+func atLeast(n, k int, p, rest *big.Float) *big.Float {
 	sum := f(0)
-	for i := n - t; i <= n; i++ {
-		sum = add(sum, mul(binom(n, i), mul(pow(pav, i), pow(rest, n-i))))
+	for i := k; i <= n; i++ {
+		sum = add(sum, mul(binom(n, i), mul(pow(p, i), pow(rest, n-i))))
 	}
 	return sum
 }

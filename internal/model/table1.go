@@ -1,4 +1,4 @@
-package core
+package model
 
 import (
 	"fmt"
@@ -37,14 +37,13 @@ func (m Model) String() string {
 
 // Guarantee is one row of Table 1: the maximum number of each type of
 // fault a model tolerates while preserving the given property. A
-// Combined entry means the bound applies to the *sum* of all fault
-// types rather than each individually (rendered "(combined)" in the
-// paper).
+// Combined row (rendered "(combined)" in the paper) also bounds the
+// *sum* of all fault types, by its largest entry.
 type Guarantee struct {
 	NonCrash    int
 	Crash       int
 	Partitioned int
-	Combined    bool // bound applies to crash+non-crash+partitioned jointly
+	Combined    bool // crash+non-crash+partitioned is bounded jointly
 }
 
 // MaxConsistency returns the Table 1 consistency row(s) for the model
@@ -65,7 +64,7 @@ func MaxConsistency(m Model, n int) []Guarantee {
 			{NonCrash: (n - 1) / 2, Crash: (n - 1) / 2, Partitioned: (n - 1) / 2, Combined: true},
 		}
 	default:
-		panic("core: unknown model")
+		panic("model: unknown model")
 	}
 }
 
@@ -85,14 +84,15 @@ func MaxAvailability(m Model, n int) Guarantee {
 		t := (n - 1) / 2
 		return Guarantee{NonCrash: t, Crash: t, Partitioned: t, Combined: true}
 	default:
-		panic("core: unknown model")
+		panic("model: unknown model")
 	}
 }
 
 // ConsistencyHolds evaluates whether a model's consistency guarantee
 // covers the given condition, using threshold t = ⌊(n−1)/2⌋ for
 // XFT/CFT and ⌊(n−1)/3⌋ for async BFT. This is the predicate behind
-// Table 1 and is exercised against protocol executions in tests.
+// Table 1; the package's contract test checks it against the Table 1
+// rows and the Section 6 closed forms.
 func ConsistencyHolds(m Model, c *Condition) bool {
 	n := c.N()
 	cnt := c.Counts()
@@ -106,7 +106,7 @@ func ConsistencyHolds(m Model, c *Condition) bool {
 	case XFT:
 		return !c.InAnarchy((n - 1) / 2)
 	default:
-		panic("core: unknown model")
+		panic("model: unknown model")
 	}
 }
 
@@ -126,7 +126,7 @@ func AvailabilityHolds(m Model, c *Condition) bool {
 	case XFT:
 		return total <= (n-1)/2
 	default:
-		panic("core: unknown model")
+		panic("model: unknown model")
 	}
 }
 

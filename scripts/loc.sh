@@ -13,9 +13,10 @@
 #     internal/baseline, 4,874 after, 4,376 when their codecs became one
 #     field list per wire type and the pbft/zyzzyva view change moved
 #     into the kit, 4,356 when the TLS experiment began building its
-#     nodes through internal/deploy; CEILING is the count reached when
-#     the arena came to run through bench.RunPoint and the baselines
-#     moved onto the shared verify pool.
+#     nodes through internal/deploy, 4,278 when the arena came to run
+#     through bench.RunPoint and the baselines moved onto the shared
+#     verify pool; CEILING is the count reached when the paper's fault
+#     model became one package, internal/model.
 #   - internal/xpaxos. 6,084 lines before the replica's per-sequence
 #     maps became one sequence log, 6,067 after, 5,572 when codec.go
 #     became field lists, 5,517 when the per-view maps became one view
@@ -25,8 +26,10 @@
 #   - the printed total outside benchmark/ (21,727 before the view log,
 #     21,534 after, 21,527 after the session table, 21,443 when every
 #     live node came to be built through internal/deploy, 21,437 when
-#     the Ed25519 suite began deriving keys on first use; TOTAL_CEILING
-#     is the count reached when internal/sim was folded into netsim),
+#     the Ed25519 suite began deriving keys on first use, 21,286 when
+#     internal/sim was folded into netsim; TOTAL_CEILING is the count
+#     reached when internal/core and internal/reliability were merged
+#     into internal/model),
 #     so a package outside the two sets cannot absorb what they shed.
 #
 # A ceiling is lowered by the PR that shrinks its set: run this script,
@@ -36,9 +39,9 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 RATCHETED="internal/baseline internal/protocols internal/paxos internal/pbft internal/zab internal/zyzzyva internal/bench"
-CEILING=4278
+CEILING=4277
 XPAXOS_CEILING=5514
-TOTAL_CEILING=21286
+TOTAL_CEILING=21231
 
 count() { find "$1" -maxdepth 1 -name '*.go' ! -name '*_test.go' -print0 | xargs -0 -r cat | wc -l; }
 
