@@ -60,16 +60,16 @@ type MAC []byte
 // digest function, so digests computed by different suites agree.
 func Hash(data []byte) Digest { return sha256.Sum256(data) }
 
-// HashParts digests the concatenation of several byte slices without
-// allocating an intermediate buffer.
+// HashParts digests the concatenation of several byte slices. Up to
+// 256 bytes the concatenation is built on the stack, so the call does
+// not allocate; longer inputs grow onto the heap.
 func HashParts(parts ...[]byte) Digest {
-	h := sha256.New()
+	var stack [256]byte
+	buf := stack[:0]
 	for _, p := range parts {
-		h.Write(p)
+		buf = append(buf, p...)
 	}
-	var d Digest
-	copy(d[:], h.Sum(nil))
-	return d
+	return sha256.Sum256(buf)
 }
 
 // Suite is the cryptographic interface protocols program against.

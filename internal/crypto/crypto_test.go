@@ -255,6 +255,22 @@ func TestHashPartsMatchesConcatenation(t *testing.T) {
 	if err := quick.Check(check, nil); err != nil {
 		t.Fatal(err)
 	}
+	// Past the stack buffer the concatenation moves to the heap.
+	long := bytes.Repeat([]byte{7}, 200)
+	if !check(long, long, []byte("x")) {
+		t.Fatal("HashParts differs from the concatenation's hash past 256 bytes")
+	}
+}
+
+var digestSink Digest
+
+// TestHashPartsDoesNotAllocate guards the stack buffer: a Merkle-node
+// sized call makes no heap allocation.
+func TestHashPartsDoesNotAllocate(t *testing.T) {
+	a, b, c := make([]byte, 8), make([]byte, 32), make([]byte, 32)
+	if n := testing.AllocsPerRun(100, func() { digestSink = HashParts(a, b, c) }); n != 0 {
+		t.Fatalf("HashParts over 3 parts, 72 bytes makes %.0f allocations, want 0", n)
+	}
 }
 
 func TestSignaturePropertyRandomMessages(t *testing.T) {

@@ -5,33 +5,15 @@ package crypto
 // log-size inclusion proof for its own reply, keeping replies small
 // regardless of the batch size.
 
-// MerkleRoot computes the root of the tree over the given leaves.
-// Odd nodes are promoted unhashed (Bitcoin-style duplication is
-// avoided to keep proofs unambiguous). An empty leaf set has the zero
-// root.
+// MerkleRoot computes the root of the tree over the given leaves. An
+// empty leaf set has the zero root.
 func MerkleRoot(leaves []Digest) Digest {
-	if len(leaves) == 0 {
-		return Digest{}
-	}
-	level := append([]Digest(nil), leaves...)
-	for len(level) > 1 {
-		out := make([]Digest, 0, (len(level)+1)/2)
-		for i := 0; i < len(level); i += 2 {
-			if i+1 < len(level) {
-				out = append(out, HashParts([]byte("mrk"), level[i][:], level[i+1][:]))
-			} else {
-				out = append(out, level[i])
-			}
-		}
-		level = out
-	}
-	return level[0]
+	root, _ := MerkleTree(leaves)
+	return root
 }
 
-// MerkleProof returns the sibling path for leaf idx; Verify recomputes
-// the root from it. The proof encodes each sibling with a direction
-// byte folded into the slice order: entry i is the sibling at level i,
-// and lefts[i] reports whether that sibling is the left child.
+// MerkleProof is one leaf's sibling path: Siblings[i] is its sibling
+// at level i, and Lefts[i] reports whether that sibling is the left one.
 type MerkleProof struct {
 	Siblings []Digest
 	Lefts    []bool
@@ -40,31 +22,48 @@ type MerkleProof struct {
 // Size returns the proof's wire size in bytes.
 func (p *MerkleProof) Size() int { return len(p.Siblings)*DigestSize + len(p.Lefts) }
 
-// BuildMerkleProof constructs the inclusion proof for leaves[idx].
-func BuildMerkleProof(leaves []Digest, idx int) MerkleProof {
-	var proof MerkleProof
-	if idx < 0 || idx >= len(leaves) {
-		return proof
+// MerkleTree builds the tree over leaves once and returns its root and
+// the inclusion proof of every leaf, in leaf order. Odd nodes are
+// promoted unhashed (Bitcoin-style duplication is avoided to keep
+// proofs unambiguous). The proofs share two backing arrays, each
+// capped at its own entries.
+func MerkleTree(leaves []Digest) (Digest, []MerkleProof) {
+	if len(leaves) == 0 {
+		return Digest{}, nil
 	}
-	level := append([]Digest(nil), leaves...)
-	for len(level) > 1 {
-		sib := idx ^ 1
-		if sib < len(level) {
-			proof.Siblings = append(proof.Siblings, level[sib])
-			proof.Lefts = append(proof.Lefts, sib < idx)
-		}
-		out := make([]Digest, 0, (len(level)+1)/2)
-		for i := 0; i < len(level); i += 2 {
-			if i+1 < len(level) {
-				out = append(out, HashParts([]byte("mrk"), level[i][:], level[i+1][:]))
+	// levels holds the leaves first and the root alone last.
+	levels := [][]Digest{leaves}
+	for level := leaves; len(level) > 1; levels = append(levels, level) {
+		next := make([]Digest, (len(level)+1)/2)
+		for i := range next {
+			if 2*i+1 < len(level) {
+				next[i] = HashParts([]byte("mrk"), level[2*i][:], level[2*i+1][:])
 			} else {
-				out = append(out, level[i])
+				next[i] = level[2*i]
 			}
 		}
-		level = out
-		idx /= 2
+		level = next
 	}
-	return proof
+	depth := len(levels) - 1
+	proofs := make([]MerkleProof, len(leaves))
+	if depth == 0 {
+		return leaves[0], proofs
+	}
+	sibs := make([]Digest, len(leaves)*depth)
+	lefts := make([]bool, len(leaves)*depth)
+	for i := range proofs {
+		p := MerkleProof{Siblings: sibs[i*depth : i*depth : (i+1)*depth], Lefts: lefts[i*depth : i*depth : (i+1)*depth]}
+		idx := i
+		for _, level := range levels[:depth] {
+			if sib := idx ^ 1; sib < len(level) {
+				p.Siblings = append(p.Siblings, level[sib])
+				p.Lefts = append(p.Lefts, sib < idx)
+			}
+			idx /= 2
+		}
+		proofs[i] = p
+	}
+	return levels[depth][0], proofs
 }
 
 // VerifyMerkleProof checks that leaf is included under root.

@@ -2,6 +2,7 @@ package xpaxos
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -89,6 +90,9 @@ type Client struct {
 	// announced is one past the highest view a ⟨view-installed⟩ notice
 	// was honoured for; 0 before any.
 	announced smr.View
+	// followerCommit is the last t = 1 follower commit that verified; the
+	// replies of a batch repeat it byte for byte and need no second check.
+	followerCommit *Order
 
 	// Committed counts successful requests (exported for tests).
 	Committed uint64
@@ -276,8 +280,13 @@ func (c *Client) onReply(from smr.NodeID, m *MsgReply) {
 		if fc.View != m.View || fc.SN != m.SN || followerIndex(c.n, c.t, fc.View, fc.From) < 0 {
 			return
 		}
-		if !verifyOrder(c.suite, fc) {
-			return
+		if c.followerCommit == nil || !c.followerCommit.sameSigned(fc) {
+			if !verifyOrder(c.suite, fc) {
+				return
+			}
+			memo := *fc
+			memo.Sig = slices.Clone(fc.Sig)
+			c.followerCommit = &memo
 		}
 		// Our reply must be bound under the follower's signed root.
 		leaf := ReplyLeaf(m.TS, crypto.Hash(m.Rep))
@@ -307,43 +316,23 @@ func (c *Client) onReplyDigest(from smr.NodeID, m *MsgReplyDigest) {
 	c.checkQuorum(p)
 }
 
-// checkQuorum commits p when t+1 matching replies from the active
-// replicas of one view are in and the full reply is known.
+// checkQuorum commits p when t+1 active replicas of one view sent
+// matching replies and the full reply is among them.
 func (c *Client) checkQuorum(p *pendingReq) {
-	// Group votes by (view, sn, digest).
-	type key struct {
-		v  smr.View
-		sn smr.SeqNum
-		d  crypto.Digest
-	}
-	counts := make(map[key][]smr.NodeID)
-	for from, v := range p.replies {
-		counts[key{v.view, v.sn, v.repDigest}] = append(counts[key{v.view, v.sn, v.repDigest}], from)
-	}
-	for k, voters := range counts {
-		if len(voters) < c.t+1 {
+	for _, v := range p.replies {
+		if !v.full {
 			continue
 		}
-		group := SyncGroup(c.n, c.t, k.v)
-		inGroup := 0
-		for _, id := range voters {
-			for _, g := range group {
-				if id == g {
-					inGroup++
-					break
-				}
+		group, votes := SyncGroup(c.n, c.t, v.view), 0
+		for from, w := range p.replies {
+			if w.view == v.view && w.sn == v.sn && w.repDigest == v.repDigest && slices.Contains(group, from) {
+				votes++
 			}
 		}
-		if inGroup < c.t+1 {
-			continue
+		if votes >= c.t+1 {
+			c.commit(p, v.rep)
+			return
 		}
-		for _, id := range voters {
-			if v := p.replies[id]; v.full {
-				c.commit(p, v.rep)
-				return
-			}
-		}
-		// The digests match but nobody sent the payload yet.
 	}
 }
 

@@ -63,15 +63,15 @@ func (r *Replica) sendReplies(entry *CommitEntry, sn smr.SeqNum, tss []uint64, r
 			// Check the follower's reply digest (Section 4.2.2) before
 			// answering clients: a mismatch means one of us diverged.
 			m1 := entry.Commits[0]
-			leaves := ReplyLeaves(tss, digs)
-			if m1.RepRoot != crypto.MerkleRoot(leaves) {
+			root, proofs := crypto.MerkleTree(ReplyLeaves(tss, digs))
+			if m1.RepRoot != root {
 				rootOK = false
 				return
 			}
 			for i := range out {
 				rep := &MsgReply{
 					From: r.id, SN: sn, View: view, TS: tss[i], Rep: reps[i],
-					Proof: crypto.BuildMerkleProof(leaves, i), FollowerCommit: &m1,
+					Proof: proofs[i], FollowerCommit: &m1,
 				}
 				rep.MAC = r.suite.MAC(crypto.NodeID(r.id), crypto.NodeID(entry.Batch.Reqs[i].Client), rep.MACPayload())
 				out[i] = rep
@@ -152,13 +152,12 @@ func (r *Replica) sendReply(client smr.NodeID, req *Request, c cachedReply) {
 		m1 := entry.Commits[0]
 		rep.SN, rep.View = entry.SN(), entry.View()
 		rep.FollowerCommit = &m1
-		tss, digs := r.collectReplyDigests(&entry.Batch)
-		leaves := ReplyLeaves(tss, digs)
 		idx := slices.IndexFunc(entry.Batch.Reqs, func(rq Request) bool { return rq.Client == client && rq.TS == c.TS })
 		if idx < 0 {
 			return
 		}
-		rep.Proof = crypto.BuildMerkleProof(leaves, idx)
+		_, proofs := crypto.MerkleTree(ReplyLeaves(r.collectReplyDigests(&entry.Batch)))
+		rep.Proof = proofs[idx]
 	}
 	rep.MAC = r.suite.MAC(crypto.NodeID(r.id), crypto.NodeID(client), rep.MACPayload())
 	r.env.Send(client, &rep)

@@ -87,16 +87,13 @@ func (q *admissionQueue) drain(max int) []Request {
 }
 
 // verifyPressureDepth is the per-client queue depth from which
-// admission demands an up-front signature check. Intake verification
-// is normally deferred to batch formation (cheaper: the whole batch
-// verifies in one pass), but unverified admissions are charged to the
-// named client's quota — so an attacker spraying forged requests that
-// *name* a victim could pin the victim's quota and starve it. Demanding
-// verification once a client's queue is non-trivially deep bounds the
-// damage to verifyPressureDepth unverified slots: beyond that, forged
-// requests die at admission and cost only the attacker's own send
-// rate, while a genuine deep queue (an open-loop client) passes and
-// proceeds.
+// admission checks a request's signature inline instead of in its
+// batch. A queued request holds one of its client's execWindowBits
+// session slots until its batch verifies, forged or not, so a spray of
+// forgeries naming a victim could fill the victim's window; checking
+// inline past this depth caps them at verifyPressureDepth slots, while
+// a genuine deep queue passes. A request checked here is not checked
+// again in its batch.
 const verifyPressureDepth = 8
 
 // intakeVerify is one drained slice of candidate requests whose client
@@ -118,6 +115,7 @@ func (r *Replica) onRequest(from smr.NodeID, req Request, forwarded bool) {
 	if !r.isActive() {
 		return
 	}
+	req.verified = forwarded && req.verified // onResend's check counts, a message's flag does not
 	// Client-signature verification is deferred to batch formation,
 	// where the whole batch's signatures scatter across the
 	// verification pool in one call instead of costing the event loop
@@ -164,7 +162,7 @@ func (r *Replica) onRequest(from smr.NodeID, req Request, forwarded bool) {
 	if q.queued == sigD {
 		return // identical copy already in the pipeline
 	}
-	// A different copy for the same (client, ts): the queued one is
+	// A different copy for the same (client, ts): the queued one may be
 	// unverified, so it could be a forgery racing the honest request.
 	// Verify this copy inline — if it is genuine, queue it too (batch
 	// formation discards the bad one); if not, ignore it without
@@ -175,7 +173,7 @@ func (r *Replica) onRequest(from smr.NodeID, req Request, forwarded bool) {
 	// A deep queue verifies up front too (see verifyPressureDepth). A
 	// request turned away leaves no marker: its retransmission after
 	// the overload clears must be judged fresh, not as a duplicate.
-	if len(s.pending) >= verifyPressureDepth && !r.verifyRequest(&req) {
+	if len(s.pending) >= verifyPressureDepth && !req.verified && !r.verifyRequest(&req) {
 		r.intake.pressureDropped.Add(1)
 		r.release(s, q, false)
 		return
@@ -199,11 +197,13 @@ func (r *Replica) IntakeStats() IntakeStats {
 	}
 }
 
+// verifyRequest checks req's client signature and notes a pass in
+// req.verified.
 func (r *Replica) verifyRequest(req *Request) bool {
 	w := wire.Get()
-	ok := r.suite.Verify(crypto.NodeID(req.Client), req.appendSigPayload(w), req.Sig)
+	req.verified = r.suite.Verify(crypto.NodeID(req.Client), req.appendSigPayload(w), req.Sig)
 	wire.Put(w)
-	return ok
+	return req.verified
 }
 
 // verifyForwards drains the follower's pending forward backlog through
@@ -293,20 +293,28 @@ func (r *Replica) flushBatches(force bool) {
 	}
 }
 
-// dispatchIntake submits the candidates' client-signature checks —
-// deferred from arrival so the whole batch verifies in one parallel
-// scatter — and queues the batch for in-order retirement. While the
-// batch verifies off-loop, the loop is free to assemble the next one:
-// verification of batch k+1 overlaps signing and assembly of batch k.
+// dispatchIntake submits the client-signature checks that admission
+// deferred — so the whole batch verifies in one parallel scatter — and
+// queues the batch for in-order retirement. While the batch verifies
+// off-loop, the loop is free to assemble the next one: verification of
+// batch k+1 overlaps signing and assembly of batch k.
 func (r *Replica) dispatchIntake(cand []Request) {
-	iv := &intakeVerify{cand: cand}
+	iv := &intakeVerify{cand: cand, verdicts: make([]bool, len(cand))}
 	r.intakeQ = append(r.intakeQ, iv)
 	b := crypto.NewSigBatch(len(cand))
+	var todo []int // the candidates admission did not verify
 	for i := range cand {
-		b.Add(crypto.NodeID(cand[i].Client), cand[i].Sig, cand[i].appendSigPayload)
+		if iv.verdicts[i] = cand[i].verified; !cand[i].verified {
+			todo = append(todo, i)
+			b.Add(crypto.NodeID(cand[i].Client), cand[i].Sig, cand[i].appendSigPayload)
+		}
 	}
 	r.goCrypto("verify-intake",
-		func() { iv.verdicts = b.VerifyEach(crypto.SharedPool(), r.suite) },
+		func() {
+			for j, ok := range b.VerifyEach(crypto.SharedPool(), r.suite) {
+				iv.verdicts[todo[j]] = ok
+			}
+		},
 		func() {
 			iv.done = true
 			r.retireIntake()

@@ -30,6 +30,8 @@ type Request struct {
 	// which orders the write before event-loop readers.
 	digest    crypto.Digest
 	digestSet bool
+	// verified notes that this replica checked Sig; never encoded.
+	verified bool
 }
 
 // SigPayload returns the bytes the client signs.
@@ -175,6 +177,12 @@ func signOrderInto(suite crypto.Suite, o *Order) {
 	wire.Put(w)
 }
 
+// sameSigned reports whether o and p are the same signed bytes.
+func (o *Order) sameSigned(p *Order) bool {
+	return o.Kind == p.Kind && o.BatchD == p.BatchD && o.SN == p.SN && o.View == p.View &&
+		o.From == p.From && o.RepRoot == p.RepRoot && string(o.Sig) == string(p.Sig)
+}
+
 // verifyOrder checks an order's signature.
 func verifyOrder(suite crypto.Suite, o *Order) bool {
 	w := wire.Get()
@@ -302,12 +310,7 @@ func (m *MsgReply) MACPayload() []byte {
 	w := wire.New(64 + len(m.Rep)).Str("xp-reply").I64(int64(m.From)).
 		U64(uint64(m.SN)).U64(uint64(m.View)).U64(m.TS).Bytes(m.Rep)
 	for i := range m.Proof.Siblings {
-		w.Raw(m.Proof.Siblings[i][:])
-		if m.Proof.Lefts[i] {
-			w.U8(1)
-		} else {
-			w.U8(0)
-		}
+		w.Raw(m.Proof.Siblings[i][:]).Bool(m.Proof.Lefts[i])
 	}
 	return w.Done()
 }
