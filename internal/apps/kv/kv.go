@@ -145,14 +145,17 @@ func (s *Store) Execute(op []byte) []byte {
 }
 
 // Snapshot implements smr.Application: keys serialized in sorted order
-// so snapshots are deterministic across replicas.
+// so snapshots are deterministic across replicas, into one buffer of
+// exactly the encoding's size.
 func (s *Store) Snapshot() []byte {
 	keys := make([]string, 0, len(s.data))
-	for k := range s.data {
+	size := 4
+	for k, v := range s.data {
 		keys = append(keys, k)
+		size += 8 + len(k) + len(v)
 	}
 	sort.Strings(keys)
-	w := wire.New(64 * len(keys)).U32(uint32(len(keys)))
+	w := wire.New(size).U32(uint32(len(keys)))
 	for _, k := range keys {
 		w.Str(k).Bytes(s.data[k])
 	}

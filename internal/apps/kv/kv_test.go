@@ -2,8 +2,13 @@ package kv
 
 import (
 	"bytes"
+	"fmt"
+	"runtime"
+	"sort"
 	"testing"
 	"testing/quick"
+
+	"github.com/xft-consensus/xft/internal/wire"
 )
 
 func TestPutGetDelete(t *testing.T) {
@@ -59,6 +64,40 @@ func TestSnapshotRestore(t *testing.T) {
 	}
 	if err := r.Restore([]byte{1, 2}); err == nil {
 		t.Fatalf("corrupt snapshot accepted")
+	}
+}
+
+// TestSnapshotOneAllocation: a large store's snapshot is built in one
+// buffer of its exact size, not regrown through its values, and its
+// bytes are the encoding checkpoint digests have always covered.
+func TestSnapshotOneAllocation(t *testing.T) {
+	s := NewStore()
+	val := bytes.Repeat([]byte{0xab}, 4096)
+	for i := 0; i < 1000; i++ {
+		s.Execute(PutOp(fmt.Sprintf("key-%04d", i), val))
+	}
+
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	snap := s.Snapshot()
+	runtime.ReadMemStats(&after)
+	if alloc := after.TotalAlloc - before.TotalAlloc; float64(alloc) > 1.1*float64(len(snap)) {
+		t.Errorf("Snapshot allocated %d bytes for a %d-byte encoding", alloc, len(snap))
+	}
+
+	// The encoding as first written: a count, then each key and value
+	// length-prefixed, keys ascending.
+	keys := make([]string, 0, len(s.data))
+	for k := range s.data {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	w := wire.New(0).U32(uint32(len(keys)))
+	for _, k := range keys {
+		w.Str(k).Bytes(s.data[k])
+	}
+	if !bytes.Equal(snap, w.Done()) {
+		t.Fatal("snapshot bytes differ from the established encoding")
 	}
 }
 

@@ -104,9 +104,6 @@ func ChildrenOp(path string) []byte {
 	return wire.New(len(path) + 8).U8(OpGetChildren).Str(path).Done()
 }
 
-// SyncOp encodes a no-op barrier.
-func SyncOp() []byte { return wire.New(1).U8(OpSync).Done() }
-
 // --- Reply decoding helpers ------------------------------------------------
 
 // ReplyStatus extracts the status byte.

@@ -30,7 +30,7 @@ func TestCampaignDeterminism(t *testing.T) {
 			a := Run(cfg)
 			b := Run(cfg)
 			if a.TraceDigest != b.TraceDigest {
-				la, lb := a.Trace.Lines(), b.Trace.Lines()
+				la, lb := a.Trace.lines, b.Trace.lines
 				for i := 0; i < len(la) && i < len(lb); i++ {
 					if la[i] != lb[i] {
 						t.Fatalf("traces diverge at line %d:\n  run1: %s\n  run2: %s", i, la[i], lb[i])

@@ -31,9 +31,6 @@ func (tr *Trace) Notef(format string, args ...any) {
 	tr.lines = append(tr.lines, fmt.Sprintf(format, args...))
 }
 
-// Lines returns the recorded lines.
-func (tr *Trace) Lines() []string { return tr.lines }
-
 // Len returns the number of recorded lines.
 func (tr *Trace) Len() int { return len(tr.lines) }
 

@@ -71,6 +71,58 @@ func TestFieldOpsAgainstBig(t *testing.T) {
 	}
 }
 
+// TestFieldKernelMatchesGeneric holds feMul and feSquare (the assembly
+// kernel on amd64) to the Go bodies bit for bit, limb by limb: every
+// field element, and so every verdict, must be the same on both paths.
+// Inputs run past the 2^52 bound that operations keep, to 2^54.
+func TestFieldKernelMatchesGeneric(t *testing.T) {
+	check := func(a, b fe) {
+		t.Helper()
+		var got, want fe
+		feMul(&got, &a, &b)
+		feMulGeneric(&want, &a, &b)
+		if got != want {
+			t.Fatalf("feMul(%v, %v) = %v, generic %v", a, b, got, want)
+		}
+		feSquare(&got, &a)
+		feSquareGeneric(&want, &a)
+		if got != want {
+			t.Fatalf("feSquare(%v) = %v, generic %v", a, got, want)
+		}
+		// Aliased output, as in t.square(&t) and t.mul(&t, a).
+		got, want = a, a
+		feMul(&got, &got, &b)
+		feMulGeneric(&want, &want, &b)
+		if got != want {
+			t.Fatalf("aliased feMul(%v, %v) = %v, generic %v", a, b, got, want)
+		}
+	}
+
+	edges := []uint64{0, 1<<51 - 1, 1<<52 - 1, 1<<54 - 1}
+	var vecs []fe
+	for i := 0; i < 1<<10; i++ { // every 5-limb vector over the edges
+		var l [5]uint64
+		for j := range l {
+			l[j] = edges[(i>>(2*j))&3]
+		}
+		vecs = append(vecs, fe{l[0], l[1], l[2], l[3], l[4]})
+	}
+	for i := range vecs {
+		for j := 0; j < len(vecs); j += 7 {
+			check(vecs[i], vecs[j])
+		}
+	}
+
+	rng := rand.New(rand.NewSource(3))
+	limb := func() uint64 {
+		return rng.Uint64() >> (10 + rng.Intn(4)) // 54, 53, 52 or 51 bits
+	}
+	for i := 0; i < 100_000; i++ {
+		check(fe{limb(), limb(), limb(), limb(), limb()},
+			fe{limb(), limb(), limb(), limb(), limb()})
+	}
+}
+
 // TestConstants verifies the hardcoded curve constants against their
 // defining equations.
 func TestConstants(t *testing.T) {
@@ -132,15 +184,13 @@ func TestRejectNonCanonicalY(t *testing.T) {
 	}
 }
 
-// TestScalarNAF reconstructs scalars from their NAF digits.
+// TestScalarNAF reconstructs scalars from their NAF digits. With the
+// digit rules checked too, this pins the one width-5 NAF of each scalar.
 func TestScalarNAF(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	for i := 0; i < 100; i++ {
-		b := make([]byte, 32)
-		rng.Read(b)
+	check := func(v *big.Int) {
+		t.Helper()
 		var s scalar
-		s.setBytesLE(b)
-		s.v.Mod(&s.v, order)
+		s.v.Set(v)
 		var naf [256]int8
 		s.nonAdjacentForm(&naf)
 		got := new(big.Int)
@@ -159,9 +209,28 @@ func TestScalarNAF(t *testing.T) {
 			lastNonZero = pos
 			got.Add(got, new(big.Int).Lsh(big.NewInt(d), uint(pos)))
 		}
-		if got.Cmp(&s.v) != 0 {
-			t.Fatalf("NAF reconstruction: got %v want %v", got, &s.v)
+		if got.Cmp(v) != 0 {
+			t.Fatalf("NAF reconstruction: got %v want %v", got, v)
 		}
+	}
+	one := big.NewInt(1)
+	// Edges: carries that ripple across words and into the top window.
+	for _, v := range []*big.Int{
+		big.NewInt(0), one, big.NewInt(31), new(big.Int).Lsh(one, 64),
+		new(big.Int).Sub(new(big.Int).Lsh(one, 64), one),
+		new(big.Int).Sub(new(big.Int).Lsh(one, 128), one),
+		new(big.Int).Sub(new(big.Int).Lsh(one, 252), one),
+		new(big.Int).Sub(order, one),
+	} {
+		check(v)
+	}
+	rng := rand.New(rand.NewSource(2))
+	for i := 0; i < 1000; i++ {
+		b := make([]byte, 32)
+		rng.Read(b)
+		var s scalar
+		s.setBytesLE(b)
+		check(s.v.Mod(&s.v, order))
 	}
 }
 
@@ -191,6 +260,130 @@ func TestVerifyAgainstStdlib(t *testing.T) {
 			t.Fatalf("signature %d over wrong message accepted", i)
 		}
 	}
+}
+
+// TestVerifyDoesNotAllocate: a warm single verification allocates
+// nothing, so the singles a replica checks cost it no garbage.
+func TestVerifyDoesNotAllocate(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items under the race detector")
+	}
+	pub, priv, _ := ed25519.GenerateKey(deterministicReader(7))
+	k, _ := ParsePublicKey(pub)
+	msg := []byte("no garbage")
+	s := ed25519.Sign(priv, msg)
+	if n := testing.AllocsPerRun(100, func() {
+		if !Verify(k, msg, s) {
+			t.Fatal("rejected")
+		}
+	}); n != 0 {
+		t.Fatalf("Verify allocates %.1f objects per call, want 0", n)
+	}
+}
+
+// TestCofactoredSmallOrderAgreement pins the predicate the package
+// comment states. The key A' = [a]B + T carries a torsion point T of
+// order 8, and the signature is made with a alone, so
+// [S]B - [k]A' - R = -[k]T: the cofactored equation accepts it, single
+// and batched alike, while crypto/ed25519's cofactorless check rejects
+// it whenever 8 does not divide k. Were Verify to defer to the standard
+// library, batch and single verdicts would part ways here.
+func TestCofactoredSmallOrderAgreement(t *testing.T) {
+	mult := func(k *big.Int, p *point) point {
+		var s scalar
+		s.v.Set(k)
+		terms := make([]multiScalarTerm, 1)
+		terms[0].set(&s, p)
+		var out point
+		varTimeMultiScalarMult(&out, terms)
+		return out
+	}
+	encode := func(p *point) []byte {
+		var b [32]byte
+		p.bytes(&b)
+		return b[:]
+	}
+
+	// T = [l]P for a decoded point P outside the prime-order subgroup,
+	// chosen so that [4]T is not the identity: T has order exactly 8.
+	var T point
+	for y := byte(2); ; y++ {
+		var P point
+		if P.setBytes([]byte{y, 31: 0}) != nil {
+			continue
+		}
+		T = mult(order, &P)
+		if four := mult(big.NewInt(4), &T); !four.isIdentity() {
+			break
+		}
+	}
+	if eight := mult(big.NewInt(8), &T); !eight.isIdentity() {
+		t.Fatal("[l]P has order above 8")
+	}
+
+	rng := rand.New(rand.NewSource(8))
+	randScalar := func() *big.Int {
+		b := make([]byte, 64)
+		rng.Read(b)
+		return new(big.Int).Mod(new(big.Int).SetBytes(b), order)
+	}
+	a := randScalar()
+	aB := mult(a, &basepoint)
+	var cT projCached
+	T.toCached(&cT)
+	var sum projP1xP1
+	var A point
+	A.fromP1xP1(sum.add(&aB, &cT))
+	pubBytes := encode(&A)
+	pub, err := ParsePublicKey(pubBytes)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	var msg, sigBytes []byte
+	for i := 0; ; i++ {
+		msg = []byte{byte(i)}
+		r := randScalar()
+		R := mult(r, &basepoint)
+		var k, sa, rs scalar
+		h := sha512.Sum512(append(append(encode(&R), pubBytes...), msg...))
+		k.setUniform(h[:])
+		sa.v.Set(a)
+		rs.v.Set(r)
+		var S scalar
+		S.mulAdd(&k, &sa, &rs) // S = r + k*a
+		sigBytes = append(encode(&R), reverse(S.v.FillBytes(make([]byte, 32)))...)
+		if !ed25519.Verify(pubBytes, msg, sigBytes) {
+			break // 8 does not divide k
+		}
+	}
+
+	if !Verify(pub, msg, sigBytes) {
+		t.Fatal("Verify rejects a signature the cofactored equation holds for")
+	}
+	if !VerifyBatch([]*PublicKey{pub}, [][]byte{msg}, [][]byte{sigBytes}) {
+		t.Fatal("VerifyBatch rejects it alone")
+	}
+	pubs, msgs, sigs := []*PublicKey{pub}, [][]byte{msg}, [][]byte{sigBytes}
+	for i := 0; i < 20; i++ {
+		hp, hs, _ := ed25519.GenerateKey(deterministicReader(int64(300 + i)))
+		k, _ := ParsePublicKey(hp)
+		m := []byte{byte(i), 0xee}
+		pubs, msgs, sigs = append(pubs, k), append(msgs, m), append(sigs, ed25519.Sign(hs, m))
+	}
+	if !VerifyBatch(pubs, msgs, sigs) {
+		t.Fatal("VerifyBatch rejects it among 20 honest signatures")
+	}
+}
+
+// reverse returns b with its bytes in the opposite order (little- to
+// big-endian and back).
+func reverse(b []byte) []byte {
+	out := make([]byte, len(b))
+	for i := range b {
+		out[len(b)-1-i] = b[i]
+	}
+	return out
 }
 
 // TestVerifyRejectsHighS checks the S < l malleability bound.

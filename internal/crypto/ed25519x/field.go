@@ -6,12 +6,16 @@
 // whatever parallelism the caller adds (Section 4.5 of the XFT paper
 // batches requests for exactly this reason).
 //
-// The implementation is self-contained pure Go (the standard library
-// does not export curve arithmetic): a radix-2^51 field, ref10-style
+// The standard library does not export curve arithmetic, so this
+// package carries its own: a radix-2^51 field, ref10-style
 // extended/completed point coordinates, and width-5 w-NAF Straus
-// multi-scalar multiplication. Everything here is *verification* of
-// public data, so all arithmetic is variable-time by design; do not
-// reuse it for signing or key handling.
+// multi-scalar multiplication. The field multiply and square, most of
+// the work, run on amd64 as the standard library's assembly kernel
+// (fe_amd64.s, the same limb layout and reduction) and elsewhere, or
+// under the purego build tag, as the Go bodies it is tested against
+// bit for bit. Everything here is *verification* of public data, so
+// all arithmetic is variable-time by design; do not reuse it for
+// signing or key handling.
 //
 // Verification is cofactored — the batch equation is multiplied by 8
 // before the identity check, as in ed25519consensus/ZIP-215 — so a
@@ -178,6 +182,18 @@ func (u uint128) shr51() uint64 {
 
 // mul sets v = a * b.
 func (v *fe) mul(a, b *fe) *fe {
+	feMul(v, a, b)
+	return v
+}
+
+// square sets v = a * a.
+func (v *fe) square(a *fe) *fe {
+	feSquare(v, a)
+	return v
+}
+
+// feMulGeneric sets v = a * b: feMul where there is no assembly.
+func feMulGeneric(v, a, b *fe) {
 	a0, a1, a2, a3, a4 := a.l0, a.l1, a.l2, a.l3, a.l4
 	b0, b1, b2, b3, b4 := b.l0, b.l1, b.l2, b.l3, b.l4
 
@@ -205,11 +221,12 @@ func (v *fe) mul(a, b *fe) *fe {
 	v.l2 = r2.lo&maskLow51 + c1
 	v.l3 = r3.lo&maskLow51 + c2
 	v.l4 = r4.lo&maskLow51 + c3
-	return v.carryPropagate()
+	v.carryPropagate()
 }
 
-// square sets v = a * a, sharing the doubled cross terms.
-func (v *fe) square(a *fe) *fe {
+// feSquareGeneric sets v = a * a, sharing the doubled cross terms:
+// feSquare where there is no assembly.
+func feSquareGeneric(v, a *fe) {
 	a0, a1, a2, a3, a4 := a.l0, a.l1, a.l2, a.l3, a.l4
 
 	d0 := a0 * 2
@@ -235,7 +252,7 @@ func (v *fe) square(a *fe) *fe {
 	v.l2 = r2.lo&maskLow51 + c1
 	v.l3 = r3.lo&maskLow51 + c2
 	v.l4 = r4.lo&maskLow51 + c3
-	return v.carryPropagate()
+	v.carryPropagate()
 }
 
 // pow22523 sets v = a^((p-5)/8) = a^(2^252 - 3), the exponentiation at

@@ -293,26 +293,25 @@ func (m *multiScalarTerm) setScalar(s *scalar) {
 	}
 }
 
-// varTimeMultiScalarMult computes the sum of all terms with a shared
+// varTimeMultiScalarMult sets acc to the sum of all terms with a shared
 // doubling chain (Straus's trick): one run of ~253 doublings total,
 // independent of the number of terms, plus ~N/6 additions per term.
 // This shared chain is where batching beats one-at-a-time
 // verification, which pays the doublings per signature.
-func varTimeMultiScalarMult(terms []multiScalarTerm) *point {
+func varTimeMultiScalarMult(acc *point, terms []multiScalarTerm) *point {
 	top := -1
 	for i := range terms {
 		if terms[i].top > top {
 			top = terms[i].top
 		}
 	}
-	var acc point
 	acc.setIdentity()
 	if top < 0 {
-		return &acc
+		return acc
 	}
 	var t projP1xP1
 	var p2 projP2
-	p2.fromP3(&acc)
+	p2.fromP3(acc)
 	for i := top; i >= 0; i-- {
 		t.double(&p2)
 		for j := range terms {
@@ -322,9 +321,9 @@ func varTimeMultiScalarMult(terms []multiScalarTerm) *point {
 			}
 			acc.fromP1xP1(&t)
 			if d > 0 {
-				t.add(&acc, terms[j].table.entry(d))
+				t.add(acc, terms[j].table.entry(d))
 			} else {
-				t.sub(&acc, terms[j].table.entry(-d))
+				t.sub(acc, terms[j].table.entry(-d))
 			}
 		}
 		if i == 0 {

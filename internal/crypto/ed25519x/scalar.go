@@ -16,6 +16,7 @@ var order, _ = new(big.Int).SetString(
 // simple rather than hand-rolling 4-limb Barrett reduction.
 type scalar struct {
 	v big.Int
+	q big.Int // setUniform's quotient, whose words a reused scalar keeps
 }
 
 // setCanonical loads a little-endian 32-byte scalar, rejecting values
@@ -23,44 +24,26 @@ type scalar struct {
 // component; accepting the redundant encodings would make signatures
 // malleable.
 func (s *scalar) setCanonical(b []byte) bool {
-	if len(b) != 32 {
-		return false
-	}
-	var be [32]byte
-	for i := range be {
-		be[i] = b[31-i]
-	}
-	s.v.SetBytes(be[:])
-	return s.v.Cmp(order) < 0
+	return len(b) == 32 && s.setBytesLE(b).v.Cmp(order) < 0
 }
 
 // setUniform loads a 64-byte little-endian value (a SHA-512 digest)
 // reduced mod l.
 func (s *scalar) setUniform(b []byte) *scalar {
-	var be [64]byte
-	for i := range be {
-		be[i] = b[63-i]
-	}
-	s.v.SetBytes(be[:])
-	s.v.Mod(&s.v, order)
+	s.setBytesLE(b[:64])
+	s.q.QuoRem(&s.v, order, &s.v) // Mod, without a fresh quotient
 	return s
 }
 
-// setUint64 loads a small integer.
-func (s *scalar) setUint64(x uint64) *scalar {
-	s.v.SetUint64(x)
-	return s
-}
-
-// setBytesLE loads up to 32 little-endian bytes without range checks
-// (used for the random 128-bit batching coefficients, which are well
-// under l).
+// setBytesLE loads up to 64 little-endian bytes without reduction (also
+// used as is for the random 128-bit batching coefficients, which are
+// well under l).
 func (s *scalar) setBytesLE(b []byte) *scalar {
-	be := make([]byte, len(b))
-	for i := range be {
-		be[i] = b[len(b)-1-i]
+	var be [64]byte
+	for i, c := range b {
+		be[len(b)-1-i] = c
 	}
-	s.v.SetBytes(be)
+	s.v.SetBytes(be[:len(b)])
 	return s
 }
 
@@ -95,47 +78,29 @@ func (s *scalar) add(a, b *scalar) *scalar {
 // multiplication pays one curve addition per six doublings per term.
 func (s *scalar) nonAdjacentForm(naf *[256]int8) {
 	*naf = [256]int8{}
-	// Work on the 256-bit little-endian limb image; the NAF rewrite
-	// only ever adds at positions above the current one, so a fifth
-	// limb absorbs the final carry.
 	var be [32]byte
 	s.v.FillBytes(be[:])
-	var k [5]uint64
+	var k [5]uint64 // little-endian words; the fifth feeds the top windows
 	for i := 0; i < 4; i++ {
 		k[i] = binary.BigEndian.Uint64(be[24-8*i:])
 	}
-	bit := func(pos int) uint64 { return (k[pos/64] >> (pos % 64)) & 1 }
-	window := func(pos int) uint64 { // 5 bits starting at pos
-		w := uint64(0)
-		for j := 0; j < 5; j++ {
-			w |= bit(pos+j) << j
+	// Recode a 5-bit window at a time (curve25519-dalek's algorithm).
+	// A negative digit d = w - 32 leaves 32 to add above the window:
+	// carry holds it, folded into the next window instead of rippling
+	// through the words.
+	carry := uint64(0)
+	for pos := 0; pos < 256; {
+		w := k[pos/64] >> (pos % 64)
+		if pos%64 > 64-5 {
+			w |= k[pos/64+1] << (64 - pos%64)
 		}
-		return w
-	}
-	pos := 0
-	for pos < 256 {
-		if bit(pos) == 0 {
+		w = carry + w&31
+		if w&1 == 0 { // an even window keeps its carry for the next bit
 			pos++
 			continue
 		}
-		w := int64(window(pos))
-		if w > 15 {
-			w -= 32
-			// Subtracting the negative digit adds 2^(pos+5): propagate
-			// the carry upward.
-			for j := pos + 5; ; j++ {
-				if bit(j) == 0 {
-					k[j/64] |= 1 << (j % 64)
-					break
-				}
-				k[j/64] &^= 1 << (j % 64)
-			}
-		}
-		naf[pos] = int8(w)
-		// Clear the consumed window.
-		for j := 0; j < 5; j++ {
-			k[(pos+j)/64] &^= 1 << ((pos + j) % 64)
-		}
+		carry = w >> 4 // w > 15: take w - 32, carry one
+		naf[pos] = int8(w) - int8(carry<<5)
 		pos += 5
 	}
 }

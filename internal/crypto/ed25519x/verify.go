@@ -87,22 +87,27 @@ func (v *sig) parse(pub *PublicKey, msg, sigBytes []byte) bool {
 // Verify checks one signature with the cofactored equation
 // [8]([S]B - [k]A - R) == identity. It agrees with VerifyBatch on
 // every input (see the package comment for how this can differ from
-// crypto/ed25519 on adversarial small-order inputs).
+// crypto/ed25519 on adversarial small-order inputs). Once warm it
+// allocates nothing: the table for -R and the terms live on the stack,
+// and the parsed signature, with its big.Int words, comes from sigPool.
 func Verify(pub *PublicKey, msg, sigBytes []byte) bool {
-	var s sig
+	s := sigPool.Get().(*sig)
+	defer sigPool.Put(s)
 	if !s.parse(pub, msg, sigBytes) {
 		return false
 	}
-	terms := make([]multiScalarTerm, 3)
+	var negR nafTable
+	negR.init(&s.negR)
+	var terms [3]multiScalarTerm
 	terms[0].setPrecomputed(&s.s, basepointNafTable())
 	terms[1].setPrecomputed(&s.k, pub.negATable())
-	var one scalar
-	one.setUint64(1)
-	terms[2].set(&one, &s.negR)
-	sum := varTimeMultiScalarMult(terms)
-	var eight point
-	return eight.mulByCofactor(sum).isIdentity()
+	terms[2].table = &negR               // a direct store, so negR stays on the stack
+	terms[2].naf[0], terms[2].top = 1, 0 // the scalar 1
+	var sum, eight point
+	return eight.mulByCofactor(varTimeMultiScalarMult(&sum, terms[:])).isIdentity()
 }
+
+var sigPool = sync.Pool{New: func() any { return new(sig) }}
 
 // zCoefficientSize is the byte length of the random batching
 // coefficients z_i: 128 bits, the standard choice — an invalid
@@ -161,7 +166,6 @@ func VerifyBatch(pubs []*PublicKey, msgs [][]byte, sigs [][]byte) bool {
 	}
 	terms[2*n].setPrecomputed(&sB, basepointNafTable())
 
-	sum := varTimeMultiScalarMult(terms)
-	var eight point
-	return eight.mulByCofactor(sum).isIdentity()
+	var sum, eight point
+	return eight.mulByCofactor(varTimeMultiScalarMult(&sum, terms)).isIdentity()
 }

@@ -283,9 +283,6 @@ func (l *Log) Segments() int {
 	return len(l.segs)
 }
 
-// Dir returns the log's root directory.
-func (l *Log) Dir() string { return l.dir }
-
 // Close syncs and closes the active segment.
 func (l *Log) Close() error {
 	l.mu.Lock()

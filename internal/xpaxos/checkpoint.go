@@ -47,16 +47,18 @@ func (cs *clientState) code(c *wire.Coder) {
 // snapshotState serializes the replica's full replicated state: the
 // application snapshot, then the clients in ascending order, replies
 // ascending by timestamp, so the encoding — and therefore the
-// checkpoint digest — is identical across replicas.
+// checkpoint digest — is identical across replicas. The sessions are
+// encoded first, so the application's snapshot, which may run to
+// megabytes, is copied once into a buffer of the final size.
 func (r *Replica) snapshotState() []byte {
-	w := wire.New(1024)
-	w.Bytes(r.app.Snapshot())
 	var clients []clientState
 	for _, id := range r.knownClients() {
 		clients = append(clients, clientState{id, r.sessions[id].execMark, r.sessions[id].replies()})
 	}
-	wire.Slice(wire.Encoder(w), &clients, snapMinWire, (*clientState).code)
-	return w.Done()
+	tail := wire.New(1024)
+	wire.Slice(wire.Encoder(tail), &clients, snapMinWire, (*clientState).code)
+	app := r.app.Snapshot()
+	return wire.New(4 + len(app) + len(tail.Done())).Bytes(app).Raw(tail.Done()).Done()
 }
 
 // restoreState installs a snapshot produced by snapshotState: every

@@ -96,6 +96,3 @@ func (r *Replica) InjectRegressPrepare(sn smr.SeqNum, oldView smr.View) bool {
 // hand, e.g. to rotate the synchronous group for maintenance. It has
 // the same effect as the replica suspecting view v itself.
 func (r *Replica) SuspectView(v smr.View) { r.suspect(v) }
-
-// StableCheckpointSN reports the stable checkpoint sequence number.
-func (r *Replica) StableCheckpointSN() smr.SeqNum { return r.chk.SN }
