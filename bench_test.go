@@ -12,7 +12,6 @@ package xft
 
 import (
 	"bytes"
-	"fmt"
 	"strings"
 	"testing"
 
@@ -182,34 +181,6 @@ func BenchmarkArenaSim(b *testing.B) {
 			name := strings.ToLower(string(ap.Protocol))
 			b.ReportMetric(ap.ThroughputKops, name+"-kops/s")
 			b.ReportMetric(ap.LatencyMs, name+"-lat-ms")
-		}
-	}
-}
-
-// BenchmarkShardedSim runs the multi-group sharding experiment: 1, 2,
-// 4 and 8 XPaxos groups over one shared plane (per-machine GroupMux,
-// shared crypto lanes, shard.Router clients), reporting each group
-// count's aggregate virtual-time throughput as its own metric plus the
-// 4-group scaling factor. Single-group load is latency-bound by
-// design, so the scaling factor measures how well independent groups
-// overlap on the shared units; CI gates sharded-4g-kops/s ÷
-// sharded-1g-kops/s ≥ 2.5 (the sharding acceptance criterion).
-func BenchmarkShardedSim(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		var buf bytes.Buffer
-		points := bench.ShardedSaturation(&buf, quick)
-		b.Log("\n" + buf.String())
-		var base float64
-		for _, p := range points {
-			b.ReportMetric(p.ThroughputKops, fmt.Sprintf("sharded-%dg-kops/s", p.Groups))
-			if p.Groups == 1 {
-				base = p.ThroughputKops
-			}
-		}
-		for _, p := range points {
-			if p.Groups == 4 && base > 0 {
-				b.ReportMetric(p.ThroughputKops/base, "sharded-scaling-4g-x")
-			}
 		}
 	}
 }

@@ -21,7 +21,6 @@ func runCampaign(argv []string) int {
 		profile    = fs.String("profile", string(campaign.CrashStorm), "fault profile: crash-storm | rolling-partition | byzantine-mix | kitchen-sink")
 		seed       = fs.Int64("seed", 1, "campaign PRNG seed; same seed => same schedule, same verdict")
 		t          = fs.Int("t", 0, "fault threshold t (n = 2t+1 replicas); 0 = profile default")
-		groups     = fs.Int("groups", 0, "XPaxos groups (shards) multiplexed over the same machines; 0 = 1")
 		clients    = fs.Int("clients", 0, "open-loop client count; 0 = profile default")
 		horizon    = fs.Duration("horizon", 0, "fault-injection horizon (virtual time); 0 = profile default")
 		app        = fs.String("app", "", "replicated application: kv | zk; empty = profile default")
@@ -49,7 +48,6 @@ func runCampaign(argv []string) int {
 		Profile:      prof,
 		Seed:         *seed,
 		T:            *t,
-		Groups:       *groups,
 		Clients:      *clients,
 		ClientWindow: *window,
 		Horizon:      *horizon,
@@ -65,8 +63,8 @@ func runCampaign(argv []string) int {
 	if *verbose {
 		res.Trace.WriteTo(os.Stdout)
 	}
-	fmt.Printf("campaign %s seed=%d: n=%d groups=%d clients=%d horizon=%s\n",
-		res.Config.Profile, res.Config.Seed, 2*res.Config.T+1, res.Config.Groups, res.Config.Clients, res.Config.Horizon)
+	fmt.Printf("campaign %s seed=%d: n=%d clients=%d horizon=%s\n",
+		res.Config.Profile, res.Config.Seed, 2*res.Config.T+1, res.Config.Clients, res.Config.Horizon)
 	fmt.Printf("  acked=%d commits=%d retransmits=%d view-changes=%d detections=%d fault-actions=%d\n",
 		res.Acked, res.Commits, res.Retransmits, res.ViewChanges, len(res.Detections), res.FaultActions)
 	fmt.Printf("  availability measured=%.4f analytic=%.4f trace=%s (%s wall)\n",

@@ -10,7 +10,7 @@
 // Experiments: fig2 fig6 fig7a fig7b fig7c fig8 fig9 fig10
 //
 //	table1 table2 table3 table5678 batchverify tlsoverhead
-//	arena sharded
+//	arena
 //
 // By default experiments run at "quick" scale (seconds); -full runs
 // the paper-sized sweeps (minutes).
@@ -72,8 +72,6 @@ func main() {
 			bench.TLSOverhead(os.Stdout, sc)
 		case "arena":
 			bench.Arena(os.Stdout, sc)
-		case "sharded":
-			bench.ShardedSaturation(os.Stdout, sc)
 		default:
 			fmt.Fprintf(os.Stderr, "unknown experiment %q\n", name)
 			usage()
@@ -86,5 +84,5 @@ func main() {
 func usage() {
 	fmt.Fprintln(os.Stderr, `usage: xft-bench [-full] <experiment>...
        xft-bench campaign [flags]   (see: xft-bench campaign -h)
-experiments: all fig2 fig6 fig7a fig7b fig7c fig8 fig9 fig10 table1 table2 table3 table5678 batchverify tlsoverhead arena sharded`)
+experiments: all fig2 fig6 fig7a fig7b fig7c fig8 fig9 fig10 table1 table2 table3 table5678 batchverify tlsoverhead arena`)
 }

@@ -173,20 +173,6 @@ func (s *Store) Snapshot() []byte {
 // writes must never regress, and the final replicated value must be at
 // least the last acknowledged sequence number.
 
-// OpKey extracts the key a Store operation addresses. Every Store op
-// shares the [opcode u8][Str key]... layout, so one decoder serves all
-// of them. Shard routers use it to map an opaque operation to its
-// partition; ok is false for ops that are not Store-shaped (e.g. the
-// Null service's payloads), which routers then place by hashing the
-// whole op instead.
-func OpKey(op []byte) (string, bool) {
-	rd := wire.NewReader(op)
-	if _, ok := rd.U8(); !ok {
-		return "", false
-	}
-	return rd.Str()
-}
-
 // SeqPutOp encodes a put of write number seq to the client's key.
 func SeqPutOp(key string, seq uint64) []byte {
 	return PutOp(key, wire.New(8).U64(seq).Done())

@@ -104,13 +104,6 @@ type Config struct {
 	Seed int64
 	// T is the tolerated fault threshold; the cluster has 2T+1 replicas.
 	T int
-	// Groups is the number of independent XPaxos groups (shards) the
-	// same 2T+1 machines host, each machine running one replica of
-	// every group behind a shared smr.GroupMux — the multi-group
-	// deployment the sharded benchmarks drive. Clients partition
-	// round-robin across groups (client i drives group i mod Groups)
-	// and every safety invariant is checked per group. Default 1.
-	Groups int
 	// Clients is the number of open-loop clients.
 	Clients int
 	// ClientWindow caps each client's outstanding requests.
@@ -154,9 +147,6 @@ func (c Config) withDefaults() Config {
 	if c.T == 0 {
 		c.T = d.t
 	}
-	if c.Groups <= 0 {
-		c.Groups = 1
-	}
 	if c.Clients == 0 {
 		c.Clients = d.clients
 	}
@@ -185,9 +175,6 @@ func (c Config) withDefaults() Config {
 func (c Config) Repro() string {
 	s := fmt.Sprintf("go run ./cmd/xft-bench campaign -profile %s -seed %d -t %d -clients %d -horizon %s",
 		c.Profile, c.Seed, c.T, c.Clients, c.Horizon)
-	if c.Groups > 1 {
-		s += fmt.Sprintf(" -groups %d", c.Groups)
-	}
 	if c.App != "" {
 		s += fmt.Sprintf(" -app %s", c.App)
 	}
@@ -258,21 +245,19 @@ const (
 	maxViolations  = 64
 )
 
-// campaign is the per-run state. Replica-side state is indexed
-// [group][machine]: machine i hosts replica i of every group behind
-// one GroupMux, so faults (crashes, partitions, filters, lag) are
-// machine-scoped while safety checking is group-scoped.
+// campaign is the per-run state. Replica-side state is indexed by
+// machine: machine i hosts replica i.
 type campaign struct {
-	cfg          Config
-	n, t, groups int
+	cfg  Config
+	n, t int
 
 	net      *netsim.Network
 	suite    crypto.Suite
-	replicas [][]*xpaxos.Replica
-	filters  []*dynFilter // per machine
-	kvStores [][]*kv.Store
-	zkStores [][]*zk.Store
-	corrupt  []bool // per machine
+	replicas []*xpaxos.Replica
+	filters  []*dynFilter
+	kvStores []*kv.Store
+	zkStores []*zk.Store
+	corrupt  []bool
 
 	clients  []*xpaxos.Client
 	issued   []uint64 // per client: write numbers / create indexes issued
@@ -281,7 +266,7 @@ type campaign struct {
 	ackedCnt []uint64
 	zkAcked  []map[uint64]zkAck // per client: issue index -> ack
 
-	check      []*checker // per group
+	check      *checker
 	trace      *Trace
 	violations []Violation
 
@@ -350,7 +335,6 @@ func Run(cfg Config) *Result {
 		cfg:      cfg,
 		n:        2*cfg.T + 1,
 		t:        cfg.T,
-		groups:   cfg.Groups,
 		trace:    &Trace{},
 		impaired: make(map[smr.NodeID]string),
 	}
@@ -366,8 +350,11 @@ func Run(cfg Config) *Result {
 		})
 	}
 	c.faultCount = tl.Len()
-	c.trace.Notef("campaign profile=%s seed=%d n=%d t=%d groups=%d clients=%d window=%d issue=%s horizon=%s quiesce=%s app=%s fork=%v actions=%d",
-		cfg.Profile, cfg.Seed, c.n, c.t, c.groups, cfg.Clients, cfg.ClientWindow, cfg.IssueInterval,
+	// The digest hashes this header. It keeps the groups=1 field from
+	// when one campaign could host several XPaxos groups, so digests
+	// recorded before then still compare.
+	c.trace.Notef("campaign profile=%s seed=%d n=%d t=%d groups=1 clients=%d window=%d issue=%s horizon=%s quiesce=%s app=%s fork=%v actions=%d",
+		cfg.Profile, cfg.Seed, c.n, c.t, cfg.Clients, cfg.ClientWindow, cfg.IssueInterval,
 		cfg.Horizon, cfg.Quiesce, cfg.App, cfg.InjectFork, c.faultCount)
 	tl.Install(c.net.At, func(a faults.Action) {
 		c.trace.Addf(c.net.Now(), "fault %s", a.Name)
@@ -386,7 +373,7 @@ func Run(cfg Config) *Result {
 		Violations:    c.violations,
 		Trace:         c.trace,
 		Acked:         c.totalAcked(),
-		Commits:       c.totalCommits(),
+		Commits:       c.check.commits,
 		Retransmits:   c.retransmits,
 		ViewChanges:   c.viewChanges,
 		Detections:    c.detections,
@@ -413,13 +400,7 @@ func (c *campaign) build() {
 		ProbeTimeout:  probeTimeout,
 	})
 	c.corrupt = make([]bool, c.n)
-	c.check = make([]*checker, c.groups)
-	c.replicas = make([][]*xpaxos.Replica, c.groups)
-	c.kvStores = make([][]*kv.Store, c.groups)
-	c.zkStores = make([][]*zk.Store, c.groups)
-	for g := 0; g < c.groups; g++ {
-		c.check[g] = newChecker(c.n, cfg.Clients, c.groupViolate(g))
-	}
+	c.check = newChecker(c.n, cfg.Clients, c.violate)
 
 	intakeCap := 2 * cfg.Clients * cfg.ClientWindow
 	if intakeCap < 4096 {
@@ -429,56 +410,51 @@ func (c *campaign) build() {
 	for i := 0; i < c.n; i++ {
 		id := smr.NodeID(i)
 		replicaIDs = append(replicaIDs, id)
-		mux := smr.NewGroupMux()
-		for g := 0; g < c.groups; g++ {
-			var app smr.Application
-			var poison func(k uint64) []byte
-			switch cfg.App {
-			case AppKV:
-				st := kv.NewStore()
-				c.kvStores[g] = append(c.kvStores[g], st)
-				app = st
-				poison = func(k uint64) []byte { return kv.SeqPutOp("poison", k) }
-			case AppZK:
-				st := zk.NewStore()
-				c.zkStores[g] = append(c.zkStores[g], st)
-				app = st
-				poison = func(uint64) []byte { return zk.CreateOp("/poison", nil, zk.ModeSequential) }
-			default:
-				panic(fmt.Sprintf("campaign: unknown app kind %q", cfg.App))
-			}
-			app = &corruptApp{inner: app, on: &c.corrupt[i], poison: poison}
-
-			ri, gtag := i, c.gtag(g)
-			rcfg := xpaxos.Config{
-				N: c.n, T: c.t,
-				Suite:              crypto.NewMeter(c.suite),
-				Delta:              campaignDelta,
-				BatchSize:          10,
-				BatchTimeout:       batchTimeout,
-				RequestTimeout:     reqTimeout,
-				ViewChangeTimeout:  vcTimeout,
-				CheckpointInterval: checkpointCHK,
-				EnableFD:           true,
-				IntakeQueueCap:     intakeCap,
-				Observer:           c.check[g].onCommit,
-				OnViewChange: func(v smr.View, at time.Duration) {
-					c.viewChanges++
-					c.trace.Addf(at, "view-change replica=%d%s view=%d", ri, gtag, v)
-				},
-				OnFaultDetected: func(culprit smr.NodeID, kind string, sn smr.SeqNum) {
-					d := fmt.Sprintf("replica %d%s convicted %d kind=%s sn=%d", ri, gtag, culprit, kind, sn)
-					c.detections = append(c.detections, d)
-					c.trace.Addf(c.net.Now(), "fd %s", d)
-				},
-			}
-			r := xpaxos.NewReplica(id, rcfg, app)
-			c.replicas[g] = append(c.replicas[g], r)
-			mux.MustRegister(smr.GroupID(g), r)
+		var app smr.Application
+		var poison func(k uint64) []byte
+		switch cfg.App {
+		case AppKV:
+			st := kv.NewStore()
+			c.kvStores = append(c.kvStores, st)
+			app = st
+			poison = func(k uint64) []byte { return kv.SeqPutOp("poison", k) }
+		case AppZK:
+			st := zk.NewStore()
+			c.zkStores = append(c.zkStores, st)
+			app = st
+			poison = func(uint64) []byte { return zk.CreateOp("/poison", nil, zk.ModeSequential) }
+		default:
+			panic(fmt.Sprintf("campaign: unknown app kind %q", cfg.App))
 		}
+		app = &corruptApp{inner: app, on: &c.corrupt[i], poison: poison}
+
+		rcfg := xpaxos.Config{
+			N: c.n, T: c.t,
+			Suite:              crypto.NewMeter(c.suite),
+			Delta:              campaignDelta,
+			BatchSize:          10,
+			BatchTimeout:       batchTimeout,
+			RequestTimeout:     reqTimeout,
+			ViewChangeTimeout:  vcTimeout,
+			CheckpointInterval: checkpointCHK,
+			EnableFD:           true,
+			IntakeQueueCap:     intakeCap,
+			Observer:           c.check.onCommit,
+			OnViewChange: func(v smr.View, at time.Duration) {
+				c.viewChanges++
+				c.trace.Addf(at, "view-change replica=%d view=%d", i, v)
+			},
+			OnFaultDetected: func(culprit smr.NodeID, kind string, sn smr.SeqNum) {
+				d := fmt.Sprintf("replica %d convicted %d kind=%s sn=%d", i, culprit, kind, sn)
+				c.detections = append(c.detections, d)
+				c.trace.Addf(c.net.Now(), "fd %s", d)
+			},
+		}
+		r := xpaxos.NewReplica(id, rcfg, app)
+		c.replicas = append(c.replicas, r)
 		df := &dynFilter{}
 		c.filters = append(c.filters, df)
-		c.net.AddNode(id, faults.Wrap(mux, df.Filter))
+		c.net.AddNode(id, faults.Wrap(r, df.Filter))
 	}
 	c.net.StartHealthMonitors(replicaIDs...)
 
@@ -503,44 +479,8 @@ func (c *campaign) build() {
 			panic(err)
 		}
 		c.clients = append(c.clients, cl)
-		// Each client talks to exactly one group; a single-entry mux
-		// wraps its traffic in smr.GroupMessage so the replica-side
-		// muxes route it (and replies route back).
-		cmux := smr.NewGroupMux()
-		cmux.MustRegister(smr.GroupID(c.clientGroup(i)), cl)
-		c.net.AddNode(smr.ClientIDBase+smr.NodeID(i), cmux)
+		c.net.AddNode(smr.ClientIDBase+smr.NodeID(i), cl)
 	}
-}
-
-// clientGroup maps a client index to the group it drives.
-func (c *campaign) clientGroup(ci int) int { return ci % c.groups }
-
-// gtag renders the per-group trace tag (empty for single-group runs,
-// so their trace lines keep the historical format).
-func (c *campaign) gtag(g int) string {
-	if c.groups == 1 {
-		return ""
-	}
-	return fmt.Sprintf(" group=%d", g)
-}
-
-// groupViolate prefixes checker violations with the group (multi-group
-// runs only).
-func (c *campaign) groupViolate(g int) func(kind, detail string) {
-	if c.groups == 1 {
-		return c.violate
-	}
-	return func(kind, detail string) {
-		c.violate(kind, fmt.Sprintf("group %d: %s", g, detail))
-	}
-}
-
-func (c *campaign) totalCommits() uint64 {
-	var n uint64
-	for _, ck := range c.check {
-		n += ck.commits
-	}
-	return n
 }
 
 func clientKey(ci int) string { return fmt.Sprintf("c%04d", ci) }
@@ -723,51 +663,46 @@ func (c *campaign) finalize() {
 	for sec, n := range c.ackBuckets {
 		c.trace.Notef("sec=%03d acks=%d", sec, n)
 	}
-	for _, ck := range c.check {
-		ck.finalizeAgreement()
-	}
+	c.check.finalizeAgreement()
 
-	// Replica convergence and state agreement, per group. Lazy
-	// replication plus the quiesce should leave (at least) every active
-	// replica at the same execution mark with identical application
-	// state; the forked replica is caught here because its poisoned
-	// store hashes differently at the same mark.
-	for g := 0; g < c.groups; g++ {
-		gtag := c.gtag(g)
-		var maxEx smr.SeqNum
-		for _, r := range c.replicas[g] {
-			if ex := r.Executed(); ex > maxEx {
-				maxEx = ex
-			}
+	// Replica convergence and state agreement. Lazy replication plus the
+	// quiesce should leave (at least) every active replica at the same
+	// execution mark with identical application state; the forked
+	// replica is caught here because its poisoned store hashes
+	// differently at the same mark.
+	var maxEx smr.SeqNum
+	for _, r := range c.replicas {
+		if ex := r.Executed(); ex > maxEx {
+			maxEx = ex
 		}
-		var holders []int
-		for i, r := range c.replicas[g] {
-			ex := r.Executed()
-			h := sha256.Sum256(c.appSnapshot(g, i))
-			c.trace.Notef("final replica=%d%s view=%d ex=%d state=%x", i, gtag, r.View(), ex, h[:8])
-			if ex == maxEx {
-				holders = append(holders, i)
-			}
+	}
+	var holders []int
+	for i, r := range c.replicas {
+		ex := r.Executed()
+		h := sha256.Sum256(c.appSnapshot(i))
+		c.trace.Notef("final replica=%d view=%d ex=%d state=%x", i, r.View(), ex, h[:8])
+		if ex == maxEx {
+			holders = append(holders, i)
 		}
-		if len(holders) < 2 {
-			c.violate("no-convergence", fmt.Sprintf(
-				"only %d replica(s)%s reached the maximum execution mark %d after quiesce", len(holders), gtag, maxEx))
+	}
+	if len(holders) < 2 {
+		c.violate("no-convergence", fmt.Sprintf(
+			"only %d replica(s) reached the maximum execution mark %d after quiesce", len(holders), maxEx))
+	}
+	ref := -1
+	var refHash [32]byte
+	for _, i := range holders {
+		h := sha256.Sum256(c.appSnapshot(i))
+		if ref < 0 {
+			ref, refHash = i, h
+		} else if h != refHash {
+			c.violate("state-divergence", fmt.Sprintf(
+				"replicas %d and %d disagree on application state at execution mark %d (%x vs %x)",
+				ref, i, maxEx, refHash[:8], h[:8]))
 		}
-		ref := -1
-		var refHash [32]byte
-		for _, i := range holders {
-			h := sha256.Sum256(c.appSnapshot(g, i))
-			if ref < 0 {
-				ref, refHash = i, h
-			} else if h != refHash {
-				c.violate("state-divergence", fmt.Sprintf(
-					"replicas %d and %d%s disagree on application state at execution mark %d (%x vs %x)",
-					ref, i, gtag, maxEx, refHash[:8], h[:8]))
-			}
-		}
-		if ref >= 0 {
-			c.checkAckedDurability(g, ref)
-		}
+	}
+	if ref >= 0 {
+		c.checkAckedDurability(ref)
 	}
 	c.checkZKSessions()
 
@@ -782,38 +717,34 @@ func (c *campaign) finalize() {
 		}
 	}
 	c.trace.Notef("summary acked=%d commits=%d retransmits=%d view-changes=%d detections=%d violations=%d",
-		c.totalAcked(), c.totalCommits(), c.retransmits, c.viewChanges, len(c.detections), len(c.violations))
+		c.totalAcked(), c.check.commits, c.retransmits, c.viewChanges, len(c.detections), len(c.violations))
 }
 
-// appSnapshot returns the snapshot of group g's application on
-// machine i.
-func (c *campaign) appSnapshot(g, i int) []byte {
+// appSnapshot returns the snapshot of the application on machine i.
+func (c *campaign) appSnapshot(i int) []byte {
 	switch c.cfg.App {
 	case AppKV:
-		return c.kvStores[g][i].Snapshot()
+		return c.kvStores[i].Snapshot()
 	case AppZK:
-		return c.zkStores[g][i].Snapshot()
+		return c.zkStores[i].Snapshot()
 	}
 	return nil
 }
 
-// checkAckedDurability asserts no acked write of group g's clients was
-// lost, against a replica holding the group's maximum execution mark.
-func (c *campaign) checkAckedDurability(g, ref int) {
+// checkAckedDurability asserts no acked write was lost, against a
+// replica holding the maximum execution mark.
+func (c *campaign) checkAckedDurability(ref int) {
 	reported := 0
 	switch c.cfg.App {
 	case AppKV:
-		st := c.kvStores[g][ref]
+		st := c.kvStores[ref]
 		for ci, want := range c.ackedMax {
-			if c.clientGroup(ci) != g {
-				continue
-			}
 			got, ok := st.LastSeq(clientKey(ci))
 			if want > 0 && (!ok || got < want) {
 				reported++
 				if reported <= 5 {
 					c.violate("lost-acked-write", fmt.Sprintf(
-						"client %d was acked write #%d but replica %d%s holds #%d", ci, want, ref, c.gtag(g), got))
+						"client %d was acked write #%d but replica %d holds #%d", ci, want, ref, got))
 				}
 			}
 			// The stored value must be one the client actually issued:
@@ -821,22 +752,19 @@ func (c *campaign) checkAckedDurability(g, ref int) {
 			// invented or corrupted a write.
 			if ok && got > c.issued[ci] {
 				c.violate("impossible-value", fmt.Sprintf(
-					"replica %d%s holds write #%d for client %d, which only issued %d", ref, c.gtag(g), got, ci, c.issued[ci]))
+					"replica %d holds write #%d for client %d, which only issued %d", ref, got, ci, c.issued[ci]))
 			}
 		}
 	case AppZK:
-		st := c.zkStores[g][ref]
+		st := c.zkStores[ref]
 		for ci := range c.zkAcked {
-			if c.clientGroup(ci) != g {
-				continue
-			}
 			for _, idx := range sortedKeys(c.zkAcked[ci]) {
 				ack := c.zkAcked[ci][idx]
 				if !st.Exists(ack.path) {
 					reported++
 					if reported <= 5 {
 						c.violate("lost-acked-create", fmt.Sprintf(
-							"client %d was acked create %q but it is missing from replica %d%s's tree", ci, ack.path, ref, c.gtag(g)))
+							"client %d was acked create %q but it is missing from replica %d's tree", ci, ack.path, ref))
 					}
 				}
 			}
@@ -846,8 +774,8 @@ func (c *campaign) checkAckedDurability(g, ref int) {
 			// executed twice (e.g. a retransmission that escaped dedupe).
 			if n := st.ChildCount(clientParent(ci)); n > int(c.issued[ci]) {
 				c.violate("dup-execution", fmt.Sprintf(
-					"client %d issued %d creates but its parent has %d children on replica %d%s",
-					ci, c.issued[ci], n, ref, c.gtag(g)))
+					"client %d issued %d creates but its parent has %d children on replica %d",
+					ci, c.issued[ci], n, ref))
 			}
 		}
 	}

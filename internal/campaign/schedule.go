@@ -333,24 +333,20 @@ func (c *campaign) doClearLag(id smr.NodeID) {
 }
 
 // doDropCommitLog deletes the victim machine's recent commit-log tail
-// — the Section 4.4 data-loss fault — on every group it hosts (a disk
-// fault hits the machine, not one shard). The stores are untouched
-// (those entries already executed), so this must never corrupt safety;
-// it exists to exercise view-change state transfer and fault
-// detection.
+// — the Section 4.4 data-loss fault. The store is untouched (those
+// entries already executed), so this must never corrupt safety; it
+// exists to exercise view-change state transfer and fault detection.
 func (c *campaign) doDropCommitLog(id smr.NodeID) {
-	for g := 0; g < c.groups; g++ {
-		r := c.replicas[g][int(id)]
-		ex := r.Executed()
-		if ex == 0 {
-			continue
-		}
-		from := smr.SeqNum(1)
-		if ex > 8 {
-			from = ex - 8
-		}
-		r.InjectDropCommitLog(from, ex)
+	r := c.replicas[int(id)]
+	ex := r.Executed()
+	if ex == 0 {
+		return
 	}
+	from := smr.SeqNum(1)
+	if ex > 8 {
+		from = ex - 8
+	}
+	r.InjectDropCommitLog(from, ex)
 }
 
 // healEverything is the Horizon action: recover every crashed replica,

@@ -292,8 +292,10 @@ func TestCofactoredSmallOrderAgreement(t *testing.T) {
 	mult := func(k *big.Int, p *point) point {
 		var s scalar
 		s.v.Set(k)
+		var table nafTable
+		table.init(p)
 		terms := make([]multiScalarTerm, 1)
-		terms[0].set(&s, p)
+		terms[0].setPrecomputed(&s, &table)
 		var out point
 		varTimeMultiScalarMult(&out, terms)
 		return out

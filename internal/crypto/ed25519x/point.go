@@ -269,14 +269,8 @@ type multiScalarTerm struct {
 	top   int // highest non-zero NAF position
 }
 
-func (m *multiScalarTerm) set(s *scalar, p *point) {
-	m.table = new(nafTable)
-	m.table.init(p)
-	m.setScalar(s)
-}
-
-// setPrecomputed reuses an already-built table (the basepoint's, or a
-// cached public key's), skipping the 1-doubling + 7-addition build.
+// setPrecomputed points the term at an already-built table: the
+// basepoint's, a cached public key's, or one of a batch's R tables.
 func (m *multiScalarTerm) setPrecomputed(s *scalar, table *nafTable) {
 	m.table = table
 	m.setScalar(s)

@@ -154,14 +154,17 @@ func VerifyBatch(pubs []*PublicKey, msgs [][]byte, sigs [][]byte) bool {
 	}
 
 	// Terms: [z_i]( -R_i ), [z_i k_i]( -A_i ), and one basepoint term
-	// with the aggregated scalar sum z_i s_i.
+	// with the aggregated scalar sum z_i s_i. The -R_i tables are built
+	// into one allocation.
 	terms := make([]multiScalarTerm, 2*n+1)
+	negR := make([]nafTable, n)
 	var sB, z, zk scalar
 	for i := 0; i < n; i++ {
 		z.setBytesLE(zs[zCoefficientSize*i : zCoefficientSize*(i+1)])
 		sB.mulAdd(&z, &parsed[i].s, &sB)
 		zk.mul(&z, &parsed[i].k)
-		terms[2*i].set(&z, &parsed[i].negR)
+		negR[i].init(&parsed[i].negR)
+		terms[2*i].setPrecomputed(&z, &negR[i])
 		terms[2*i+1].setPrecomputed(&zk, pubs[i].negATable())
 	}
 	terms[2*n].setPrecomputed(&sB, basepointNafTable())

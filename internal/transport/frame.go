@@ -21,15 +21,17 @@ import (
 // Frame kinds. FrameMsg carries a protocol message (sender header +
 // wire codec payload); FramePing and FramePong are the transport's
 // keepalive probes, carrying an opaque 8-byte timestamp that the pong
-// echoes back untouched. FrameGroupMsg carries a group-multiplexed
-// protocol message (sender header + 4-byte GroupID + wire codec
-// payload), so N replication groups share one connection; plain
-// FrameMsg frames stay bit-identical to the ungrouped format.
+// echoes back untouched. The receiver skips a frame of any other kind.
+//
+// Kind 3 is retired: it once carried a group-multiplexed message
+// (sender header + 4-byte group ID + payload). The header has only two
+// kind bits, so 3 is the one value left; it must not be given another
+// meaning, because a peer built before the retirement may still send
+// it.
 const (
 	FrameMsg byte = iota
 	FramePing
 	FramePong
-	FrameGroupMsg
 )
 
 // MaxFrameSize bounds a frame payload (16 MiB). A corrupt or hostile

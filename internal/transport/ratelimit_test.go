@@ -76,22 +76,6 @@ func TestRateLimitRetransmitOverdraft(t *testing.T) {
 	}
 }
 
-func TestRateLimitGroupMessageRetransmitPassthrough(t *testing.T) {
-	rl := newTestLimiter(100, 2)
-	client := smr.ClientIDBase
-	wrap := func(resend bool) smr.Message {
-		return &smr.GroupMessage{Group: 3, Msg: rlMsg{resend: resend}}
-	}
-	rl.admit(0, client, wrap(false))
-	rl.admit(0, client, wrap(false))
-	if rl.admit(0, client, wrap(false)) {
-		t.Fatal("fresh grouped message admitted past the budget")
-	}
-	if !rl.admit(0, client, wrap(true)) {
-		t.Fatal("grouped retransmission shed while overdraft remains; the wrapper must pass Retransmit through")
-	}
-}
-
 func TestRateLimitIgnoresReplicaTraffic(t *testing.T) {
 	rl := newTestLimiter(1, 1)
 	for i := 0; i < 100; i++ {

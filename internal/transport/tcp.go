@@ -469,9 +469,6 @@ type Stats struct {
 	// Intake reports the hosted protocol node's request-admission
 	// health (nil when the node does not track intake — e.g. clients).
 	Intake *smr.IntakeStats
-	// Groups reports the hosted node's group-routing counters (nil
-	// when the node does not multiplex groups).
-	Groups *smr.GroupStats
 	// RateLimit reports the per-source intake limiter's counters (nil
 	// when WithIntakeLimit is not configured).
 	RateLimit *RateLimitStats
@@ -503,10 +500,6 @@ func (n *Node) Stats() Stats {
 	if ir, ok := n.node.(intakeReporter); ok {
 		st := ir.IntakeStats()
 		out.Intake = &st
-	}
-	if gr, ok := n.node.(smr.GroupStatsReporter); ok {
-		gs := gr.GroupStats()
-		out.Groups = &gs
 	}
 	if n.limiter != nil {
 		rs := n.limiter.stats()
@@ -597,7 +590,7 @@ func (n *Node) readLoop(conn net.Conn) {
 			continue
 		case FramePong:
 			continue // pongs belong on outbound conns (pongLoop)
-		case FrameMsg, FrameGroupMsg:
+		case FrameMsg:
 		default:
 			continue // unknown control frame: ignore for forward compat
 		}
@@ -609,22 +602,9 @@ func (n *Node) readLoop(conn net.Conn) {
 		if authID >= 0 && smr.NodeID(from) != authID {
 			return // claimed sender contradicts the TLS identity
 		}
-		body := payload[8:]
-		var group smr.GroupID
-		if kind == FrameGroupMsg {
-			g, ok := rd.U32()
-			if !ok {
-				return // truncated group header: desynced peer
-			}
-			group = smr.GroupID(g)
-			body = payload[12:]
-		}
-		msg, err := n.codec.Decode(body)
+		msg, err := n.codec.Decode(payload[8:])
 		if err != nil {
 			return
-		}
-		if kind == FrameGroupMsg {
-			msg = &smr.GroupMessage{Group: group, Msg: msg}
 		}
 		if n.limiter != nil && !n.limiter.admit(n.Now(), smr.NodeID(from), msg) {
 			continue // shed at intake; counted in Stats.RateLimit
@@ -813,15 +793,9 @@ func (n *Node) writeLoop(pc *peerConn) {
 		if ok {
 			buf.Reset()
 			buf.I64(int64(n.id))
-			kind, inner := FrameMsg, m
-			if gm, grouped := m.(*smr.GroupMessage); grouped {
-				kind = FrameGroupMsg
-				buf.U32(uint32(gm.Group))
-				inner = gm.Msg
-			}
-			if err := n.codec.Append(buf, inner); err != nil {
+			if err := n.codec.Append(buf, m); err != nil {
 				pc.q.countDrops(1) // not encodable: shed, but count
-			} else if err := WriteFrameKind(bw, kind, buf.Done()); err != nil {
+			} else if err := WriteFrame(bw, buf.Done()); err != nil {
 				if errors.Is(err, ErrFrameTooLarge) {
 					// Rejected before any bytes hit the stream: the
 					// connection is still in sync, shed just this message.

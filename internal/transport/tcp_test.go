@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"github.com/xft-consensus/xft/internal/smr"
+	"github.com/xft-consensus/xft/internal/wire"
 	"github.com/xft-consensus/xft/internal/xpaxos"
 )
 
@@ -192,6 +193,56 @@ func TestNodeSendReceive(t *testing.T) {
 	}
 	if sa.count() != 0 {
 		t.Errorf("a received %d unexpected messages", sa.count())
+	}
+}
+
+// TestNodeSkipsRetiredFrameKind: a frame of kind 3, which once carried
+// a group-multiplexed message and is now retired, is skipped like any
+// unknown kind. The message frames around it are delivered and the
+// connection stays open.
+func TestNodeSkipsRetiredFrameKind(t *testing.T) {
+	sink := &sinkNode{}
+	n, err := NewNode(0, sink, "127.0.0.1:0", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	go n.Run()
+	defer n.Stop()
+
+	c, err := net.Dial("tcp", n.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	frame := func(sn uint64, group bool) []byte {
+		buf := wire.New(64)
+		buf.I64(1)
+		if group {
+			buf.U32(3)
+		}
+		if err := xpaxos.AppendMessage(buf, testMsg(sn)); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Done()
+	}
+	if err := WriteFrameKind(c, 3, frame(1, true)); err != nil {
+		t.Fatal(err)
+	}
+	if err := WriteFrame(c, frame(2, false)); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, func() bool { return sink.count() == 1 }, "the kind-0 message")
+	if err := WriteFrame(c, frame(3, false)); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, func() bool { return sink.count() == 2 }, "a second message on the same connection")
+	sink.mu.Lock()
+	defer sink.mu.Unlock()
+	for i, want := range []smr.SeqNum{2, 3} {
+		m, ok := sink.recvd[i].Msg.(*xpaxos.MsgCommit)
+		if !ok || m.Order.SN != want || sink.recvd[i].From != 1 {
+			t.Fatalf("delivery %d = %+v, want a commit for sn %d from 1", i, sink.recvd[i], want)
+		}
 	}
 }
 

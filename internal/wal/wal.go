@@ -60,6 +60,26 @@ type Options struct {
 	FullFsync bool
 }
 
+// WAL is the durable-log interface the replica's durability layer
+// writes to. *Log implements it; a caller may hand the replica a
+// wrapper around a *Log instead, as the live benchmark does to time
+// each call.
+type WAL interface {
+	// Append frames payload into the log and returns its LSN. Nothing
+	// is durable until Sync returns.
+	Append(payload []byte) (uint64, error)
+	// Sync makes every record appended so far durable (group commit).
+	Sync() error
+	// Replay calls fn for each record of the valid durable prefix in
+	// LSN order.
+	Replay(fn func(lsn uint64, payload []byte) error) error
+	// TruncateFront declares records below keep dead; storage is
+	// reclaimed at whole-segment granularity when safe.
+	TruncateFront(keep uint64) error
+}
+
+var _ WAL = (*Log)(nil)
+
 // Log is a write-ahead log rooted at one directory. Methods are safe
 // for concurrent use; the replica calls Append/Sync from a deferred
 // worker while the event loop owns everything else.

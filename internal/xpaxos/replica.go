@@ -291,7 +291,7 @@ func (r *Replica) goCrypto(kind string, work func(), apply func()) {
 func (r *Replica) onTimer(e smr.TimerFired) {
 	switch e.Kind {
 	case "batch":
-		if e.ID == r.batchTimer {
+		if r.batchTimerSet && e.ID == r.batchTimer {
 			r.batchTimerSet = false
 			r.flushBatches(true)
 		}

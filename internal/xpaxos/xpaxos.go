@@ -92,9 +92,7 @@ type Config struct {
 	// off the Step loop, and NewReplica replays the log to recover the
 	// replica's state after a crash (see durability.go). Nil keeps the
 	// replica purely in-memory. The replica owns the log once passed
-	// in; callers must not touch it afterwards. Pass a *wal.Log for a
-	// dedicated log, or a *wal.GroupLog view of a wal.Shared when
-	// several groups on one process share a single durable log.
+	// in; callers must not touch it afterwards.
 	WAL wal.WAL
 
 	// Observer, if set, is invoked on every local commit.
