@@ -179,12 +179,8 @@ func TestMeterForwardsBatch(t *testing.T) {
 // suite give the same verdicts as one-by-one verification.
 func TestPoolBatchRouting(t *testing.T) {
 	suite := NewEd25519Suite(8, 1)
-	for _, workers := range []int{0, 2} { // 0 = nil pool (serial)
-		var pool *Pool
-		if workers > 0 {
-			pool = NewPool(workers)
-			defer pool.Close()
-		}
+	for _, workers := range []int{1, 2} { // 1 = one chunk, on the caller
+		pool := newPool(workers)
 		jobs, _ := batchFixture(t, suite, 40)
 		jobs[11].Sig = corrupt(jobs[11].Sig)
 		jobs[37].Sig = corrupt(jobs[37].Sig)

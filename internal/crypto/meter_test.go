@@ -5,57 +5,6 @@ import (
 	"time"
 )
 
-// TestGoVerifyAllAndEach: the asynchronous submission APIs deliver the
-// same verdicts as their blocking counterparts, off the caller's
-// goroutine, on both a real pool and a nil (serial) one.
-func TestGoVerifyAllAndEach(t *testing.T) {
-	suite := NewEd25519Suite(8, 1)
-	jobs, _ := batchFixture(t, suite, 12)
-	bad := make([]VerifyJob, len(jobs))
-	copy(bad, jobs)
-	bad[5].Sig = corrupt(bad[5].Sig)
-
-	for _, pool := range []*Pool{nil, NewPool(2)} {
-		okCh := make(chan bool, 1)
-		pool.GoVerifyAll(suite, jobs, func(ok bool) { okCh <- ok })
-		if !<-okCh {
-			t.Error("GoVerifyAll rejected a valid batch")
-		}
-		pool.GoVerifyAll(suite, bad, func(ok bool) { okCh <- ok })
-		if <-okCh {
-			t.Error("GoVerifyAll accepted an invalid batch")
-		}
-		verdictCh := make(chan []bool, 1)
-		pool.GoVerifyEach(suite, bad, func(v []bool) { verdictCh <- v })
-		for i, ok := range <-verdictCh {
-			if ok == (i == 5) {
-				t.Errorf("GoVerifyEach verdict[%d] = %v", i, ok)
-			}
-		}
-		if pool != nil {
-			pool.Close()
-		}
-	}
-}
-
-// TestGoSign: the produced signature verifies, and the callback runs
-// off the caller.
-func TestGoSign(t *testing.T) {
-	suite := NewEd25519Suite(4, 1)
-	data := []byte("async-signed")
-	sigCh := make(chan Signature, 1)
-	var pool *Pool // nil pool: signing never needed workers anyway
-	pool.GoSign(suite, 2, data, func(sig Signature) { sigCh <- sig })
-	select {
-	case sig := <-sigCh:
-		if !suite.Verify(2, data, sig) {
-			t.Fatal("GoSign produced an invalid signature")
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("GoSign callback never ran")
-	}
-}
-
 // TestCostModelModern: the preset discounts batched verifications and
 // spreads verify work across workers for elapsed time, while the
 // default model prices batched and single verifications identically

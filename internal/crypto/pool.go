@@ -24,21 +24,12 @@ type VerifyJob struct {
 // VerifyAll call blocks until its own jobs are done. When every worker
 // is busy, submissions degrade gracefully: the calling goroutine runs
 // the job inline instead of queueing unboundedly, so a Pool can never
-// deadlock even if callers submit from inside worker context.
+// deadlock even if callers submit from inside worker context. Its
+// workers live for the process.
 type Pool struct {
 	tasks   chan func()
 	workers int
-	// mu guards closed against the submit path: submitters hold the
-	// read side while sending, Close takes the write side before
-	// closing the channel, so a send on a closed channel is impossible
-	// and every queued task is drained before the workers exit.
-	mu     sync.RWMutex
-	closed bool
 }
-
-// minParallelJobs is the batch size below which scatter/gather
-// overhead exceeds the win; smaller batches verify inline.
-const minParallelJobs = 2
 
 // minAlgebraicBatch is the size from which one multi-scalar batch pass
 // (see BatchSuite) beats scattering single verifications, even on one
@@ -50,12 +41,8 @@ const minAlgebraicBatch = 4
 // lost to splitting outweighs the extra parallelism.
 const batchChunkTarget = 16
 
-// NewPool starts a pool with the given number of workers; workers <= 0
-// selects GOMAXPROCS.
-func NewPool(workers int) *Pool {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
+// newPool starts a pool with the given number of workers.
+func newPool(workers int) *Pool {
 	p := &Pool{tasks: make(chan func(), 4*workers), workers: workers}
 	for i := 0; i < workers; i++ {
 		go func() {
@@ -67,96 +54,26 @@ func NewPool(workers int) *Pool {
 	return p
 }
 
-// Close stops the workers once queued tasks drain. It is idempotent,
-// and jobs submitted after (or concurrently with) Close run inline on
-// the caller.
-func (p *Pool) Close() {
-	p.mu.Lock()
-	if !p.closed {
-		p.closed = true
-		close(p.tasks)
-	}
-	p.mu.Unlock()
-}
-
-// submit hands task to a worker, or runs it inline when the workers
-// are saturated or the pool is closed.
-func (p *Pool) submit(task func()) {
-	p.mu.RLock()
-	if p.closed {
-		p.mu.RUnlock()
-		task()
-		return
-	}
-	select {
-	case p.tasks <- task:
-		p.mu.RUnlock()
-	default:
-		p.mu.RUnlock()
-		task() // workers saturated: caller runs
-	}
-}
-
 // VerifyAll reports whether every job verifies under s. Jobs are
-// independent, so they run concurrently; the call returns once all
-// verdicts are in. A nil pool (or a batch too small to be worth
-// scattering) verifies serially, which keeps the zero-config path
-// allocation-free and deterministic.
+// independent, so they run concurrently, and once one fails the chunks
+// not yet started are skipped; the call returns once all verdicts are
+// in. A batch that fits in one chunk verifies on the caller, which
+// keeps the common path allocation-free.
 //
 // The Suite must be safe for concurrent Verify calls; Ed25519Suite and
 // SimSuite are immutable after construction and Meter counts with
 // atomics, so every suite in this repository qualifies.
 func (p *Pool) VerifyAll(s Suite, jobs []VerifyJob) bool {
-	if suiteBatches(s) && len(jobs) >= minAlgebraicBatch {
-		bs := s.(BatchSuite)
-		nc := p.batchChunks(len(jobs))
-		if nc == 1 {
-			return bs.BatchVerify(jobs)
-		}
-		var failed atomic.Bool
-		var wg sync.WaitGroup
-		size := (len(jobs) + nc - 1) / nc
-		for start := 0; start < len(jobs); start += size {
-			end := start + size
-			if end > len(jobs) {
-				end = len(jobs)
-			}
-			chunk := jobs[start:end]
-			wg.Add(1)
-			p.submit(func() {
-				defer wg.Done()
-				if !failed.Load() && !bs.BatchVerify(chunk) {
-					failed.Store(true)
-				}
-			})
-		}
-		wg.Wait()
-		return !failed.Load()
-	}
-	if p == nil || len(jobs) < minParallelJobs {
-		for i := range jobs {
-			if !s.Verify(jobs[i].ID, jobs[i].Data, jobs[i].Sig) {
-				return false
-			}
-		}
-		return true
+	size, batch := p.plan(s, len(jobs))
+	if size >= len(jobs) {
+		return verifyAll(s, batch, jobs)
 	}
 	var failed atomic.Bool
-	var wg sync.WaitGroup
-	wg.Add(len(jobs))
-	for i := range jobs {
-		j := &jobs[i]
-		p.submit(func() {
-			defer wg.Done()
-			if failed.Load() {
-				return // a sibling already failed; skip the work
-			}
-			if !s.Verify(j.ID, j.Data, j.Sig) {
-				failed.Store(true)
-			}
-		})
-	}
-	wg.Wait()
+	p.scatter(len(jobs), size, func(lo, hi int) {
+		if !failed.Load() && !verifyAll(s, batch, jobs[lo:hi]) {
+			failed.Store(true)
+		}
+	})
 	return !failed.Load()
 }
 
@@ -166,107 +83,83 @@ func (p *Pool) VerifyAll(s Suite, jobs []VerifyJob) bool {
 // intake at the primary).
 func (p *Pool) VerifyEach(s Suite, jobs []VerifyJob) []bool {
 	out := make([]bool, len(jobs))
-	if suiteBatches(s) && len(jobs) >= minAlgebraicBatch {
-		nc := p.batchChunks(len(jobs))
-		if nc == 1 {
-			batchVerdicts(s, jobs, out)
-			return out
-		}
-		var wg sync.WaitGroup
-		size := (len(jobs) + nc - 1) / nc
-		for start := 0; start < len(jobs); start += size {
-			end := start + size
-			if end > len(jobs) {
-				end = len(jobs)
-			}
-			start, end := start, end
-			wg.Add(1)
-			p.submit(func() {
-				defer wg.Done()
-				batchVerdicts(s, jobs[start:end], out[start:end])
-			})
-		}
-		wg.Wait()
+	size, batch := p.plan(s, len(jobs))
+	if size >= len(jobs) {
+		verifyEach(s, batch, jobs, out)
 		return out
 	}
-	if p == nil || len(jobs) < minParallelJobs {
-		for i := range jobs {
-			out[i] = s.Verify(jobs[i].ID, jobs[i].Data, jobs[i].Sig)
-		}
-		return out
-	}
-	var wg sync.WaitGroup
-	wg.Add(len(jobs))
-	for i := range jobs {
-		i := i
-		j := &jobs[i]
-		p.submit(func() {
-			defer wg.Done()
-			out[i] = s.Verify(j.ID, j.Data, j.Sig)
-		})
-	}
-	wg.Wait()
+	p.scatter(len(jobs), size, func(lo, hi int) {
+		verifyEach(s, batch, jobs[lo:hi], out[lo:hi])
+	})
 	return out
 }
 
-// GoVerifyAll runs VerifyAll off the caller's goroutine and invokes
-// done(ok) when every verdict is in. done runs on the spawned
-// goroutine, never on the caller. This is the standalone asynchronous
-// submission surface for code that owns its own completion routing;
-// the replicas instead submit through smr.Env.Defer (whose work
-// closures call the blocking Pool methods) because their completions
-// must re-enter the event loop as smr.Async events under the runtime's
-// delivery guarantees. Safe on a nil pool — the verification then runs
-// serially, but still off the caller.
-func (p *Pool) GoVerifyAll(s Suite, jobs []VerifyJob, done func(ok bool)) {
-	go func() { done(p.VerifyAll(s, jobs)) }()
-}
-
-// GoVerifyEach is the asynchronous form of VerifyEach: done receives
-// the per-job verdicts. Same threading contract as GoVerifyAll.
-func (p *Pool) GoVerifyEach(s Suite, jobs []VerifyJob, done func(verdicts []bool)) {
-	go func() { done(p.VerifyEach(s, jobs)) }()
-}
-
-// GoSign produces a signature off the caller's goroutine. Signing is
-// inherently serial (one key, one message), so the job does not occupy
-// pool workers — it runs on its own goroutine, overlapping both the
-// caller and any in-flight verification.
-func (p *Pool) GoSign(s Suite, id NodeID, data []byte, done func(sig Signature)) {
-	go func() { done(s.Sign(id, data)) }()
-}
-
-// batchChunks returns how many chunks a batch of n jobs should split
-// into: one per worker, but never chunks smaller than batchChunkTarget
+// plan returns the chunk size in which n jobs are scattered and whether
+// each chunk is checked in one batch pass. A suite that batches gets
+// one chunk per worker, but never chunks smaller than batchChunkTarget
 // (splitting erodes the shared-doubling amortization that makes batch
-// verification fast), and exactly one for a nil pool.
-func (p *Pool) batchChunks(n int) int {
-	if p == nil {
-		return 1
+// verification fast); otherwise every job is its own chunk.
+func (p *Pool) plan(s Suite, n int) (size int, batch bool) {
+	if !suiteBatches(s) || n < minAlgebraicBatch {
+		return 1, false
 	}
-	c := n / batchChunkTarget
-	if c > p.workers {
-		c = p.workers
-	}
-	if c < 1 {
-		c = 1
-	}
-	return c
+	chunks := max(1, min(n/batchChunkTarget, p.workers))
+	return (n + chunks - 1) / chunks, true
 }
 
-// sharedPool is the process-wide default pool, created on first use.
-// It is intentionally never closed: its workers park on an empty
-// channel and cost nothing while idle, and sharing one pool keeps the
-// goroutine count bounded no matter how many replicas a test or
-// simulation spins up.
-var (
-	sharedOnce sync.Once
-	shared     *Pool
-)
+// scatter runs part over consecutive [lo, hi) chunks of size covering
+// n jobs and returns once every chunk is done. Each chunk goes to a
+// worker, or runs on the caller when the workers are saturated.
+func (p *Pool) scatter(n, size int, part func(lo, hi int)) {
+	var wg sync.WaitGroup
+	for lo := 0; lo < n; lo += size {
+		hi := min(lo+size, n)
+		wg.Add(1)
+		task := func() {
+			defer wg.Done()
+			part(lo, hi)
+		}
+		select {
+		case p.tasks <- task:
+		default:
+			task() // workers saturated: caller runs
+		}
+	}
+	wg.Wait()
+}
+
+// verifyAll checks one chunk, in one batch pass or one job at a time
+// up to the first failure.
+func verifyAll(s Suite, batch bool, jobs []VerifyJob) bool {
+	if batch {
+		return s.(BatchSuite).BatchVerify(jobs)
+	}
+	for i := range jobs {
+		if !s.Verify(jobs[i].ID, jobs[i].Data, jobs[i].Sig) {
+			return false
+		}
+	}
+	return true
+}
+
+// verifyEach fills out with one chunk's verdicts, bisecting a failed
+// batch pass or checking one job at a time.
+func verifyEach(s Suite, batch bool, jobs []VerifyJob, out []bool) {
+	if batch {
+		batchVerdicts(s, jobs, out)
+		return
+	}
+	for i := range jobs {
+		out[i] = s.Verify(jobs[i].ID, jobs[i].Data, jobs[i].Sig)
+	}
+}
+
+// sharedPool is the process-wide pool, created on first use. Its
+// workers park on an empty channel and cost nothing while idle, and
+// sharing one pool keeps the goroutine count bounded no matter how
+// many replicas a test or simulation spins up.
+var sharedPool = sync.OnceValue(func() *Pool { return newPool(runtime.GOMAXPROCS(0)) })
 
 // SharedPool returns the process-wide verification pool (GOMAXPROCS
 // workers), creating it on first use.
-func SharedPool() *Pool {
-	sharedOnce.Do(func() { shared = NewPool(0) })
-	return shared
-}
+func SharedPool() *Pool { return sharedPool() }

@@ -1,7 +1,6 @@
 package crypto
 
 import (
-	"sync"
 	"testing"
 )
 
@@ -16,8 +15,7 @@ func poolJobs(s Suite, n int) []VerifyJob {
 
 func TestPoolVerifyAllAndEach(t *testing.T) {
 	s := NewSimSuite(1)
-	p := NewPool(2)
-	defer p.Close()
+	p := newPool(2)
 
 	jobs := poolJobs(s, 17)
 	if !p.VerifyAll(s, jobs) {
@@ -40,57 +38,58 @@ func TestPoolVerifyAllAndEach(t *testing.T) {
 			t.Fatalf("VerifyEach[%d] = %v, want %v", i, v, want)
 		}
 	}
-
-	// A nil pool verifies serially with identical semantics.
-	var np *Pool
-	if np.VerifyAll(s, jobs) {
-		t.Fatal("nil-pool VerifyAll accepted a corrupted signature")
-	}
-	if v := np.VerifyEach(s, jobs); v[5] || !v[4] {
-		t.Fatal("nil-pool VerifyEach verdicts wrong")
-	}
 }
 
-// TestPoolVerifyAfterClose is the regression test for the
-// send-on-closed-channel panic: jobs submitted after Close must run
-// inline on the caller, not crash.
-func TestPoolVerifyAfterClose(t *testing.T) {
-	s := NewSimSuite(2)
-	p := NewPool(2)
-	p.Close()
-	p.Close() // idempotent
-
-	jobs := poolJobs(s, 8)
-	if !p.VerifyAll(s, jobs) {
-		t.Fatal("VerifyAll after Close rejected valid jobs")
-	}
-	for _, v := range p.VerifyEach(s, jobs) {
-		if !v {
-			t.Fatal("VerifyEach after Close rejected a valid job")
-		}
-	}
-}
-
-// TestPoolCloseConcurrentWithVerify races Close against in-flight
-// verification batches; under -race this also checks the channel
-// discipline.
-func TestPoolCloseConcurrentWithVerify(t *testing.T) {
-	s := NewSimSuite(3)
-	p := NewPool(4)
-	jobs := poolJobs(s, 32)
-	var wg sync.WaitGroup
-	for g := 0; g < 4; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < 50; i++ {
-				if !p.VerifyAll(s, jobs) {
-					t.Error("VerifyAll rejected valid jobs during Close race")
-					return
+// TestPoolScatterMatchesVerify pins the chunk scatter behind VerifyAll
+// and VerifyEach across the batch-size boundaries: one job, sizes below
+// the algebraic batch, one chunk, and batches that split across
+// workers. Verdicts match one-by-one Verify with the bad signature at
+// the first, middle or last job; on valid input every signature is
+// metered exactly once, and counted as batched from size 4 on.
+func TestPoolScatterMatchesVerify(t *testing.T) {
+	suite := NewEd25519Suite(8, 1)
+	pools := []struct {
+		name string
+		pool *Pool
+	}{{"shared", SharedPool()}, {"two-workers", newPool(2)}}
+	for _, n := range []int{1, 2, 3, 4, 16, 33, 64} {
+		valid, _ := batchFixture(t, suite, n)
+		for _, bad := range []int{-1, 0, n / 2, n - 1} {
+			jobs := append([]VerifyJob(nil), valid...)
+			if bad >= 0 {
+				jobs[bad].Sig = corrupt(jobs[bad].Sig)
+			}
+			want := make([]bool, n)
+			wantAll := true
+			for i, j := range jobs {
+				want[i] = suite.Verify(j.ID, j.Data, j.Sig)
+				wantAll = wantAll && want[i]
+			}
+			for _, pc := range pools {
+				all := NewMeter(suite)
+				if got := pc.pool.VerifyAll(all, jobs); got != wantAll {
+					t.Errorf("%s n=%d bad=%d: VerifyAll = %v, want %v", pc.name, n, bad, got, wantAll)
+				}
+				each := NewMeter(suite)
+				for i, got := range pc.pool.VerifyEach(each, jobs) {
+					if got != want[i] {
+						t.Errorf("%s n=%d bad=%d: VerifyEach[%d] = %v, want %v", pc.name, n, bad, i, got, want[i])
+					}
+				}
+				if bad >= 0 {
+					continue
+				}
+				wantBatched := uint64(0)
+				if n >= 4 {
+					wantBatched = uint64(n)
+				}
+				for call, m := range map[string]*Meter{"VerifyAll": all, "VerifyEach": each} {
+					if c := m.Total(); c.Verifies != uint64(n) || c.BatchedVerifies != wantBatched {
+						t.Errorf("%s n=%d %s: metered %d verifies, %d batched; want %d, %d",
+							pc.name, n, call, c.Verifies, c.BatchedVerifies, n, wantBatched)
+					}
 				}
 			}
-		}()
+		}
 	}
-	p.Close()
-	wg.Wait()
 }

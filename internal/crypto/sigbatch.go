@@ -28,8 +28,8 @@ func (b *SigBatch) Add(id NodeID, sig Signature, payload func(*wire.Buf) []byte)
 	b.jobs = append(b.jobs, VerifyJob{ID: id, Data: payload(w), Sig: sig})
 }
 
-// VerifyAll scatters the jobs across pool (nil verifies serially) and
-// reports whether every one passed. The batch is spent afterwards.
+// VerifyAll scatters the jobs across pool and reports whether every
+// one passed. The batch is spent afterwards.
 func (b *SigBatch) VerifyAll(pool *Pool, suite Suite) bool {
 	defer b.release()
 	return pool.VerifyAll(suite, b.jobs)

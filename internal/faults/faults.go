@@ -7,9 +7,9 @@
 //     mutate a replica's local state (data loss, forks) — see
 //     xpaxos.Replica's fault-injection hooks;
 //   - message-level misbehaviour: Wrap intercepts a node's outgoing
-//     traffic through its Env, so tests can drop, redirect, duplicate
-//     or substitute messages (equivocation, muting, selective
-//     delivery) without touching protocol internals.
+//     traffic through its Env, so tests can drop, redirect or
+//     substitute messages (equivocation, muting, selective delivery)
+//     without touching protocol internals.
 //
 // Crash faults and network faults (partitions) are injected by the
 // network simulator itself (netsim.Crash, netsim.Partition).
@@ -102,46 +102,6 @@ func DropTo(ids ...smr.NodeID) SendFilter {
 	}
 }
 
-// Chain applies filters left to right: the output sends of one filter
-// feed the next.
-func Chain(filters ...SendFilter) SendFilter {
-	return func(to smr.NodeID, m smr.Message) []Send {
-		cur := []Send{{To: to, Msg: m}}
-		for _, f := range filters {
-			var next []Send
-			for _, s := range cur {
-				next = append(next, f(s.To, s.Msg)...)
-			}
-			cur = next
-		}
-		return cur
-	}
-}
-
-// Switchable is a filter that can be toggled between an active filter
-// and pass-through at runtime (e.g. "become Byzantine at t=180s").
-type Switchable struct {
-	active SendFilter
-	on     bool
-}
-
-// NewSwitchable returns a disabled switchable wrapper around f.
-func NewSwitchable(f SendFilter) *Switchable { return &Switchable{active: f} }
-
-// Enable turns the wrapped filter on.
-func (s *Switchable) Enable() { s.on = true }
-
-// Disable reverts to pass-through.
-func (s *Switchable) Disable() { s.on = false }
-
-// Filter is the SendFilter to install via Wrap.
-func (s *Switchable) Filter(to smr.NodeID, m smr.Message) []Send {
-	if s.on {
-		return s.active(to, m)
-	}
-	return PassThrough(to, m)
-}
-
 // DropNth drops every nth outgoing message (1-based: n=3 drops the
 // 3rd, 6th, ...). Deterministic flaky-channel behavior without any
 // randomness of its own, so schedules composed from it replay
@@ -157,25 +117,6 @@ func DropNth(n int) SendFilter {
 	}
 }
 
-// Duplicate sends every outgoing message twice — the classic
-// at-least-once channel fault. Protocols built on reliable FIFO links
-// must tolerate it anyway (retransmissions look identical).
-func Duplicate() SendFilter {
-	return func(to smr.NodeID, m smr.Message) []Send {
-		return []Send{{To: to, Msg: m}, {To: to, Msg: m}}
-	}
-}
-
-// Script schedules fault actions at fixed virtual times on a network
-// that exposes At (the netsim.Network does). It exists so experiment
-// code reads as a fault timetable.
-type Script struct {
-	At func(at time.Duration, fn func())
-}
-
-// Do schedules fn at the given offset.
-func (s Script) Do(at time.Duration, fn func()) { s.At(at, fn) }
-
 // ---------------------------------------------------------------------------
 // Schedule composition
 // ---------------------------------------------------------------------------
@@ -190,26 +131,16 @@ type Action struct {
 
 // Timeline is an ordered fault schedule assembled from independently
 // generated storms (crash waves, partition sweeps, byzantine windows).
-// Actions keep their insertion order at equal times, so merging
+// Actions keep their insertion order at equal times, so adding
 // generators in a fixed order yields a deterministic composite
 // schedule from a single PRNG seed.
 type Timeline struct {
 	actions []Action
-	seq     []int // insertion order, the tie-break at equal At
 }
 
 // Add appends one action to the timeline.
 func (tl *Timeline) Add(at time.Duration, name string, do func()) {
 	tl.actions = append(tl.actions, Action{At: at, Name: name, Do: do})
-	tl.seq = append(tl.seq, len(tl.seq))
-}
-
-// Merge appends every action of other (preserving other's internal
-// order at equal times, after this timeline's own equal-time actions).
-func (tl *Timeline) Merge(other *Timeline) {
-	for _, a := range other.Sorted() {
-		tl.Add(a.At, a.Name, a.Do)
-	}
 }
 
 // Len returns the number of actions.
@@ -217,21 +148,8 @@ func (tl *Timeline) Len() int { return len(tl.actions) }
 
 // Sorted returns the actions ordered by (time, insertion order).
 func (tl *Timeline) Sorted() []Action {
-	idx := make([]int, len(tl.actions))
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.SliceStable(idx, func(i, j int) bool {
-		a, b := tl.actions[idx[i]], tl.actions[idx[j]]
-		if a.At != b.At {
-			return a.At < b.At
-		}
-		return tl.seq[idx[i]] < tl.seq[idx[j]]
-	})
-	out := make([]Action, len(idx))
-	for i, k := range idx {
-		out[i] = tl.actions[k]
-	}
+	out := append([]Action(nil), tl.actions...)
+	sort.SliceStable(out, func(i, j int) bool { return out[i].At < out[j].At })
 	return out
 }
 

@@ -87,43 +87,6 @@ func TestDropTo(t *testing.T) {
 	}
 }
 
-func TestChainComposes(t *testing.T) {
-	dup := func(to smr.NodeID, m smr.Message) []Send {
-		return []Send{{To: to, Msg: m}, {To: to, Msg: m}}
-	}
-	got := runPair(t, Chain(dup, DropTypes("b")), []msg{{"a"}, {"b"}})
-	if len(got) != 2 || got[0] != "a" || got[1] != "a" {
-		t.Fatalf("got %v, want [a a]", got)
-	}
-}
-
-func TestSwitchableTogglesAtRuntime(t *testing.T) {
-	sw := NewSwitchable(Mute())
-	net := netsim.New(netsim.Config{Latency: netsim.Uniform{Delay: time.Millisecond}})
-	rx := &echo{}
-	var env smr.Env
-	probe := Wrap(nodeFunc(func(e smr.Env) { env = e }), sw.Filter)
-	net.AddNode(0, probe)
-	net.AddNode(1, rx)
-	net.RunFor(10 * time.Millisecond)
-	net.At(net.Now(), func() { env.Send(1, msg{"before"}) })
-	net.RunFor(10 * time.Millisecond)
-	sw.Enable()
-	net.At(net.Now(), func() { env.Send(1, msg{"muted"}) })
-	net.RunFor(10 * time.Millisecond)
-	sw.Disable()
-	net.At(net.Now(), func() { env.Send(1, msg{"after"}) })
-	net.RunFor(10 * time.Millisecond)
-	if len(rx.recvd) != 2 || rx.recvd[0] != "before" || rx.recvd[1] != "after" {
-		t.Fatalf("got %v, want [before after]", rx.recvd)
-	}
-}
-
-type nodeFunc func(env smr.Env)
-
-func (f nodeFunc) Init(env smr.Env) { f(env) }
-func (f nodeFunc) Step(smr.Event)   {}
-
 func TestDropNth(t *testing.T) {
 	got := runPair(t, DropNth(3), []msg{{"a"}, {"b"}, {"c"}, {"d"}, {"e"}, {"f"}, {"g"}})
 	want := []string{"a", "b", "d", "e", "g"}
@@ -137,32 +100,17 @@ func TestDropNth(t *testing.T) {
 	}
 }
 
-func TestDuplicate(t *testing.T) {
-	got := runPair(t, Duplicate(), []msg{{"a"}, {"b"}})
-	want := []string{"a", "a", "b", "b"}
-	if len(got) != len(want) {
-		t.Fatalf("got %v, want %v", got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("got %v, want %v", got, want)
-		}
-	}
-}
-
-// TestTimelineOrderAndMerge asserts the schedule composition contract:
-// actions sort by time with insertion order as the tie-break, and
-// merging timelines preserves each source's internal order.
-func TestTimelineOrderAndMerge(t *testing.T) {
-	var a, b Timeline
-	a.Add(20*time.Millisecond, "a2", nil)
-	a.Add(10*time.Millisecond, "a1", nil)
-	a.Add(10*time.Millisecond, "a1b", nil)
-	b.Add(10*time.Millisecond, "b1", nil)
-	b.Add(5*time.Millisecond, "b0", nil)
-	a.Merge(&b)
+// TestTimelineOrder asserts the schedule order contract: actions sort
+// by time with insertion order as the tie-break.
+func TestTimelineOrder(t *testing.T) {
+	var tl Timeline
+	tl.Add(20*time.Millisecond, "a2", nil)
+	tl.Add(10*time.Millisecond, "a1", nil)
+	tl.Add(10*time.Millisecond, "a1b", nil)
+	tl.Add(10*time.Millisecond, "b1", nil)
+	tl.Add(5*time.Millisecond, "b0", nil)
 	var names []string
-	for _, act := range a.Sorted() {
+	for _, act := range tl.Sorted() {
 		names = append(names, act.Name)
 	}
 	want := []string{"b0", "a1", "a1b", "b1", "a2"}

@@ -65,23 +65,6 @@ func IsBulk(m Message) bool {
 	return ok && b.Bulk()
 }
 
-// RetransmitMessage is optionally implemented by messages that re-offer
-// work the service has already seen (a client's timeout retransmission).
-// Transports that rate-limit intake admit retransmissions ahead of
-// fresh load when shedding: dropping fresh work delays it, but dropping
-// a retransmission starves a request that is already overdue.
-type RetransmitMessage interface {
-	Message
-	// Retransmit reports whether the message re-offers earlier work.
-	Retransmit() bool
-}
-
-// IsRetransmit reports whether m is marked as a retransmission.
-func IsRetransmit(m Message) bool {
-	r, ok := m.(RetransmitMessage)
-	return ok && r.Retransmit()
-}
-
 // Event is delivered to a Node's Step method.
 type Event interface{ isEvent() }
 

@@ -55,7 +55,7 @@ import (
 // the package (the hosting binary registers whichever codecs it links).
 const DefaultCodec = "xpaxos"
 
-// Tunables (overridable per node via Options).
+// Limits and timings shared by every node.
 const (
 	// DefaultSendQueueCap bounds each peer's send queue, in messages.
 	DefaultSendQueueCap = 1024
@@ -81,24 +81,6 @@ const (
 
 // Option customizes a Node.
 type Option func(*Node)
-
-// WithSendQueueCap sets the per-peer send queue capacity in messages.
-func WithSendQueueCap(n int) Option {
-	return func(nd *Node) {
-		if n > 0 {
-			nd.queueCap = n
-		}
-	}
-}
-
-// WithDialTimeout sets the per-attempt dial timeout.
-func WithDialTimeout(d time.Duration) Option {
-	return func(nd *Node) {
-		if d > 0 {
-			nd.dialTimeout = d
-		}
-	}
-}
 
 // WithCodec selects the registered wire codec (internal/wire) used to
 // encode and decode message frames. It must match the hosted protocol
@@ -153,6 +135,8 @@ type Node struct {
 	ln       net.Listener
 	start    time.Time
 
+	// queueCap and dialTimeout hold the defaults; tests lower them
+	// before Run.
 	queueCap    int
 	dialTimeout time.Duration
 
@@ -165,7 +149,6 @@ type Node struct {
 	// probeKick asks the probe loop for a round ahead of its next tick:
 	// a writer has evidence that a peer died. Capacity 1 coalesces.
 	probeKick chan struct{}
-	limiter   *rateLimiter
 
 	mu      sync.Mutex
 	stopped bool
@@ -469,9 +452,6 @@ type Stats struct {
 	// Intake reports the hosted protocol node's request-admission
 	// health (nil when the node does not track intake — e.g. clients).
 	Intake *smr.IntakeStats
-	// RateLimit reports the per-source intake limiter's counters (nil
-	// when WithIntakeLimit is not configured).
-	RateLimit *RateLimitStats
 }
 
 // intakeReporter is implemented by hosted nodes that track request
@@ -500,10 +480,6 @@ func (n *Node) Stats() Stats {
 	if ir, ok := n.node.(intakeReporter); ok {
 		st := ir.IntakeStats()
 		out.Intake = &st
-	}
-	if n.limiter != nil {
-		rs := n.limiter.stats()
-		out.RateLimit = &rs
 	}
 	return out
 }
@@ -605,9 +581,6 @@ func (n *Node) readLoop(conn net.Conn) {
 		msg, err := n.codec.Decode(payload[8:])
 		if err != nil {
 			return
-		}
-		if n.limiter != nil && !n.limiter.admit(n.Now(), smr.NodeID(from), msg) {
-			continue // shed at intake; counted in Stats.RateLimit
 		}
 		select {
 		case n.inbox <- smr.Recv{From: smr.NodeID(from), Msg: msg}:

@@ -420,11 +420,11 @@ func TestSendDownPeerDoesNotBlock(t *testing.T) {
 	ln.Close()
 
 	sink := &sinkNode{}
-	n, err := NewNode(0, sink, "127.0.0.1:0", map[smr.NodeID]string{1: downAddr},
-		WithSendQueueCap(8), WithDialTimeout(500*time.Millisecond))
+	n, err := NewNode(0, sink, "127.0.0.1:0", map[smr.NodeID]string{1: downAddr})
 	if err != nil {
 		t.Fatal(err)
 	}
+	n.queueCap, n.dialTimeout = 8, 500*time.Millisecond
 	go n.Run()
 	defer n.Stop()
 
@@ -474,11 +474,11 @@ func TestSlowPeerBoundedQueue(t *testing.T) {
 	}()
 
 	sink := &sinkNode{}
-	n, err := NewNode(0, sink, "127.0.0.1:0", map[smr.NodeID]string{1: ln.Addr().String()},
-		WithSendQueueCap(16))
+	n, err := NewNode(0, sink, "127.0.0.1:0", map[smr.NodeID]string{1: ln.Addr().String()})
 	if err != nil {
 		t.Fatal(err)
 	}
+	n.queueCap = 16
 	go n.Run()
 	defer n.Stop()
 
@@ -512,11 +512,11 @@ func TestStopCountsInHandMessage(t *testing.T) {
 
 	const total = 5
 	sink := &sinkNode{}
-	n, err := NewNode(0, sink, "127.0.0.1:0", map[smr.NodeID]string{1: downAddr},
-		WithSendQueueCap(64))
+	n, err := NewNode(0, sink, "127.0.0.1:0", map[smr.NodeID]string{1: downAddr})
 	if err != nil {
 		t.Fatal(err)
 	}
+	n.queueCap = 64
 	go n.Run()
 	for i := 0; i < total; i++ {
 		n.Send(1, testMsg(uint64(i)))

@@ -254,11 +254,6 @@ func (m *MsgResend) Type() string { return "re-send" }
 // WireSize implements smr.Message.
 func (m *MsgResend) WireSize() int { return msgHeader + m.Req.wireSize() }
 
-// Retransmit implements smr.RetransmitMessage: a re-send carries a
-// request the client already offered, so rate-limited intakes admit it
-// ahead of fresh load when shedding.
-func (m *MsgResend) Retransmit() bool { return true }
-
 // MsgPrepare is the primary's ⟨req, prepare⟩ to followers (t ≥ 2), and
 // the carrier of re-prepared entries inside new-view processing.
 type MsgPrepare struct{ Entry PrepareEntry }

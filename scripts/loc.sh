@@ -24,10 +24,11 @@
 #     log, 5,514 when the per-client and per-request maps became one
 #     session table, 5,513 when each signature came to be verified
 #     once, 5,512 when checkpoint snapshots came to be built in one
-#     allocation and the unused StableCheckpointSN went;
-#     XPAXOS_CEILING is the count reached when Config.WAL's doc lost
-#     its shared-log case. ROADMAP's -15 % target for the package is
-#     5,171.
+#     allocation and the unused StableCheckpointSN went, 5,510 when
+#     Config.WAL's doc lost its shared-log case; XPAXOS_CEILING is the
+#     count reached when MsgResend lost its Retransmit marker, read
+#     only by the deleted intake limiter. ROADMAP's -15 % target for
+#     the package is 5,171.
 #   - the printed total outside benchmark/ (21,727 before the view log,
 #     21,534 after, 21,527 after the session table, 21,443 when every
 #     live node came to be built through internal/deploy, 21,437 when
@@ -37,9 +38,13 @@
 #     each signature came to be verified once and a batch's Merkle
 #     proofs came to be cut from one tree, 21,226 when the Ed25519 field
 #     arithmetic moved onto the amd64 assembly kernel, whose fe_amd64.s
-#     this script does not count; TOTAL_CEILING is the count reached
-#     when sim-only multi-group sharding was deleted: internal/shard,
-#     the group multiplexer, the shared WAL and the sharded benchmark),
+#     this script does not count, 20,299 when sim-only multi-group
+#     sharding was deleted: internal/shard, the group multiplexer, the
+#     shared WAL and the sharded benchmark; TOTAL_CEILING is the count
+#     reached when what only tests turned on was deleted: the
+#     transport's intake rate limiter and two of its options, the
+#     verify pool's Close, async API and nil-pool mode, and four fault
+#     combinators),
 #     so a package outside the two sets cannot absorb what they shed.
 #
 # A ceiling is lowered by the PR that shrinks its set: run this script,
@@ -50,8 +55,8 @@ cd "$(dirname "$0")/.."
 
 RATCHETED="internal/baseline internal/protocols internal/paxos internal/pbft internal/zab internal/zyzzyva internal/bench"
 CEILING=4086
-XPAXOS_CEILING=5510
-TOTAL_CEILING=20299
+XPAXOS_CEILING=5505
+TOTAL_CEILING=19914
 
 count() { find "$1" -maxdepth 1 -name '*.go' ! -name '*_test.go' -print0 | xargs -0 -r cat | wc -l; }
 
